@@ -42,7 +42,6 @@ from .matroid import (  # noqa: E402
     delete_minor,
     format_covector_file,
     is_uniform,
-    linear_extension,
     parse_covector_file,
     tope_poset,
     topes,

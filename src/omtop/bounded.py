@@ -44,7 +44,7 @@ class AffineOM:
     named on the ground set, |E| > 1, and g is not a loop.
     """
 
-    __slots__ = ("om", "_bc", "_contraction")
+    __slots__ = ("om", "_bc", "_contraction", "_stars")
 
     def __init__(self, om: CovectorSet):
         if om.ground.g is None:
@@ -63,6 +63,7 @@ class AffineOM:
         self.om = om
         self._bc = None
         self._contraction = None
+        self._stars = {}
 
     @property
     def ground(self):
@@ -86,6 +87,12 @@ class AffineOM:
         if self._contraction is None:
             self._contraction = contract(self.om, [self.g])
         return self._contraction
+
+    def star(self, X: SignVector) -> "Star":
+        """Star(self, X), built once per bounded covector."""
+        if X not in self._stars:
+            self._stars[X] = Star(self, X)
+        return self._stars[X]
 
     def __repr__(self) -> str:
         return f"AffineOM({len(self.om)} covectors, g={self.g!r})"
@@ -198,7 +205,6 @@ def _compute_bounded_complex(M: AffineOM) -> BoundedComplex:
             "affine oriented matroid"
         )
     covs = tuple(kept)
-    cset = frozenset(covs)
     maximal = [
         x
         for x in covs
@@ -414,16 +420,6 @@ class Star:
         return SignVector.from_signs(signs).compose(self.X)
 
 
-def unbounded_topes_above(M: AffineOM, X: SignVector) -> tuple[SignVector, ...]:
-    """C_X: topes strictly above X that are not bounded covectors."""
-    return Star(M, X).C_X
-
-
-def contraction_topes_above(M: AffineOM, X: SignVector) -> tuple[SignVector, ...]:
-    """D_X: topes of L/g agreeing with X on supp(X minus g)."""
-    return Star(M, X).D_X
-
-
 @dataclass(frozen=True)
 class BijectionReport:
     """Outcome of checking that restriction r and lifting h are inverse
@@ -442,7 +438,7 @@ class BijectionReport:
 
 
 def check_bijection(M: AffineOM, X: SignVector) -> BijectionReport:
-    star = Star(M, X)
+    star = M.star(X)
     problems = []
     dset = set(star.D_X)
     images = []
@@ -481,7 +477,7 @@ def shelling_of_DX(
 ) -> list[SignVector]:
     """The topes of D_X in the order induced by the deterministic linear
     extension of the tope poset T(L/g, B)."""
-    star = Star(M, X)
+    star = M.star(X)
     if not star.D_X:
         raise PreconditionError(f"D_X is empty for X = {star.X}")
     if B is None:
@@ -535,11 +531,22 @@ def induced_shelling_of_CX(
     reported when every base fails.  An explicit dx_order is checked
     as given.
     """
-    star = Star(M, X)
+    star = M.star(X)
+    # the face poset of [C_X] above X, shared by every base tried
+    faces = Poset(
+        (
+            y
+            for y in star.om.om.sorted_covectors()
+            if star.X.below(y)
+            and y != star.X
+            and any(y.below(c) for c in star.C_X)
+        ),
+        lambda a, b: a.below(b),
+    )
     if dx_order is None:
         first = None
         for B in sorted(star.D_X, key=str):
-            cand = _lift_and_check(star, shelling_of_DX(M, X, B))
+            cand = _lift_and_check(star, faces, shelling_of_DX(M, X, B))
             if cand.ok:
                 return cand
             if first is None:
@@ -547,10 +554,12 @@ def induced_shelling_of_CX(
         if first is None:
             raise PreconditionError(f"D_X is empty for X = {star.X}")
         return first
-    return _lift_and_check(star, list(dx_order))
+    return _lift_and_check(star, faces, list(dx_order))
 
 
-def _lift_and_check(star: Star, dx_order: list) -> InducedShelling:
+def _lift_and_check(
+    star: Star, faces: Poset, dx_order: list
+) -> InducedShelling:
     from .topology import verify_shelling
 
     if sorted(dx_order, key=str) != sorted(star.D_X, key=str):
@@ -567,16 +576,8 @@ def _lift_and_check(star: Star, dx_order: list) -> InducedShelling:
             problems.append(f"h({d}) = {c} is not in C_X")
     report = None
     if not problems:
-        faces = [
-            y
-            for y in star.om.om.sorted_covectors()
-            if star.X.below(y)
-            and y != star.X
-            and any(y.below(c) for c in star.C_X)
-        ]
-        P = Poset(faces, lambda a, b: a.below(b))
         try:
-            report = verify_shelling(P, order)
+            report = verify_shelling(faces, order)
         except PreconditionError as exc:
             problems.append(f"[C_X] face poset: {exc}")
     return InducedShelling(

@@ -1,10 +1,13 @@
 """Seeded random arrangements in general position.
 
-Draws small-integer normals and small-rational offsets until the
-realized oriented matroid is uniform, i.e. until every d+1 of the
-homogenized forms (including the form at infinity) are linearly
-independent.  The draw is deterministic in the seed, so a (seed, n, d)
-triple names a reproducible test instance.
+Draws small-integer normals and small-rational offsets until every d+1
+of the homogenized forms (including the form at infinity) are linearly
+independent.  That is exactly uniformity of the realized oriented
+matroid: a realizable oriented matroid is uniform iff every rank-sized
+subset of its vectors is a basis (Bjorner, Las Vergnas, Sturmfels,
+White & Ziegler, *Oriented Matroids*).  So no covector is enumerated
+here.  The draw is deterministic in the seed, so a (seed, n, d) triple
+names a reproducible test instance.
 """
 
 from __future__ import annotations
@@ -14,16 +17,17 @@ import random
 from fractions import Fraction
 
 from .errors import DomainError, ResourceExhausted
-from .matroid import is_uniform
-from .realization import Arrangement, _rank, enumerate_covectors, homogenize
+from .realization import Arrangement, _rank, homogenize
 
 _COEFF = 5  # normals are drawn from {-5..5}^d, zero vector redrawn
 _OFFSET_NUM = 6  # offsets are num/den with |num| <= 6, den in {1,2,3}
 
 
 def _general_position(A: Arrangement) -> bool:
-    """Every d+1 homogenized forms independent (no check enumerates
-    covectors, so this is a cheap filter before the real test)."""
+    """Every d+1 homogenized forms independent, i.e. every rank-sized
+    subset is a basis; for a realized oriented matroid this holds iff
+    it is uniform, so the test decides uniformity without enumerating
+    covectors."""
     forms = homogenize(A).forms
     k = A.dim + 1
     return all(
@@ -64,11 +68,7 @@ def generate_arrangement(
         A = Arrangement(
             dim=d, labels=labels, normals=tuple(normals), offsets=offsets
         )
-        if not _general_position(A):
-            continue
-        # the determinant filter is equivalent for realized instances,
-        # but the contract is uniformity of the covector set itself
-        if is_uniform(enumerate_covectors(homogenize(A))).uniform:
+        if _general_position(A):
             return A
     raise ResourceExhausted(
         f"no uniform arrangement found in {max_tries} draws "

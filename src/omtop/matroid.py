@@ -80,7 +80,6 @@ class CovectorSet:
         seen = 0
         for x in self.covectors:
             seen |= x._pos | x._neg
-        full = (1 << len(self.ground)) - 1
         return frozenset(
             i for i in range(len(self.ground)) if not (seen >> i) & 1
         )
@@ -430,10 +429,6 @@ class TopePoset:
 
 def tope_poset(L: CovectorSet, base: SignVector) -> TopePoset:
     return TopePoset(L, base)
-
-
-def linear_extension(P: TopePoset) -> list[SignVector]:
-    return P.linear_extension()
 
 
 def _mask_bits(mask: int):

@@ -441,18 +441,31 @@ def is_essential(A: Arrangement) -> bool:
     return _rank(A.normals) == A.dim
 
 
+def bounded_faces(A: Arrangement) -> dict[SignVector, int]:
+    """The sign pattern of every bounded face, mapped to its dimension:
+    one pass over the affine faces, one exact boundedness test each.
+    Never consults the covector poset, so it is an independent oracle
+    for the bounded complex."""
+    return {
+        P: affine_face_dim(A, P)
+        for P in enumerate_affine_faces(A)
+        if face_bounded(A, P)
+    }
+
+
+def face_census(faces: dict[SignVector, int]) -> tuple[int, ...]:
+    """f-vector of a face -> dimension map: entry k is the number of
+    faces of dimension k, up to the largest dimension present."""
+    counts = [0] * (max(faces.values(), default=0) + 1)
+    for k in faces.values():
+        counts[k] += 1
+    return tuple(counts)
+
+
 def bounded_face_census(A: Arrangement) -> tuple[int, ...]:
     """f-vector of the bounded faces, counted geometrically: entry k is
-    the number of bounded faces of dimension k.  Never consults the
-    covector poset, so it is an independent oracle for bounded-complex
-    face counts."""
-    counts = [0] * (A.dim + 1)
-    for P in enumerate_affine_faces(A):
-        if face_bounded(A, P):
-            counts[affine_face_dim(A, P)] += 1
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
+    the number of bounded faces of dimension k."""
+    return face_census(bounded_faces(A))
 
 
 # ---------------------------------------------------------------------------

@@ -312,19 +312,3 @@ def all_sign_vectors(n: int) -> Iterator[SignVector]:
         yield from rec(i + 1, pos, neg | bit)
 
     return rec(0, 0, 0)
-
-
-def compose(x: SignVector, y: SignVector) -> SignVector:
-    return x.compose(y)
-
-
-def separation_set(x: SignVector, y: SignVector) -> frozenset[int]:
-    return x.separation(y)
-
-
-def below(y: SignVector, x: SignVector) -> bool:
-    return y.below(x)
-
-
-def delete(x: SignVector, indices: Iterable[int]) -> SignVector:
-    return x.delete(indices)

@@ -559,12 +559,6 @@ def order_complex(P: Poset) -> SimplicialComplex:
     return SimplicialComplex(P.maximal_chains())
 
 
-def poset_link_factors(P: Poset, x) -> tuple[Poset, Poset]:
-    """The sub-posets P_{<x} and P_{>x}; their order complexes join to
-    the link of x in the order complex of P."""
-    return P.strictly_below(x), P.strictly_above(x)
-
-
 # ---------------------------------------------------------------------------
 # integral homology
 # ---------------------------------------------------------------------------
@@ -1275,12 +1269,16 @@ class LinkClassification:
         }
 
 
-def _certify_sphere(L: SimplicialComplex, d: int, budget: int) -> tuple[bool, str, list[str]]:
+def _certify_sphere(
+    L: SimplicialComplex, d: int, budget: int, h: HomologyTable | None = None
+) -> tuple[bool, str, list[str]]:
     """(matches, certainty, notes) for 'L is a d-sphere'.
 
     certainty is "certified" when the positive checks fully pin the type
     at this dimension, "refuted" when an exact invariant rules it out,
     "evidence-only" when homology agrees but certification fell short.
+    h is L's homology when the caller already has it; otherwise it is
+    computed only once the cheaper checks pass.
     """
     notes: list[str] = []
     if d == -1:
@@ -1295,7 +1293,8 @@ def _certify_sphere(L: SimplicialComplex, d: int, budget: int) -> tuple[bool, st
         return (False, "refuted", ["not pure"])
     if not L.is_closed_pseudomanifold():
         return (False, "refuted", ["not a closed pseudomanifold"])
-    h = homology(L)
+    if h is None:
+        h = homology(L)
     if not h.is_sphere(d):
         return (False, "refuted", [f"homology {h.reduced_betti} is not a {d}-sphere"])
     if d == 1:
@@ -1317,8 +1316,11 @@ def _certify_sphere(L: SimplicialComplex, d: int, budget: int) -> tuple[bool, st
     return (True, "certified" if all_cert else "evidence-only", notes)
 
 
-def _certify_ball(L: SimplicialComplex, d: int, budget: int) -> tuple[bool, str, list[str]]:
-    """(matches, certainty, notes) for 'L is a d-ball'."""
+def _certify_ball(
+    L: SimplicialComplex, d: int, budget: int, h: HomologyTable
+) -> tuple[bool, str, list[str]]:
+    """(matches, certainty, notes) for 'L is a d-ball'; h is L's
+    homology."""
     notes: list[str] = []
     if L.is_void or L.dim != d:
         return (False, "refuted", [f"dimension is not {d}"])
@@ -1327,7 +1329,6 @@ def _certify_ball(L: SimplicialComplex, d: int, budget: int) -> tuple[bool, str,
         return (ok, "certified" if ok else "refuted", notes)
     if not L.is_pure():
         return (False, "refuted", ["not pure"])
-    h = homology(L)
     if not h.is_ball():
         return (False, "refuted", [f"homology {h.reduced_betti} is not a ball"])
     bd = L.boundary()
@@ -1357,13 +1358,13 @@ def classify_links(K: SimplicialComplex, budget: int = 10**6) -> LinkClassificat
     for v in K.vertex_order:
         L = K.link(v)
         h = homology(L)
-        ok_s, cert_s, notes_s = _certify_sphere(L, d - 1, budget)
+        ok_s, cert_s, notes_s = _certify_sphere(L, d - 1, budget, h)
         if ok_s:
             verdicts.append(
                 LinkVerdict(v, "sphere-like", cert_s, h, tuple(notes_s))
             )
             continue
-        ok_b, cert_b, notes_b = _certify_ball(L, d - 1, budget)
+        ok_b, cert_b, notes_b = _certify_ball(L, d - 1, budget, h)
         if ok_b:
             verdicts.append(
                 LinkVerdict(v, "ball-like", cert_b, h, tuple(notes_b))

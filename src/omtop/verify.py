@@ -34,12 +34,13 @@ from .bounded import (
     link_decomposition,
     restrict_to_support,
 )
+from .errors import DomainError
 from .matroid import CovectorSet, is_uniform, verify_covector_axioms
 from .realization import (
     Arrangement,
-    bounded_face_census,
+    bounded_faces,
     enumerate_covectors,
-    face_bounded,
+    face_census,
     homogenize,
     is_essential,
 )
@@ -122,7 +123,6 @@ def verify_covectors(
         reasons.append("bounded complex is not pure")
 
     # restrict to the common support for the star checks
-    restricted = False
     if bc.support is not None and bc.support != frozenset(
         range(len(L.ground))
     ):
@@ -135,7 +135,6 @@ def verify_covectors(
         if not res.ok:
             reasons.append("support restriction is not an isomorphism")
         M_full, bc_full = res.restricted, bounded_complex(res.restricted)
-        restricted = True
     else:
         stages["restriction"] = {"applied": False}
         M_full, bc_full = M, bc
@@ -143,13 +142,14 @@ def verify_covectors(
     # the geometric oracle, when the input came from an arrangement
     if arrangement is not None:
         if is_essential(arrangement):
-            census = bounded_face_census(arrangement)
+            faces = bounded_faces(arrangement)
+            census = face_census(faces)
             gi = M.g_index
             mismatches = []
             for x in sorted(
                 (x for x in L if x.sign(gi) is Sign.PLUS), key=str
             ):
-                if face_bounded(arrangement, x.delete([gi])) != (x in bc):
+                if (x.delete([gi]) in faces) != (x in bc):
                     mismatches.append(str(x))
             f = list(bc.f_vector)
             stages["boundedness_oracle"] = {
@@ -183,11 +183,13 @@ def verify_covectors(
     col = find_collapse(K, budget=budget)
     col_stage = {"status": col.status, "nodes": col.nodes}
     if col.certificate is not None:
-        replay_ok = verify_collapse(K, col.certificate)
+        try:
+            replay_ok = verify_collapse(K, col.certificate)
+        except DomainError as exc:
+            replay_ok = False
+            reasons.append(f"collapse certificate failed to replay: {exc}")
         col_stage["certificate"] = col.certificate.to_json()
         col_stage["replay_ok"] = replay_ok
-        if not replay_ok:
-            reasons.append("collapse certificate failed to replay")
     else:
         col_stage["certificate"] = None
     stages["collapse"] = col_stage
@@ -288,10 +290,9 @@ def verify_arrangement(
     A: Arrangement,
     source: str = "<memory>",
     budget: int = 10**6,
-    cap: int = 12,
 ) -> VerificationReport:
     """Realize the arrangement and verify the resulting affine OM."""
-    L = enumerate_covectors(homogenize(A), cap=cap)
+    L = enumerate_covectors(homogenize(A))
     rep = verify_covectors(L, source=source, budget=budget, arrangement=A)
     rep.instance["d"] = A.dim
     rep.instance["n"] = A.n

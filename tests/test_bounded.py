@@ -18,7 +18,6 @@ from omtop.bounded import (
     Star,
     bounded_complex,
     check_bijection,
-    contraction_topes_above,
     boundary_equivalence,
     cube_isomorphism,
     induced_shelling_of_CX,
@@ -26,7 +25,6 @@ from omtop.bounded import (
     positive_part,
     restrict_to_support,
     shelling_of_DX,
-    unbounded_topes_above,
 )
 from omtop.errors import (
     MembershipError,
@@ -263,21 +261,19 @@ class TestCubeIsomorphism:
 
 class TestStars:
     def test_triangle_origin(self, tri):
-        X = S("00-+")
-        C = unbounded_topes_above(tri, X)
-        D = contraction_topes_above(tri, X)
-        assert [str(t) for t in C] == ["+--+", "-+-+", "---+"]
-        assert [str(t) for t in D] == ["+--", "-+-", "---"]
+        star = Star(tri, S("00-+"))
+        assert [str(t) for t in star.C_X] == ["+--+", "-+-+", "---+"]
+        assert [str(t) for t in star.D_X] == ["+--", "-+-", "---"]
 
     def test_interior_tope_has_empty_star(self, tri):
-        X = S("++-+")
-        assert unbounded_topes_above(tri, X) == ()
-        assert contraction_topes_above(tri, X) == ()
+        star = Star(tri, S("++-+"))
+        assert star.C_X == ()
+        assert star.D_X == ()
 
     def test_line_vertex(self, line):
-        X = S("0-+")
-        assert [str(t) for t in unbounded_topes_above(line, X)] == ["--+"]
-        assert [str(t) for t in contraction_topes_above(line, X)] == ["--"]
+        star = Star(line, S("0-+"))
+        assert [str(t) for t in star.C_X] == ["--+"]
+        assert [str(t) for t in star.D_X] == ["--"]
 
     def test_unbounded_covector_rejected(self, tri):
         with pytest.raises(MembershipError):
@@ -290,7 +286,7 @@ class TestStars:
     def test_dx_members_dominate_x_minus_g(self, tri):
         X = S("00-+")
         xg = X.delete([tri.g_index])
-        for t in contraction_topes_above(tri, X):
+        for t in Star(tri, X).D_X:
             assert xg.below(t)
 
 
@@ -404,7 +400,7 @@ class TestInducedShellingOfCX:
             for x in bounded_complex(M):
                 if x.delete([gi]).is_zero:
                     continue
-                if not contraction_topes_above(M, x):
+                if not Star(M, x).D_X:
                     continue
                 assert induced_shelling_of_CX(M, x).ok
 

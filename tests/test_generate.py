@@ -56,6 +56,20 @@ class TestPinnedCensuses:
         assert census == expected
 
 
+class TestBeyondTheEnumerationCap:
+    def test_generation_never_enumerates_covectors(self, tmp_path, capsys):
+        # 12 hyperplanes plus the element at infinity exceed the 12-form
+        # enumeration cap: generation still succeeds, verification does not
+        from omtop.cli import main
+
+        a = generate_arrangement(12, 2, seed=0)
+        assert a.n == 12 and _general_position(a)
+        p = tmp_path / "twelve.arr"
+        p.write_text(format_arrangement(a))
+        assert main(["verify", str(p)]) == 3
+        assert "cap" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_dimension_must_be_positive(self):
         with pytest.raises(DomainError):

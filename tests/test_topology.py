@@ -22,7 +22,6 @@ from omtop.topology import (
     homology,
     order_complex,
     parse_complex,
-    poset_link_factors,
     smith_normal_form,
     verify_collapse,
     verify_shelling,
@@ -282,8 +281,9 @@ class TestOrderComplex:
         P = Poset([1, 2, 3, 6, 12], lambda a, b: b % a == 0)
         K = order_complex(P)
         for x in P.elements:
-            lower, upper = poset_link_factors(P, x)
-            J = order_complex(lower).join(order_complex(upper))
+            lower = order_complex(P.strictly_below(x))
+            upper = order_complex(P.strictly_above(x))
+            J = lower.join(upper)
             assert K.link(x) == J
 
 
@@ -585,6 +585,28 @@ class TestClassifyLinks:
         res = classify_links(octa)
         assert res.is_manifold and res.all_certified
         assert all(v.kind == "sphere-like" for v in res.verdicts)
+
+    def test_one_homology_per_octahedron_link(self, monkeypatch):
+        import omtop.topology as topology
+
+        octa = SimplicialComplex(
+            [
+                [x, y, z]
+                for x in ("x+", "x-")
+                for y in ("y+", "y-")
+                for z in ("z+", "z-")
+            ]
+        )
+        calls = []
+        real = topology.homology
+
+        def counting(K):
+            calls.append(K)
+            return real(K)
+
+        monkeypatch.setattr(topology, "homology", counting)
+        classify_links(octa)
+        assert len(calls) == 6
 
     def test_path_graph(self):
         res = classify_links(SimplicialComplex([[1, 2], [2, 3]]))

@@ -7,7 +7,21 @@ from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet
 from omtop.realization import Arrangement, enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector as S
+from omtop.topology import CollapseCertificate, CollapseResult
 from omtop.verify import VERDICTS, verify_arrangement, verify_covectors
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +148,59 @@ class TestOtherVerdicts:
         assert rep.instance["kind"] == "covectors"
         assert "boundedness_oracle" not in rep.stages
         assert rep.verdict == "ball-certified"
+
+
+class TestEachFactOnce:
+    def test_one_boundedness_test_per_affine_face(self, tri_arr, monkeypatch):
+        import omtop.realization as realization
+        import omtop.verify as verify
+
+        calls = _counting(monkeypatch, realization, "face_bounded")
+        # calls made through a name verify imports count as well
+        monkeypatch.setattr(
+            verify, "face_bounded", realization.face_bounded, raising=False
+        )
+        rep = verify_arrangement(tri_arr)
+        assert len(realization.enumerate_affine_faces(tri_arr)) == 19
+        assert len(calls) == 19
+        assert rep.stages["boundedness_oracle"]["matches_f_vector"]
+
+    def test_one_star_per_bounded_cell(self, tri_om, monkeypatch):
+        import omtop.bounded as bounded
+        from omtop.verify import _star_checks
+
+        M = AffineOM(tri_om)
+        bc = M.bounded_complex()
+        assert len(bc) == 7
+        calls = _counting(monkeypatch, bounded.Star, "__init__")
+        rep = _star_checks(M, bc)
+        assert not rep["failures"]
+        assert 0 < len(calls) <= len(bc)
+
+
+class TestCorruptedCollapse:
+    def test_failed_replay_refutes(self, tri_arr, monkeypatch):
+        import omtop.verify as verify
+
+        real = verify.find_collapse
+
+        def corrupted(K, budget=10**6):
+            res = real(K, budget=budget)
+            steps = list(res.certificate.steps)
+            steps[0], steps[-1] = steps[-1], steps[0]
+            cert = CollapseCertificate(tuple(steps), res.certificate.terminal)
+            return CollapseResult(
+                res.status, cert, res.nodes, res.search_complete
+            )
+
+        monkeypatch.setattr(verify, "find_collapse", corrupted)
+        rep = verify_arrangement(tri_arr)
+        assert rep.verdict == "refuted"
+        assert rep.stages["collapse"]["replay_ok"] is False
+        (reason,) = rep.reasons
+        assert reason.startswith(
+            "collapse certificate failed to replay: collapse step 0"
+        )
 
 
 class TestNonEssential:

@@ -2,17 +2,18 @@
 collapsibility search, and shelling verification.
 
 Everything is exact: homology is computed over the integers (Smith normal
-form after a unit-pivot chain reduction), collapse and shelling results
-are certificates or witness-carrying reports, never floats or heuristic
-verdicts.  The empty complex {emptyset} (one empty face, no vertices) is
-kept distinct from the void complex (no faces at all): the former is the
-(-1)-sphere and is the identity for the join.
+form after removing collapse and coreduction pairs), collapse and
+shelling results are certificates or witness-carrying reports, never
+floats or heuristic verdicts.  The empty complex {emptyset} (one empty
+face, no vertices) is kept distinct from the void complex (no faces at
+all): the former is the (-1)-sphere and is the identity for the join.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -612,8 +613,9 @@ class HomologyTable:
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero invariant factors of an integer matrix, d1 | d2 | ...
 
-    Dense textbook algorithm; meant for the small cores left over after
-    the unit-pivot reduction, and for direct use in tests.
+    Dense textbook algorithm; meant for the few cells `homology` leaves
+    after removing collapse and coreduction pairs, and for direct use in
+    tests.
     """
     m = [list(r) for r in rows]
     nr = len(m)
@@ -688,180 +690,55 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-class _ChainComplex:
-    """Sparse boundary matrices of a simplicial complex, augmented with
-    the empty cell, supporting homology-preserving unit-pivot reduction."""
-
-    def __init__(self, K: SimplicialComplex):
-        vindex = K._vindex
-        byd = dict(K.faces())
-        top = K.dim if not K.is_void else -2
-        # cells per dimension; dimension -1 holds the single empty cell
-        self.dims = list(range(-1, top + 1)) if top >= -1 else []
-        self.cells: dict[int, set] = {-1: {frozenset()}} if self.dims else {}
-        for k in range(0, top + 1):
-            self.cells[k] = set(byd.get(k, set()))
-        # cols[k]: cell of dim k -> {cell of dim k-1: coefficient}
-        self.cols: dict[int, dict] = {}
-        self.rows: dict[int, dict] = {}
-        for k in self.dims:
-            if k == -1:
-                continue
-            cols: dict = {}
-            rows: dict = {}
-            for cell in self.cells[k]:
-                vs = sorted(cell, key=lambda v: vindex[v])
-                col: dict = {}
-                if k == 0:
-                    col[frozenset()] = 1
-                else:
-                    for i in range(len(vs)):
-                        sub = frozenset(vs[:i] + vs[i + 1 :])
-                        col[sub] = (-1) ** i
-                cols[cell] = col
-                for r in col:
-                    rows.setdefault(r, set()).add(cell)
-            self.cols[k] = cols
-            self.rows[k] = rows
-
-    def reduce(self) -> None:
-        """Cancel unit entries until none remain.  Each cancellation
-        removes one k-cell and one (k-1)-cell without changing homology."""
-        stack = []
-        for k in self.cols:
-            for tau, col in self.cols[k].items():
-                for sigma, v in col.items():
-                    if v in (1, -1):
-                        stack.append((k, sigma, tau))
-        while stack:
-            k, sigma, tau = stack.pop()
-            cols = self.cols.get(k)
-            if cols is None or tau not in cols or sigma not in cols[tau]:
-                continue
-            a = cols[tau][sigma]
-            if a not in (1, -1):
-                continue
-            self._cancel(k, sigma, tau, a, stack)
-
-    def _cancel(self, k: int, sigma, tau, a: int, stack: list) -> None:
-        cols = self.cols[k]
-        rows = self.rows[k]
-        coltau = cols[tau]
-        touched: list[tuple] = []
-        for beta in list(rows.get(sigma, ())):
-            if beta == tau:
-                continue
-            c = cols[beta][sigma]
-            factor = c * a  # c / a with a = +-1
-            touched.append((beta, factor))
-            colbeta = cols[beta]
-            for rho, val in coltau.items():
-                new = colbeta.get(rho, 0) - factor * val
-                if new:
-                    colbeta[rho] = new
-                    rows.setdefault(rho, set()).add(beta)
-                    if new in (1, -1):
-                        stack.append((k, rho, beta))
-                else:
-                    if rho in colbeta:
-                        del colbeta[rho]
-                        rows[rho].discard(beta)
-        # basis change beta -> beta - factor*tau shifts D_{k+1}'s tau-row
-        up = self.cols.get(k + 1)
-        uprows = self.rows.get(k + 1)
-        if up is not None:
-            for beta, factor in touched:
-                for gamma in list(uprows.get(beta, ())):
-                    col = up[gamma]
-                    new = col.get(tau, 0) + factor * col[beta]
-                    if new:
-                        col[tau] = new
-                        uprows.setdefault(tau, set()).add(gamma)
-                        if new in (1, -1):
-                            stack.append((k + 1, tau, gamma))
-                    else:
-                        if tau in col:
-                            del col[tau]
-                            uprows[tau].discard(gamma)
-            # d(d(gamma)) = 0 forces the tau-row to vanish now
-            for gamma in list(uprows.get(tau, ())):
-                if up[gamma].get(tau):
-                    raise AssertionError("chain reduction broke d o d = 0")
-        # remove row sigma / column tau from D_k
-        for rho in coltau:
-            self.rows[k][rho].discard(tau)
-        del cols[tau]
-        rows.pop(sigma, None)
-        # remove sigma as a column of D_{k-1}
-        down = self.cols.get(k - 1)
-        if down is not None and sigma in down:
-            for rho in down[sigma]:
-                self.rows[k - 1][rho].discard(sigma)
-            del down[sigma]
-        self.cells[k].discard(tau)
-        self.cells[k - 1].discard(sigma)
-
-    def homology(self) -> tuple[dict[int, int], dict[int, list[int]]]:
-        """Reduced Betti numbers and torsion after reduction + SNF."""
-        self.reduce()
-        ranks: dict[int, int] = {}
-        torsion: dict[int, list[int]] = {}
-        for k in self.cols:
-            cols = self.cols[k]
-            live_rows = sorted(
-                {r for col in cols.values() for r in col}, key=_facekey
-            )
-            live_cols = sorted(cols, key=_facekey)
-            if not live_cols or not live_rows:
-                ranks[k] = 0
-                torsion[k - 1] = []
-                continue
-            ridx = {r: i for i, r in enumerate(live_rows)}
-            dense = [[0] * len(live_cols) for _ in live_rows]
-            for j, c in enumerate(live_cols):
-                for r, v in cols[c].items():
-                    dense[ridx[r]][j] = v
-            factors = smith_normal_form(dense)
-            ranks[k] = len(factors)
-            torsion[k - 1] = [f for f in factors if f > 1]
-        betti: dict[int, int] = {}
-        for k in self.dims:
-            betti[k] = (
-                len(self.cells[k]) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-            )
-        return betti, torsion
-
-
-def _facekey(f: frozenset) -> tuple:
-    return (len(f), sorted(map(_vkey, f)))
-
-
 def homology(K: SimplicialComplex) -> HomologyTable:
-    """Integral simplicial homology, exact over the integers."""
+    """Integral simplicial homology, exact over the integers.
+
+    For a nonempty K this computes the relative groups H(K, v0) for the
+    first vertex v0, which are the reduced groups of K.  Two kinds of
+    pair (sigma, tau), sigma a facet of tau, are removed until none is
+    left: a collapse (tau is the only live coface of sigma) and a
+    coreduction (sigma is the only live facet of tau).  Each keeps the
+    integral homology, and the boundary of what is left is the original
+    boundary restricted to the live cells (reduction lemma: Kaczynski,
+    Mrozek & Slusarek 1998; Mrozek & Batko, "Coreduction homology
+    algorithm", 2009).  Smith normal form of the restricted boundary
+    matrices finishes the job.
+    """
     if K.is_void:
         return HomologyTable(
             dim=-2, betti=(), torsion=(), reduced_betti=(), minus_one=0
         )
-    cc = _ChainComplex(K)
-    reduced, torsion = cc.homology()
     d = K.dim
     if d < 0:
         return HomologyTable(
-            dim=-1,
-            betti=(),
-            torsion=(),
-            reduced_betti=(),
-            minus_one=reduced.get(-1, 0),
+            dim=-1, betti=(), torsion=(), reduced_betti=(), minus_one=1
         )
-    rb = tuple(reduced.get(k, 0) for k in range(d + 1))
-    tor = tuple(tuple(torsion.get(k, [])) for k in range(d + 1))
-    ub = (rb[0] + 1,) + rb[1:]
+    state = _CollapseState(K)
+    state.alive.discard(frozenset([K.vertex_order[0]]))
+    state.reduce_pairs()
+    cells: dict[int, list[frozenset]] = {k: [] for k in range(d + 1)}
+    for f in sorted(state.alive, key=state.key):
+        cells[len(f) - 1].append(f)
+    ranks = [0] * (d + 2)
+    torsion: list[tuple[int, ...]] = [()] * (d + 1)
+    for k in range(1, d + 1):
+        if not cells[k] or not cells[k - 1]:
+            continue
+        ridx = {r: i for i, r in enumerate(cells[k - 1])}
+        dense = [[0] * len(cells[k]) for _ in ridx]
+        for j, c in enumerate(cells[k]):
+            for i, sub in enumerate(state.facets[c]):
+                if sub in ridx:
+                    dense[ridx[sub]][j] = (-1) ** i
+        factors = smith_normal_form(dense)
+        ranks[k] = len(factors)
+        torsion[k - 1] = tuple(f for f in factors if f > 1)
+    rb = tuple(len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1))
     return HomologyTable(
         dim=d,
-        betti=ub,
-        torsion=tor,
+        betti=(rb[0] + 1,) + rb[1:],
+        torsion=tuple(torsion),
         reduced_betti=rb,
-        minus_one=reduced.get(-1, 0),
     )
 
 
@@ -903,23 +780,27 @@ class CollapseResult:
 
 
 class _CollapseState:
-    """Current face set with coface bookkeeping and an undo log."""
+    """The live faces of a complex with their facets and live cofaces:
+    the one state that the collapse search, its replay and `homology`
+    reduce."""
 
     def __init__(self, K: SimplicialComplex):
         self.vindex = K._vindex
-        faces = K.all_faces()
+        faces = {f: f for f in K.all_faces()}
         self.alive: set[frozenset] = set(faces)
+        # facets[f][i] omits the i-th vertex of f in vertex order
+        self.facets: dict[frozenset, tuple[frozenset, ...]] = {}
         self.cofaces: dict[frozenset, set[frozenset]] = {f: set() for f in faces}
         for f in faces:
-            for sub in self._facets_of(f):
+            subs = ()
+            if len(f) > 1:
+                vs = sorted(f, key=self.vindex.__getitem__)
+                subs = tuple(
+                    faces[frozenset(vs[:i] + vs[i + 1 :])] for i in range(len(vs))
+                )
+            self.facets[f] = subs
+            for sub in subs:
                 self.cofaces[sub].add(f)
-
-    def _facets_of(self, f: frozenset):
-        if len(f) <= 1:
-            return
-        vs = sorted(f, key=lambda v: self.vindex[v])
-        for i in range(len(vs)):
-            yield frozenset(vs[:i] + vs[i + 1 :])
 
     def key(self, f: frozenset) -> tuple:
         return (-len(f), tuple(sorted(self.vindex[v] for v in f)))
@@ -937,25 +818,52 @@ class _CollapseState:
     def remove_pair(self, sigma: frozenset, tau: frozenset) -> None:
         for f in (tau, sigma):
             self.alive.discard(f)
-            for sub in self._facets_of(f):
+            for sub in self.facets[f]:
                 self.cofaces[sub].discard(f)
 
     def restore_pair(self, sigma: frozenset, tau: frozenset) -> None:
         for f in (sigma, tau):
             self.alive.add(f)
-            for sub in self._facets_of(f):
+            for sub in self.facets[f]:
                 self.cofaces[sub].add(f)
 
-    def neighbors_to_recheck(self, sigma, tau) -> list[frozenset]:
+    def neighbors_to_recheck(self, sigma, tau) -> set[frozenset]:
         out = set()
         for f in (sigma, tau):
-            for sub in self._facets_of(f):
+            for sub in self.facets[f]:
                 if sub in self.alive:
                     out.add(sub)
-                    for sub2 in self._facets_of(sub):
+                    for sub2 in self.facets[sub]:
                         if sub2 in self.alive:
                             out.add(sub2)
-        return sorted(out, key=self.key)
+        return out
+
+    def live_facets(self, f: frozenset) -> list[frozenset]:
+        return [sub for sub in self.facets[f] if sub in self.alive]
+
+    def reduce_pairs(self) -> None:
+        """Remove collapse pairs (sigma has tau as its only live coface)
+        and coreduction pairs (tau has sigma as its only live facet)
+        until neither is left.  The live cells need not form a simplicial
+        complex: homology uses this on K with a vertex deleted."""
+        # lowest dimension first: on the (7,4,0) order complex this
+        # leaves no cell, highest first leaves 18
+        queue = deque(sorted(self.alive, key=self.key, reverse=True))
+        while queue:
+            f = queue.popleft()
+            if f not in self.alive:
+                continue
+            if len(self.cofaces[f]) == 1:
+                sigma, (tau,) = f, self.cofaces[f]
+            else:
+                below = self.live_facets(f)
+                if len(below) != 1:
+                    continue
+                (sigma,), tau = below, f
+            self.remove_pair(sigma, tau)
+            for g in (sigma, tau):
+                queue.extend(self.live_facets(g))
+                queue.extend(self.cofaces[g])
 
 
 def _certificate_from(state: _CollapseState, steps) -> CollapseCertificate:
@@ -1279,6 +1187,13 @@ def _certify_sphere(
     "evidence-only" when homology agrees but certification fell short.
     h is L's homology when the caller already has it; otherwise it is
     computed only once the cheaper checks pass.
+
+    With no shelling found, a closed pseudomanifold with sphere homology
+    and certified sphere vertex links is certified only for d <= 2, where
+    it is a closed surface and the classification of surfaces makes it
+    the 2-sphere.  For d >= 3 the same checks pass on a homology sphere
+    that is not a sphere (the Poincare homology 3-sphere), so the result
+    is evidence-only.
     """
     notes: list[str] = []
     if d == -1:
@@ -1313,7 +1228,7 @@ def _certify_sphere(
         if certainty != "certified":
             all_cert = False
     notes.append("recursive vertex-link check passed")
-    return (True, "certified" if all_cert else "evidence-only", notes)
+    return (True, "certified" if all_cert and d <= 2 else "evidence-only", notes)
 
 
 def _certify_ball(

@@ -1,13 +1,15 @@
 """Independent oracles used to pin expected values in the test suite.
 
 These deliberately avoid the library's own reduction machinery: homology
-ranks are recomputed from scratch over the rationals with dense Gaussian
-elimination, so they can cross-check the integer Smith normal form path.
+is recomputed from the definition, over the rationals with dense
+Gaussian elimination (`rational_betti`) and over the integers with the
+Smith normal form of every full boundary matrix (`integral_homology`),
+so they cross-check the collapse/coreduction path of `homology`.
 """
 
 from fractions import Fraction
 
-from omtop.topology import SimplicialComplex
+from omtop.topology import HomologyTable, SimplicialComplex, smith_normal_form
 
 
 def _rank_over_q(rows: list[list[int]]) -> int:
@@ -36,7 +38,7 @@ def _rank_over_q(rows: list[list[int]]) -> int:
 
 def rational_betti(K: SimplicialComplex) -> tuple[int, ...]:
     """Unreduced Betti numbers over the rationals, built directly from
-    the face lists (independent of the integer chain reduction)."""
+    the face lists (independent of the reductions in `homology`)."""
     if K.is_void or K.dim < 0:
         return ()
     d = K.dim
@@ -63,3 +65,44 @@ def rational_betti(K: SimplicialComplex) -> tuple[int, ...]:
         nk = len(ordered.get(k, ()))
         betti.append(nk - ranks.get(k, 0) - ranks.get(k + 1, 0))
     return tuple(betti)
+
+
+def integral_homology(K: SimplicialComplex) -> HomologyTable:
+    """Integral homology by the definition: Smith normal form of each
+    full boundary matrix of the chain complex augmented with the empty
+    face, with no reduction of any kind."""
+    if K.is_void:
+        return HomologyTable(
+            dim=-2, betti=(), torsion=(), reduced_betti=(), minus_one=0
+        )
+    d = K.dim
+    pos = {v: i for i, v in enumerate(K.vertex_order)}
+    cells = {-1: [frozenset()]}
+    for k in range(d + 1):
+        cells[k] = sorted(
+            K.faces().get(k, ()), key=lambda f: sorted(pos[v] for v in f)
+        )
+    factors = {}
+    for k in range(d + 1):
+        index = {f: i for i, f in enumerate(cells[k - 1])}
+        rows = [[0] * len(cells[k]) for _ in cells[k - 1]]
+        for j, f in enumerate(cells[k]):
+            vs = sorted(f, key=pos.__getitem__)
+            for i in range(len(vs)):
+                rows[index[frozenset(vs[:i] + vs[i + 1 :])]][j] = (-1) ** i
+        factors[k] = smith_normal_form(rows)
+
+    def rank(k: int) -> int:
+        return len(factors.get(k, ()))
+
+    reduced = tuple(len(cells[k]) - rank(k) - rank(k + 1) for k in range(d + 1))
+    return HomologyTable(
+        dim=d,
+        betti=(reduced[0] + 1,) + reduced[1:] if reduced else (),
+        torsion=tuple(
+            tuple(f for f in factors.get(k + 1, ()) if f > 1)
+            for k in range(d + 1)
+        ),
+        reduced_betti=reduced,
+        minus_one=1 - rank(0),
+    )

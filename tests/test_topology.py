@@ -2,12 +2,15 @@
 
 Expected homology tables for standard spaces (spheres, balls, RP2, the
 torus) are classical; everything else is cross-checked against the
-rational-rank oracle in oracles.py or against hand-countable complexes.
+rational-rank and integral-definition oracles in oracles.py or against
+hand-countable complexes.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omtop.errors import DomainError, MembershipError, PreconditionError
 from omtop.topology import (
@@ -27,7 +30,7 @@ from omtop.topology import (
     verify_shelling,
 )
 
-from oracles import rational_betti
+from oracles import integral_homology, rational_betti
 
 
 def divides_chain(P, elts):
@@ -390,6 +393,39 @@ class TestHomology:
             assert homology(K).betti == rational_betti(K)
 
 
+class TestIntegralOracle:
+    """Whole tables, torsion included, against the integral definition."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=7))
+    def test_generated_complexes(self, facets):
+        K = SimplicialComplex(facets)
+        assert homology(K) == integral_homology(K)
+
+    def test_rp2_and_torus(self):
+        for facets in (RP2_FACETS, TORUS_FACETS):
+            K = SimplicialComplex(facets)
+            assert homology(K) == integral_homology(K)
+
+    def test_subdivided_rp2(self):
+        sd = order_complex(face_poset(SimplicialComplex(RP2_FACETS)))
+        assert sd.f_vector() == (31, 90, 60)
+        h = homology(sd)
+        assert h.torsion == ((), (2,), ())
+        assert h == integral_homology(sd)
+
+    def test_rp2_beside_a_circle(self):
+        # the coreduction starts at the first vertex, in the circle, and
+        # never reaches the RP2 component; collapses find no free face there
+        circle = [[("c", 0), ("c", 1)], [("c", 1), ("c", 2)], [("c", 0), ("c", 2)]]
+        K = SimplicialComplex(
+            circle + [[("p", v) for v in f] for f in RP2_FACETS]
+        )
+        h = homology(K)
+        assert h.betti == (2, 1, 0) and h.torsion == ((), (2,), ())
+        assert h == integral_homology(K)
+
+
 class TestCollapse:
     def test_single_simplex(self):
         for d in range(0, 4):
@@ -621,3 +657,27 @@ class TestClassifyLinks:
     def test_non_pure_rejected(self):
         with pytest.raises(PreconditionError):
             classify_links(SimplicialComplex([[1, 2, 3], [3, 4]]))
+
+
+class TestSphereFallback:
+    """With no shelling, sphere homology plus sphere vertex links
+    certifies a sphere only up to dimension 2."""
+
+    def test_dimension_3_is_evidence_only(self, monkeypatch):
+        import omtop.topology as topology
+
+        monkeypatch.setattr(topology, "find_shelling", lambda K, budget: None)
+        ok, certainty, notes = topology._certify_sphere(
+            SimplicialComplex.simplex_boundary(range(5)), 3, 10**5
+        )
+        assert (ok, certainty) == (True, "evidence-only")
+        assert notes == ["recursive vertex-link check passed"]
+
+    def test_dimension_2_is_certified(self, monkeypatch):
+        import omtop.topology as topology
+
+        monkeypatch.setattr(topology, "find_shelling", lambda K, budget: None)
+        ok, certainty, _ = topology._certify_sphere(
+            SimplicialComplex.simplex_boundary(range(4)), 2, 10**5
+        )
+        assert (ok, certainty) == (True, "certified")

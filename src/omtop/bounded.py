@@ -110,7 +110,8 @@ class BoundedComplex:
     dim is the pure dimension (covector rank minus one); support is the
     common support E1 of the maximal covectors, or None if they
     disagree (which would refute the common-support theorem for the
-    input at hand).
+    input at hand).  All of these are read from the order, L's order
+    restricted to the bounded covectors.
     """
 
     __slots__ = (
@@ -125,16 +126,23 @@ class BoundedComplex:
         "_poset",
     )
 
-    def __init__(self, om, covectors, dim, pure, support, f_vector, ranks):
+    def __init__(self, om: AffineOM, covectors: tuple[SignVector, ...]):
         self.om = om
         self.covectors = covectors
-        self.dim = dim
-        self.pure = pure
-        self.support = support
-        self.f_vector = f_vector
         self._set = frozenset(covectors)
-        self._ranks = ranks
-        self._poset = None
+        heights = om.om.heights()
+        self._ranks = {x: heights[x] for x in covectors}
+        self._poset = om.om.order().subposet(covectors)
+        maximal = self.maximal()
+        max_ranks = {self._ranks[x] for x in maximal}
+        self.dim = max(max_ranks) - 1
+        self.pure = len(max_ranks) == 1
+        supports = {x.support() for x in maximal}
+        self.support = supports.pop() if len(supports) == 1 else None
+        f = [0] * (self.dim + 1)
+        for x in covectors:
+            f[self._ranks[x] - 1] += 1
+        self.f_vector = tuple(f)
 
     def __len__(self) -> int:
         return len(self.covectors)
@@ -158,19 +166,9 @@ class BoundedComplex:
         return self._ranks[x] - 1
 
     def maximal(self) -> tuple[SignVector, ...]:
-        return tuple(
-            x
-            for x in self.covectors
-            if not any(
-                x is not y and x.below(y) for y in self.covectors
-            )
-        )
+        return tuple(self._poset.maximal_elements())
 
     def as_poset(self) -> Poset:
-        if self._poset is None:
-            self._poset = Poset(
-                self.covectors, lambda a, b: a.below(b)
-            )
         return self._poset
 
     def support_labels(self) -> tuple[str, ...]:
@@ -188,45 +186,25 @@ class BoundedComplex:
 
 
 def _compute_bounded_complex(M: AffineOM) -> BoundedComplex:
-    L = M.om
+    """L++: the x with x_g = + whose down-set in L's order meets no
+    nonzero covector of another g-sign."""
+    P = M.om.order()
     gi = M.g_index
-    heights = L.heights()
-    nonzero = [y for y in L.sorted_covectors() if not y.is_zero]
-    bad = [y for y in nonzero if y.sign(gi) is not Sign.PLUS]
-    kept = []
-    for x in nonzero:
-        if x.sign(gi) is not Sign.PLUS:
-            continue
-        if not any(y.below(x) for y in bad):
-            kept.append(x)
+    bad = 0
+    for i, y in enumerate(P.elements):
+        if not y.is_zero and y.sign(gi) is not Sign.PLUS:
+            bad |= 1 << i
+    kept = tuple(
+        x
+        for i, x in enumerate(P.elements)
+        if x.sign(gi) is Sign.PLUS and not P._down[i] & bad
+    )
     if not kept:
         raise OmtopError(
             "the bounded complex is empty, which cannot happen for an "
             "affine oriented matroid"
         )
-    covs = tuple(kept)
-    maximal = [
-        x
-        for x in covs
-        if not any(x is not y and x.below(y) for y in covs)
-    ]
-    max_ranks = {heights[x] for x in maximal}
-    dim = max(max_ranks) - 1
-    pure = len(max_ranks) == 1
-    supports = {x.support() for x in maximal}
-    support = supports.pop() if len(supports) == 1 else None
-    f = [0] * (dim + 1)
-    for x in covs:
-        f[heights[x] - 1] += 1
-    return BoundedComplex(
-        om=M,
-        covectors=covs,
-        dim=dim,
-        pure=pure,
-        support=support,
-        f_vector=tuple(f),
-        ranks={x: heights[x] for x in covs},
-    )
+    return BoundedComplex(M, kept)
 
 
 def bounded_complex(M: AffineOM) -> BoundedComplex:
@@ -320,7 +298,8 @@ def cube_isomorphism(L: CovectorSet, X: SignVector) -> CubeReport:
         raise PreconditionError("the zero covector is excluded")
     supp = sorted(X.support())
     zset = tuple(sorted(X.zero_set()))
-    up = [y for y in L.sorted_covectors() if X.below(y)]
+    order = L.order()
+    up = order.up_set(X)
     pairs = tuple((y, y.delete(supp)) for y in up)
     expected = 3 ** len(zset)
     if len(up) != expected:
@@ -336,8 +315,9 @@ def cube_isomorphism(L: CovectorSet, X: SignVector) -> CubeReport:
         )
     # the image is all of the cube iff it has full size and lives there
     for a1, b1 in pairs:
+        above = set(order.up_set(a1))
         for a2, b2 in pairs:
-            if a1.below(a2) != b1.below(b2):
+            if (a2 in above) != b1.below(b2):
                 return CubeReport(
                     X, zset, expected, len(up), pairs, False,
                     f"order mismatch on ({a1}, {a2})",
@@ -382,14 +362,9 @@ class Star:
         gi = M.g_index
         all_topes = topes(M.om)
         self.C_X = tuple(
-            sorted(
-                (
-                    t
-                    for t in all_topes
-                    if X.below(t) and t != X and t not in bc
-                ),
-                key=str,
-            )
+            t
+            for t in M.om.order().up_set(X)
+            if t in all_topes and t != X and t not in bc
         )
         xg = X.delete([gi])
         need = sorted(xg.support())
@@ -533,15 +508,12 @@ def induced_shelling_of_CX(
     """
     star = M.star(X)
     # the face poset of [C_X] above X, shared by every base tried
-    faces = Poset(
-        (
-            y
-            for y in star.om.om.sorted_covectors()
-            if star.X.below(y)
-            and y != star.X
-            and any(y.below(c) for c in star.C_X)
-        ),
-        lambda a, b: a.below(b),
+    order = star.om.om.order()
+    cx = set(star.C_X)
+    faces = order.subposet(
+        y
+        for y in order.up_set(star.X)
+        if y != star.X and not cx.isdisjoint(order.up_set(y))
     )
     if dx_order is None:
         first = None
@@ -647,8 +619,6 @@ def link_decomposition(M: AffineOM, X: SignVector) -> LinkDecomposition:
     if len(upper) == 0:
         case = "upper_empty"
     else:
-        all_above = sum(
-            1 for y in M.om if X.below(y) and y != X
-        )
+        all_above = len(M.om.order().up_set(X)) - 1
         case = "upper_full" if all_above == len(upper) else "proper"
     return LinkDecomposition(X=X, lower=lower, upper=upper, case=case)

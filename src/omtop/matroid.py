@@ -3,8 +3,11 @@
 A CovectorSet is raw data: a finite set of sign vectors over a common
 ground set.  The axiom checker reports failures as witness lists rather
 than raising, so broken sets (mutation tests, bad input files) are
-ordinary values.  Rank is always poset height within the set itself,
-never an external matroid oracle.
+ordinary values.  The conformal order Y <= X on the set is built once,
+as a bitmask poset (:meth:`CovectorSet.order`), and every order question
+is read from it: heights, topes, atoms, and the bounded complex and
+upper intervals of the ``bounded`` module.  Rank is always poset height
+within the set itself, never an external matroid oracle.
 """
 
 from __future__ import annotations
@@ -20,13 +23,15 @@ from .errors import (
     MembershipError,
     OmtopError,
 )
-from .signvec import GroundSet, SignVector
+from .signvec import GroundSet, SignVector, _bits
 
 
 class CovectorSet:
     """A set of sign vectors over a shared ground set (set semantics)."""
 
-    __slots__ = ("ground", "covectors", "_sorted", "_heights", "_topes", "_atoms")
+    __slots__ = (
+        "ground", "covectors", "_sorted", "_order", "_heights", "_topes", "_atoms"
+    )
 
     def __init__(self, ground: GroundSet, covectors):
         self.ground = ground
@@ -40,6 +45,7 @@ class CovectorSet:
                     f"covector {x} has length {x.n}, ground set has {n}"
                 )
         self._sorted = None
+        self._order = None
         self._heights = None
         self._topes = None
         self._atoms = None
@@ -84,26 +90,24 @@ class CovectorSet:
             i for i in range(len(self.ground)) if not (seen >> i) & 1
         )
 
-    # -- rank ------------------------------------------------------------
+    # -- order and rank ------------------------------------------------------
+
+    def order(self):
+        """The conformal order Y <= X on :meth:`sorted_covectors`, built
+        once as a bitmask :class:`~omtop.topology.Poset` (each covector's
+        down-set and up-set are integer masks over that order)."""
+        if self._order is None:
+            from .topology import Poset
+
+            self._order = Poset(self.sorted_covectors(), SignVector.below)
+        return self._order
 
     def heights(self) -> dict[SignVector, int]:
-        """Poset height of every covector in the order Y <= X."""
+        """Length of a longest chain below each covector in the order
+        Y <= X, read from :meth:`order`."""
         if self._heights is None:
-            by_size = sorted(
-                self.covectors, key=lambda x: (len(x.support()), str(x))
-            )
-            h: dict[SignVector, int] = {}
-            for x in by_size:
-                best = 0
-                for y in by_size:
-                    if len(y.support()) >= len(x.support()):
-                        break
-                    if y.below(x):
-                        hy = h[y] + 1
-                        if hy > best:
-                            best = hy
-                h[x] = best
-            self._heights = h
+            P = self.order()
+            self._heights = dict(zip(P.elements, P._height_list()))
         return self._heights
 
     def rank(self) -> int:
@@ -301,34 +305,19 @@ def is_uniform(L: CovectorSet) -> UniformityReport:
 
 
 def topes(L: CovectorSet) -> frozenset[SignVector]:
-    """Maximal covectors.
-
-    Strict dominance in the conformal order forces a strictly larger
-    support, so scanning by descending support size only ever needs to
-    compare against the maximal elements found so far.  Cached: star
-    computations ask for the topes of the same set many times over.
-    """
+    """Maximal covectors, read from the order.  Cached: star
+    computations ask for the topes of the same set many times over."""
     if L._topes is None:
-        out: list[SignVector] = []
-        for x in sorted(
-            L.covectors, key=lambda v: (-len(v.support()), str(v))
-        ):
-            if not any(x.below(m) for m in out):
-                out.append(x)
-        L._topes = frozenset(out)
+        L._topes = frozenset(L.order().maximal_elements())
     return L._topes
 
 
 def atoms(L: CovectorSet) -> frozenset[SignVector]:
-    """Minimal nonzero covectors (ascending-support dual of topes)."""
+    """Minimal nonzero covectors: the covers of the zero vector, or the
+    minimal elements when the set lacks it."""
     if L._atoms is None:
-        out: list[SignVector] = []
-        for x in sorted(
-            (x for x in L.covectors if not x.is_zero),
-            key=lambda v: (len(v.support()), str(v)),
-        ):
-            if not any(m.below(x) for m in out):
-                out.append(x)
+        P = L.order()
+        out = P.upper_covers(L.zero) if L.zero in L else P.minimal_elements()
         L._atoms = frozenset(out)
     return L._atoms
 
@@ -403,7 +392,7 @@ class TopePoset:
         sorted separation labels, then the sign string."""
         sep = self._sep[t]
         labels = tuple(
-            sorted(self.ground.labels[i] for i in _mask_bits(sep))
+            sorted(self.ground.labels[i] for i in _bits(sep))
         )
         return (bin(sep).count("1"), labels, str(t))
 
@@ -429,15 +418,6 @@ class TopePoset:
 
 def tope_poset(L: CovectorSet, base: SignVector) -> TopePoset:
     return TopePoset(L, base)
-
-
-def _mask_bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 # ---------------------------------------------------------------------------

@@ -288,15 +288,16 @@ class SignVector:
         return self.n
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    i = 0
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
     while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask_to_set(mask: int) -> frozenset[int]:
+    return frozenset(_bits(mask))
 
 
 def all_sign_vectors(n: int) -> Iterator[SignVector]:

@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
     ResourceExhausted,
 )
+from .signvec import _bits
 
 
 def _vkey(v) -> tuple[str, str]:
@@ -46,31 +47,35 @@ class Poset:
     __slots__ = ("elements", "_index", "_down", "_up", "_heights", "_depths")
 
     def __init__(self, elements: Iterable, less_equal: Callable):
-        self.elements = tuple(elements)
+        elements = tuple(elements)
+        down = []
+        for x in elements:
+            m = 0
+            for j, y in enumerate(elements):
+                if less_equal(y, x):
+                    m |= 1 << j
+            down.append(m)
+        self._set(elements, down)
+
+    def _set(self, elements: tuple, down: list[int]) -> None:
+        """Store the elements and the relation given by its down-set
+        masks (bit j of down[i] is set iff element j <= element i),
+        checking that it is a partial order."""
+        self.elements = elements
         self._index = {}
-        for i, x in enumerate(self.elements):
+        for i, x in enumerate(elements):
             if x in self._index:
                 raise DomainError(f"duplicate poset element {x!r}")
             self._index[x] = i
-        n = len(self.elements)
-        down = [0] * n
-        for i, x in enumerate(self.elements):
-            m = 0
-            for j, y in enumerate(self.elements):
-                if less_equal(y, x):
-                    m |= 1 << j
-            down[i] = m
+        n = len(down)
         for i in range(n):
             if not (down[i] >> i) & 1:
                 raise DomainError("less_equal is not reflexive")
         up = [0] * n
-        for j in range(n):
-            bitj = 1 << j
-            m = 0
-            for i in range(n):
-                if down[i] & bitj:
-                    m |= 1 << i
-            up[j] = m
+        for i in range(n):
+            bit = 1 << i
+            for j in _bits(down[i]):
+                up[j] |= bit
         for i in range(n):
             both = down[i] & up[i]
             if both != (1 << i):
@@ -102,6 +107,16 @@ class Poset:
 
     def less(self, x, y) -> bool:
         return x != y and self.less_equal(x, y)
+
+    def down_set(self, x) -> tuple:
+        """The elements y <= x, in element order."""
+        mask = self._down[self.index(x)]
+        return tuple(self.elements[i] for i in _bits(mask))
+
+    def up_set(self, x) -> tuple:
+        """The elements y >= x, in element order."""
+        mask = self._up[self.index(x)]
+        return tuple(self.elements[j] for j in _bits(mask))
 
     # -- structure ------------------------------------------------------
 
@@ -170,14 +185,19 @@ class Poset:
     # -- derived posets ---------------------------------------------------
 
     def subposet(self, elements: Iterable) -> "Poset":
-        keep = [self.index(x) for x in elements]
-        keepset = set(keep)
-        if len(keepset) != len(keep):
+        """The induced order on the given elements, in this poset's
+        element order, read off the masks (no predicate calls)."""
+        keep = sorted(self.index(x) for x in elements)
+        if len(set(keep)) != len(keep):
             raise DomainError("duplicate elements in subposet")
-        elems = [self.elements[i] for i in sorted(keepset)]
-        down = self._down
-        idx = self._index
-        return Poset(elems, lambda a, b: bool(down[idx[b]] >> idx[a] & 1))
+        pos = {i: k for k, i in enumerate(keep)}
+        mask = sum(1 << i for i in keep)
+        down = []
+        for i in keep:
+            down.append(sum(1 << pos[j] for j in _bits(self._down[i] & mask)))
+        sub = Poset.__new__(Poset)
+        sub._set(tuple(self.elements[i] for i in keep), down)
+        return sub
 
     def strictly_below(self, x) -> "Poset":
         j = self.index(x)
@@ -288,15 +308,6 @@ class Poset:
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements)"
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 def _popcount(mask: int) -> int:
@@ -579,6 +590,17 @@ class HomologyTable:
     torsion: tuple[tuple[int, ...], ...]
     reduced_betti: tuple[int, ...]
     minus_one: int = 0
+
+    @classmethod
+    def point(cls, dim: int) -> "HomologyTable":
+        """The table `homology` gives a collapsible complex of dimension
+        dim >= 0: the homology of a point."""
+        return cls(
+            dim=dim,
+            betti=(1,) + (0,) * dim,
+            torsion=((),) * (dim + 1),
+            reduced_betti=(0,) * (dim + 1),
+        )
 
     def to_json(self) -> dict:
         return {

@@ -3,7 +3,8 @@
 One call runs an affine oriented matroid (given directly or realized
 from an arrangement) through every check this tool knows: covector
 axioms, uniformity, the bounded complex with purity and support, the
-order complex with its homology, a collapse certificate, the per-X
+order complex with a collapse certificate and its homology (a point's
+when the certificate replays), the per-X
 star checks (cube, restriction bijection, inherited shellings), the
 link classification, and — for essential arrangements — the geometric
 boundedness oracle.  The outcome is a schema-versioned report whose
@@ -46,6 +47,7 @@ from .realization import (
 )
 from .signvec import Sign
 from .topology import (
+    HomologyTable,
     classify_links,
     find_collapse,
     homology,
@@ -170,28 +172,34 @@ def verify_covectors(
                 "boundedness does not match the combinatorial notion",
             }
 
-    # the order complex and its topology
+    # the order complex and its topology: a replayed collapse proves
+    # K has a point's homology, so `homology` runs only without one
     K = order_complex(bc_full.as_poset())
-    H = homology(K)
+    col = find_collapse(K, budget=budget)
+    col_stage = {"status": col.status, "nodes": col.nodes}
+    replay_failure = None
+    if col.certificate is not None:
+        try:
+            replay_ok = verify_collapse(K, col.certificate)
+        except DomainError as exc:
+            replay_ok = False
+            replay_failure = f"collapse certificate failed to replay: {exc}"
+        col_stage["certificate"] = col.certificate.to_json()
+        col_stage["replay_ok"] = replay_ok
+    else:
+        col_stage["certificate"] = None
+    if col_stage.get("replay_ok"):
+        H = HomologyTable.point(K.dim)
+    else:
+        H = homology(K)
     stages["order_complex"] = {
         "f_vector": list(K.f_vector()),
         "homology": H.to_json(),
     }
     if not H.is_ball():
         reasons.append("order complex does not have the homology of a point")
-
-    col = find_collapse(K, budget=budget)
-    col_stage = {"status": col.status, "nodes": col.nodes}
-    if col.certificate is not None:
-        try:
-            replay_ok = verify_collapse(K, col.certificate)
-        except DomainError as exc:
-            replay_ok = False
-            reasons.append(f"collapse certificate failed to replay: {exc}")
-        col_stage["certificate"] = col.certificate.to_json()
-        col_stage["replay_ok"] = replay_ok
-    else:
-        col_stage["certificate"] = None
+    if replay_failure is not None:
+        reasons.append(replay_failure)
     stages["collapse"] = col_stage
 
     links = classify_links(K, budget=budget)

@@ -5,10 +5,17 @@ is recomputed from the definition, over the rationals with dense
 Gaussian elimination (`rational_betti`) and over the integers with the
 Smith normal form of every full boundary matrix (`integral_homology`),
 so they cross-check the collapse/coreduction path of `homology`.
+
+The covector-order oracles (`scan_heights`, `scan_topes`, `scan_atoms`,
+`scan_upper`, `scan_bounded_complex`) answer each order question by
+pairwise `SignVector.below` scans over the whole set, with no shared
+order index, so they cross-check everything `CovectorSet.order` serves.
 """
 
 from fractions import Fraction
 
+from omtop.errors import OmtopError
+from omtop.signvec import Sign
 from omtop.topology import HomologyTable, SimplicialComplex, smith_normal_form
 
 
@@ -106,3 +113,80 @@ def integral_homology(K: SimplicialComplex) -> HomologyTable:
         reduced_betti=reduced,
         minus_one=1 - rank(0),
     )
+
+
+def scan_heights(L) -> dict:
+    """Longest chain below each covector, by support size: a covector
+    strictly below X has a strictly smaller support."""
+    by_size = sorted(L.covectors, key=lambda x: (len(x.support()), str(x)))
+    h = {}
+    for x in by_size:
+        best = 0
+        for y in by_size:
+            if len(y.support()) >= len(x.support()):
+                break
+            if y.below(x):
+                best = max(best, h[y] + 1)
+        h[x] = best
+    return h
+
+
+def scan_topes(L) -> frozenset:
+    """Maximal covectors, scanning by descending support size against
+    the maximal ones found so far."""
+    out = []
+    for x in sorted(L.covectors, key=lambda v: (-len(v.support()), str(v))):
+        if not any(x.below(m) for m in out):
+            out.append(x)
+    return frozenset(out)
+
+
+def scan_atoms(L) -> frozenset:
+    """Minimal nonzero covectors, scanning by ascending support size."""
+    out = []
+    for x in sorted(
+        (x for x in L.covectors if not x.is_zero),
+        key=lambda v: (len(v.support()), str(v)),
+    ):
+        if not any(m.below(x) for m in out):
+            out.append(x)
+    return frozenset(out)
+
+
+def scan_upper(L, X) -> list:
+    """L_{>=X} in sorted order, by one scan of all of L."""
+    return [y for y in L.sorted_covectors() if X.below(y)]
+
+
+def scan_bounded_complex(L, gi: int) -> dict:
+    """L++ (nonzero x positive at g with no nonzero covector of another
+    g-sign below it), with the dim, purity, support and f-vector of its
+    maximal cells; raises OmtopError when L++ is empty."""
+    heights = scan_heights(L)
+    nonzero = [y for y in L.sorted_covectors() if not y.is_zero]
+    bad = [y for y in nonzero if y.sign(gi) is not Sign.PLUS]
+    covs = tuple(
+        x
+        for x in nonzero
+        if x.sign(gi) is Sign.PLUS and not any(y.below(x) for y in bad)
+    )
+    if not covs:
+        raise OmtopError("the bounded complex is empty")
+    maximal = tuple(
+        x for x in covs if not any(x is not y and x.below(y) for y in covs)
+    )
+    max_ranks = {heights[x] for x in maximal}
+    dim = max(max_ranks) - 1
+    supports = {x.support() for x in maximal}
+    f = [0] * (dim + 1)
+    for x in covs:
+        f[heights[x] - 1] += 1
+    return {
+        "covectors": covs,
+        "maximal": maximal,
+        "dim": dim,
+        "pure": len(max_ranks) == 1,
+        "support": supports.pop() if len(supports) == 1 else None,
+        "f_vector": tuple(f),
+        "relation": {(a, b) for a in covs for b in covs if a.below(b)},
+    }

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from omtop.errors import DomainError, MembershipError, PreconditionError
 from omtop.topology import (
     CollapseCertificate,
+    HomologyTable,
     Poset,
     SimplicialComplex,
     classify_links,
@@ -501,6 +502,39 @@ class TestCollapse:
         res = find_collapse(cone)
         assert res.collapsed
         assert verify_collapse(cone, res.certificate)
+
+
+class TestCollapseGivesPointHomology:
+    """A replayed collapse stands in for `homology` on the order
+    complex; check that `homology` gives the point table it assumes."""
+
+    @staticmethod
+    def check(K, budget=10**6) -> bool:
+        res = find_collapse(K, budget=budget)
+        if not (res.collapsed and verify_collapse(K, res.certificate)):
+            return False
+        assert homology(K) == HomologyTable.point(K.dim)
+        return True
+
+    def test_collapsible_complexes_of_this_suite(self):
+        hexagon = [[i, (i % 6) + 1] for i in range(1, 7)]
+        complexes = [SimplicialComplex.simplex(range(d + 1)) for d in range(5)]
+        complexes += [
+            SimplicialComplex([[1, 2, 3], [3, 4, 5]]),
+            SimplicialComplex([[1, 2, 3], [2, 3, 4], [3, 4, 5]]),
+            SimplicialComplex([[1, 2], [2, 3]]),
+            SimplicialComplex([f + [9] for f in hexagon]),
+            order_complex(face_poset(SimplicialComplex.simplex([1, 2, 3]))),
+            order_complex(face_poset(SimplicialComplex.simplex([1, 2, 3, 4]))),
+        ]
+        assert all(self.check(K) for K in complexes)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=7))
+    def test_generated_complexes(self, facets):
+        K = SimplicialComplex(facets)
+        if not K.is_void and K.dim >= 0 and K.is_connected():
+            self.check(K, budget=10**4)
 
 
 class TestShelling:

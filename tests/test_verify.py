@@ -177,6 +177,33 @@ class TestEachFactOnce:
         assert not rep["failures"]
         assert 0 < len(calls) <= len(bc)
 
+    def test_link_decomposition_reads_the_order(self, tri_om, monkeypatch):
+        from omtop.bounded import link_decomposition
+
+        M = AffineOM(tri_om)
+        tri_om.order()
+        bc = M.bounded_complex()
+        assert len(bc) == 7
+        calls = _counting(monkeypatch, S, "below")
+        for x in bc:
+            link_decomposition(M, x)
+        assert calls == []
+
+    def test_cube_isomorphism_scans_only_the_upper_interval(
+        self, tri_om, monkeypatch
+    ):
+        from omtop.bounded import cube_isomorphism
+
+        P = tri_om.order()
+        bc = AffineOM(tri_om).bounded_complex()
+        # the order-mismatch check compares each pair of cube images once
+        bound = sum(len(P.up_set(x)) ** 2 for x in bc)
+        assert bound == 271
+        calls = _counting(monkeypatch, S, "below")
+        for x in bc:
+            assert cube_isomorphism(tri_om, x).ok
+        assert len(calls) <= bound
+
 
 class TestCorruptedCollapse:
     def test_failed_replay_refutes(self, tri_arr, monkeypatch):

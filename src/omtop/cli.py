@@ -147,6 +147,19 @@ def cmd_bounded(args) -> int:
         raise InputFormatError(
             "the input does not designate g; pass --g LABEL"
         )
+    axioms = verify_covector_axioms(L)
+    if not axioms.ok:
+        failed = [
+            key.upper()
+            for key in ("l0", "l1", "l2", "l3")
+            if not getattr(axioms, f"{key}_ok")
+        ]
+        print(
+            f"error: covector axioms {', '.join(failed)} fail; "
+            "not an oriented matroid",
+            file=sys.stderr,
+        )
+        return EXIT_FAILED
     bc = bounded_complex(AffineOM(L))
     print(f"f-vector: {tuple(bc.f_vector)}")
     print(f"dim: {bc.dim}   euler: {bc.euler}   pure: {'yes' if bc.pure else 'no'}")

@@ -3,17 +3,23 @@
 A CovectorSet is raw data: a finite set of sign vectors over a common
 ground set.  The axiom checker reports failures as witness lists rather
 than raising, so broken sets (mutation tests, bad input files) are
-ordinary values.  The conformal order Y <= X on the set is built once,
-as a bitmask poset (:meth:`CovectorSet.order`), and every order question
-is read from it: heights, topes, atoms, and the bounded complex and
-upper intervals of the ``bounded`` module.  Rank is always poset height
-within the set itself, never an external matroid oracle.
+ordinary values.  Each coordinate's sign columns (the masks, over
+:meth:`CovectorSet.sorted_covectors`, of the covectors with +, - and 0
+there) are computed once, and the conformal order Y <= X on the set is
+built from them as a bitmask poset (:meth:`CovectorSet.order`).  Every
+order question is read from it: heights, topes, atoms, and the bounded
+complex and upper intervals of the ``bounded`` module.  The axiom check
+decides composition and elimination from the order and the columns, and
+runs the pairwise witness pass only on a set that fails them.  Rank is
+always poset height within the set itself, never an external matroid
+oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,7 +36,8 @@ class CovectorSet:
     """A set of sign vectors over a shared ground set (set semantics)."""
 
     __slots__ = (
-        "ground", "covectors", "_sorted", "_order", "_heights", "_topes", "_atoms"
+        "ground", "covectors", "_sorted", "_columns", "_order", "_heights",
+        "_topes", "_atoms",
     )
 
     def __init__(self, ground: GroundSet, covectors):
@@ -45,6 +52,7 @@ class CovectorSet:
                     f"covector {x} has length {x.n}, ground set has {n}"
                 )
         self._sorted = None
+        self._columns = None
         self._order = None
         self._heights = None
         self._topes = None
@@ -92,14 +100,52 @@ class CovectorSet:
 
     # -- order and rank ------------------------------------------------------
 
+    def _sign_columns(self) -> tuple[tuple[int, int, int], ...]:
+        """For each coordinate f, the masks (plus, minus, zero) of the
+        covectors with +, - and 0 at f; bit i is covector i of
+        :meth:`sorted_covectors`."""
+        if self._columns is None:
+            covs = self.sorted_covectors()
+            n = len(self.ground)
+            plus = [0] * n
+            minus = [0] * n
+            for i, x in enumerate(covs):
+                bit = 1 << i
+                for f in _bits(x._pos):
+                    plus[f] |= bit
+                for f in _bits(x._neg):
+                    minus[f] |= bit
+            full = (1 << len(covs)) - 1
+            self._columns = tuple(
+                (p, m, full & ~(p | m)) for p, m in zip(plus, minus)
+            )
+        return self._columns
+
     def order(self):
         """The conformal order Y <= X on :meth:`sorted_covectors`, built
         once as a bitmask :class:`~omtop.topology.Poset` (each covector's
-        down-set and up-set are integer masks over that order)."""
+        down-set and up-set are integer masks over that order).
+
+        Y <= X iff Y is 0 or X's sign at every coordinate, so the
+        down-set of X is an AND over the coordinates f of f's zero
+        column, OR'd with f's plus (minus) column where X is + (-)
+        there: n ANDs per covector, and no pairwise comparison."""
         if self._order is None:
             from .topology import Poset
 
-            self._order = Poset(self.sorted_covectors(), SignVector.below)
+            covs = self.sorted_covectors()
+            below = [(z, z | p, z | m) for p, m, z in self._sign_columns()]
+            full = (1 << len(covs)) - 1
+            down = []
+            for x in covs:
+                mask = full
+                for f, (z, zp, zm) in enumerate(below):
+                    bit = 1 << f
+                    mask &= zp if x._pos & bit else zm if x._neg & bit else z
+                down.append(mask)
+            order = Poset.__new__(Poset)
+            order._set(covs, down)
+            self._order = order
         return self._order
 
     def heights(self) -> dict[SignVector, int]:
@@ -168,15 +214,102 @@ class AxiomReport:
 
 
 def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
-    """Exhaustive check of the four covector axioms over all pairs."""
+    """Check the four covector axioms, with witnesses.
+
+    L0 and L1 are read off the set directly.  Composition (L2) and
+    elimination (L3) are first decided from the order and the sign
+    columns (:func:`_composition_and_elimination_hold`); only a set that
+    fails them goes through the pairwise pass that lists every witness
+    (:func:`_pairwise_witnesses`), so the report does not depend on
+    which route found it.  The decision rests on two lemmas, for any
+    finite set L of sign vectors.
+
+    *L2 by counting.*  For x in L let z(x) be its zero set.  Then
+    x o y in L for every y in L iff |L>=x| = |{y|z(x) : y in L}|.
+    Proof: w >= x means w = x on supp(x), so w -> w|z(x) is injective
+    on L>=x, with image inside P = {y|z(x) : y in L}.  The compositions
+    x o y are exactly the vectors equal to x on supp(x) with restriction
+    to z(x) in P, so there are |P| of them, and they contain L>=x.
+    Hence they all lie in L iff they all lie in L>=x iff the two counts
+    agree.
+
+    *L3 on equal supports.*  If L satisfies L2, it satisfies L3 iff
+    elimination holds for every pair x, y in L with supp(x) = supp(y).
+    Proof: for X, Y in L put X' = X o Y and Y' = Y o X, both in L by
+    L2.  They have the same support, supp(X) u supp(Y), and the same
+    separation set as X and Y, and X' o Y' = X' agrees with X o Y off
+    it.  So elimination for (X, Y, e) asks for exactly the Z that
+    elimination for (X', Y', e) asks for.
+    """
+    n = len(S.ground)
+    cset = S.covectors
+    l0_ok = SignVector.zero(n) in cset
+    l1_witnesses = tuple(x for x in S.sorted_covectors() if -x not in cset)
+    if _composition_and_elimination_hold(S):
+        l2_witnesses = l3_witnesses = ()
+    else:
+        l2_witnesses, l3_witnesses = _pairwise_witnesses(S)
+    return AxiomReport(
+        ground=S.ground,
+        l0_ok=l0_ok,
+        l1_ok=not l1_witnesses,
+        l2_ok=not l2_witnesses,
+        l3_ok=not l3_witnesses,
+        l1_witnesses=l1_witnesses,
+        l2_witnesses=l2_witnesses,
+        l3_witnesses=l3_witnesses,
+    )
+
+
+def _composition_and_elimination_hold(S: CovectorSet) -> bool:
+    """Decide L2 and L3 together, by the two lemmas of
+    :func:`verify_covector_axioms`: L2 from up-set sizes against the
+    number of projections to each zero set, L3 on the pairs of equal
+    support, each elimination an AND of sign columns."""
+    covs = S.sorted_covectors()
+    full = (1 << len(S.ground)) - 1
+    up = S.order()._up
+    projections: dict[int, int] = {}
+    for i, x in enumerate(covs):
+        zero = full & ~(x._pos | x._neg)
+        count = projections.get(zero)
+        if count is None:
+            count = len({(y._pos & zero, y._neg & zero) for y in covs})
+            projections[zero] = count
+        if up[i].bit_count() != count:
+            return False
+
+    columns = S._sign_columns()
+    zeros = [z for _, _, z in columns]
+    same_support = defaultdict(list)
+    for x in covs:
+        # x's own column at each coordinate: the covectors agreeing there
+        own = [p if x._pos >> f & 1 else m if x._neg >> f & 1 else z
+               for f, (p, m, z) in enumerate(columns)]
+        same_support[x._pos | x._neg].append((x, own))
+    for group in same_support.values():
+        for a, (x, own) in enumerate(group):
+            for y, _ in group[a + 1:]:
+                # equal supports and x != y: S(x, y) is not empty, and
+                # x o y = x
+                sep = (x._pos & y._neg) | (x._neg & y._pos)
+                agree = -1
+                for f, col in enumerate(own):
+                    if not sep >> f & 1:
+                        agree &= col
+                if not all(agree & zeros[e] for e in _bits(sep)):
+                    return False
+    return True
+
+
+def _pairwise_witnesses(S: CovectorSet):
+    """Every L2 and L3 witness, by one pass over all pairs of S in
+    :meth:`~CovectorSet.sorted_covectors` order: (x, y) with x o y
+    missing, and (x, y, e) for each e separating them with no covector
+    zero at e that agrees with x o y off the separation set."""
     n = len(S.ground)
     full = (1 << n) - 1
     covs = S.sorted_covectors()
-    cset = S.covectors
-
-    l0_ok = SignVector.zero(n) in cset
-
-    l1_witnesses = tuple(x for x in covs if -x not in cset)
 
     keys = {(x._pos, x._neg) for x in covs}
 
@@ -218,16 +351,7 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
                 m ^= ebit
                 if (wp, wn) not in projections(outside | ebit):
                     l3_witnesses.append((x, y, ebit.bit_length() - 1))
-    return AxiomReport(
-        ground=S.ground,
-        l0_ok=l0_ok,
-        l1_ok=not l1_witnesses,
-        l2_ok=not l2_witnesses,
-        l3_ok=not l3_witnesses,
-        l1_witnesses=l1_witnesses,
-        l2_witnesses=tuple(l2_witnesses),
-        l3_witnesses=tuple(l3_witnesses),
-    )
+    return tuple(l2_witnesses), tuple(l3_witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,17 @@ The covector-order oracles (`scan_heights`, `scan_topes`, `scan_atoms`,
 `scan_upper`, `scan_bounded_complex`) answer each order question by
 pairwise `SignVector.below` scans over the whole set, with no shared
 order index, so they cross-check everything `CovectorSet.order` serves.
+
+`scan_axioms` checks the covector axioms from their definitions, pair
+by pair, with no order, sign column or decision step, so it
+cross-checks the whole report of `verify_covector_axioms`.
 """
 
 from fractions import Fraction
 
 from omtop.errors import OmtopError
-from omtop.signvec import Sign
+from omtop.matroid import AxiomReport
+from omtop.signvec import Sign, SignVector
 from omtop.topology import HomologyTable, SimplicialComplex, smith_normal_form
 
 
@@ -190,3 +195,44 @@ def scan_bounded_complex(L, gi: int) -> dict:
         "f_vector": tuple(f),
         "relation": {(a, b) for a in covs for b in covs if a.below(b)},
     }
+
+
+def scan_axioms(S) -> AxiomReport:
+    """The covector axioms from their definitions, over all pairs (x, y)
+    of S with x before or at y in sorted order: composition by
+    `SignVector.compose`, and elimination for each e in
+    `SignVector.separation` by a scan of S for a Z zero at e that agrees
+    with x o y off the separation set.  Witnesses come in the order
+    `verify_covector_axioms` lists them."""
+    covs = S.sorted_covectors()
+    cset = S.covectors
+    n = len(S.ground)
+    signs = [z.signs for z in covs]
+    l1 = tuple(x for x in covs if -x not in cset)
+    l2 = []
+    l3 = []
+    for i, x in enumerate(covs):
+        for y in covs[i:]:
+            if x.compose(y) not in cset:
+                l2.append((x, y))
+            if y != x and y.compose(x) not in cset:
+                l2.append((y, x))
+            sep = x.separation(y)
+            w = x.compose(y).signs
+            outside = [f for f in range(n) if f not in sep]
+            for e in sorted(sep):
+                if not any(
+                    z[e] is Sign.ZERO and all(z[f] is w[f] for f in outside)
+                    for z in signs
+                ):
+                    l3.append((x, y, e))
+    return AxiomReport(
+        ground=S.ground,
+        l0_ok=SignVector.zero(n) in cset,
+        l1_ok=not l1,
+        l2_ok=not l2,
+        l3_ok=not l3,
+        l1_witnesses=l1,
+        l2_witnesses=tuple(l2),
+        l3_witnesses=tuple(l3),
+    )

@@ -5,10 +5,15 @@ exit code and captured output, exactly as a shell user would see them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import omtop
 from omtop.cli import main
 from omtop.generate import generate_arrangement
 from omtop.matroid import format_covector_file, parse_covector_file
@@ -18,7 +23,7 @@ from conftest import mk_arrangement
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory, line_arr, tri_arr, four_arr, tri_om):
+def files(tmp_path_factory, line_arr, tri_arr, four_arr, line_om, tri_om):
     """Input files shared by the CLI tests, written once per module."""
     d = tmp_path_factory.mktemp("cli")
 
@@ -36,6 +41,7 @@ def files(tmp_path_factory, line_arr, tri_arr, four_arr, tri_om):
         line=put("line.arr", format_arrangement(line_arr)),
         tri=put("tri.arr", format_arrangement(tri_arr)),
         four=put("four.arr", format_arrangement(four_arr)),
+        line_cov=put("line.cov", format_covector_file(line_om)),
         tri_cov=put("tri.cov", cov),
         tri_cov_nog=put("tri_nog.cov", cov_nog),
     )
@@ -172,6 +178,37 @@ class TestBounded:
         assert payload["pure"] is True
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a covector of height 0 below another, no zero vector
+            "a g\ng g\n0+\n++\n",
+            # every bounded covector of height 0
+            "a g\ng g\n++\n",
+        ],
+    )
+    def test_non_oriented_matroid_refused(self, tmp_path, capsys, text):
+        p = tmp_path / "half.cov"
+        p.write_text(text)
+        assert main(["bounded", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: covector axioms L0, L1 fail; not an oriented matroid\n"
+        )
+
+    def test_covector_file_output(self, files, capsys):
+        assert main(["bounded", files.line_cov]) == 0
+        assert capsys.readouterr().out == (
+            "f-vector: (2, 1)\n"
+            "dim: 1   euler: 1   pure: yes\n"
+            "support: h1 h2 g\n"
+            "  +-+  (dim 1)\n"
+            "  +0+  (dim 0)\n"
+            "  0-+  (dim 0)\n"
+        )
+
+
 class TestSvg:
     def test_writes_file(self, files, tmp_path, capsys):
         p = tmp_path / "four.svg"
@@ -233,6 +270,23 @@ class TestInputErrors:
         assert main(["realize", str(p)]) == 3
         assert "cap" in capsys.readouterr().err
         assert main(["verify", str(p)]) == 3
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(omtop.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        res = subprocess.run(
+            [sys.executable, "-m", "omtop", "generate", "4", "2", "--seed", "1"],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == format_arrangement(
+            generate_arrangement(4, 2, seed=1)
+        )
 
 
 class TestParser:

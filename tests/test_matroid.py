@@ -7,9 +7,12 @@ brute-force scan over all 3^n sign patterns with pruning disabled
 before being frozen here.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omtop.errors import (
     DimensionError,
@@ -17,6 +20,7 @@ from omtop.errors import (
     InputFormatError,
     MembershipError,
 )
+from omtop.generate import generate_arrangement
 from omtop.matroid import (
     AxiomReport,
     CovectorSet,
@@ -31,7 +35,11 @@ from omtop.matroid import (
     topes,
     verify_covector_axioms,
 )
+from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
+
+from conftest import FOURLINE_ROWS, TRIANGLE_ROWS, mk_arrangement
+from oracles import scan_axioms
 
 S = SignVector.from_string
 
@@ -114,7 +122,88 @@ class TestAxioms:
 
     def test_canonical_instances_pass(self, line_om, tri_om, four_om):
         for L in (line_om, tri_om, four_om):
-            assert verify_covector_axioms(L).ok
+            rep = verify_covector_axioms(L)
+            assert rep.ok and rep == scan_axioms(L)
+
+
+def _composition_closure(vectors: set) -> set:
+    out = set(vectors)
+    while True:
+        new = {x.compose(y) for x in out for y in out} - out
+        if not new:
+            return out
+        out |= new
+
+
+@st.composite
+def axiom_test_sets(draw) -> CovectorSet:
+    """Sign-vector sets with and without the zero vector, each closed
+    under negation or not and under composition or not (negation first,
+    so a set closed under both is possible)."""
+    n = draw(st.integers(1, 4))
+    strings = draw(
+        st.sets(st.text(alphabet="+-0", min_size=n, max_size=n), max_size=8)
+    )
+    vectors = {S(s) for s in strings}
+    if draw(st.booleans()):
+        vectors.add(SignVector.zero(n))
+    if draw(st.booleans()):
+        vectors |= {-x for x in vectors}
+    if draw(st.booleans()):
+        vectors = _composition_closure(vectors)
+    return CovectorSet(GroundSet([f"e{i}" for i in range(n)]), vectors)
+
+
+@functools.cache
+def _seeded_om(key) -> CovectorSet:
+    if key == "triangle":
+        A = mk_arrangement(2, TRIANGLE_ROWS)
+    elif key == "four-line":
+        A = mk_arrangement(2, FOURLINE_ROWS)
+    else:
+        A = generate_arrangement(3, 2, seed=key)
+    return enumerate_covectors(homogenize(A))
+
+
+@st.composite
+def mutated_oms(draw) -> CovectorSet:
+    """A seeded OM with one covector dropped, one negation pair dropped
+    (the L3-only case of the four-line vertex pair among them), or one
+    sign vector outside it added."""
+    L = _seeded_om(draw(st.sampled_from(["triangle", "four-line", 0, 1, 2])))
+    covs = L.sorted_covectors()
+    kind = draw(st.sampled_from(["drop", "drop-pair", "add"]))
+    if kind == "add":
+        s = draw(
+            st.text(alphabet="+-0", min_size=len(L.ground),
+                    max_size=len(L.ground)).filter(lambda s: S(s) not in L)
+        )
+        return CovectorSet(L.ground, L.covectors | {S(s)})
+    x = draw(st.sampled_from(covs))
+    drop = {x} if kind == "drop" else {x, -x}
+    return CovectorSet(L.ground, L.covectors - drop)
+
+
+class TestAxiomsAgainstScan:
+    """Whole reports, witnesses and their order included, agree with
+    the pairwise scan of the definitions in oracles.py."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(axiom_test_sets())
+    def test_random_sign_vector_sets(self, L):
+        assert verify_covector_axioms(L) == scan_axioms(L)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(mutated_oms())
+    def test_mutated_oriented_matroids(self, L):
+        assert verify_covector_axioms(L) == scan_axioms(L)
+
+    def test_four_line_vertex_pair_fails_only_elimination(self, four_om):
+        v = min(atoms(four_om), key=str)
+        L = CovectorSet(four_om.ground, four_om.covectors - {v, -v})
+        rep = verify_covector_axioms(L)
+        assert rep.l0_ok and rep.l1_ok and rep.l2_ok and not rep.l3_ok
+        assert rep == scan_axioms(L)
 
 
 class TestRank:

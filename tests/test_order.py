@@ -75,6 +75,10 @@ def check_order(L: CovectorSet) -> None:
     assert atoms(L) == scan_atoms(L)
     P = L.order()
     assert P.elements == L.sorted_covectors()
+    # the relation built from sign columns is exactly pairwise `below`
+    assert {(a, b) for a in P for b in P if P.less_equal(a, b)} == {
+        (a, b) for a in L for b in L if a.below(b)
+    }
     for X in L:
         assert list(P.up_set(X)) == scan_upper(L, X)
         assert list(P.down_set(X)) == [y for y in L if y.below(X)]

@@ -4,7 +4,7 @@ import pytest
 
 from omtop.bounded import AffineOM
 from omtop.generate import generate_arrangement
-from omtop.matroid import CovectorSet
+from omtop.matroid import CovectorSet, atoms, verify_covector_axioms
 from omtop.realization import Arrangement, enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector as S
 from omtop.topology import CollapseCertificate, CollapseResult
@@ -203,6 +203,58 @@ class TestEachFactOnce:
         for x in bc:
             assert cube_isomorphism(tri_om, x).ok
         assert len(calls) <= bound
+
+    def test_order_makes_no_pairwise_comparison(self, tri_om, monkeypatch):
+        L = CovectorSet(tri_om.ground, tri_om.covectors)
+        calls = _counting(monkeypatch, S, "below")
+        P = L.order()
+        assert len(P) == 51
+        assert calls == []
+
+    def test_uniform_om_skips_the_witness_pass(self, monkeypatch):
+        import omtop.matroid as matroid
+
+        def refuse(L):
+            raise AssertionError("witness pass on an oriented matroid")
+
+        monkeypatch.setattr(matroid, "_pairwise_witnesses", refuse)
+        for n, d, seed in ((4, 2, 0), (4, 3, 0)):
+            A = generate_arrangement(n, d, seed=seed)
+            assert verify_covector_axioms(enumerate_covectors(homogenize(A))).ok
+
+    def test_elimination_failure_runs_the_witness_pass(
+        self, four_om, monkeypatch
+    ):
+        import omtop.matroid as matroid
+
+        calls = _counting(monkeypatch, matroid, "_pairwise_witnesses")
+        v = min(atoms(four_om), key=str)
+        rep = verify_covector_axioms(
+            CovectorSet(four_om.ground, four_om.covectors - {v, -v})
+        )
+        assert rep.l2_ok and not rep.l3_ok
+        assert len(calls) == 1
+
+
+class TestMutationSweep:
+    """No covector set made by dropping from a seeded oriented matroid
+    comes out ball-certified."""
+
+    @pytest.mark.parametrize(
+        "n,d,seed,singles",
+        [(4, 2, 0, True), (4, 2, 1, True), (4, 3, 0, False)],
+    )
+    def test_dropped_covectors_and_negation_pairs(self, n, d, seed, singles):
+        L = enumerate_covectors(homogenize(generate_arrangement(n, d, seed=seed)))
+        nonzero = [x for x in L.sorted_covectors() if not x.is_zero]
+        pairs = {frozenset((x, -x)) for x in nonzero}
+        drops = [{x} for x in nonzero] if singles else []
+        drops += sorted(pairs, key=lambda p: min(map(str, p)))
+        assert len(pairs) == len(nonzero) // 2
+        for drop in drops:
+            M = CovectorSet(L.ground, L.covectors - drop)
+            rep = verify_covectors(M)
+            assert rep.verdict != "ball-certified", sorted(map(str, drop))
 
 
 class TestCorruptedCollapse:

@@ -301,12 +301,11 @@ def pattern_feasible(V: VectorConfiguration, P: SignVector) -> bool:
     return feasible(rows, V.nvars)
 
 
-def _enumerate_patterns(rows_by_sign, n: int, nvars: int, prune: bool):
+def _enumerate_patterns(rows_by_sign, n: int, nvars: int):
     """DFS over sign patterns in (0,+,-) branch order per coordinate;
     rows_by_sign[i][s] is the row constraining coordinate i to sign s.
-    With prune=True, prefixes whose partial system is already infeasible
-    are cut; this cannot change the result (a completion only adds
-    constraints)."""
+    Prefixes whose partial system is already infeasible are cut; this
+    cannot change the result (a completion only adds constraints)."""
     order = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
     out = []
     prefix: list[Sign] = []
@@ -320,9 +319,7 @@ def _enumerate_patterns(rows_by_sign, n: int, nvars: int, prune: bool):
         for s in order:
             prefix.append(s)
             rows.append(rows_by_sign[len(prefix) - 1][s])
-            # without pruning, only complete patterns are tested
-            check = prune or len(prefix) == n
-            if not check or feasible(rows, nvars):
+            if feasible(rows, nvars):
                 rec()
             prefix.pop()
             rows.pop()
@@ -331,9 +328,7 @@ def _enumerate_patterns(rows_by_sign, n: int, nvars: int, prune: bool):
     return out
 
 
-def enumerate_covectors(
-    V: VectorConfiguration, cap: int = 12, prune: bool = True
-) -> CovectorSet:
+def enumerate_covectors(V: VectorConfiguration, cap: int = 12) -> CovectorSet:
     """All feasible sign patterns of the configuration's forms."""
     if V.n_forms > cap:
         raise ResourceExhausted(
@@ -342,7 +337,7 @@ def enumerate_covectors(
     rows_by_sign = [
         {s: _sign_row(f, Fraction(0), s) for s in Sign} for f in V.forms
     ]
-    vecs = _enumerate_patterns(rows_by_sign, V.n_forms, V.nvars, prune)
+    vecs = _enumerate_patterns(rows_by_sign, V.n_forms, V.nvars)
     return CovectorSet(V.ground, vecs)
 
 
@@ -371,9 +366,9 @@ def affine_pattern_feasible(A: Arrangement, P: SignVector) -> bool:
     return feasible(rows, A.dim)
 
 
-def enumerate_affine_faces(A: Arrangement, prune: bool = True):
+def enumerate_affine_faces(A: Arrangement):
     """All affine sign patterns with a nonempty face."""
-    return _enumerate_patterns(_affine_rows_by_sign(A), A.n, A.dim, prune)
+    return _enumerate_patterns(_affine_rows_by_sign(A), A.n, A.dim)
 
 
 def face_bounded(A: Arrangement, P: SignVector) -> bool:

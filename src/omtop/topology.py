@@ -623,6 +623,20 @@ class HomologyTable:
         )
         return self.reduced_betti == expected and len(self.reduced_betti) > d
 
+    def suspension(self, k: int) -> "HomologyTable":
+        """The table of the join of a (k-1)-sphere with a nonvoid complex
+        that has this table (its k-fold suspension, k >= 0): every
+        reduced group moves up k dimensions."""
+        if k == 0:
+            return self
+        rb = (0,) * (k - 1) + (self.minus_one,) + self.reduced_betti
+        return HomologyTable(
+            dim=self.dim + k,
+            betti=(rb[0] + 1,) + rb[1:],
+            torsion=((),) * k + self.torsion,
+            reduced_betti=rb,
+        )
+
     def is_ball(self) -> bool:
         """Reduced homology of a point (all reduced groups vanish)."""
         return (
@@ -1244,7 +1258,7 @@ def _certify_sphere(
     # recursive link check
     all_cert = True
     for v in L.vertex_order:
-        ok, certainty, _ = _certify_sphere(L.link(v), d - 1, budget)
+        ok, certainty, _ = _certify_sphere(L.link([v]), d - 1, budget)
         if certainty == "refuted" or not ok:
             return (False, "refuted", [f"link of {v!r} is not a {d-1}-sphere"])
         if certainty != "certified":
@@ -1283,28 +1297,53 @@ def _certify_ball(
     return (True, "certified", notes)
 
 
-def classify_links(K: SimplicialComplex, budget: int = 10**6) -> LinkClassification:
-    """Classify the link of every vertex as sphere-like, ball-like, or
-    other, with homology evidence and honest certainty labels."""
-    if K.is_void or K.dim < 0:
+def classify_links(P: Poset, budget: int = 10**6) -> LinkClassification:
+    """Classify the link of every vertex x of the order complex of P as
+    sphere-like, ball-like, or other, with homology evidence and honest
+    certainty labels, by certifying only the link's upper factor.
+
+    The link of x in the order complex is the join
+    Delta(P<x) * Delta(P>x).  Precondition, not checked here: P is pure
+    and every lower factor Delta(P<x) is a PL sphere of dimension
+    height(x) - 1.  It holds for the face poset of a simplicial complex,
+    where Delta(P<x) subdivides the boundary of the simplex x.  It holds
+    for the bounded complex L++ of an affine oriented matroid once the
+    covector axioms pass: every nonzero covector below a bounded X is
+    bounded, so Delta(P<X) is the order complex of the open interval
+    (0, X) of L, and L is the face poset of a PL regular cell
+    decomposition of a sphere (Folkman-Lawrence; Edmonds-Mandel;
+    Bjorner et al., Oriented Matroids, 4.3), whose open lower intervals
+    are PL spheres (Bjorner, "Posets, regular CW complexes and Bruhat
+    order", 1984).
+
+    The join of a PL sphere with U is a PL sphere (a PL ball) exactly
+    when U is one, so each link gets the kind and certainty of
+    U = Delta(P>x) at dimension height(P) - height(x) - 1, and its notes
+    describe U's certificate.  The homology reported is the link's,
+    read off U's by `HomologyTable.suspension`.  Vertices come in the
+    order complex's vertex order.
+    """
+    if len(P) == 0:
         raise PreconditionError("link classification needs vertices")
-    if not K.is_pure():
-        raise PreconditionError("link classification is defined for pure complexes")
-    d = K.dim
+    if not P.is_pure():
+        raise PreconditionError("link classification is defined for pure posets")
+    d = P.height()
     verdicts = []
-    for v in K.vertex_order:
-        L = K.link(v)
-        h = homology(L)
-        ok_s, cert_s, notes_s = _certify_sphere(L, d - 1, budget, h)
+    for x in sorted(P.elements, key=_vkey):
+        k = P.height(x)
+        U = order_complex(P.strictly_above(x))
+        h = homology(U)
+        h_link = h.suspension(k)
+        ok_s, cert_s, notes_s = _certify_sphere(U, d - k - 1, budget, h)
         if ok_s:
             verdicts.append(
-                LinkVerdict(v, "sphere-like", cert_s, h, tuple(notes_s))
+                LinkVerdict(x, "sphere-like", cert_s, h_link, tuple(notes_s))
             )
             continue
-        ok_b, cert_b, notes_b = _certify_ball(L, d - 1, budget, h)
+        ok_b, cert_b, notes_b = _certify_ball(U, d - k - 1, budget, h)
         if ok_b:
             verdicts.append(
-                LinkVerdict(v, "ball-like", cert_b, h, tuple(notes_b))
+                LinkVerdict(x, "ball-like", cert_b, h_link, tuple(notes_b))
             )
             continue
         certainty = (
@@ -1312,10 +1351,10 @@ def classify_links(K: SimplicialComplex, budget: int = 10**6) -> LinkClassificat
         )
         verdicts.append(
             LinkVerdict(
-                v,
+                x,
                 "other",
                 certainty,
-                h,
+                h_link,
                 tuple(notes_s) + tuple(notes_b),
             )
         )

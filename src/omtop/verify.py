@@ -7,8 +7,12 @@ order complex with a collapse certificate and its homology (a point's
 when the certificate replays), the per-X
 star checks (cube, restriction bijection, inherited shellings), the
 link classification, and — for essential arrangements — the geometric
-boundedness oracle.  The outcome is a schema-versioned report whose
-verdict is forced by the embedded evidence:
+boundedness oracle.  The order complex is built only for the collapse
+certificate: the links are classified on the cell poset L++, where the
+link of a cell X is the join of the sphere below X (a theorem, once
+the axioms pass) with the order complex of the cells above X, and only
+that upper factor is certified.  The outcome is a schema-versioned
+report whose verdict is forced by the embedded evidence:
 
 * ball-certified: every stage certifies; the complex collapses, all
   links certify as spheres or balls, homology is a point's.
@@ -172,7 +176,7 @@ def verify_covectors(
                 "boundedness does not match the combinatorial notion",
             }
 
-    # the order complex and its topology: a replayed collapse proves
+    # the order complex, for its collapse: a replayed collapse proves
     # K has a point's homology, so `homology` runs only without one
     K = order_complex(bc_full.as_poset())
     col = find_collapse(K, budget=budget)
@@ -202,7 +206,7 @@ def verify_covectors(
         reasons.append(replay_failure)
     stages["collapse"] = col_stage
 
-    links = classify_links(K, budget=budget)
+    links = classify_links(bc_full.as_poset(), budget=budget)
     stages["links"] = links.to_json()
     refuted_links = [
         v.vertex for v in links.verdicts if v.certainty == "refuted"

@@ -14,14 +14,28 @@ order index, so they cross-check everything `CovectorSet.order` serves.
 `scan_axioms` checks the covector axioms from their definitions, pair
 by pair, with no order, sign column or decision step, so it
 cross-checks the whole report of `verify_covector_axioms`.
+
+`link_sweep` cuts every vertex link out of a whole simplicial complex
+and certifies all of it, with no join splitting, so it cross-checks
+`classify_links`, which certifies only the upper factor of each link
+of an order complex.
 """
 
 from fractions import Fraction
 
-from omtop.errors import OmtopError
+from omtop.errors import OmtopError, PreconditionError
 from omtop.matroid import AxiomReport
 from omtop.signvec import Sign, SignVector
-from omtop.topology import HomologyTable, SimplicialComplex, smith_normal_form
+from omtop.topology import (
+    HomologyTable,
+    LinkClassification,
+    LinkVerdict,
+    SimplicialComplex,
+    _certify_ball,
+    _certify_sphere,
+    homology,
+    smith_normal_form,
+)
 
 
 def _rank_over_q(rows: list[list[int]]) -> int:
@@ -236,3 +250,48 @@ def scan_axioms(S) -> AxiomReport:
         l2_witnesses=tuple(l2),
         l3_witnesses=tuple(l3),
     )
+
+
+def link_sweep(K: SimplicialComplex, budget: int = 10**6) -> LinkClassification:
+    """Classify the link of every vertex as sphere-like, ball-like, or
+    other, with homology evidence and honest certainty labels."""
+    if K.is_void or K.dim < 0:
+        raise PreconditionError("link classification needs vertices")
+    if not K.is_pure():
+        raise PreconditionError("link classification is defined for pure complexes")
+    d = K.dim
+    verdicts = []
+    for v in K.vertex_order:
+        L = K.link([v])
+        h = homology(L)
+        ok_s, cert_s, notes_s = _certify_sphere(L, d - 1, budget, h)
+        if ok_s:
+            verdicts.append(
+                LinkVerdict(v, "sphere-like", cert_s, h, tuple(notes_s))
+            )
+            continue
+        ok_b, cert_b, notes_b = _certify_ball(L, d - 1, budget, h)
+        if ok_b:
+            verdicts.append(
+                LinkVerdict(v, "ball-like", cert_b, h, tuple(notes_b))
+            )
+            continue
+        certainty = (
+            "refuted" if "refuted" in (cert_s, cert_b) else "evidence-only"
+        )
+        verdicts.append(
+            LinkVerdict(
+                v,
+                "other",
+                certainty,
+                h,
+                tuple(notes_s) + tuple(notes_b),
+            )
+        )
+    return LinkClassification(tuple(verdicts))
+
+
+def link_facts(res: LinkClassification) -> list[tuple]:
+    """(vertex, kind, certainty, homology) of every link, in order: all a
+    classification reports except its notes."""
+    return [(v.vertex, v.kind, v.certainty, v.homology) for v in res.verdicts]

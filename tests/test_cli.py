@@ -6,6 +6,7 @@ exit code and captured output, exactly as a shell user would see them.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,21 @@ class TestVerify:
         assert "verdict: refuted" in out
         # the report names the vertex whose link is not a sphere or ball
         assert "00-++" in out
+
+    def test_readme_four_line_example(self, tmp_path, capsys):
+        """The README's `four.arr` example prints what the README says."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (text,) = re.findall(r"printf '([^']*)' > four\.arr", readme)
+        p = tmp_path / "four.arr"
+        p.write_text(text.replace("\\n", "\n"))
+        assert main(["verify", str(p)]) == 1
+        out = capsys.readouterr().out
+        for line in (
+            "links: 10 ball-like, 1 other, 2 sphere-like",
+            "link classification refutes the manifold property at 00-++",
+        ):
+            assert line in out
+            assert line in readme
 
     def test_json_deterministic_without_timestamp(self, files, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -6,6 +6,7 @@ rational-rank and integral-definition oracles in oracles.py or against
 hand-countable complexes.
 """
 
+import itertools
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from omtop.topology import (
     verify_shelling,
 )
 
-from oracles import integral_homology, rational_betti
+from oracles import integral_homology, link_facts, link_sweep, rational_betti
 
 
 def divides_chain(P, elts):
@@ -626,47 +627,59 @@ class TestShelling:
         assert verify_shelling(face_poset(octa), order).ok
 
 
+def _octahedron() -> SimplicialComplex:
+    return SimplicialComplex(
+        [
+            [x, y, z]
+            for x in ("x+", "x-")
+            for y in ("y+", "y-")
+            for z in ("z+", "z-")
+        ]
+    )
+
+
+# the complexes of TestClassifyLinks, for the sweep oracle below
+LINK_COMPLEXES = {
+    "solid triangle": SimplicialComplex.simplex([1, 2, 3]),
+    "wedge": SimplicialComplex([[1, 2, 3], [3, 4, 5]]),
+    "octahedron": _octahedron(),
+    "path": SimplicialComplex([[1, 2], [2, 3]]),
+    "solid tetrahedron": SimplicialComplex.simplex([1, 2, 3, 4]),
+}
+
+
 class TestClassifyLinks:
+    """Links in the barycentric subdivision of K, read from its face
+    poset: vertex v of K is the element frozenset({v})."""
+
     def test_solid_triangle(self):
-        res = classify_links(SimplicialComplex.simplex([1, 2, 3]))
+        res = classify_links(face_poset(LINK_COMPLEXES["solid triangle"]))
         assert res.is_manifold and res.all_certified
-        assert all(v.kind == "ball-like" for v in res.verdicts)
+        kinds = {v.vertex: v.kind for v in res.verdicts}
+        assert all(kinds[frozenset({v})] == "ball-like" for v in (1, 2, 3))
+        # the barycentre of the triangle is interior
+        assert kinds[frozenset({1, 2, 3})] == "sphere-like"
 
     def test_wedge_vertex_is_other(self):
-        res = classify_links(SimplicialComplex([[1, 2, 3], [3, 4, 5]]))
+        res = classify_links(face_poset(LINK_COMPLEXES["wedge"]))
         kinds = {v.vertex: v.kind for v in res.verdicts}
-        assert kinds[3] == "other"
-        assert all(kinds[v] == "ball-like" for v in (1, 2, 4, 5))
+        assert kinds[frozenset({3})] == "other"
+        assert all(kinds[frozenset({v})] == "ball-like" for v in (1, 2, 4, 5))
         assert not res.is_manifold
         assert res.any_refuted
-        bad = next(v for v in res.verdicts if v.vertex == 3)
+        bad = next(v for v in res.verdicts if v.vertex == frozenset({3}))
         assert bad.homology.betti[0] == 2
         assert bad.certainty == "refuted"
 
     def test_octahedron_all_sphere_like(self):
-        octa = SimplicialComplex(
-            [
-                [x, y, z]
-                for x in ("x+", "x-")
-                for y in ("y+", "y-")
-                for z in ("z+", "z-")
-            ]
-        )
-        res = classify_links(octa)
+        res = classify_links(face_poset(LINK_COMPLEXES["octahedron"]))
         assert res.is_manifold and res.all_certified
         assert all(v.kind == "sphere-like" for v in res.verdicts)
 
     def test_one_homology_per_octahedron_link(self, monkeypatch):
         import omtop.topology as topology
 
-        octa = SimplicialComplex(
-            [
-                [x, y, z]
-                for x in ("x+", "x-")
-                for y in ("y+", "y-")
-                for z in ("z+", "z-")
-            ]
-        )
+        P = face_poset(LINK_COMPLEXES["octahedron"])
         calls = []
         real = topology.homology
 
@@ -675,22 +688,56 @@ class TestClassifyLinks:
             return real(K)
 
         monkeypatch.setattr(topology, "homology", counting)
-        classify_links(octa)
-        assert len(calls) == 6
+        classify_links(P)
+        assert len(P) == 26
+        assert len(calls) == 26
 
     def test_path_graph(self):
-        res = classify_links(SimplicialComplex([[1, 2], [2, 3]]))
+        res = classify_links(face_poset(LINK_COMPLEXES["path"]))
         kinds = {v.vertex: v.kind for v in res.verdicts}
-        assert kinds == {1: "ball-like", 2: "sphere-like", 3: "ball-like"}
+        assert {v: kinds[frozenset({v})] for v in (1, 2, 3)} == {
+            1: "ball-like",
+            2: "sphere-like",
+            3: "ball-like",
+        }
         assert res.all_certified
 
     def test_solid_tetrahedron(self):
-        res = classify_links(SimplicialComplex.simplex([1, 2, 3, 4]))
+        res = classify_links(face_poset(LINK_COMPLEXES["solid tetrahedron"]))
         assert res.is_manifold and res.all_certified
 
     def test_non_pure_rejected(self):
         with pytest.raises(PreconditionError):
-            classify_links(SimplicialComplex([[1, 2, 3], [3, 4]]))
+            classify_links(face_poset(SimplicialComplex([[1, 2, 3], [3, 4]])))
+
+    def test_empty_poset_rejected(self):
+        with pytest.raises(PreconditionError):
+            classify_links(Poset([], lambda a, b: a == b))
+
+    @pytest.mark.parametrize("name", sorted(LINK_COMPLEXES))
+    def test_matches_the_vertex_link_sweep(self, name):
+        P = face_poset(LINK_COMPLEXES[name])
+        assert link_facts(classify_links(P)) == link_facts(
+            link_sweep(order_complex(P))
+        )
+
+
+class TestSuspension:
+    def test_shifts_the_reduced_groups(self):
+        for K in (
+            SimplicialComplex.empty(),
+            SimplicialComplex.simplex([1, 2]),
+            SimplicialComplex.simplex_boundary([1, 2, 3]),
+            SimplicialComplex(RP2_FACETS),
+        ):
+            for k in range(4):
+                # the (k-1)-sphere; {emptyset} for k = 0
+                S = SimplicialComplex(
+                    itertools.combinations(range(k + 1), k)
+                )
+                assert homology(K).suspension(k) == homology(
+                    S.join(K, relabel=True)
+                )
 
 
 class TestSphereFallback:
@@ -706,6 +753,16 @@ class TestSphereFallback:
         )
         assert (ok, certainty) == (True, "evidence-only")
         assert notes == ["recursive vertex-link check passed"]
+
+    def test_vertices_that_are_sets(self, monkeypatch):
+        # the order complex of a face poset has frozenset vertices; each
+        # is one vertex, not a face made of its elements
+        import omtop.topology as topology
+
+        monkeypatch.setattr(topology, "find_shelling", lambda K, budget: None)
+        K = order_complex(face_poset(SimplicialComplex.simplex_boundary(range(4))))
+        ok, certainty, _ = topology._certify_sphere(K, 2, 10**5)
+        assert (ok, certainty) == (True, "certified")
 
     def test_dimension_2_is_certified(self, monkeypatch):
         import omtop.topology as topology

@@ -2,13 +2,21 @@
 
 import pytest
 
-from omtop.bounded import AffineOM
+from omtop.bounded import AffineOM, bounded_complex
 from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet, atoms, verify_covector_axioms
 from omtop.realization import Arrangement, enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector as S
-from omtop.topology import CollapseCertificate, CollapseResult
+from omtop.topology import (
+    CollapseCertificate,
+    CollapseResult,
+    SimplicialComplex,
+    classify_links,
+    order_complex,
+)
 from omtop.verify import VERDICTS, verify_arrangement, verify_covectors
+
+from oracles import link_facts, link_sweep
 
 
 def _counting(monkeypatch, module, name):
@@ -307,3 +315,88 @@ class TestNonEssential:
         rep = verify_arrangement(A, source="three")
         r = rep.stages["restriction"]
         assert r["applied"] and r["dropped"] == ["a"] and r["isomorphic"]
+
+
+def _pinch(d: int) -> Arrangement:
+    """x_i = 0 and sum x = +-1: two d-simplices meeting at the origin."""
+    return Arrangement(
+        dim=d,
+        labels=tuple(f"x{i}" for i in range(d)) + ("s", "t"),
+        normals=tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        + ((1,) * d, (1,) * d),
+        offsets=(0,) * d + (1, -1),
+    )
+
+
+def _grid(k: int) -> Arrangement:
+    """x = 0..k and y = 0..k: a square cut into k x k cells."""
+    return Arrangement(
+        dim=2,
+        labels=tuple(f"x{c}" for c in range(k + 1))
+        + tuple(f"y{c}" for c in range(k + 1)),
+        normals=((1, 0),) * (k + 1) + ((0, 1),) * (k + 1),
+        offsets=tuple(range(k + 1)) * 2,
+    )
+
+
+class TestLinksByUpperFactor:
+    """`classify_links` on the cell poset agrees, cell by cell, with the
+    sweep that certifies each whole vertex link of the order complex."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["line", "triangle", "four-line", "(4,2,0)", "(5,2,1)", "(4,3,0)",
+         "(5,3,0)", "pinch2", "pinch3", "grid3x3"],
+    )
+    def test_matches_the_vertex_link_sweep(
+        self, name, line_arr, tri_arr, four_arr
+    ):
+        arrangements = {
+            "line": line_arr,
+            "triangle": tri_arr,
+            "four-line": four_arr,
+            "pinch2": _pinch(2),
+            "pinch3": _pinch(3),
+            "grid3x3": _grid(3),
+        }
+        if name in arrangements:
+            A = arrangements[name]
+        else:
+            n, d, seed = map(int, name.strip("()").split(","))
+            A = generate_arrangement(n, d, seed=seed)
+        L = enumerate_covectors(homogenize(A))
+        P = bounded_complex(AffineOM(L)).as_poset()
+        got = classify_links(P)
+        assert link_facts(got) == link_facts(link_sweep(order_complex(P)))
+        assert got.any_refuted == name.startswith(("four-line", "pinch"))
+
+    @pytest.mark.parametrize("name", ["four-line", "(4,3,0)"])
+    def test_verify_takes_no_link_of_the_order_complex(
+        self, name, four_arr, monkeypatch
+    ):
+        import omtop.verify as verify
+
+        A = four_arr if name == "four-line" else generate_arrangement(4, 3, 0)
+        seen = []
+        real_order_complex = verify.order_complex
+
+        def recording(P):
+            K = real_order_complex(P)
+            seen.append(K)
+            return K
+
+        monkeypatch.setattr(verify, "order_complex", recording)
+        linked = []
+        real_link = SimplicialComplex.link
+
+        def link(self, face):
+            linked.append(self)
+            return real_link(self, face)
+
+        monkeypatch.setattr(SimplicialComplex, "link", link)
+        rep = verify_arrangement(A)
+        assert rep.verdict == (
+            "refuted" if name == "four-line" else "ball-certified"
+        )
+        (K,) = seen
+        assert not any(L is K for L in linked)

@@ -1,7 +1,10 @@
 """Finite posets and simplicial complexes, with exact integral homology,
 collapsibility search, and shelling verification.
 
-Everything is exact: homology is computed over the integers (Smith normal
+The collapse search and its replay take a simplicial complex or a poset
+read as the face poset of a regular cell complex, so a cell complex is
+collapsed on its own cells, not on its order complex.  Everything is
+exact: homology is computed over the integers (Smith normal
 form after removing collapse and coreduction pairs), collapse and
 shelling results are certificates or witness-carrying reports, never
 floats or heuristic verdicts.  The empty complex {emptyset} (one empty
@@ -460,6 +463,10 @@ class SimplicialComplex:
         return SimplicialComplex([g for g in self.facets if f <= g])
 
     def _as_face(self, face) -> frozenset:
+        # a vertex means that vertex, whatever its type (order complexes
+        # of face posets have frozenset vertices, relabelled joins tuples)
+        if not isinstance(face, (set, list)) and face in self._vindex:
+            return frozenset([face])
         if isinstance(face, (frozenset, set, list, tuple)):
             return frozenset(face)
         return frozenset([face])
@@ -569,6 +576,23 @@ def order_complex(P: Poset) -> SimplicialComplex:
     if len(P) == 0:
         return SimplicialComplex.empty()
     return SimplicialComplex(P.maximal_chains())
+
+
+def _chain_counts(P: Poset) -> tuple[int, ...]:
+    """`order_complex(P).f_vector()` without the complex: entry k counts
+    the chains of k + 1 elements, read off P's masks."""
+    hs = P._height_list()
+    f = [0] * (max(hs) + 1 if hs else 0)
+    ending: list = [None] * len(P)  # ending[i][k]: chains of k + 1 topped by i
+    for i in sorted(range(len(P)), key=hs.__getitem__):
+        c = [1] + [0] * hs[i]
+        for j in _bits(P._down[i] & ~(1 << i)):
+            for k, m in enumerate(ending[j]):
+                c[k + 1] += m
+        ending[i] = c
+        for k, m in enumerate(c):
+            f[k] += m
+    return tuple(f)
 
 
 # ---------------------------------------------------------------------------
@@ -787,20 +811,28 @@ def homology(K: SimplicialComplex) -> HomologyTable:
 class CollapseCertificate:
     """A replayable elementary-collapse sequence.
 
-    Each step removes a free face together with its unique coface;
-    `terminal` is the single vertex left at the end.
+    Each step (sigma, tau) removes a free cell sigma together with tau,
+    its only coface.  On a simplicial complex a cell is named by the
+    tuple of its vertices, and `terminal` is the single vertex left at
+    the end.  On a poset a cell is an element (on L++, a covector), and
+    `terminal` is the one element left.
     """
 
-    steps: tuple[tuple[tuple, tuple], ...]
+    steps: tuple[tuple[Hashable, Hashable], ...]
     terminal: Hashable
 
     def to_json(self) -> dict:
         return {
-            "steps": [
-                [[str(v) for v in s], [str(v) for v in t]] for s, t in self.steps
-            ],
+            "steps": [[_cell_json(s), _cell_json(t)] for s, t in self.steps],
             "terminal": str(self.terminal),
         }
+
+
+def _cell_json(cell):
+    # a simplex is written as its list of vertices, a poset cell as itself
+    if isinstance(cell, tuple):
+        return [str(v) for v in cell]
+    return str(cell)
 
 
 @dataclass(frozen=True)
@@ -816,54 +848,103 @@ class CollapseResult:
 
 
 class _CollapseState:
-    """The live faces of a complex with their facets and live cofaces:
-    the one state that the collapse search, its replay and `homology`
-    reduce."""
+    """The live cells of a simplicial complex or of a poset, with their
+    facets and live cofaces: the one state that the collapse search, its
+    replay and `homology` reduce.
 
-    def __init__(self, K: SimplicialComplex):
-        self.vindex = K._vindex
-        faces = {f: f for f in K.all_faces()}
-        self.alive: set[frozenset] = set(faces)
-        # facets[f][i] omits the i-th vertex of f in vertex order
-        self.facets: dict[frozenset, tuple[frozenset, ...]] = {}
-        self.cofaces: dict[frozenset, set[frozenset]] = {f: set() for f in faces}
-        for f in faces:
-            subs = ()
-            if len(f) > 1:
-                vs = sorted(f, key=self.vindex.__getitem__)
-                subs = tuple(
-                    faces[frozenset(vs[:i] + vs[i + 1 :])] for i in range(len(vs))
-                )
-            self.facets[f] = subs
+    On a complex the cells are the nonempty faces, and facets[f][i]
+    omits the i-th vertex of f in vertex order.  On a poset the cells
+    are the elements, the facets of a cell are its lower covers and its
+    cofaces its upper covers.  `key` puts the highest dimension first,
+    then orders by vertex indices or by element index.
+    """
+
+    def __init__(self, X: SimplicialComplex | Poset):
+        self.cellular = isinstance(X, Poset)
+        if self.cellular:
+            hs, index = X._height_list(), X._index
+            self.key = lambda x: (-hs[index[x]], index[x])
+            self.facets = {x: tuple(X.lower_covers(x)) for x in X.elements}
+        else:
+            vindex = self.vindex = X._vindex
+            self.key = lambda f: (-len(f), tuple(sorted(vindex[v] for v in f)))
+            faces = {f: f for f in X.all_faces()}
+            self.facets: dict = {}
+            for f in faces:
+                subs = ()
+                if len(f) > 1:
+                    vs = sorted(f, key=vindex.__getitem__)
+                    subs = tuple(
+                        faces[frozenset(vs[:i] + vs[i + 1 :])]
+                        for i in range(len(vs))
+                    )
+                self.facets[f] = subs
+        self.alive: set = set(self.facets)
+        self.cofaces: dict = {f: set() for f in self.facets}
+        for f, subs in self.facets.items():
             for sub in subs:
                 self.cofaces[sub].add(f)
 
-    def key(self, f: frozenset) -> tuple:
-        return (-len(f), tuple(sorted(self.vindex[v] for v in f)))
+    # -- the certificate's names for cells --------------------------------
 
-    def is_free(self, sigma: frozenset) -> bool:
+    def name(self, cell) -> Hashable:
+        """A poset cell is named by itself, a simplex by its vertices in
+        vertex order."""
+        if self.cellular:
+            return cell
+        return tuple(sorted(cell, key=self.vindex.__getitem__))
+
+    def cell(self, name: Hashable):
+        return name if self.cellular else frozenset(name)
+
+    def vertex(self, cell) -> Hashable:
+        """The name of a minimal cell: itself, or the simplex's vertex."""
+        return cell if self.cellular else next(iter(cell))
+
+    def certificate(self, steps) -> CollapseCertificate:
+        (last,) = self.alive
+        return CollapseCertificate(
+            tuple((self.name(s), self.name(t)) for s, t in steps),
+            self.vertex(last),
+        )
+
+    # -- reduction ----------------------------------------------------------
+
+    def is_connected(self) -> bool:
+        """Do the live cells form one component under the facet relation?"""
+        start = next(iter(self.alive))
+        seen, stack = {start}, [start]
+        while stack:
+            f = stack.pop()
+            for g in (*self.facets[f], *self.cofaces[f]):
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+        return len(seen) == len(self.alive)
+
+    def is_free(self, sigma) -> bool:
         cfs = self.cofaces.get(sigma)
         if cfs is None or len(cfs) != 1 or sigma not in self.alive:
             return False
         (tau,) = cfs
         return not self.cofaces[tau]
 
-    def free_faces(self) -> list[frozenset]:
+    def free_faces(self) -> list:
         return sorted((f for f in self.alive if self.is_free(f)), key=self.key)
 
-    def remove_pair(self, sigma: frozenset, tau: frozenset) -> None:
+    def remove_pair(self, sigma, tau) -> None:
         for f in (tau, sigma):
             self.alive.discard(f)
             for sub in self.facets[f]:
                 self.cofaces[sub].discard(f)
 
-    def restore_pair(self, sigma: frozenset, tau: frozenset) -> None:
+    def restore_pair(self, sigma, tau) -> None:
         for f in (sigma, tau):
             self.alive.add(f)
             for sub in self.facets[f]:
                 self.cofaces[sub].add(f)
 
-    def neighbors_to_recheck(self, sigma, tau) -> set[frozenset]:
+    def neighbors_to_recheck(self, sigma, tau) -> set:
         out = set()
         for f in (sigma, tau):
             for sub in self.facets[f]:
@@ -874,7 +955,7 @@ class _CollapseState:
                             out.add(sub2)
         return out
 
-    def live_facets(self, f: frozenset) -> list[frozenset]:
+    def live_facets(self, f) -> list:
         return [sub for sub in self.facets[f] if sub in self.alive]
 
     def reduce_pairs(self) -> None:
@@ -902,69 +983,50 @@ class _CollapseState:
                 queue.extend(self.cofaces[g])
 
 
-def _certificate_from(state: _CollapseState, steps) -> CollapseCertificate:
-    (last,) = state.alive
-    (v,) = last
-    cert_steps = tuple(
-        (
-            tuple(sorted(s, key=lambda x: state.vindex[x])),
-            tuple(sorted(t, key=lambda x: state.vindex[x])),
-        )
-        for s, t in steps
-    )
-    return CollapseCertificate(cert_steps, v)
+def find_collapse(
+    X: SimplicialComplex | Poset, budget: int = 10**6
+) -> CollapseResult:
+    """Search for a collapse of X to a single vertex.
 
+    X is a simplicial complex, or a poset read as the face poset of a
+    regular cell complex: the cells are its elements and the facets of
+    a cell its lower covers.  An elementary collapse removes a pair
+    sigma < tau with sigma a facet of tau, tau maximal, and tau the only
+    live cell above sigma.
 
-def find_collapse(K: SimplicialComplex, budget: int = 10**6) -> CollapseResult:
-    """Search for a collapse of K to a single vertex.
-
-    Greedy: always take the lexicographically least free face at the
-    highest dimension.  If the pure greedy descent gets stuck, a
+    Greedy: always take the least free face in `key` order, the highest
+    dimension first.  If the pure greedy descent gets stuck, a
     backtracking pass revisits the choices, spending at most `budget`
     collapse steps overall.  Exhaustion is reported as such and never as
     "not collapsible".
+
+    On a poset the result means something only when the poset is the
+    face poset of a PL regular cell complex; `verify` relies on this for
+    L++, which is one once the covector axioms pass (the premise
+    `classify_links` states).  Then each elementary cellular collapse
+    is a PL elementary collapse, since the closed cell tau is a PL ball
+    and sigma a ball in its boundary, and a PL manifold that collapses
+    to a point is a PL ball (Whitehead 1939; Rourke & Sanderson,
+    Introduction to PL topology, ch. 3).
     """
-    if K.is_void or K.dim < 0:
+    state = _CollapseState(X)
+    if not state.alive:
         raise PreconditionError("collapse search needs a nonempty complex")
-    if not K.is_connected():
+    if not state.is_connected():
         raise PreconditionError(
             "complex is disconnected; it cannot collapse to one point"
         )
-
-    # greedy descent with an incrementally maintained free-face heap
-    state = _CollapseState(K)
-    nodes = 0
-    steps: list[tuple[frozenset, frozenset]] = []
-    heap = [(state.key(f), f) for f in state.alive if state.is_free(f)]
-    heapq.heapify(heap)
-    while len(state.alive) > 1:
-        while heap and not state.is_free(heap[0][1]):
-            heapq.heappop(heap)
-        if not heap:
-            break
-        if nodes >= budget:
-            return CollapseResult("exhausted", None, nodes, search_complete=False)
-        sigma = heapq.heappop(heap)[1]
-        (tau,) = state.cofaces[sigma]
-        state.remove_pair(sigma, tau)
-        steps.append((sigma, tau))
-        nodes += 1
-        for f in state.neighbors_to_recheck(sigma, tau):
-            if state.is_free(f):
-                heapq.heappush(heap, (state.key(f), f))
-    if len(state.alive) == 1:
-        return CollapseResult(
-            "collapsed", _certificate_from(state, steps), nodes, True
-        )
+    res, nodes = _descend(state, budget)
+    if res is not None:
+        return res
 
     # greedy got stuck: full backtracking over free-face choices
-    state = _CollapseState(K)
     steps = []
-    stack: list[list[frozenset]] = [state.free_faces()]
+    stack = [state.free_faces()]
     while stack:
         if len(state.alive) == 1:
             return CollapseResult(
-                "collapsed", _certificate_from(state, steps), nodes, True
+                "collapsed", state.certificate(steps), nodes, True
             )
         frame = stack[-1]
         advanced = False
@@ -991,24 +1053,65 @@ def find_collapse(K: SimplicialComplex, budget: int = 10**6) -> CollapseResult:
     return CollapseResult("exhausted", None, nodes, search_complete=True)
 
 
-def verify_collapse(K: SimplicialComplex, cert: CollapseCertificate) -> bool:
-    """Replay a collapse certificate against K, checking every freeness
-    condition.  Raises DomainError with the failing step on any defect."""
-    state = _CollapseState(K)
+def _descend(state: _CollapseState, budget: int):
+    """The greedy descent of `find_collapse` on a fresh state.
+
+    Returns (result, nodes spent).  The result is None when the descent
+    gets stuck; the state is then restored to what it was.
+    """
+    nodes = 0
+    steps = []
+    heap = [(state.key(f), f) for f in state.alive if state.is_free(f)]
+    heapq.heapify(heap)
+    while len(state.alive) > 1:
+        while heap and not state.is_free(heap[0][1]):
+            heapq.heappop(heap)
+        if not heap:
+            break
+        if nodes >= budget:
+            return CollapseResult("exhausted", None, nodes, False), nodes
+        sigma = heapq.heappop(heap)[1]
+        (tau,) = state.cofaces[sigma]
+        state.remove_pair(sigma, tau)
+        steps.append((sigma, tau))
+        nodes += 1
+        for f in state.neighbors_to_recheck(sigma, tau):
+            if state.is_free(f):
+                heapq.heappush(heap, (state.key(f), f))
+    if len(state.alive) == 1:
+        cert = state.certificate(steps)
+        return CollapseResult("collapsed", cert, nodes, True), nodes
+    for sigma, tau in reversed(steps):
+        state.restore_pair(sigma, tau)
+    return None, nodes
+
+
+def verify_collapse(
+    X: SimplicialComplex | Poset, cert: CollapseCertificate
+) -> bool:
+    """Replay a collapse certificate against X, a simplicial complex or
+    a cell poset as in `find_collapse`.  Every step must name a live
+    sigma that is one of tau's facets, with tau maximal and sigma's only
+    live coface, and the replay must end at the terminal vertex.
+    Raises DomainError naming the failing step on any defect."""
+    state = _CollapseState(X)
     for i, (s, t) in enumerate(cert.steps):
-        sigma, tau = frozenset(s), frozenset(t)
+        sigma, tau = state.cell(s), state.cell(t)
         if sigma not in state.alive or tau not in state.alive:
-            raise DomainError(f"collapse step {i}: face already removed")
-        if not (sigma < tau) or len(tau) != len(sigma) + 1:
+            raise DomainError(
+                f"collapse step {i}: {s!r} or {t!r} is not a live face"
+            )
+        if sigma not in state.facets[tau]:
             raise DomainError(f"collapse step {i}: {s!r} is not a facet of {t!r}")
-        if state.cofaces[sigma] != {tau}:
-            raise DomainError(f"collapse step {i}: {s!r} is not free")
         if state.cofaces[tau]:
             raise DomainError(f"collapse step {i}: {t!r} is not maximal")
+        if state.cofaces[sigma] != {tau}:
+            raise DomainError(f"collapse step {i}: {s!r} is not free")
         state.remove_pair(sigma, tau)
-    if state.alive != {frozenset([cert.terminal])}:
+    if len(state.alive) != 1 or state.vertex(*state.alive) != cert.terminal:
         raise DomainError(
-            f"replay leaves {len(state.alive)} faces, not the terminal vertex"
+            f"after {len(cert.steps)} collapse steps: replay leaves "
+            f"{len(state.alive)} faces, not the terminal vertex"
         )
     return True
 
@@ -1268,33 +1371,47 @@ def _certify_sphere(
 
 
 def _certify_ball(
-    L: SimplicialComplex, d: int, budget: int, h: HomologyTable
-) -> tuple[bool, str, list[str]]:
-    """(matches, certainty, notes) for 'L is a d-ball'; h is L's
-    homology."""
+    L: SimplicialComplex,
+    d: int,
+    budget: int,
+    h: HomologyTable | None = None,
+) -> tuple[bool, str, list[str], HomologyTable | None]:
+    """(matches, certainty, notes, h) for 'L is a d-ball'.
+
+    h is L's homology.  When the caller has none and L is connected,
+    the greedy collapse runs first and, if it reaches a vertex, gives
+    the homology of a point; only otherwise is `homology` run.  The h
+    returned is the one used, or None when no check needed it."""
     notes: list[str] = []
     if L.is_void or L.dim != d:
-        return (False, "refuted", [f"dimension is not {d}"])
+        return (False, "refuted", [f"dimension is not {d}"], h)
     if d == 0:
         ok = len(L.facets) == 1 and len(L.facets[0]) == 1
-        return (ok, "certified" if ok else "refuted", notes)
+        return (ok, "certified" if ok else "refuted", notes, h)
     if not L.is_pure():
-        return (False, "refuted", ["not pure"])
+        return (False, "refuted", ["not pure"], h)
+    res = None
+    if h is None:
+        if L.is_connected():
+            res, _ = _descend(_CollapseState(L), budget)
+        collapsed = res is not None and res.collapsed
+        h = HomologyTable.point(d) if collapsed else homology(L)
     if not h.is_ball():
-        return (False, "refuted", [f"homology {h.reduced_betti} is not a ball"])
+        return (False, "refuted", [f"homology {h.reduced_betti} is not a ball"], h)
     bd = L.boundary()
     if bd.is_void:
-        return (False, "refuted", ["no free ridge: boundary is empty"])
+        return (False, "refuted", ["no free ridge: boundary is empty"], h)
     ok, certainty, sub = _certify_sphere(bd, d - 1, budget)
     if not ok:
-        return (False, certainty, [f"boundary: {m}" for m in sub])
-    res = find_collapse(L, budget=budget)
+        return (False, certainty, [f"boundary: {m}" for m in sub], h)
+    if res is None:
+        res = find_collapse(L, budget=budget)
     if not res.collapsed:
-        return (True, "evidence-only", ["collapse search exhausted"])
+        return (True, "evidence-only", ["collapse search exhausted"], h)
     notes.append(f"collapsed in {len(res.certificate.steps)} steps")
     if certainty != "certified":
-        return (True, "evidence-only", notes + ["boundary sphere evidence-only"])
-    return (True, "certified", notes)
+        return (True, "evidence-only", notes + ["boundary sphere evidence-only"], h)
+    return (True, "certified", notes, h)
 
 
 def classify_links(P: Poset, budget: int = 10**6) -> LinkClassification:
@@ -1332,15 +1449,20 @@ def classify_links(P: Poset, budget: int = 10**6) -> LinkClassification:
     for x in sorted(P.elements, key=_vkey):
         k = P.height(x)
         U = order_complex(P.strictly_above(x))
-        h = homology(U)
-        h_link = h.suspension(k)
+        # a sphere candidate needs U's homology; a ball's comes from
+        # its collapse, and U's is computed at most once
+        h = homology(U) if U.is_closed_pseudomanifold() else None
         ok_s, cert_s, notes_s = _certify_sphere(U, d - k - 1, budget, h)
+        if not ok_s:
+            ok_b, cert_b, notes_b, h = _certify_ball(U, d - k - 1, budget, h)
+        if h is None:
+            h = homology(U)
+        h_link = h.suspension(k)
         if ok_s:
             verdicts.append(
                 LinkVerdict(x, "sphere-like", cert_s, h_link, tuple(notes_s))
             )
             continue
-        ok_b, cert_b, notes_b = _certify_ball(U, d - k - 1, budget, h)
         if ok_b:
             verdicts.append(
                 LinkVerdict(x, "ball-like", cert_b, h_link, tuple(notes_b))

@@ -2,17 +2,28 @@
 
 One call runs an affine oriented matroid (given directly or realized
 from an arrangement) through every check this tool knows: covector
-axioms, uniformity, the bounded complex with purity and support, the
-order complex with a collapse certificate and its homology (a point's
-when the certificate replays), the per-X
+axioms, uniformity, the bounded complex with purity and support, a
+collapse certificate on the cells of L++ with the homology of the order
+complex Delta(L++) (a point's when the certificate replays), the per-X
 star checks (cube, restriction bijection, inherited shellings), the
 link classification, and — for essential arrangements — the geometric
-boundedness oracle.  The order complex is built only for the collapse
-certificate: the links are classified on the cell poset L++, where the
-link of a cell X is the join of the sphere below X (a theorem, once
-the axioms pass) with the order complex of the cells above X, and only
-that upper factor is certified.  The outcome is a schema-versioned
-report whose verdict is forced by the embedded evidence:
+boundedness oracle.
+
+Everything runs on the cell poset L++.  Its order complex is built only
+for `homology` when no collapse certificate replays, and its f-vector
+is read off L++ by counting chains.  The collapse is sound for the
+following reasons.  Once the axioms pass, L++ is the face poset of a PL
+regular cell complex, the premise `classify_links` states.  An
+elementary cellular collapse (sigma a facet of tau, tau maximal and
+the only live cell above sigma) is then a PL elementary collapse.  A
+PL manifold that collapses to a point is a PL ball (Whitehead 1939;
+Rourke & Sanderson, Introduction to PL topology, ch. 3), and the
+manifold property is what the link classification checks.  The links
+are classified on L++ too: the link of a cell X is the join of the
+sphere below X (a theorem, once the axioms pass) with the order
+complex of the cells above X, and only that upper factor is certified.
+The outcome is a schema-versioned report whose verdict is forced by the
+embedded evidence:
 
 * ball-certified: every stage certifies; the complex collapses, all
   links certify as spheres or balls, homology is a point's.
@@ -52,6 +63,7 @@ from .realization import (
 from .signvec import Sign
 from .topology import (
     HomologyTable,
+    _chain_counts,
     classify_links,
     find_collapse,
     homology,
@@ -176,15 +188,16 @@ def verify_covectors(
                 "boundedness does not match the combinatorial notion",
             }
 
-    # the order complex, for its collapse: a replayed collapse proves
-    # K has a point's homology, so `homology` runs only without one
-    K = order_complex(bc_full.as_poset())
-    col = find_collapse(K, budget=budget)
+    # the collapse, on the cells of L++: a replayed one proves the order
+    # complex K = Delta(L++) has a point's homology, so K is built only
+    # for `homology` when there is none
+    P = bc_full.as_poset()
+    col = find_collapse(P, budget=budget)
     col_stage = {"status": col.status, "nodes": col.nodes}
     replay_failure = None
     if col.certificate is not None:
         try:
-            replay_ok = verify_collapse(K, col.certificate)
+            replay_ok = verify_collapse(P, col.certificate)
         except DomainError as exc:
             replay_ok = False
             replay_failure = f"collapse certificate failed to replay: {exc}"
@@ -193,11 +206,11 @@ def verify_covectors(
     else:
         col_stage["certificate"] = None
     if col_stage.get("replay_ok"):
-        H = HomologyTable.point(K.dim)
+        H = HomologyTable.point(P.height())
     else:
-        H = homology(K)
+        H = homology(order_complex(P))
     stages["order_complex"] = {
-        "f_vector": list(K.f_vector()),
+        "f_vector": list(_chain_counts(P)),
         "homology": H.to_json(),
     }
     if not H.is_ball():
@@ -206,7 +219,7 @@ def verify_covectors(
         reasons.append(replay_failure)
     stages["collapse"] = col_stage
 
-    links = classify_links(bc_full.as_poset(), budget=budget)
+    links = classify_links(P, budget=budget)
     stages["links"] = links.to_json()
     refuted_links = [
         v.vertex for v in links.verdicts if v.certainty == "refuted"

@@ -19,10 +19,17 @@ cross-checks the whole report of `verify_covector_axioms`.
 and certifies all of it, with no join splitting, so it cross-checks
 `classify_links`, which certifies only the upper factor of each link
 of an order complex.
+
+`verify_on_the_order_complex` runs the pipeline with its collapse found
+and replayed on the order complex K = Delta(L++) and K's f-vector read
+from K, so it cross-checks `verify`, which collapses the cells of L++
+and counts the chains of L++.
 """
 
 from fractions import Fraction
+from unittest import mock
 
+import omtop.verify
 from omtop.errors import OmtopError, PreconditionError
 from omtop.matroid import AxiomReport
 from omtop.signvec import Sign, SignVector
@@ -33,8 +40,11 @@ from omtop.topology import (
     SimplicialComplex,
     _certify_ball,
     _certify_sphere,
+    find_collapse,
     homology,
+    order_complex,
     smith_normal_form,
+    verify_collapse,
 )
 
 
@@ -270,7 +280,7 @@ def link_sweep(K: SimplicialComplex, budget: int = 10**6) -> LinkClassification:
                 LinkVerdict(v, "sphere-like", cert_s, h, tuple(notes_s))
             )
             continue
-        ok_b, cert_b, notes_b = _certify_ball(L, d - 1, budget, h)
+        ok_b, cert_b, notes_b, _ = _certify_ball(L, d - 1, budget, h)
         if ok_b:
             verdicts.append(
                 LinkVerdict(v, "ball-like", cert_b, h, tuple(notes_b))
@@ -295,3 +305,21 @@ def link_facts(res: LinkClassification) -> list[tuple]:
     """(vertex, kind, certainty, homology) of every link, in order: all a
     classification reports except its notes."""
     return [(v.vertex, v.kind, v.certainty, v.homology) for v in res.verdicts]
+
+
+def verify_on_the_order_complex(A, budget: int = 10**6):
+    """`verify_arrangement(A)` as it ran before the collapse moved to
+    the cells: the collapse is searched and replayed on the order
+    complex K of L++, and the reported f-vector is K's."""
+
+    def on_K(f):
+        return lambda P, *args, **kwargs: f(order_complex(P), *args, **kwargs)
+
+    with mock.patch.object(
+        omtop.verify, "find_collapse", on_K(find_collapse)
+    ), mock.patch.object(
+        omtop.verify, "verify_collapse", on_K(verify_collapse)
+    ), mock.patch.object(
+        omtop.verify, "_chain_counts", lambda P: order_complex(P).f_vector()
+    ):
+        return omtop.verify.verify_arrangement(A, budget=budget)

@@ -16,6 +16,7 @@ from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet, atoms, topes
 from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
+from omtop.topology import _chain_counts, order_complex
 
 from oracles import (
     scan_atoms,
@@ -101,6 +102,23 @@ class TestOrderAgainstScans:
     def test_generated_arrangements(self, n, d, seed):
         L = enumerate_covectors(homogenize(generate_arrangement(n, d, seed=seed)))
         check_order(L)
+
+
+class TestChainCounts:
+    """`verify` reads the order complex's f-vector off the order by
+    counting chains; the order complex itself is the oracle."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(sign_vector_sets())
+    def test_random_sign_vector_sets(self, L):
+        P = L.order()
+        assert _chain_counts(P) == order_complex(P).f_vector()
+
+    @pytest.mark.parametrize("n,d,seed", [(4, 2, 0), (4, 3, 0)])
+    def test_bounded_complexes(self, n, d, seed):
+        L = enumerate_covectors(homogenize(generate_arrangement(n, d, seed=seed)))
+        P = AffineOM(L).bounded_complex().as_poset()
+        assert _chain_counts(P) == order_complex(P).f_vector()
 
 
 class TestUpperIntervals:

@@ -183,6 +183,21 @@ class TestSimplicialComplex:
         K = SimplicialComplex([[1]])
         assert K.link(1) == SimplicialComplex.empty()
 
+    def test_set_vertex_is_a_vertex(self):
+        # the order complex of a face poset has frozenset vertices
+        K = order_complex(face_poset(SimplicialComplex.simplex([1, 2])))
+        a, ab = frozenset({1}), frozenset({1, 2})
+        assert K.link(a) == K.link([a]) == SimplicialComplex([[ab]])
+        assert K.star(ab) == K.star([ab]) == K
+
+    def test_tuple_vertex_is_a_vertex(self):
+        # a relabelled join tags each vertex v as (0, v) or (1, v)
+        J = SimplicialComplex([[1, 2]]).join(
+            SimplicialComplex([[1]]), relabel=True
+        )
+        assert J.link((0, 1)) == SimplicialComplex([[(0, 2), (1, 1)]])
+        assert J.star((1, 1)) == J
+
     def test_join_with_empty_complex(self):
         K = SimplicialComplex([[1, 2], [2, 3]])
         assert SimplicialComplex.empty().join(K) == K
@@ -505,6 +520,52 @@ class TestCollapse:
         assert verify_collapse(cone, res.certificate)
 
 
+class TestCellCollapse:
+    """`find_collapse` and `verify_collapse` on a poset: the cells are
+    its elements, the facets of a cell its lower covers."""
+
+    def test_face_poset_of_a_simplex(self):
+        P = face_poset(SimplicialComplex.simplex([1, 2, 3]))
+        res = find_collapse(P)
+        assert res.collapsed and verify_collapse(P, res.certificate)
+        # 7 cells: three pairs and the terminal vertex
+        assert len(res.certificate.steps) == 3
+        assert res.certificate.steps[0] == (
+            frozenset({1, 2}), frozenset({1, 2, 3})
+        )
+        assert res.certificate.terminal in P.minimal_elements()
+        assert res.certificate.to_json()["steps"][0] == [
+            "frozenset({1, 2})", "frozenset({1, 2, 3})"
+        ]
+
+    def test_matches_the_order_complex(self):
+        for K in LINK_COMPLEXES.values():
+            P = face_poset(K)
+            cell = find_collapse(P)
+            simp = find_collapse(order_complex(P))
+            assert cell.collapsed == simp.collapsed
+            if cell.collapsed:
+                assert verify_collapse(P, cell.certificate)
+
+    def test_boundary_of_a_simplex_exhausts(self):
+        res = find_collapse(face_poset(SimplicialComplex.simplex_boundary(range(4))))
+        assert res.status == "exhausted" and res.search_complete
+
+    def test_disconnected_and_empty_rejected(self):
+        with pytest.raises(PreconditionError):
+            find_collapse(face_poset(SimplicialComplex([[1, 2], [3, 4]])))
+        with pytest.raises(PreconditionError):
+            find_collapse(Poset([], lambda a, b: a == b))
+
+    def test_replay_names_the_step(self):
+        # a chain a < b < c collapses by (b, c); (a, b) leaves c above b
+        P = Poset("abc", lambda x, y: x <= y)
+        res = find_collapse(P)
+        assert res.certificate == CollapseCertificate((("b", "c"),), "a")
+        with pytest.raises(DomainError, match="collapse step 0: 'b' is not maximal"):
+            verify_collapse(P, CollapseCertificate((("a", "b"),), "c"))
+
+
 class TestCollapseGivesPointHomology:
     """A replayed collapse stands in for `homology` on the order
     complex; check that `homology` gives the point table it assumes."""
@@ -691,6 +752,27 @@ class TestClassifyLinks:
         classify_links(P)
         assert len(P) == 26
         assert len(calls) == 26
+
+    def test_one_state_per_ball_like_link(self, monkeypatch):
+        # the collapse that certifies a ball-like upper factor also gives
+        # its homology, so the factor is reduced once, not twice
+        import omtop.topology as topology
+
+        P = face_poset(LINK_COMPLEXES["solid triangle"])
+        U = order_complex(P.strictly_above(frozenset({1})))
+        built = []
+        real_init = topology._CollapseState.__init__
+
+        def counting(self, X):
+            built.append(X)
+            real_init(self, X)
+
+        monkeypatch.setattr(topology._CollapseState, "__init__", counting)
+        res = classify_links(P)
+        (link,) = [v for v in res.verdicts if v.vertex == frozenset({1})]
+        assert (link.kind, link.certainty) == ("ball-like", "certified")
+        assert U.dim == 1
+        assert sum(X == U for X in built) == 1
 
     def test_path_graph(self):
         res = classify_links(face_poset(LINK_COMPLEXES["path"]))

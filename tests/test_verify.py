@@ -7,16 +7,18 @@ from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet, atoms, verify_covector_axioms
 from omtop.realization import Arrangement, enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector as S
+from omtop.errors import DomainError
 from omtop.topology import (
     CollapseCertificate,
     CollapseResult,
-    SimplicialComplex,
     classify_links,
+    find_collapse,
     order_complex,
+    verify_collapse,
 )
 from omtop.verify import VERDICTS, verify_arrangement, verify_covectors
 
-from oracles import link_facts, link_sweep
+from oracles import link_facts, link_sweep, verify_on_the_order_complex
 
 
 def _counting(monkeypatch, module, name):
@@ -339,33 +341,44 @@ def _grid(k: int) -> Arrangement:
     )
 
 
+CORPUS = ["line", "triangle", "four-line", "(4,2,0)", "(5,2,1)", "(4,3,0)",
+          "(5,3,0)", "pinch2", "pinch3", "grid3x3"]
+
+
+@pytest.fixture
+def named(line_arr, tri_arr, four_arr):
+    """The corpus arrangement of a name: a fixture, a pinch, a grid or
+    `generate_arrangement(n, d, seed)` for "(n,d,seed)"."""
+    arrangements = {
+        "line": line_arr,
+        "triangle": tri_arr,
+        "four-line": four_arr,
+        "pinch2": _pinch(2),
+        "pinch3": _pinch(3),
+        "grid3x3": _grid(3),
+    }
+
+    def arrangement(name):
+        if name in arrangements:
+            return arrangements[name]
+        n, d, seed = map(int, name.strip("()").split(","))
+        return generate_arrangement(n, d, seed=seed)
+
+    return arrangement
+
+
+def _cells(A):
+    """The cell poset L++ of an arrangement."""
+    return bounded_complex(AffineOM(enumerate_covectors(homogenize(A)))).as_poset()
+
+
 class TestLinksByUpperFactor:
     """`classify_links` on the cell poset agrees, cell by cell, with the
     sweep that certifies each whole vertex link of the order complex."""
 
-    @pytest.mark.parametrize(
-        "name",
-        ["line", "triangle", "four-line", "(4,2,0)", "(5,2,1)", "(4,3,0)",
-         "(5,3,0)", "pinch2", "pinch3", "grid3x3"],
-    )
-    def test_matches_the_vertex_link_sweep(
-        self, name, line_arr, tri_arr, four_arr
-    ):
-        arrangements = {
-            "line": line_arr,
-            "triangle": tri_arr,
-            "four-line": four_arr,
-            "pinch2": _pinch(2),
-            "pinch3": _pinch(3),
-            "grid3x3": _grid(3),
-        }
-        if name in arrangements:
-            A = arrangements[name]
-        else:
-            n, d, seed = map(int, name.strip("()").split(","))
-            A = generate_arrangement(n, d, seed=seed)
-        L = enumerate_covectors(homogenize(A))
-        P = bounded_complex(AffineOM(L)).as_poset()
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_matches_the_vertex_link_sweep(self, name, named):
+        P = _cells(named(name))
         got = classify_links(P)
         assert link_facts(got) == link_facts(link_sweep(order_complex(P)))
         assert got.any_refuted == name.startswith(("four-line", "pinch"))
@@ -374,29 +387,109 @@ class TestLinksByUpperFactor:
     def test_verify_takes_no_link_of_the_order_complex(
         self, name, four_arr, monkeypatch
     ):
+        # the collapse runs on the cells, so once it replays no order
+        # complex of L++ is built: only the links' upper factors
+        import omtop.topology as topology
         import omtop.verify as verify
 
         A = four_arr if name == "four-line" else generate_arrangement(4, 3, 0)
-        seen = []
-        real_order_complex = verify.order_complex
+        built = []
+        real_order_complex = topology.order_complex
 
         def recording(P):
-            K = real_order_complex(P)
-            seen.append(K)
-            return K
+            built.append(P)
+            return real_order_complex(P)
 
         monkeypatch.setattr(verify, "order_complex", recording)
-        linked = []
-        real_link = SimplicialComplex.link
-
-        def link(self, face):
-            linked.append(self)
-            return real_link(self, face)
-
-        monkeypatch.setattr(SimplicialComplex, "link", link)
+        monkeypatch.setattr(topology, "order_complex", recording)
         rep = verify_arrangement(A)
         assert rep.verdict == (
             "refuted" if name == "four-line" else "ball-certified"
         )
-        (K,) = seen
-        assert not any(L is K for L in linked)
+        assert rep.stages["collapse"]["replay_ok"] is True
+        assert built
+        assert all(len(Q) < rep.stages["bounded"]["size"] for Q in built)
+
+
+def _replays(X) -> bool:
+    res = find_collapse(X)
+    return res.collapsed and verify_collapse(X, res.certificate)
+
+
+class TestCellCollapse:
+    """`verify` collapses the cells of L++; the old path, the collapse of
+    the order complex K = Delta(L++), is the oracle."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_matches_the_order_complex(self, name, named):
+        A = named(name)
+        P = _cells(A)
+        assert _replays(P) == _replays(order_complex(P))
+        new = verify_arrangement(A).to_json()
+        old = verify_on_the_order_complex(A).to_json()
+        assert new["verdict"] == old["verdict"]
+        assert new["reasons"] == old["reasons"]
+        for rep in (new, old):
+            del rep["stages"]["collapse"]["certificate"]
+            del rep["stages"]["collapse"]["nodes"]
+        assert new == old
+
+
+class TestCorruptedCellCertificate:
+    """Every corruption of a cell certificate fails its replay at the
+    step it corrupts."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        P = _cells(generate_arrangement(4, 2, seed=0))
+        cert = find_collapse(P).certificate
+        assert verify_collapse(P, cert)
+        return P, cert
+
+    @staticmethod
+    def replay(P, steps, terminal, match):
+        with pytest.raises(DomainError, match=match):
+            verify_collapse(P, CollapseCertificate(tuple(steps), terminal))
+
+    def test_pair_that_is_not_a_cover(self, cells):
+        P, cert = cells
+        steps = list(cert.steps)
+        sigma, tau = steps[0]
+        steps[0] = (P.lower_covers(sigma)[0], tau)
+        self.replay(P, steps, cert.terminal, "collapse step 0: .* not a facet")
+
+    def test_sigma_with_a_second_live_coface(self, cells):
+        P, cert = cells
+        tau = cert.steps[0][1]
+        shared = [s for s in P.lower_covers(tau) if len(P.upper_covers(s)) == 2]
+        assert shared
+        steps = [(shared[0], tau)] + list(cert.steps[1:])
+        self.replay(P, steps, cert.terminal, "collapse step 0: .* not free")
+
+    def test_tau_that_is_not_maximal(self, cells):
+        P, cert = cells
+        sigma = cert.steps[0][0]
+        steps = [(P.lower_covers(sigma)[0], sigma)] + list(cert.steps[1:])
+        self.replay(P, steps, cert.terminal, "collapse step 0: .* not maximal")
+
+    def test_repeated_cell(self, cells):
+        P, cert = cells
+        steps = [cert.steps[0]] + list(cert.steps)
+        self.replay(P, steps, cert.terminal, "collapse step 1: .* not a live face")
+
+    def test_truncated_steps(self, cells):
+        P, cert = cells
+        n = len(cert.steps) - 1
+        self.replay(
+            P, cert.steps[:-1], cert.terminal,
+            f"after {n} collapse steps: replay leaves 3 faces",
+        )
+
+    def test_wrong_terminal(self, cells):
+        P, cert = cells
+        other = next(x for x in P.minimal_elements() if x != cert.terminal)
+        n = len(cert.steps)
+        self.replay(
+            P, cert.steps, other,
+            f"after {n} collapse steps: replay leaves 1 faces",
+        )

@@ -4,9 +4,13 @@ An arrangement a_i . x = b_i in R^d is homogenized to the vector
 configuration (a_i, -b_i) on d+1 variables with the extra form
 t = (0,...,0,1) playing the distinguished element g.  Covectors of the
 resulting affine oriented matroid are exactly the feasible sign
-patterns, decided over the rationals: zero signs become equations and
-are substituted out, strict signs go through Fourier-Motzkin
-elimination with strictness tracking.  No floating point anywhere.
+patterns.  Each hyperplane or form is scaled once, when its
+`Arrangement` or `VectorConfiguration` is built, to its primitive
+integer row, a positive multiple with the same sign at every point.
+From there on, all arithmetic is on integers: zero signs become
+equations and are substituted out, strict signs go through
+Fourier-Motzkin elimination with strictness tracking, and ranks come
+from fraction-free elimination.  No floating point anywhere.
 
 The module also hosts the geometric boundedness oracle (a face is
 bounded iff its recession cone is the origin), which is the independent
@@ -16,9 +20,9 @@ cross-check for every bounded-complex face count downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DimensionError,
@@ -37,21 +41,6 @@ _EQ, _GE, _GT = 0, 1, 2
 # ---------------------------------------------------------------------------
 # exact linear feasibility
 # ---------------------------------------------------------------------------
-
-
-def _to_int_row(coeffs, const, rel):
-    """Scale a rational row to a primitive integer row."""
-    fracs = [Fraction(c) for c in coeffs] + [Fraction(const)]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return (tuple(ints[:-1]), ints[-1], rel)
 
 
 def _const_ok(const: int, rel: int) -> bool:
@@ -74,10 +63,11 @@ def _normalize(coeffs, const, rel):
 
 def feasible(rows, nvars: int) -> bool:
     """Is there a real point satisfying every row (coeffs, const, rel),
-    read as coeffs . x + const REL 0?  Decided exactly."""
+    read as coeffs . x + const REL 0?  Decided exactly.  Every entry
+    must be an `int`, as in the rows an `Arrangement` or a
+    `VectorConfiguration` keeps; no row is rescaled here."""
     work = []
     for coeffs, const, rel in rows:
-        coeffs, const, rel = _to_int_row(coeffs, const, rel)
         if len(coeffs) != nvars:
             raise DimensionError(
                 f"row has {len(coeffs)} coefficients, expected {nvars}"
@@ -164,14 +154,30 @@ def feasible(rows, nvars: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _primitive_row(entries) -> tuple[int, ...]:
+    """The primitive integer row that is a positive multiple of the
+    given rationals (a zero row stays zero)."""
+    fracs = [Fraction(c) for c in entries]
+    mult = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (mult // f.denominator) for f in fracs]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
 @dataclass(frozen=True)
 class Arrangement:
-    """A finite list of affine hyperplanes a . x = b in R^dim."""
+    """A finite list of affine hyperplanes a . x = b in R^dim, as given
+    in `normals` and `offsets`, and as the primitive integer row, a
+    positive multiple of (a, -b), in `rows`."""
 
     dim: int
     labels: tuple[str, ...]
     normals: tuple[tuple[Fraction, ...], ...]
     offsets: tuple[Fraction, ...]
+    rows: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _essential: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -196,6 +202,11 @@ class Arrangement:
                 )
             if not any(a):
                 raise DomainError(f"hyperplane {lab!r} has a zero normal")
+        rows = tuple(_primitive_row(a + (-b,)) for a, b in self.hyperplanes())
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(
+            self, "_essential", _rank([r[:-1] for r in rows]) == self.dim
+        )
 
     @property
     def n(self) -> int:
@@ -204,29 +215,14 @@ class Arrangement:
     def hyperplanes(self):
         return tuple(zip(self.normals, self.offsets))
 
-    def _primitive(self, i: int):
-        """Scale (normal, offset) to a primitive integer vector with
-        positive leading entry; equal results = equal hyperplanes."""
-        row = list(self.normals[i]) + [self.offsets[i]]
-        mult = 1
-        for f in row:
-            mult = mult * f.denominator // gcd(mult, f.denominator)
-        ints = [int(f * mult) for f in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v)
-        if lead < 0:
-            ints = [-v for v in ints]
-        return tuple(ints)
-
     def repeated_hyperplanes(self) -> list[tuple[str, str]]:
-        """Pairs of labels naming the same hyperplane (up to scaling)."""
+        """Pairs of labels naming the same hyperplane (up to scaling):
+        their integer rows are equal up to sign."""
         seen: dict[tuple, str] = {}
         dups = []
-        for i, lab in enumerate(self.labels):
-            key = self._primitive(i)
+        for lab, row in zip(self.labels, self.rows):
+            lead = next(v for v in row if v)
+            key = row if lead > 0 else tuple(-v for v in row)
             if key in seen:
                 dups.append((seen[key], lab))
             else:
@@ -236,10 +232,11 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class VectorConfiguration:
-    """Homogenized forms on d+1 variables; the g form (0,...,0,1) last."""
+    """Homogenized forms on d+1 variables; the g form (0,...,0,1) last.
+    Each form is kept as its primitive integer row."""
 
     nvars: int
-    forms: tuple[tuple[Fraction, ...], ...]
+    forms: tuple[tuple[int, ...], ...]
     ground: GroundSet
 
     def __post_init__(self):
@@ -252,6 +249,9 @@ class VectorConfiguration:
                 raise DimensionError(
                     f"form {f} has length {len(f)}, expected {self.nvars}"
                 )
+        object.__setattr__(
+            self, "forms", tuple(_primitive_row(f) for f in self.forms)
+        )
 
     @property
     def n_forms(self) -> int:
@@ -268,12 +268,14 @@ def _g_label(labels) -> str:
 
 
 def homogenize(A: Arrangement) -> VectorConfiguration:
-    """Forms (a_i, -b_i) plus the homogenizing form t, labeled g."""
-    forms = [a + (-b,) for a, b in zip(A.normals, A.offsets)]
-    forms.append((Fraction(0),) * A.dim + (Fraction(1),))
+    """The hyperplanes' integer rows, positive multiples of (a_i, -b_i),
+    plus the homogenizing form t, labeled g."""
+    t = (0,) * A.dim + (1,)
     glab = _g_label(A.labels)
     ground = GroundSet(A.labels + (glab,), g=glab)
-    return VectorConfiguration(nvars=A.dim + 1, forms=tuple(forms), ground=ground)
+    return VectorConfiguration(
+        nvars=A.dim + 1, forms=A.rows + (t,), ground=ground
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +289,6 @@ def _sign_row(coeffs, const, sign: Sign):
     if sign is Sign.PLUS:
         return (coeffs, const, _GT)
     return (tuple(-c for c in coeffs), -const, _GT)
-
-
-def pattern_feasible(V: VectorConfiguration, P: SignVector) -> bool:
-    """Is there a point y with sign(form_i(y)) = P_i for every i?"""
-    if P.n != V.n_forms:
-        raise DimensionError(
-            f"pattern has length {P.n}, configuration has {V.n_forms} forms"
-        )
-    rows = [
-        _sign_row(f, Fraction(0), P.sign(i)) for i, f in enumerate(V.forms)
-    ]
-    return feasible(rows, V.nvars)
 
 
 def _enumerate_patterns(rows_by_sign, n: int, nvars: int):
@@ -334,9 +324,7 @@ def enumerate_covectors(V: VectorConfiguration, cap: int = 12) -> CovectorSet:
         raise ResourceExhausted(
             f"{V.n_forms} forms exceed the enumeration cap of {cap}"
         )
-    rows_by_sign = [
-        {s: _sign_row(f, Fraction(0), s) for s in Sign} for f in V.forms
-    ]
+    rows_by_sign = [{s: _sign_row(f, 0, s) for s in Sign} for f in V.forms]
     vecs = _enumerate_patterns(rows_by_sign, V.n_forms, V.nvars)
     return CovectorSet(V.ground, vecs)
 
@@ -346,69 +334,65 @@ def enumerate_covectors(V: VectorConfiguration, cap: int = 12) -> CovectorSet:
 # ---------------------------------------------------------------------------
 
 
-def _affine_rows_by_sign(A: Arrangement):
-    return [
-        {s: _sign_row(a, -b, s) for s in Sign}
-        for a, b in zip(A.normals, A.offsets)
-    ]
-
-
 def affine_pattern_feasible(A: Arrangement, P: SignVector) -> bool:
     """Is the relatively open face {x : sign(a_i . x - b_i) = P_i} nonempty?"""
     if P.n != A.n:
         raise DimensionError(
             f"pattern has length {P.n}, arrangement has {A.n} hyperplanes"
         )
-    rows = [
-        _sign_row(a, -b, P.sign(i))
-        for i, (a, b) in enumerate(zip(A.normals, A.offsets))
-    ]
+    rows = [_sign_row(r[:-1], r[-1], P.sign(i)) for i, r in enumerate(A.rows)]
     return feasible(rows, A.dim)
 
 
 def enumerate_affine_faces(A: Arrangement):
     """All affine sign patterns with a nonempty face."""
-    return _enumerate_patterns(_affine_rows_by_sign(A), A.n, A.dim)
+    rows_by_sign = [
+        {s: _sign_row(r[:-1], r[-1], s) for s in Sign} for r in A.rows
+    ]
+    return _enumerate_patterns(rows_by_sign, A.n, A.dim)
 
 
 def face_bounded(A: Arrangement, P: SignVector) -> bool:
-    """Is the face with sign pattern P bounded?  Exact criterion: the
-    recession cone {u : a_i.u = 0 where P_i = 0, sign(a_i.u) in {0,P_i}
-    elsewhere} is the origin alone."""
+    """Is the nonempty face with sign pattern P bounded, i.e. is its
+    recession cone C = {u : a_i.u = 0 where P_i = 0, P_i a_i.u >= 0
+    elsewhere} the origin alone?  One feasibility test decides it.  In
+    a non-essential arrangement every face contains a line.  Otherwise
+    the normals span, so a nonzero u in C has some a_i.u != 0, hence
+    P_i a_i.u > 0 for some i outside the zero set of P; then the sum of
+    P_i a_i.u over those i is positive and scales to 1, while it is 0
+    at u = 0.  So the face is bounded iff no u in C makes that sum 1."""
     if not affine_pattern_feasible(A, P):
         raise PreconditionError(f"face {P} is empty")
+    if not A._essential:
+        return False
     cone = []
-    for i, a in enumerate(A.normals):
-        s = P.sign(i)
-        if s is Sign.ZERO:
-            cone.append((a, 0, _EQ))
-        elif s is Sign.PLUS:
-            cone.append((a, 0, _GE))
-        else:
-            cone.append((tuple(-c for c in a), 0, _GE))
-    zero = (Fraction(0),) * A.dim
-    for j in range(A.dim):
-        for val in (1, -1):
-            unit = zero[:j] + (Fraction(val),) + zero[j + 1 :]
-            if feasible(cone + [(unit, -1, _EQ)], A.dim):
-                return False
-    return True
+    for i, r in enumerate(A.rows):
+        a, _, rel = _sign_row(r[:-1], 0, P.sign(i))
+        cone.append((a, 0, _GE if rel == _GT else _EQ))
+    total = tuple(
+        sum(a[j] for a, _, rel in cone if rel == _GE) for j in range(A.dim)
+    )
+    return not feasible(cone + [(total, -1, _EQ)], A.dim)
 
 
-def _rank(rows_of_fractions) -> int:
-    mat = [list(map(Fraction, r)) for r in rows_of_fractions]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
+def _rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss, Math. Comp.
+    1968) elimination.  After k pivots each entry below the pivot rows
+    is a (k+1)-minor, and by Sylvester's identity the update divides
+    exactly by the previous pivot, a k-minor, so entries stay integers
+    bounded by the minors."""
+    mat = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(mat[0]) if mat else 0):
         piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c] / prow[c]
-                mat[r] = [x - f * y for x, y in zip(mat[r], prow)]
+        prow, p = mat[rank], mat[rank][c]
+        for r in range(rank + 1, len(mat)):
+            q = mat[r][c]
+            mat[r] = [(p * x - q * y) // prev for x, y in zip(mat[r], prow)]
+        prev = p
         rank += 1
         if rank == len(mat):
             break
@@ -418,14 +402,15 @@ def _rank(rows_of_fractions) -> int:
 def affine_face_dim(A: Arrangement, P: SignVector) -> int:
     """Dimension of the nonempty face with pattern P: the ambient
     dimension minus the rank of the normals it lies on."""
-    zero_normals = [A.normals[i] for i in sorted(P.zero_set())]
+    zero_normals = [A.rows[i][:-1] for i in sorted(P.zero_set())]
     if not zero_normals:
         return A.dim
     return A.dim - _rank(zero_normals)
 
 
 def is_essential(A: Arrangement) -> bool:
-    """Do the normals span the ambient space?
+    """Do the normals span the ambient space?  Decided once, when the
+    arrangement is built.
 
     Only for essential arrangements does metric boundedness of a face
     match the combinatorial notion (no nonzero covector below it with a
@@ -433,7 +418,7 @@ def is_essential(A: Arrangement) -> bool:
     that are combinatorially bounded but metrically unbounded, because
     the whole picture is a cylinder over a lower-dimensional arrangement.
     """
-    return _rank(A.normals) == A.dim
+    return A._essential
 
 
 def bounded_faces(A: Arrangement) -> dict[SignVector, int]:

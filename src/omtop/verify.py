@@ -141,7 +141,15 @@ def verify_covectors(
         reasons.append("bounded complex is not pure")
 
     # restrict to the common support for the star checks
-    if bc.support is not None and bc.support != frozenset(
+    if bc.support == frozenset((M.g_index,)):
+        stages["restriction"] = {
+            "applied": False,
+            "reason": "the bounded complex is one point supported by g "
+            "alone; deleting every other element leaves the excluded "
+            "trivial case |E| = 1",
+        }
+        M_full, bc_full = M, bc
+    elif bc.support is not None and bc.support != frozenset(
         range(len(L.ground))
     ):
         res = restrict_to_support(M)

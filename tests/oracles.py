@@ -20,6 +20,15 @@ and certifies all of it, with no join splitting, so it cross-checks
 `classify_links`, which certifies only the upper factor of each link
 of an order complex.
 
+`pattern_feasible` decides one sign pattern of a vector configuration
+with its own feasibility call, so a brute-force scan over all patterns
+cross-checks the pruned search of `enumerate_covectors`.
+
+`face_bounded_by_directions` is the boundedness test as it ran before
+the one-test criterion: it reads the arrangement's rational normals, not
+its integer rows, and runs one feasibility test per signed coordinate
+direction, so it cross-checks `realization.face_bounded`.
+
 `verify_on_the_order_complex` runs the pipeline with its collapse found
 and replayed on the order complex K = Delta(L++) and K's f-vector read
 from K, so it cross-checks `verify`, which collapses the cells of L++
@@ -27,11 +36,13 @@ and counts the chains of L++.
 """
 
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import omtop.verify
-from omtop.errors import OmtopError, PreconditionError
+from omtop.errors import DimensionError, OmtopError, PreconditionError
 from omtop.matroid import AxiomReport
+from omtop.realization import _EQ, _GE, _sign_row, feasible
 from omtop.signvec import Sign, SignVector
 from omtop.topology import (
     HomologyTable,
@@ -70,6 +81,55 @@ def _rank_over_q(rows: list[list[int]]) -> int:
                     m[r][c] -= f * m[rank][c]
         rank += 1
     return rank
+
+
+def pattern_feasible(V, P: SignVector) -> bool:
+    """Is there a point y with sign(form_i(y)) = P_i for every i?"""
+    if P.n != V.n_forms:
+        raise DimensionError(
+            f"pattern has length {P.n}, configuration has {V.n_forms} forms"
+        )
+    rows = [_sign_row(f, 0, P.sign(i)) for i, f in enumerate(V.forms)]
+    return feasible(rows, V.nvars)
+
+
+def _to_int_row(coeffs, const, rel):
+    """Scale a rational row to a primitive integer row."""
+    fracs = [Fraction(c) for c in coeffs] + [Fraction(const)]
+    mult = 1
+    for f in fracs:
+        mult = mult * f.denominator // gcd(mult, f.denominator)
+    ints = [int(f * mult) for f in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    return (tuple(ints[:-1]), ints[-1], rel)
+
+
+def face_bounded_by_directions(A, P) -> bool:
+    """Is the nonempty face with sign pattern P bounded?  Its recession
+    cone {u : a_i.u = 0 where P_i = 0, sign(a_i.u) in {0, P_i}
+    elsewhere}, over the rational normals, meets no hyperplane
+    u_j = +1 or u_j = -1: 2d feasibility tests."""
+    cone = []
+    for i, a in enumerate(A.normals):
+        s = P.sign(i)
+        if s is Sign.ZERO:
+            cone.append((a, Fraction(0), _EQ))
+        elif s is Sign.PLUS:
+            cone.append((a, Fraction(0), _GE))
+        else:
+            cone.append((tuple(-c for c in a), Fraction(0), _GE))
+    zero = (Fraction(0),) * A.dim
+    for j in range(A.dim):
+        for val in (1, -1):
+            unit = zero[:j] + (Fraction(val),) + zero[j + 1 :]
+            rows = cone + [(unit, Fraction(-1), _EQ)]
+            if feasible([_to_int_row(*r) for r in rows], A.dim):
+                return False
+    return True
 
 
 def rational_betti(K: SimplicialComplex) -> tuple[int, ...]:

@@ -112,6 +112,35 @@ class TestVerify:
         assert "covectors" in out.splitlines()[0]
         assert "verdict: ball-certified" in out
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dim 2\nx 1 0 0\ny 0 1 0\n",
+            "dim 2\nx 1 0 0\ny 0 1 0\nz 1 1 0\n",
+            "dim 1\nx 1 0\n",
+            "dim 3\nx 1 0 0 0\ny 0 1 0 0\nz 0 0 1 0\n",
+        ],
+        ids=["two-lines", "three-concurrent", "point-on-line", "three-planes"],
+    )
+    def test_single_point_supported_by_g(self, tmp_path, capsys, text):
+        """L++ is one vertex whose support is g alone: there is nothing to
+        restrict to, and the point is certified as it stands."""
+        p = tmp_path / "point.arr"
+        p.write_text(text)
+        report = tmp_path / "r.json"
+        assert main(["verify", str(p), "--json", str(report),
+                     "--no-timestamp"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: ball-certified" in out
+        assert "links: 1 sphere-like" in out
+        payload = json.loads(report.read_text())
+        stages = payload["stages"]
+        assert stages["bounded"]["f_vector"] == [1]
+        assert stages["restriction"]["applied"] is False
+        assert "|E| = 1" in stages["restriction"]["reason"]
+        assert stages["collapse"]["certificate"]["steps"] == []
+        assert stages["collapse"]["replay_ok"] is True
+
 
 class TestAxioms:
     def test_realized_set_passes(self, files, capsys):

@@ -9,8 +9,11 @@ shares no search code with it.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FOURLINE_ROWS, LINE_ROWS, TRIANGLE_ROWS, mk_arrangement
+from oracles import _rank_over_q, face_bounded_by_directions, pattern_feasible
 from omtop.errors import (
     DimensionError,
     DomainError,
@@ -19,15 +22,18 @@ from omtop.errors import (
     ResourceExhausted,
 )
 from omtop.matroid import verify_covector_axioms
+from omtop.generate import generate_arrangement
 from omtop.realization import (
     _EQ,
     _GE,
     _GT,
     Arrangement,
     VectorConfiguration,
+    _rank,
     affine_face_dim,
     affine_pattern_feasible,
     bounded_face_census,
+    bounded_faces,
     enumerate_affine_faces,
     enumerate_covectors,
     face_bounded,
@@ -35,9 +41,9 @@ from omtop.realization import (
     format_arrangement,
     homogenize,
     parse_arrangement_file,
-    pattern_feasible,
 )
-from omtop.signvec import SignVector
+from omtop.signvec import GroundSet, SignVector
+from omtop.verify import verify_arrangement, verify_covectors
 
 S = SignVector.from_string
 F = Fraction
@@ -69,9 +75,10 @@ class TestFeasibleEngine:
         assert not feasible(rows + [((0, 1), 0, _GT)], 2)
 
     def test_rational_bounds(self):
-        # 1/3 < x < 2/5 is nonempty; 2/5 < x < 1/3 is not
-        assert feasible([((1,), F(-1, 3), _GT), ((-1,), F(2, 5), _GT)], 1)
-        assert not feasible([((1,), F(-2, 5), _GT), ((-1,), F(1, 3), _GT)], 1)
+        # 1/3 < x < 2/5, as 3x - 1 > 0 and -5x + 2 > 0, is nonempty;
+        # 2/5 < x < 1/3, as 5x - 2 > 0 and -3x + 1 > 0, is not
+        assert feasible([((3,), -1, _GT), ((-5,), 2, _GT)], 1)
+        assert not feasible([((5,), -2, _GT), ((-3,), 1, _GT)], 1)
 
     def test_chained_strict(self):
         # 0 < x < y < 1
@@ -355,3 +362,154 @@ class TestVectorConfiguration:
             VectorConfiguration(
                 nvars=2, forms=V.forms[:2], ground=V.ground
             )
+
+
+# x = 1/3, y = -2/5 and x/2 + 3y/4 = 7/6 bound a triangle
+RATIONAL_ROWS = [
+    ("x", (1, 0), F(1, 3)),
+    ("y", (0, 1), F(-2, 5)),
+    ("s", (F(1, 2), F(3, 4)), F(7, 6)),
+]
+
+
+def _scaled(rows, factors):
+    """Each row (label, normal, offset) times its own positive factor."""
+    return [
+        (lab, tuple(k * c for c in a), k * b)
+        for (lab, a, b), k in zip(rows, factors)
+    ]
+
+
+def _grid_rows(k):
+    """Lines x = 0..k and y = 0..k: a k x k grid of squares."""
+    return [(f"x{i}", (1, 0), i) for i in range(k + 1)] + [
+        (f"y{i}", (0, 1), i) for i in range(k + 1)
+    ]
+
+
+class TestOneTestBoundedness:
+    @pytest.mark.parametrize(
+        "dim,rows",
+        [
+            (1, LINE_ROWS),
+            (2, TRIANGLE_ROWS),
+            (2, FOURLINE_ROWS),
+            (2, _grid_rows(3)),
+            (2, RATIONAL_ROWS),
+        ],
+        ids=["line", "triangle", "four-line", "grid3x3", "rational"],
+    )
+    def test_agrees_with_direction_test(self, dim, rows):
+        A = mk_arrangement(dim, rows)
+        faces = enumerate_affine_faces(A)
+        got = [face_bounded(A, P) for P in faces]
+        assert got == [face_bounded_by_directions(A, P) for P in faces]
+        assert any(got)
+
+    @pytest.mark.parametrize("n,d,seed", [(4, 2, 0), (5, 3, 0), (4, 3, 0)])
+    def test_agrees_on_generated(self, n, d, seed):
+        A = generate_arrangement(n, d, seed=seed)
+        for P in enumerate_affine_faces(A):
+            assert face_bounded(A, P) == face_bounded_by_directions(A, P)
+
+    def test_non_essential_has_no_bounded_face(self):
+        A = mk_arrangement(2, [("a", (1, 0), 0), ("b", (1, 0), 1)])
+        faces = enumerate_affine_faces(A)
+        assert len(faces) == 5
+        for P in faces:
+            assert not face_bounded(A, P)
+            assert not face_bounded_by_directions(A, P)
+
+
+def _matrices(rows=st.integers(1, 5), cols=st.integers(1, 5)):
+    return st.tuples(rows, cols).flatmap(
+        lambda rc: st.lists(
+            st.lists(st.integers(-9, 9), min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0],
+            max_size=rc[0],
+        )
+    )
+
+
+@st.composite
+def _deficient_matrices(draw):
+    """Integer combinations of k base rows, more rows than k."""
+    base = draw(_matrices(rows=st.integers(1, 3), cols=st.integers(2, 6)))
+    m = draw(st.integers(len(base) + 1, len(base) + 4))
+    coeffs = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=len(base),
+                     max_size=len(base)),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    return [
+        [sum(c * b[j] for c, b in zip(row, base)) for j in range(len(base[0]))]
+        for row in coeffs
+    ]
+
+
+class TestIntegerRank:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_matrices())
+    def test_matches_rank_over_q(self, M):
+        assert _rank(M) == _rank_over_q(M)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_deficient_matrices())
+    def test_rank_deficient_matches_rank_over_q(self, M):
+        r = _rank(M)
+        assert r == _rank_over_q(M)
+        assert r < len(M)
+
+    def test_does_not_modify_its_input(self):
+        M = [[2, 4], [1, 3]]
+        assert _rank(M) == 2
+        assert M == [[2, 4], [1, 3]]
+
+
+class TestRationalsAtTheBoundary:
+    FACTORS = (F(2, 3), F(5), F(7, 4))
+
+    def test_rows_are_primitive_integer_multiples(self):
+        A = mk_arrangement(2, RATIONAL_ROWS)
+        assert A.rows == ((3, 0, -1), (0, 5, 2), (6, 9, -14))
+        assert A.normals[2] == (F(1, 2), F(3, 4))
+        assert A.offsets == (F(1, 3), F(-2, 5), F(7, 6))
+
+    def test_scaled_arrangement_gives_the_same_answers(self):
+        A = mk_arrangement(2, RATIONAL_ROWS)
+        B = mk_arrangement(2, _scaled(RATIONAL_ROWS, self.FACTORS))
+        assert A != B and A.rows == B.rows
+        assert (
+            enumerate_covectors(homogenize(A)).covectors
+            == enumerate_covectors(homogenize(B)).covectors
+        )
+        faces = bounded_faces(A)
+        assert faces == bounded_faces(B)
+        assert sorted(faces.values()) == [0, 0, 0, 1, 1, 1, 2]
+        rep_a = verify_arrangement(A)
+        assert rep_a.verdict == "ball-certified"
+        assert rep_a.to_json() == verify_arrangement(B).to_json()
+
+    def test_scaled_configuration_gives_the_same_answers(self):
+        ground = GroundSet(["x", "y", "s", "g"], g="g")
+        forms = [a + (-b,) for _, a, b in RATIONAL_ROWS] + [(0, 0, 1)]
+        factors = self.FACTORS + (F(3, 2),)
+        V = VectorConfiguration(nvars=3, forms=tuple(forms), ground=ground)
+        W = VectorConfiguration(
+            nvars=3,
+            forms=tuple(
+                tuple(k * c for c in f) for f, k in zip(forms, factors)
+            ),
+            ground=ground,
+        )
+        assert V.forms == W.forms
+        assert all(type(c) is int for f in V.forms for c in f)
+        L, M = enumerate_covectors(V), enumerate_covectors(W)
+        assert L.covectors == M.covectors
+        rep = verify_covectors(L)
+        assert rep.verdict == "ball-certified"
+        assert rep.to_json() == verify_covectors(M).to_json()
+

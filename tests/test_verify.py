@@ -175,6 +175,45 @@ class TestEachFactOnce:
         assert len(calls) == 19
         assert rep.stages["boundedness_oracle"]["matches_f_vector"]
 
+    def test_realization_computes_only_on_integers(self, monkeypatch):
+        import omtop.realization as realization
+        from fractions import Fraction as F
+
+        rows = _counting(monkeypatch, realization, "feasible")
+        mats = _counting(monkeypatch, realization, "_rank")
+        # x = 1/3, y = -2/5 and x/2 + 3y/4 = 7/6 bound a triangle
+        A = Arrangement(
+            dim=2,
+            labels=("x", "y", "s"),
+            normals=((1, 0), (0, 1), (F(1, 2), F(3, 4))),
+            offsets=(F(1, 3), F(-2, 5), F(7, 6)),
+        )
+        rep = verify_arrangement(A)
+        assert rep.verdict == "ball-certified"
+        assert rows and mats
+        for system, _nvars in rows:
+            for coeffs, const, _rel in system:
+                assert all(type(c) is int for c in coeffs + (const,))
+        for (mat,) in mats:
+            assert all(type(c) is int for r in mat for c in r)
+
+    @pytest.mark.parametrize("n,d,seed", [(4, 2, 0), (4, 3, 0)])
+    def test_at_most_two_feasibility_tests_per_face(
+        self, n, d, seed, monkeypatch
+    ):
+        import omtop.realization as realization
+
+        A = generate_arrangement(n, d, seed=seed)
+        assert realization.is_essential(A)
+        faces = realization.enumerate_affine_faces(A)
+        calls = _counting(monkeypatch, realization, "feasible")
+        bounded = 0
+        for P in faces:
+            del calls[:]
+            bounded += realization.face_bounded(A, P)
+            assert len(calls) <= 2
+        assert bounded > 0
+
     def test_one_star_per_bounded_cell(self, tri_om, monkeypatch):
         import omtop.bounded as bounded
         from omtop.verify import _star_checks

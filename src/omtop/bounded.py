@@ -13,7 +13,9 @@ condition, and the lower/upper link decomposition.
 
 Every verification op returns a report with witnesses instead of
 asserting; statements that are theorems for genuine oriented matroids
-raise only when their failure proves the input was not one.
+raise only when their failure proves the input was not one.  The cube,
+restriction and bijection checks test only what can fail on any set of
+sign vectors; each docstring names the lemma that decides the rest.
 """
 
 from __future__ import annotations
@@ -236,7 +238,9 @@ class SupportRestriction:
 
 def restrict_to_support(M: AffineOM) -> SupportRestriction:
     """Delete the elements outside E1 and verify that the bounded
-    complexes correspond covector-for-covector, order included."""
+    complexes correspond covector-for-covector, order included.  Each
+    bounded covector is below a maximal one, so it is zero off E1 and
+    deletion is an order embedding of L++: only the image can fail."""
     bc = M.bounded_complex()
     if bc.support is None:
         raise PreconditionError(
@@ -256,16 +260,7 @@ def restrict_to_support(M: AffineOM) -> SupportRestriction:
     M2 = AffineOM(delete_minor(M.om, drop))
     bc2 = M2.bounded_complex()
     pairs = tuple((x, x.delete(drop_idx)) for x in bc.covectors)
-    image = [b for _, b in pairs]
-    ok = (
-        len(set(image)) == len(image)
-        and set(image) == set(bc2.covectors)
-        and all(
-            a1.below(a2) == b1.below(b2)
-            for a1, b1 in pairs
-            for a2, b2 in pairs
-        )
-    )
+    ok = {b for _, b in pairs} == set(bc2.covectors)
     return SupportRestriction(M, M2, tuple(drop), pairs, ok)
 
 
@@ -291,15 +286,16 @@ class CubeReport:
 def cube_isomorphism(L: CovectorSet, X: SignVector) -> CubeReport:
     """Check that Y -> Y minus supp(X) maps L_{>=X} isomorphically onto
     {+,-,0}^{z(X)}.  True whenever L is uniform; on other input the
-    report simply records how it fails."""
+    report simply records how it fails.  Each Y >= X equals X on
+    supp(X), so the deletion is an order embedding of L_{>=X} into the
+    cube, and onto it exactly when |L_{>=X}| = 3^|z(X)|."""
     if X not in L:
         raise MembershipError(f"{X} is not a covector of this set")
     if X.is_zero:
         raise PreconditionError("the zero covector is excluded")
     supp = sorted(X.support())
     zset = tuple(sorted(X.zero_set()))
-    order = L.order()
-    up = order.up_set(X)
+    up = L.order().up_set(X)
     pairs = tuple((y, y.delete(supp)) for y in up)
     expected = 3 ** len(zset)
     if len(up) != expected:
@@ -307,21 +303,6 @@ def cube_isomorphism(L: CovectorSet, X: SignVector) -> CubeReport:
             X, zset, expected, len(up), pairs, False,
             f"|L_>=X| = {len(up)}, expected 3^{len(zset)} = {expected}",
         )
-    images = {b for _, b in pairs}
-    if len(images) != len(pairs):
-        return CubeReport(
-            X, zset, expected, len(up), pairs, False,
-            "deletion of supp(X) is not injective on L_>=X",
-        )
-    # the image is all of the cube iff it has full size and lives there
-    for a1, b1 in pairs:
-        above = set(order.up_set(a1))
-        for a2, b2 in pairs:
-            if (a2 in above) != b1.below(b2):
-                return CubeReport(
-                    X, zset, expected, len(up), pairs, False,
-                    f"order mismatch on ({a1}, {a2})",
-                )
     return CubeReport(X, zset, expected, len(up), pairs, True)
 
 
@@ -413,33 +394,22 @@ class BijectionReport:
 
 
 def check_bijection(M: AffineOM, X: SignVector) -> BijectionReport:
+    """Check that r and h are inverse bijections between C_X and D_X.
+    Each t in C_X is >= X, so it is + at g and h(r(t)) = t: r is
+    injective and h inverts it, and only r(C_X) = D_X can fail."""
     star = M.star(X)
     problems = []
     dset = set(star.D_X)
-    images = []
-    pairs = []
-    for t in star.C_X:
-        rt = star.restrict(t)
-        pairs.append((t, rt))
-        images.append(rt)
+    pairs = tuple((t, star.restrict(t)) for t in star.C_X)
+    for t, rt in pairs:
         if rt not in dset:
             problems.append(f"r({t}) = {rt} is not in D_X")
-        elif star.lift(rt) != t:
-            problems.append(f"h(r({t})) = {star.lift(rt)} != {t}")
-    if len(set(images)) != len(images):
-        problems.append("r is not injective on C_X")
-    missing = dset - set(images)
-    for d in sorted(missing, key=str):
+    for d in sorted(dset - {rt for _, rt in pairs}, key=str):
         problems.append(f"{d} in D_X has no preimage under r")
         h = star.lift(d)
         if h not in M.om:
             problems.append(f"h({d}) = {h} is not even a covector")
-    # h must land back in C_X
-    for d in sorted(dset, key=str):
-        h = star.lift(d)
-        if h in star.om.om and h not in star.C_X and d not in missing:
-            problems.append(f"h({d}) = {h} is outside C_X")
-    return BijectionReport(X=star.X, pairs=tuple(pairs), problems=tuple(problems))
+    return BijectionReport(X=star.X, pairs=pairs, problems=tuple(problems))
 
 
 # ---------------------------------------------------------------------------

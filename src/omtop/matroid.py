@@ -495,15 +495,6 @@ class TopePoset:
         s1, s2 = self._sep[t1], self._sep[t2]
         return (s1 & ~s2) == 0
 
-    def pairs(self) -> frozenset[tuple[SignVector, SignVector]]:
-        """All comparable pairs (T, T') with T <= T'."""
-        return frozenset(
-            (a, b)
-            for a in self.topes
-            for b in self.topes
-            if self.less_equal(a, b)
-        )
-
     def as_poset(self):
         if self._poset is None:
             from .topology import Poset

@@ -29,13 +29,6 @@ class Sign(enum.Enum):
         return self.value
 
     @classmethod
-    def from_char(cls, ch: str) -> "Sign":
-        try:
-            return cls(ch)
-        except ValueError:
-            raise ValueError(f"not a sign character: {ch!r}") from None
-
-    @classmethod
     def of_number(cls, x) -> "Sign":
         """Sign of an exact number (int or Fraction)."""
         if x > 0:

@@ -390,8 +390,9 @@ class SimplicialComplex:
             byd: dict[int, set[frozenset]] = {}
             seen: set[frozenset] = set()
             for f in self.facets:
+                vs = sorted(f, key=self._vindex.__getitem__)
                 for k in range(1, len(f) + 1):
-                    for sub in itertools.combinations(sorted(f, key=_vkey), k):
+                    for sub in itertools.combinations(vs, k):
                         fsub = frozenset(sub)
                         if fsub not in seen:
                             seen.add(fsub)
@@ -442,7 +443,7 @@ class SimplicialComplex:
             return v
 
         for f in self.facets:
-            it = iter(sorted(f, key=_vkey))
+            it = iter(f)
             first = find(next(it))
             for v in it:
                 parent[find(v)] = first
@@ -502,7 +503,7 @@ class SimplicialComplex:
             return SimplicialComplex.void()
         count: dict[frozenset, int] = {}
         for f in self.facets:
-            for r in itertools.combinations(sorted(f, key=_vkey), d):
+            for r in itertools.combinations(f, d):
                 fr = frozenset(r)
                 count[fr] = count.get(fr, 0) + 1
         rim = [r for r, c in count.items() if c == 1]
@@ -518,7 +519,7 @@ class SimplicialComplex:
             return len(self.facets) == 2
         ridge_facets: dict[frozenset, list[int]] = {}
         for i, f in enumerate(self.facets):
-            for r in itertools.combinations(sorted(f, key=_vkey), d):
+            for r in itertools.combinations(f, d):
                 ridge_facets.setdefault(frozenset(r), []).append(i)
         if any(len(fs) != 2 for fs in ridge_facets.values()):
             return False
@@ -1228,9 +1229,8 @@ def find_shelling(
         return facets
 
     def ridges(f: frozenset):
-        vs = sorted(f, key=_vkey)
-        for i in range(len(vs)):
-            yield frozenset(vs[:i] + vs[i + 1 :])
+        for v in f:
+            yield f - {v}
 
     nodes = 0
 
@@ -1501,6 +1501,7 @@ def parse_complex(text: str, source: str = "<string>") -> SimplicialComplex:
 
 def format_complex(K: SimplicialComplex) -> str:
     lines = []
+    key = K._vindex.__getitem__
     for f in K.facets:
-        lines.append(" ".join(str(v) for v in sorted(f, key=_vkey)))
+        lines.append(" ".join(str(v) for v in sorted(f, key=key)))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -29,6 +29,14 @@ the one-test criterion: it reads the arrangement's rational normals, not
 its integer rows, and runs one feasibility test per signed coordinate
 direction, so it cross-checks `realization.face_bounded`.
 
+`cube_scans`, `restriction_scans` and `bijection_scans` are the pairwise
+checks the star checks of `bounded` no longer make, because a lemma
+about the conformal order decides them for every set of sign vectors.
+`cube_isomorphism_by_scan`, `restriction_ok_by_scan` and
+`check_bijection_by_scan` decide the star checks with those scans, as
+they ran before, so they cross-check the reports of `cube_isomorphism`,
+`restrict_to_support` and `check_bijection`.
+
 `verify_on_the_order_complex` runs the pipeline with its collapse found
 and replayed on the order complex K = Delta(L++) and K's f-vector read
 from K, so it cross-checks `verify`, which collapses the cells of L++
@@ -40,6 +48,7 @@ from math import gcd
 from unittest import mock
 
 import omtop.verify
+from omtop.bounded import BijectionReport, CubeReport
 from omtop.errors import DimensionError, OmtopError, PreconditionError
 from omtop.matroid import AxiomReport
 from omtop.realization import _EQ, _GE, _sign_row, feasible
@@ -383,3 +392,110 @@ def verify_on_the_order_complex(A, budget: int = 10**6):
         omtop.verify, "_chain_counts", lambda P: order_complex(P).f_vector()
     ):
         return omtop.verify.verify_arrangement(A, budget=budget)
+
+
+def cube_scans(L, X) -> list[str]:
+    """Deletion of supp(X) is injective on L_{>=X} and preserves and
+    reflects L's order, checked pair by pair on all of L_{>=X}."""
+    order = L.order()
+    supp = sorted(X.support())
+    pairs = [(y, y.delete(supp)) for y in order.up_set(X)]
+    out = []
+    if len({b for _, b in pairs}) != len(pairs):
+        out.append("deletion of supp(X) is not injective on L_>=X")
+    for a1, b1 in pairs:
+        above = set(order.up_set(a1))
+        for a2, b2 in pairs:
+            if (a2 in above) != b1.below(b2):
+                out.append(f"order mismatch on ({a1}, {a2})")
+    return out
+
+
+def cube_isomorphism_by_scan(L, X) -> CubeReport:
+    """`cube_isomorphism(L, X)` with a cube of full size still scanned
+    pairwise; the report names the first scan that fails."""
+    supp = sorted(X.support())
+    zset = tuple(sorted(X.zero_set()))
+    up = L.order().up_set(X)
+    pairs = tuple((y, y.delete(supp)) for y in up)
+    expected = 3 ** len(zset)
+    if len(up) != expected:
+        return CubeReport(
+            X, zset, expected, len(up), pairs, False,
+            f"|L_>=X| = {len(up)}, expected 3^{len(zset)} = {expected}",
+        )
+    scans = cube_scans(L, X)
+    return CubeReport(
+        X, zset, expected, len(up), pairs, not scans,
+        scans[0] if scans else None,
+    )
+
+
+def restriction_scans(res) -> list[str]:
+    """Deletion of the elements outside E1 is injective on L++ and
+    preserves and reflects the order, checked pair by pair."""
+    image = [b for _, b in res.pairs]
+    out = []
+    if len(set(image)) != len(image):
+        out.append("deletion is not injective on L++")
+    for a1, b1 in res.pairs:
+        for a2, b2 in res.pairs:
+            if a1.below(a2) != b1.below(b2):
+                out.append(f"order mismatch on ({a1}, {a2})")
+    return out
+
+
+def restriction_ok_by_scan(res) -> bool:
+    """`res.ok` from the image and the pairwise scans together."""
+    image = {b for _, b in res.pairs}
+    bc2 = res.restricted.bounded_complex()
+    return image == set(bc2.covectors) and not restriction_scans(res)
+
+
+def bijection_scans(M, X) -> list[str]:
+    """h(r(t)) = t on all of C_X, r is injective there, and h maps every
+    element of D_X with a preimage back into C_X."""
+    star = M.star(X)
+    images = [star.restrict(t) for t in star.C_X]
+    out = [
+        f"h(r({t})) = {star.lift(rt)} != {t}"
+        for t, rt in zip(star.C_X, images)
+        if star.lift(rt) != t
+    ]
+    if len(set(images)) != len(images):
+        out.append("r is not injective on C_X")
+    for d in sorted(set(images) & set(star.D_X), key=str):
+        if star.lift(d) not in star.C_X:
+            out.append(f"h({d}) = {star.lift(d)} is outside C_X")
+    return out
+
+
+def check_bijection_by_scan(M, X) -> BijectionReport:
+    """`check_bijection(M, X)` with h(r(t)) = t, the injectivity of r and
+    h(D_X) in C_X tested as well, problems in the order it lists them."""
+    star = M.star(X)
+    problems = []
+    dset = set(star.D_X)
+    images = []
+    pairs = []
+    for t in star.C_X:
+        rt = star.restrict(t)
+        pairs.append((t, rt))
+        images.append(rt)
+        if rt not in dset:
+            problems.append(f"r({t}) = {rt} is not in D_X")
+        elif star.lift(rt) != t:
+            problems.append(f"h(r({t})) = {star.lift(rt)} != {t}")
+    if len(set(images)) != len(images):
+        problems.append("r is not injective on C_X")
+    missing = dset - set(images)
+    for d in sorted(missing, key=str):
+        problems.append(f"{d} in D_X has no preimage under r")
+        h = star.lift(d)
+        if h not in M.om:
+            problems.append(f"h({d}) = {h} is not even a covector")
+    for d in sorted(dset, key=str):
+        h = star.lift(d)
+        if h in star.om.om and h not in star.C_X and d not in missing:
+            problems.append(f"h({d}) = {h} is outside C_X")
+    return BijectionReport(X=star.X, pairs=tuple(pairs), problems=tuple(problems))

@@ -12,6 +12,14 @@ must fail on it with witnesses, not crash.
 import pytest
 
 from conftest import mk_arrangement
+from oracles import (
+    bijection_scans,
+    check_bijection_by_scan,
+    cube_isomorphism_by_scan,
+    cube_scans,
+    restriction_ok_by_scan,
+    restriction_scans,
+)
 from omtop.bounded import (
     AffineOM,
     BijectionReport,
@@ -31,6 +39,7 @@ from omtop.errors import (
     OmtopError,
     PreconditionError,
 )
+from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet, tope_poset
 from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
@@ -321,6 +330,52 @@ class TestBijection:
             results.append(check_bijection(four, x).ok)
         assert not all(results)
         assert any(results)  # but plenty of stars still work
+
+
+class TestStarLemmas:
+    """The pairwise scans the star checks no longer make never fire, on
+    oriented matroids and off them, and deciding the checks with the
+    scans gives the same reports."""
+
+    @staticmethod
+    def scan(M: AffineOM) -> tuple[int, int]:
+        """Cube at every nonzero covector, bijection at every bounded
+        cell with a star; the numbers of failing cubes and bijections."""
+        cube_fails = bij_fails = 0
+        for x in M.om:
+            if x.is_zero:
+                continue
+            assert cube_scans(M.om, x) == []
+            rep = cube_isomorphism(M.om, x)
+            assert cube_isomorphism_by_scan(M.om, x) == rep
+            cube_fails += not rep.ok
+        for x in bounded_complex(M):
+            if x.delete([M.g_index]).is_zero:
+                continue
+            assert bijection_scans(M, x) == []
+            rep = check_bijection(M, x)
+            assert check_bijection_by_scan(M, x) == rep
+            bij_fails += not rep.ok
+        return cube_fails, bij_fails
+
+    def test_fixtures(self, line, tri, three, four):
+        # three and four are not uniform: two parallel lines each
+        fails = [self.scan(M) for M in (line, tri, three, four)]
+        assert fails == [(0, 0), (0, 0), (2, 0), (2, 9)]
+
+    @pytest.mark.parametrize(
+        "n,d,seed", [(4, 2, 0), (5, 2, 1), (4, 3, 0), (5, 3, 0)]
+    )
+    def test_generated(self, n, d, seed):
+        A = generate_arrangement(n, d, seed=seed)
+        M = AffineOM(enumerate_covectors(homogenize(A)))
+        assert self.scan(M) == (0, 0)
+
+    def test_three_restriction(self, three):
+        res = restrict_to_support(three)
+        assert res.dropped == ("a",)
+        assert restriction_scans(res) == []
+        assert restriction_ok_by_scan(res) == res.ok
 
 
 class TestShellingOfDX:

@@ -157,7 +157,7 @@ class TestAxioms:
     def test_mutated_set_fails_with_witness(self, files, tmp_path, capsys):
         # drop one covector with g = - ; its negation survives, so the
         # negation axiom fails and the witness is printed
-        lines = open(files.tri_cov).read().splitlines()
+        lines = Path(files.tri_cov).read_text().splitlines()
         victim = next(
             ln for ln in lines if set(ln) <= set("+-0") and ln.endswith("-")
         )

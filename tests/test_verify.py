@@ -243,15 +243,12 @@ class TestEachFactOnce:
     ):
         from omtop.bounded import cube_isomorphism
 
-        P = tri_om.order()
         bc = AffineOM(tri_om).bounded_complex()
-        # the order-mismatch check compares each pair of cube images once
-        bound = sum(len(P.up_set(x)) ** 2 for x in bc)
-        assert bound == 271
+        # the cube is decided by the size of L>=X alone
         calls = _counting(monkeypatch, S, "below")
         for x in bc:
             assert cube_isomorphism(tri_om, x).ok
-        assert len(calls) <= bound
+        assert calls == []
 
     def test_order_makes_no_pairwise_comparison(self, tri_om, monkeypatch):
         L = CovectorSet(tri_om.ground, tri_om.covectors)

@@ -407,7 +407,7 @@ def check_bijection(M: AffineOM, X: SignVector) -> BijectionReport:
     for d in sorted(dset - {rt for _, rt in pairs}, key=str):
         problems.append(f"{d} in D_X has no preimage under r")
         h = star.lift(d)
-        if h not in M.om:
+        if h not in star.om.om:
             problems.append(f"h({d}) = {h} is not even a covector")
     return BijectionReport(X=star.X, pairs=pairs, problems=tuple(problems))
 

@@ -1,4 +1,5 @@
-"""Rational hyperplane arrangements and exact sign-pattern feasibility.
+"""Rational hyperplane arrangements, their covectors and the geometric
+boundedness oracle.
 
 An arrangement a_i . x = b_i in R^d is homogenized to the vector
 configuration (a_i, -b_i) on d+1 variables with the extra form
@@ -7,14 +8,21 @@ resulting affine oriented matroid are exactly the feasible sign
 patterns.  Each hyperplane or form is scaled once, when its
 `Arrangement` or `VectorConfiguration` is built, to its primitive
 integer row, a positive multiple with the same sign at every point.
-From there on, all arithmetic is on integers: zero signs become
-equations and are substituted out, strict signs go through
-Fourier-Motzkin elimination with strictness tracking, and ranks come
-from fraction-free elimination.  No floating point anywhere.
+From there on, all arithmetic is on integers.  No floating point
+anywhere.
 
-The module also hosts the geometric boundedness oracle (a face is
-bounded iff its recession cone is the origin), which is the independent
-cross-check for every bounded-complex face count downstream.
+The covectors come from the cocircuits: the sign patterns of the kernel
+lines of rank-deficient subsets of forms, spanned by signed minors from
+fraction-free (Bareiss) elimination, the elimination that also gives
+ranks.  Every covector is a composition of cocircuits, so the closure
+of the cocircuits under composition, plus 0, is the whole set.
+
+Fourier-Motzkin elimination with strictness tracking (zero signs become
+equations and are substituted out) decides only affine faces: which
+affine sign patterns are nonempty, and which nonempty faces are
+bounded.  That is the geometric boundedness oracle, the independent
+cross-check for every bounded-complex face count downstream; it reads
+the hyperplanes, never the covectors.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 from .errors import (
@@ -32,7 +41,7 @@ from .errors import (
     ResourceExhausted,
 )
 from .matroid import CovectorSet
-from .signvec import GroundSet, Sign, SignVector
+from .signvec import GroundSet, Sign, SignVector, _bits
 
 # relation tags for rows "expr REL 0"
 _EQ, _GE, _GT = 0, 1, 2
@@ -318,14 +327,107 @@ def _enumerate_patterns(rows_by_sign, n: int, nvars: int):
     return out
 
 
-def enumerate_covectors(V: VectorConfiguration, cap: int = 12) -> CovectorSet:
-    """All feasible sign patterns of the configuration's forms."""
-    if V.n_forms > cap:
-        raise ResourceExhausted(
-            f"{V.n_forms} forms exceed the enumeration cap of {cap}"
-        )
-    rows_by_sign = [{s: _sign_row(f, 0, s) for s in Sign} for f in V.forms]
-    vecs = _enumerate_patterns(rows_by_sign, V.n_forms, V.nvars)
+# ---------------------------------------------------------------------------
+# covectors from cocircuits
+# ---------------------------------------------------------------------------
+
+
+def _over_cap(cap: int) -> ResourceExhausted:
+    return ResourceExhausted(
+        f"the covector set exceeds the enumeration cap of {cap} covectors"
+    )
+
+
+def _cocircuits(V: VectorConfiguration, cap: int) -> list[int]:
+    """The cocircuits of V, each packed as plus | minus << n.
+
+    With r the rank of the forms, restrict them to r columns of rank r
+    (the pivot columns of their elimination): the image of y -> (f.y)
+    is unchanged, and so are the sign patterns.  Each (r-1)-subset of
+    rank r-1 then has a kernel line spanned by its cofactor vector x,
+    x_k = (-1)^k det(subset without column k), and sign(f.x) over all
+    forms f is a cocircuit, as is its negation.  On non-uniform input
+    many subsets span one hyperplane, so the set deduplicates them."""
+    n = V.n_forms
+    cols, _ = _eliminate(V.forms)
+    r = len(cols)
+    if r == 0:
+        return []
+    forms = [tuple(f[c] for c in cols) for f in V.forms]
+    live = [f for f in forms if any(f)]
+    found: set[int] = set()
+    for sub in combinations(live, r - 1):
+        x = [
+            _det([row[:k] + row[k + 1 :] for row in sub]) * (-1) ** k
+            for k in range(r)
+        ]
+        if not any(x):
+            continue
+        pos = neg = 0
+        for j, f in enumerate(forms):
+            v = sum(a * b for a, b in zip(f, x))
+            if v > 0:
+                pos |= 1 << j
+            elif v < 0:
+                neg |= 1 << j
+        found.add(pos | neg << n)
+        found.add(neg | pos << n)
+        if len(found) >= cap:  # with 0, more than cap covectors
+            raise _over_cap(cap)
+    return sorted(found)
+
+
+def enumerate_covectors(
+    V: VectorConfiguration, cap: int = 20_000
+) -> CovectorSet:
+    """All sign patterns of the configuration's forms: 0 plus the
+    closure of the cocircuits under conformal composition.  Every
+    nonzero covector Y of an oriented matroid is a composition
+    C_1 o ... o C_k of cocircuits C_i <= Y (Bjorner, Las Vergnas,
+    Sturmfels, White & Ziegler, Oriented Matroids, ch. 3), so each
+    prefix is <= Y and is conformal to the next C_i.  The closure is
+    computed frontier by frontier: each new covector x o c, for x on the
+    last frontier and c a cocircuit conformal to x (no element where
+    they carry opposite signs), joins the next one.  The cocircuits
+    conformal to x are an AND of per-sign columns over the support of x.
+
+    Raises ResourceExhausted as soon as there are more than `cap`
+    covectors.  The default, 20,000, bounds what comes next:
+    `CovectorSet.order()` keeps a down-set and an up-set mask of up to
+    N bits for each of N covectors, up to N**2 / 4 bytes: 100 MB at
+    N = 20,000 (25 MB for the 11,003 covectors of
+    `generate_arrangement(10, 4, seed=0)`)."""
+    n = V.n_forms
+    cocircuits = _cocircuits(V, cap)
+    # conformal[e]: the cocircuits not + at element e - n (for e >= n)
+    # or not - at element e (for e < n), one bit per cocircuit
+    conformal = [(1 << len(cocircuits)) - 1] * (2 * n)
+    for i, c in enumerate(cocircuits):
+        for e in _bits(c):
+            conformal[(e + n) % (2 * n)] &= ~(1 << i)
+    seen = set(cocircuits)
+    full = (1 << n) - 1
+    frontier = cocircuits
+    while frontier:
+        nxt = []
+        for x in frontier:
+            s = (x | x >> n) & full
+            if s == full:
+                continue
+            free = ~(s | s << n)
+            ok = -1
+            for e in _bits(x):
+                ok &= conformal[e]
+            for i in _bits(ok):
+                y = x | (cocircuits[i] & free)
+                if y not in seen:
+                    if len(seen) + 1 >= cap:
+                        raise _over_cap(cap)
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    vecs = [SignVector(n, k & full, k >> n) for k in seen]
+    vecs.append(SignVector.zero(n))
     return CovectorSet(V.ground, vecs)
 
 
@@ -375,28 +477,46 @@ def face_bounded(A: Arrangement, P: SignVector) -> bool:
     return not feasible(cone + [(total, -1, _EQ)], A.dim)
 
 
-def _rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss, Math. Comp.
-    1968) elimination.  After k pivots each entry below the pivot rows
-    is a (k+1)-minor, and by Sylvester's identity the update divides
-    exactly by the previous pivot, a k-minor, so entries stay integers
-    bounded by the minors."""
+def _eliminate(rows) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss, Math. Comp. 1968) elimination of an
+    integer matrix: its pivot columns, and its last pivot signed by the
+    row swaps.  After k pivots each entry below the pivot rows is a
+    (k+1)-minor, and by Sylvester's identity the update divides exactly
+    by the previous pivot, a k-minor, so entries stay integers bounded
+    by the minors.  For a square matrix of full rank the signed last
+    pivot is its determinant (1 for the empty matrix)."""
     mat = [list(r) for r in rows]
-    rank, prev = 0, 1
+    cols: list[int] = []
+    prev, sign = 1, 1
     for c in range(len(mat[0]) if mat else 0):
+        rank = len(cols)
         piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
+        if piv != rank:
+            mat[rank], mat[piv] = mat[piv], mat[rank]
+            sign = -sign
         prow, p = mat[rank], mat[rank][c]
         for r in range(rank + 1, len(mat)):
             q = mat[r][c]
             mat[r] = [(p * x - q * y) // prev for x, y in zip(mat[r], prow)]
         prev = p
-        rank += 1
-        if rank == len(mat):
+        cols.append(c)
+        if len(cols) == len(mat):
             break
-    return rank
+    return cols, sign * prev
+
+
+def _rank(rows) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    return len(_eliminate(rows)[0])
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix, by fraction-free
+    elimination."""
+    cols, last = _eliminate(rows)
+    return last if len(cols) == len(rows) else 0
 
 
 def affine_face_dim(A: Arrangement, P: SignVector) -> int:

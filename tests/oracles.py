@@ -20,9 +20,13 @@ and certifies all of it, with no join splitting, so it cross-checks
 `classify_links`, which certifies only the upper factor of each link
 of an order complex.
 
+`fm_covectors` is the covector enumeration as it ran before the
+cocircuits: a depth-first search over sign patterns with one
+Fourier-Motzkin feasibility test per prefix, so it cross-checks the
+cocircuit closure of `enumerate_covectors` as a whole set.
 `pattern_feasible` decides one sign pattern of a vector configuration
 with its own feasibility call, so a brute-force scan over all patterns
-cross-checks the pruned search of `enumerate_covectors`.
+cross-checks both.
 
 `face_bounded_by_directions` is the boundedness test as it ran before
 the one-test criterion: it reads the arrangement's rational normals, not
@@ -50,8 +54,14 @@ from unittest import mock
 import omtop.verify
 from omtop.bounded import BijectionReport, CubeReport
 from omtop.errors import DimensionError, OmtopError, PreconditionError
-from omtop.matroid import AxiomReport
-from omtop.realization import _EQ, _GE, _sign_row, feasible
+from omtop.matroid import AxiomReport, CovectorSet
+from omtop.realization import (
+    _EQ,
+    _GE,
+    _enumerate_patterns,
+    _sign_row,
+    feasible,
+)
 from omtop.signvec import Sign, SignVector
 from omtop.topology import (
     HomologyTable,
@@ -90,6 +100,15 @@ def _rank_over_q(rows: list[list[int]]) -> int:
                     m[r][c] -= f * m[rank][c]
         rank += 1
     return rank
+
+
+def fm_covectors(V) -> CovectorSet:
+    """All feasible sign patterns of the configuration's forms, by the
+    pruned Fourier-Motzkin pattern search."""
+    rows_by_sign = [{s: _sign_row(f, 0, s) for s in Sign} for f in V.forms]
+    return CovectorSet(
+        V.ground, _enumerate_patterns(rows_by_sign, V.n_forms, V.nvars)
+    )
 
 
 def pattern_feasible(V, P: SignVector) -> bool:

@@ -229,6 +229,15 @@ class TestSupportRestriction:
         assert check_bijection(three, S("00-+")).ok
         assert induced_shelling_of_CX(three, S("00-+")).ok
 
+    def test_bijection_reads_the_restricted_star(self, three, monkeypatch):
+        # +- lifts to +-+, a covector of the star's restricted set on
+        # (b, c, g) but of no set on the original ground set
+        star = three.star(S("00-+"))
+        assert S("+-+") in star.om.om and S("+-") not in star.D_X
+        monkeypatch.setattr(star, "D_X", star.D_X + (S("+-"),))
+        rep = check_bijection(three, S("00-+"))
+        assert rep.problems == ("+- in D_X has no preimage under r",)
+
 
 class TestCubeIsomorphism:
     def test_tope_is_trivial_cube(self, tri):

@@ -307,9 +307,16 @@ class TestInputErrors:
         assert "decimal" in capsys.readouterr().err
 
     def test_enumeration_cap_exit3(self, tmp_path, capsys):
-        # 12 hyperplanes plus the element at infinity exceed the
-        # 12-form enumeration cap
+        # 12 concurrent lines: 13 forms, past the old 12-form cap, and
+        # few covectors, so they realize
         rows = [(f"h{i}", (1, i), i) for i in range(1, 13)]
+        p = tmp_path / "concurrent.arr"
+        p.write_text(format_arrangement(mk_arrangement(2, rows)))
+        assert main(["realize", str(p)]) == 0
+        capsys.readouterr()
+        # 80 lines x + i y = i^2, tangent to a parabola and so in general
+        # position: 25,923 covectors, past the 20,000-covector cap
+        rows = [(f"h{i}", (1, i), i * i) for i in range(1, 81)]
         p = tmp_path / "big.arr"
         p.write_text(format_arrangement(mk_arrangement(2, rows)))
         assert main(["realize", str(p)]) == 3

@@ -58,16 +58,17 @@ class TestPinnedCensuses:
 
 class TestBeyondTheEnumerationCap:
     def test_generation_never_enumerates_covectors(self, tmp_path, capsys):
-        # 12 hyperplanes plus the element at infinity exceed the 12-form
-        # enumeration cap: generation still succeeds, verification does not
+        # 12 hyperplanes plus the element at infinity were past the old
+        # 12-form enumeration cap, which bound verification but never
+        # generation; the covector cap lets them verify
         from omtop.cli import main
 
         a = generate_arrangement(12, 2, seed=0)
         assert a.n == 12 and _general_position(a)
         p = tmp_path / "twelve.arr"
         p.write_text(format_arrangement(a))
-        assert main(["verify", str(p)]) == 3
-        assert "cap" in capsys.readouterr().err
+        assert main(["verify", str(p)]) == 0
+        assert "verdict: ball-certified" in capsys.readouterr().out
 
 
 class TestErrors:

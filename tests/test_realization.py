@@ -1,19 +1,28 @@
 """Arrangements, exact feasibility, covector enumeration, and the
 geometric boundedness oracle.
 
-On every canonical instance the pruned enumerator is checked against
-a brute-force 3^n scan of fresh per-pattern feasibility calls, which
-shares no search code with it.
+On every canonical instance the cocircuit closure is checked against
+a brute-force 3^n scan of fresh per-pattern feasibility calls, and on
+random configurations against the Fourier-Motzkin pattern search it
+replaced; neither shares code with it.
 """
 
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FOURLINE_ROWS, LINE_ROWS, TRIANGLE_ROWS, mk_arrangement
-from oracles import _rank_over_q, face_bounded_by_directions, pattern_feasible
+from oracles import (
+    _rank_over_q,
+    face_bounded_by_directions,
+    fm_covectors,
+    pattern_feasible,
+)
 from omtop.errors import (
     DimensionError,
     DomainError,
@@ -29,6 +38,7 @@ from omtop.realization import (
     _GT,
     Arrangement,
     VectorConfiguration,
+    _det,
     _rank,
     affine_face_dim,
     affine_pattern_feasible,
@@ -221,12 +231,16 @@ class TestEnumerate:
         assert all(x.compose(y) in four_om for x in covs for y in covs)
 
     def test_cap(self):
+        # 13 points on a line: 14 forms, past the old 12-form cap, and
+        # 57 covectors (2 x 27 faces, 2 points at infinity and 0); the
+        # cap counts covectors
         rows = [(f"h{i}", (1,), i) for i in range(13)]
         V = homogenize(mk_arrangement(1, rows))
-        with pytest.raises(ResourceExhausted):
-            enumerate_covectors(V)
-        # a higher cap lifts the limit
-        assert len(enumerate_covectors(V, cap=14)) > 0
+        assert len(enumerate_covectors(V)) == 57
+        assert len(enumerate_covectors(V, cap=57)) == 57
+        for cap in (56, 20, 1):
+            with pytest.raises(ResourceExhausted, match="cap"):
+                enumerate_covectors(V, cap=cap)
 
     def test_zeroing_one_coordinate_is_consistent(self, tri_om, tri_arr):
         # dropping a single sign to zero is feasible exactly when the
@@ -240,6 +254,113 @@ class TestEnumerate:
                 signs[i] = Sign.ZERO
                 Q = SignVector.from_signs(signs)
                 assert (Q in tri_om) == pattern_feasible(V, Q)
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _workload_arrangements():
+    """The pinches and grids of the benchmark's `refute` workload at
+    seed 1, drawn in the order its `build` draws them."""
+    sys.path.insert(0, str(_PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(_PERFBENCH))
+    rng = random.Random(1)
+    out = [workloads._pinch(d, rng) for d in workloads.PINCH_DIMS]
+    return out + [workloads._grid(k, rng) for k in workloads.GRIDS]
+
+
+def _ints(k):
+    return st.lists(st.integers(-3, 3), min_size=k, max_size=k).map(tuple)
+
+
+@st.composite
+def _configurations(draw):
+    """Raw configurations of up to 6 forms on 1-4 variables: any rank,
+    repeated and parallel forms, and sometimes a zero form (a loop)."""
+    nvars = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    forms = draw(st.lists(_ints(nvars), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        forms[draw(st.integers(0, n - 1))] = (0,) * nvars
+    ground = GroundSet([f"e{i}" for i in range(n)], g=f"e{n - 1}")
+    return VectorConfiguration(nvars=nvars, forms=tuple(forms), ground=ground)
+
+
+@st.composite
+def _special_arrangements(draw):
+    """Up to 6 hyperplanes in dimension 1-3, in one of three special
+    positions: a few parallel families, all through one point, or all
+    normals parallel (non-essential in dimension 2 and 3)."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("parallel", "concurrent", "one-normal")))
+    normal = _ints(dim).filter(any)
+    scale = st.integers(-3, 3).filter(bool)
+    if kind == "one-normal":
+        a = draw(normal)
+        normals = [tuple(k * c for c in a) for k in draw(
+            st.lists(scale, min_size=n, max_size=n))]
+    elif kind == "parallel":
+        base = draw(st.lists(normal, min_size=1, max_size=3))
+        normals = [draw(st.sampled_from(base)) for _ in range(n)]
+    else:
+        normals = draw(st.lists(normal, min_size=n, max_size=n))
+    if kind == "concurrent":
+        p = draw(_ints(dim))
+        offsets = [sum(a * x for a, x in zip(v, p)) for v in normals]
+    else:
+        offsets = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    rows = [(f"h{i}", v, b) for i, (v, b) in enumerate(zip(normals, offsets))]
+    return mk_arrangement(dim, rows)
+
+
+class TestCocircuitClosure:
+    """Whole covector sets against the Fourier-Motzkin pattern search."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_configurations())
+    def test_raw_configurations(self, V):
+        assert enumerate_covectors(V).covectors == fm_covectors(V).covectors
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_special_arrangements())
+    def test_special_arrangements(self, A):
+        V = homogenize(A)
+        assert enumerate_covectors(V).covectors == fm_covectors(V).covectors
+
+    def test_non_essential_rank(self):
+        # every normal parallel to (1, 2, 0): the forms have rank 2 of 4
+        A = mk_arrangement(
+            3, [("a", (1, 2, 0), 0), ("b", (-2, -4, 0), 3), ("c", (1, 2, 0), 5)]
+        )
+        V = homogenize(A)
+        assert _rank(V.forms) == 2 < V.nvars
+        L = enumerate_covectors(V)
+        assert len(L) == 17  # as for three points on a line
+        assert L.covectors == fm_covectors(V).covectors
+
+    def test_loops_only(self):
+        ground = GroundSet(["a", "g"], g="g")
+        V = VectorConfiguration(nvars=2, forms=((0, 0), (0, 0)), ground=ground)
+        assert enumerate_covectors(V).covectors == {S("00")}
+        assert fm_covectors(V).covectors == {S("00")}
+
+    @pytest.mark.parametrize(
+        "A",
+        _workload_arrangements(),
+        ids=["pinch2", "pinch3", "pinch4", "grid3x3", "grid2x1x1"],
+    )
+    def test_refute_workload_arrangements(self, A):
+        V = homogenize(A)
+        assert enumerate_covectors(V).covectors == fm_covectors(V).covectors
+
+    @pytest.mark.parametrize("n,d,seed", [(4, 2, 0), (6, 2, 1), (5, 3, 0)])
+    def test_generated(self, n, d, seed):
+        V = homogenize(generate_arrangement(n, d, seed=seed))
+        assert enumerate_covectors(V).covectors == fm_covectors(V).covectors
 
 
 class TestBoundednessOracle:
@@ -467,6 +588,21 @@ class TestIntegerRank:
         M = [[2, 4], [1, 3]]
         assert _rank(M) == 2
         assert M == [[2, 4], [1, 3]]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(0, 4).flatmap(
+        lambda k: _matrices(rows=st.just(k), cols=st.just(k))
+        if k else st.just([])))
+    def test_det_matches_laplace(self, M):
+        def laplace(m):
+            if not m:
+                return 1
+            return sum(
+                (-1) ** k * m[0][k] * laplace([r[:k] + r[k + 1:] for r in m[1:]])
+                for k in range(len(m))
+            )
+
+        assert _det(M) == laplace(M)
 
 
 class TestRationalsAtTheBoundary:

@@ -64,7 +64,6 @@ from .topology import (  # noqa: E402
     SimplicialComplex,
     classify_links,
     find_collapse,
-    find_shelling,
     homology,
     order_complex,
     verify_collapse,

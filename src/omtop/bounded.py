@@ -20,6 +20,7 @@ sign vectors; each docstring names the lemma that decides the rest.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import (
@@ -65,7 +66,10 @@ class AffineOM:
         self.om = om
         self._bc = None
         self._contraction = None
-        self._stars = {}
+        # weak: a Star refers back to its AffineOM, and a strong cache
+        # would make every star and the covector set a reference cycle
+        # that lives until the garbage collector's next full pass
+        self._stars = weakref.WeakValueDictionary()
 
     @property
     def ground(self):
@@ -91,10 +95,12 @@ class AffineOM:
         return self._contraction
 
     def star(self, X: SignVector) -> "Star":
-        """Star(self, X), built once per bounded covector."""
-        if X not in self._stars:
-            self._stars[X] = Star(self, X)
-        return self._stars[X]
+        """Star(self, X), built once per bounded covector and shared for
+        as long as some caller holds it."""
+        star = self._stars.get(X)
+        if star is None:
+            star = self._stars[X] = Star(self, X)
+        return star
 
     def __repr__(self) -> str:
         return f"AffineOM({len(self.om)} covectors, g={self.g!r})"
@@ -117,7 +123,7 @@ class BoundedComplex:
     """
 
     __slots__ = (
-        "om",
+        "ground",
         "covectors",
         "dim",
         "pure",
@@ -129,7 +135,8 @@ class BoundedComplex:
     )
 
     def __init__(self, om: AffineOM, covectors: tuple[SignVector, ...]):
-        self.om = om
+        # the ground set, not om: om caches this complex
+        self.ground = om.ground
         self.covectors = covectors
         self._set = frozenset(covectors)
         heights = om.om.heights()
@@ -177,7 +184,7 @@ class BoundedComplex:
         if self.support is None:
             return ()
         return tuple(
-            self.om.ground.labels[i] for i in sorted(self.support)
+            self.ground.labels[i] for i in sorted(self.support)
         )
 
     def __repr__(self) -> str:
@@ -316,7 +323,9 @@ class Star:
     full-dimensional affine OM (restricting to E1 first if needed), the
     tope sets C_X and D_X, and the contraction they live over."""
 
-    __slots__ = ("om", "X", "restriction", "C_X", "D_X", "_contraction")
+    __slots__ = (
+        "om", "X", "restriction", "C_X", "D_X", "_contraction", "__weakref__"
+    )
 
     def __init__(self, M: AffineOM, X: SignVector):
         bc = M.bounded_complex()

@@ -226,6 +226,8 @@ def _print_verify_summary(rep) -> None:
                 f"star checks: {len(sec['per_x'])} covectors, "
                 + ("all ok" if not nfail else f"{nfail} FAILED")
             )
+            for note in sec.get("notes", ()):
+                print(f"  note: {note}")
     print(f"verdict: {rep.verdict}")
     for r in rep.reasons:
         print(f"  - {r}")

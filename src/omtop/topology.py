@@ -1,5 +1,6 @@
 """Finite posets and simplicial complexes, with exact integral homology,
-collapsibility search, and shelling verification.
+collapsibility search, shelling verification, and link certification
+by induction on a cell poset.
 
 The collapse search and its replay take a simplicial complex or a poset
 read as the face poset of a regular cell complex, so a cell complex is
@@ -489,26 +490,6 @@ class SimplicialComplex:
             [f | g for f in self.facets for g in other.facets]
         )
 
-    def boundary(self) -> "SimplicialComplex":
-        """Subcomplex generated by the ridges lying in exactly one facet.
-
-        Meaningful for pure complexes; void when the complex is closed.
-        """
-        if self.is_void or self.dim < 0:
-            return SimplicialComplex.void()
-        if not self.is_pure():
-            raise PreconditionError("boundary is defined for pure complexes")
-        d = self.dim
-        if d == 0:
-            return SimplicialComplex.void()
-        count: dict[frozenset, int] = {}
-        for f in self.facets:
-            for r in itertools.combinations(f, d):
-                fr = frozenset(r)
-                count[fr] = count.get(fr, 0) + 1
-        rim = [r for r, c in count.items() if c == 1]
-        return SimplicialComplex(rim)
-
     def is_closed_pseudomanifold(self) -> bool:
         """Pure, every ridge in exactly two facets, and strongly connected
         (facet graph through ridges connected)."""
@@ -626,6 +607,13 @@ class HomologyTable:
             torsion=((),) * (dim + 1),
             reduced_betti=(0,) * (dim + 1),
         )
+
+    @classmethod
+    def sphere(cls, dim: int) -> "HomologyTable":
+        """The table `homology` gives a PL sphere of dimension dim >= -1,
+        the (dim + 1)-fold suspension of {emptyset}."""
+        empty = cls(dim=-1, betti=(), torsion=(), reduced_betti=(), minus_one=1)
+        return empty.suspension(dim + 1)
 
     def to_json(self) -> dict:
         return {
@@ -771,9 +759,7 @@ def homology(K: SimplicialComplex) -> HomologyTable:
         )
     d = K.dim
     if d < 0:
-        return HomologyTable(
-            dim=-1, betti=(), torsion=(), reduced_betti=(), minus_one=1
-        )
+        return HomologyTable.sphere(-1)
     state = _CollapseState(K)
     state.alive.discard(frozenset([K.vertex_order[0]]))
     state.reduce_pairs()
@@ -996,19 +982,21 @@ def find_collapse(
     live cell above sigma.
 
     Greedy: always take the least free face in `key` order, the highest
-    dimension first.  If the pure greedy descent gets stuck, a
-    backtracking pass revisits the choices, spending at most `budget`
-    collapse steps overall.  Exhaustion is reported as such and never as
-    "not collapsible".
+    dimension first.  If the pure greedy descent gets stuck, it is undone
+    and a backtracking pass revisits the choices, spending at most
+    `budget` collapse steps overall.  Exhaustion is reported as such and
+    never as "not collapsible".
 
     On a poset the result means something only when the poset is the
-    face poset of a PL regular cell complex; `verify` relies on this for
-    L++, which is one once the covector axioms pass (the premise
-    `classify_links` states).  Then each elementary cellular collapse
-    is a PL elementary collapse, since the closed cell tau is a PL ball
-    and sigma a ball in its boundary, and a PL manifold that collapses
-    to a point is a PL ball (Whitehead 1939; Rourke & Sanderson,
-    Introduction to PL topology, ch. 3).
+    face poset of a PL regular cell complex.  `verify` relies on this for
+    L++, which is one once the covector axioms pass, and
+    `classify_links` for each set of cells above a cell of L++, which is
+    one by the same premise.  Then each elementary cellular collapse is
+    a PL elementary collapse, since the closed cell tau is a PL ball and
+    sigma a ball in its boundary.  A PL manifold that collapses to a
+    point is a PL ball (Whitehead 1939; Rourke & Sanderson, Introduction
+    to PL topology, ch. 3); the manifold property is what the induction
+    of `classify_links` certifies.
     """
     state = _CollapseState(X)
     if not state.alive:
@@ -1017,11 +1005,31 @@ def find_collapse(
         raise PreconditionError(
             "complex is disconnected; it cannot collapse to one point"
         )
-    res, nodes = _descend(state, budget)
-    if res is not None:
-        return res
+    nodes = 0
+    steps = []
+    heap = [(state.key(f), f) for f in state.alive if state.is_free(f)]
+    heapq.heapify(heap)
+    while len(state.alive) > 1:
+        while heap and not state.is_free(heap[0][1]):
+            heapq.heappop(heap)
+        if not heap:
+            break
+        if nodes >= budget:
+            return CollapseResult("exhausted", None, nodes, False)
+        sigma = heapq.heappop(heap)[1]
+        (tau,) = state.cofaces[sigma]
+        state.remove_pair(sigma, tau)
+        steps.append((sigma, tau))
+        nodes += 1
+        for f in state.neighbors_to_recheck(sigma, tau):
+            if state.is_free(f):
+                heapq.heappush(heap, (state.key(f), f))
+    if len(state.alive) == 1:
+        return CollapseResult("collapsed", state.certificate(steps), nodes, True)
 
-    # greedy got stuck: full backtracking over free-face choices
+    # greedy got stuck: undo it, then backtrack over free-face choices
+    for sigma, tau in reversed(steps):
+        state.restore_pair(sigma, tau)
     steps = []
     stack = [state.free_faces()]
     while stack:
@@ -1052,39 +1060,6 @@ def find_collapse(
                 sigma, tau = steps.pop()
                 state.restore_pair(sigma, tau)
     return CollapseResult("exhausted", None, nodes, search_complete=True)
-
-
-def _descend(state: _CollapseState, budget: int):
-    """The greedy descent of `find_collapse` on a fresh state.
-
-    Returns (result, nodes spent).  The result is None when the descent
-    gets stuck; the state is then restored to what it was.
-    """
-    nodes = 0
-    steps = []
-    heap = [(state.key(f), f) for f in state.alive if state.is_free(f)]
-    heapq.heapify(heap)
-    while len(state.alive) > 1:
-        while heap and not state.is_free(heap[0][1]):
-            heapq.heappop(heap)
-        if not heap:
-            break
-        if nodes >= budget:
-            return CollapseResult("exhausted", None, nodes, False), nodes
-        sigma = heapq.heappop(heap)[1]
-        (tau,) = state.cofaces[sigma]
-        state.remove_pair(sigma, tau)
-        steps.append((sigma, tau))
-        nodes += 1
-        for f in state.neighbors_to_recheck(sigma, tau):
-            if state.is_free(f):
-                heapq.heappush(heap, (state.key(f), f))
-    if len(state.alive) == 1:
-        cert = state.certificate(steps)
-        return CollapseResult("collapsed", cert, nodes, True), nodes
-    for sigma, tau in reversed(steps):
-        state.restore_pair(sigma, tau)
-    return None, nodes
 
 
 def verify_collapse(
@@ -1208,65 +1183,6 @@ def verify_shelling(P: Poset, order: Sequence) -> ShellingReport:
     )
 
 
-def find_shelling(
-    K: SimplicialComplex, budget: int = 10**5
-) -> list[frozenset] | None:
-    """Search for a shelling order of a pure simplicial complex.
-
-    Depth-first with a deterministic candidate order; returns the facet
-    sequence, or None when no order was found within the budget (which
-    may also mean the complex is not shellable).
-    """
-    if K.is_void or K.dim < 0:
-        raise PreconditionError("shelling search needs a nonempty complex")
-    if not K.is_pure():
-        raise PreconditionError("shelling search needs a pure complex")
-    facets = list(K.facets)
-    d = K.dim
-    if len(facets) == 1:
-        return facets
-    if d == 0:
-        return facets
-
-    def ridges(f: frozenset):
-        for v in f:
-            yield f - {v}
-
-    nodes = 0
-
-    def attaches_ok(f: frozenset, used: list[frozenset]) -> bool:
-        hit = [r for r in ridges(f) if any(r <= g for g in used)]
-        if not hit:
-            return False
-        for g in used:
-            cap = f & g
-            if not any(cap <= r for r in hit):
-                return False
-        return True
-
-    def search(used: list[frozenset], rest: list[frozenset]):
-        nonlocal nodes
-        if not rest:
-            return used
-        for idx, f in enumerate(rest):
-            if nodes >= budget:
-                return None
-            nodes += 1
-            if attaches_ok(f, used):
-                got = search(used + [f], rest[:idx] + rest[idx + 1 :])
-                if got is not None:
-                    return got
-        return None
-
-    for idx, first in enumerate(facets):
-        got = search([first], facets[:idx] + facets[idx + 1 :])
-        if got is not None:
-            return got
-        if nodes >= budget:
-            return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # link classification
 # ---------------------------------------------------------------------------
@@ -1316,171 +1232,131 @@ class LinkClassification:
         }
 
 
-def _certify_sphere(
-    L: SimplicialComplex, d: int, budget: int, h: HomologyTable | None = None
-) -> tuple[bool, str, list[str]]:
-    """(matches, certainty, notes) for 'L is a d-sphere'.
-
-    certainty is "certified" when the positive checks fully pin the type
-    at this dimension, "refuted" when an exact invariant rules it out,
-    "evidence-only" when homology agrees but certification fell short.
-    h is L's homology when the caller already has it; otherwise it is
-    computed only once the cheaper checks pass.
-
-    With no shelling found, a closed pseudomanifold with sphere homology
-    and certified sphere vertex links is certified only for d <= 2, where
-    it is a closed surface and the classification of surfaces makes it
-    the 2-sphere.  For d >= 3 the same checks pass on a homology sphere
-    that is not a sphere (the Poincare homology 3-sphere), so the result
-    is evidence-only.
-    """
-    notes: list[str] = []
-    if d == -1:
-        ok = not L.is_void and L.dim == -1
-        return (ok, "certified" if ok else "refuted", notes)
-    if L.is_void or L.dim != d:
-        return (False, "refuted", [f"dimension is not {d}"])
-    if d == 0:
-        ok = len(L.facets) == 2 and all(len(f) == 1 for f in L.facets)
-        return (ok, "certified" if ok else "refuted", notes)
-    if not L.is_pure():
-        return (False, "refuted", ["not pure"])
-    if not L.is_closed_pseudomanifold():
-        return (False, "refuted", ["not a closed pseudomanifold"])
-    if h is None:
-        h = homology(L)
-    if not h.is_sphere(d):
-        return (False, "refuted", [f"homology {h.reduced_betti} is not a {d}-sphere"])
-    if d == 1:
-        # connected closed 1-pseudomanifold is a circle
-        return (True, "certified", notes)
-    shell = find_shelling(L, budget=budget)
-    if shell is not None:
-        notes.append(f"shelling of {len(shell)} facets found")
-        return (True, "certified", notes)
-    # recursive link check
-    all_cert = True
-    for v in L.vertex_order:
-        ok, certainty, _ = _certify_sphere(L.link([v]), d - 1, budget)
-        if certainty == "refuted" or not ok:
-            return (False, "refuted", [f"link of {v!r} is not a {d-1}-sphere"])
-        if certainty != "certified":
-            all_cert = False
-    notes.append("recursive vertex-link check passed")
-    return (True, "certified" if all_cert and d <= 2 else "evidence-only", notes)
-
-
-def _certify_ball(
-    L: SimplicialComplex,
-    d: int,
-    budget: int,
-    h: HomologyTable | None = None,
-) -> tuple[bool, str, list[str], HomologyTable | None]:
-    """(matches, certainty, notes, h) for 'L is a d-ball'.
-
-    h is L's homology.  When the caller has none and L is connected,
-    the greedy collapse runs first and, if it reaches a vertex, gives
-    the homology of a point; only otherwise is `homology` run.  The h
-    returned is the one used, or None when no check needed it."""
-    notes: list[str] = []
-    if L.is_void or L.dim != d:
-        return (False, "refuted", [f"dimension is not {d}"], h)
-    if d == 0:
-        ok = len(L.facets) == 1 and len(L.facets[0]) == 1
-        return (ok, "certified" if ok else "refuted", notes, h)
-    if not L.is_pure():
-        return (False, "refuted", ["not pure"], h)
-    res = None
-    if h is None:
-        if L.is_connected():
-            res, _ = _descend(_CollapseState(L), budget)
-        collapsed = res is not None and res.collapsed
-        h = HomologyTable.point(d) if collapsed else homology(L)
-    if not h.is_ball():
-        return (False, "refuted", [f"homology {h.reduced_betti} is not a ball"], h)
-    bd = L.boundary()
-    if bd.is_void:
-        return (False, "refuted", ["no free ridge: boundary is empty"], h)
-    ok, certainty, sub = _certify_sphere(bd, d - 1, budget)
-    if not ok:
-        return (False, certainty, [f"boundary: {m}" for m in sub], h)
-    if res is None:
-        res = find_collapse(L, budget=budget)
-    if not res.collapsed:
-        return (True, "evidence-only", ["collapse search exhausted"], h)
-    notes.append(f"collapsed in {len(res.certificate.steps)} steps")
-    if certainty != "certified":
-        return (True, "evidence-only", notes + ["boundary sphere evidence-only"], h)
-    return (True, "certified", notes, h)
-
-
 def classify_links(P: Poset, budget: int = 10**6) -> LinkClassification:
     """Classify the link of every vertex x of the order complex of P as
     sphere-like, ball-like, or other, with homology evidence and honest
     certainty labels, by certifying only the link's upper factor.
 
     The link of x in the order complex is the join
-    Delta(P<x) * Delta(P>x).  Precondition, not checked here: P is pure
-    and every lower factor Delta(P<x) is a PL sphere of dimension
-    height(x) - 1.  It holds for the face poset of a simplicial complex,
-    where Delta(P<x) subdivides the boundary of the simplex x.  It holds
-    for the bounded complex L++ of an affine oriented matroid once the
-    covector axioms pass: every nonzero covector below a bounded X is
-    bounded, so Delta(P<X) is the order complex of the open interval
-    (0, X) of L, and L is the face poset of a PL regular cell
-    decomposition of a sphere (Folkman-Lawrence; Edmonds-Mandel;
-    Bjorner et al., Oriented Matroids, 4.3), whose open lower intervals
-    are PL spheres (Bjorner, "Posets, regular CW complexes and Bruhat
-    order", 1984).
+    Delta(P<x) * Delta(P>x).  Precondition, not checked here: P is pure,
+    every lower factor Delta(P<y) is a PL sphere of dimension
+    height(y) - 1, and so is the order complex of every open interval
+    (x, y), of dimension height(y) - height(x) - 2.  It holds for the
+    face poset of a simplicial complex, where these are the boundaries
+    of simplices.  It
+    holds for the bounded complex L++ of an affine oriented matroid once
+    the covector axioms pass: every nonzero covector below a bounded X is
+    bounded, so each interval is an open interval of L, and L is the
+    face poset of a PL regular cell decomposition of a sphere
+    (Folkman-Lawrence; Edmonds-Mandel; Bjorner et al., Oriented
+    Matroids, 4.3), whose open intervals are PL spheres (Bjorner,
+    "Posets, regular CW complexes and Bruhat order", 1984).
 
     The join of a PL sphere with U is a PL sphere (a PL ball) exactly
     when U is one, so each link gets the kind and certainty of
-    U = Delta(P>x) at dimension height(P) - height(x) - 1, and its notes
-    describe U's certificate.  The homology reported is the link's,
-    read off U's by `HomologyTable.suspension`.  Vertices come in the
-    order complex's vertex order.
+    U_x = Delta(P>x) at dimension m = height(P) - height(x) - 1.  The
+    precondition makes Q = P>x the face poset of a regular cell complex
+    whose subdivision is U_x, so Q is certified on its own cells by
+    `find_collapse`, with no order complex:
+
+    * Q is closed when every cell of dimension m - 1 has exactly two
+      upper covers (for m = 0: Q has two cells).  A closed Q is an
+      m-sphere when Q minus one maximal cell collapses: U_x is then two
+      PL m-balls glued along their common boundary.
+    * Any other Q is an m-ball when Q collapses (Whitehead).
+
+    Both need U_x to be a PL manifold, and this comes by induction down
+    the heights.  The link of a vertex y of U_x is
+    Delta((x, y)) * U_y, a sphere joined with a sphere or a ball once U_y
+    is certified, so U_x is a PL m-manifold when every U_y above x is
+    certified.  A cell's label is therefore `certified` only when every
+    cell above it is; otherwise it is `evidence-only`.  The homology
+    reported is the link's, read off the certificate's sphere or point
+    by `HomologyTable.suspension`.
+
+    Only when no collapse is found is U_x built, and its closed
+    pseudomanifold test and homology decide between `refuted` (an exact
+    invariant rules out both a sphere and a ball) and `evidence-only`.
+    Vertices come in the order complex's vertex order.
     """
     if len(P) == 0:
         raise PreconditionError("link classification needs vertices")
     if not P.is_pure():
         raise PreconditionError("link classification is defined for pure posets")
     d = P.height()
-    verdicts = []
-    for x in sorted(P.elements, key=_vkey):
-        k = P.height(x)
-        U = order_complex(P.strictly_above(x))
-        # a sphere candidate needs U's homology; a ball's comes from
-        # its collapse, and U's is computed at most once
-        h = homology(U) if U.is_closed_pseudomanifold() else None
-        ok_s, cert_s, notes_s = _certify_sphere(U, d - k - 1, budget, h)
-        if not ok_s:
-            ok_b, cert_b, notes_b, h = _certify_ball(U, d - k - 1, budget, h)
-        if h is None:
-            h = homology(U)
-        h_link = h.suspension(k)
-        if ok_s:
-            verdicts.append(
-                LinkVerdict(x, "sphere-like", cert_s, h_link, tuple(notes_s))
-            )
-            continue
-        if ok_b:
-            verdicts.append(
-                LinkVerdict(x, "ball-like", cert_b, h_link, tuple(notes_b))
-            )
-            continue
-        certainty = (
-            "refuted" if "refuted" in (cert_s, cert_b) else "evidence-only"
+    hs = P._height_list()
+    verdict = {}
+    uncertified = 0  # mask of the cells labelled below `certified` so far
+    for i in sorted(range(len(P)), key=hs.__getitem__, reverse=True):
+        x, k = P.elements[i], hs[i]
+        kind, certainty, h, notes = _upper_factor(
+            P.strictly_above(x), d - k - 1, budget
         )
-        verdicts.append(
-            LinkVerdict(
-                x,
-                "other",
-                certainty,
-                h_link,
-                tuple(notes_s) + tuple(notes_b),
-            )
+        weak = P._up[i] & uncertified
+        if weak and certainty == "certified":
+            y = P.elements[min(_bits(weak))]
+            certainty = "evidence-only"
+            notes += [f"the cell {y} above is not certified"]
+        if certainty != "certified":
+            uncertified |= 1 << i
+        verdict[x] = LinkVerdict(
+            x, kind, certainty, h.suspension(k), tuple(notes)
         )
-    return LinkClassification(tuple(verdicts))
+    return LinkClassification(
+        tuple(verdict[x] for x in sorted(P.elements, key=_vkey))
+    )
+
+
+def _upper_factor(
+    Q: Poset, m: int, budget: int
+) -> tuple[str, str, HomologyTable, list[str]]:
+    """(kind, certainty, homology, notes) of U = Delta(Q) as an m-sphere
+    or m-ball, by the rules of `classify_links`, before the cells above
+    are consulted."""
+    if len(Q) == 0:
+        return "sphere-like", "certified", HomologyTable.sphere(-1), []
+    hs = Q._height_list()
+    if m == 0:
+        closed = len(Q) == 2
+    else:
+        closed = all(
+            len(Q.upper_covers(y)) == 2
+            for i, y in enumerate(Q.elements)
+            if hs[i] == m - 1
+        )
+    if closed:
+        top = Q.maximal_elements()[0]
+        res = _collapse(Q.subposet(y for y in Q if y != top), budget)
+        if res is not None:
+            steps = len(res.certificate.steps)
+            note = f"closed; collapsed in {steps} steps without {top}"
+            return "sphere-like", "certified", HomologyTable.sphere(m), [note]
+    else:
+        res = _collapse(Q, budget)
+        if res is not None:
+            note = f"collapsed in {len(res.certificate.steps)} steps"
+            return "ball-like", "certified", HomologyTable.point(m), [note]
+    # no certificate: exact invariants of U may still refute
+    U = order_complex(Q)
+    h = homology(U)
+    if U.is_closed_pseudomanifold():
+        if h.is_sphere(m):
+            return "sphere-like", "evidence-only", h, ["no collapse found"]
+        note = f"homology {h.reduced_betti} is not a {m}-sphere"
+        return "other", "refuted", h, [note]
+    if h.is_ball():
+        return "ball-like", "evidence-only", h, ["no collapse found"]
+    note = f"not a closed pseudomanifold; homology {h.reduced_betti} is not a ball"
+    return "other", "refuted", h, [note]
+
+
+def _collapse(Q: Poset, budget: int) -> CollapseResult | None:
+    """The collapse `find_collapse` finds on Q, or None."""
+    try:
+        res = find_collapse(Q, budget=budget)
+    except PreconditionError:  # Q is disconnected
+        return None
+    return res if res.collapsed else None
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,12 @@ by pair, with no order, sign column or decision step, so it
 cross-checks the whole report of `verify_covector_axioms`.
 
 `link_sweep` cuts every vertex link out of a whole simplicial complex
-and certifies all of it, with no join splitting, so it cross-checks
-`classify_links`, which certifies only the upper factor of each link
-of an order complex.
+and certifies all of it, with no join splitting and no induction, so it
+cross-checks `classify_links`, which certifies only the upper factor of
+each link of an order complex, on its cells.  It certifies a link as the
+library did before the induction: a sphere by a shelling found by
+`find_shelling` (or, failing that, by sphere vertex links up to
+dimension 2), a ball by its collapse plus a sphere `boundary`.
 
 `fm_covectors` is the covector enumeration as it ran before the
 cocircuits: a depth-first search over sign patterns with one
@@ -47,6 +50,7 @@ from K, so it cross-checks `verify`, which collapses the cells of L++
 and counts the chains of L++.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -68,8 +72,6 @@ from omtop.topology import (
     LinkClassification,
     LinkVerdict,
     SimplicialComplex,
-    _certify_ball,
-    _certify_sphere,
     find_collapse,
     homology,
     order_complex,
@@ -350,6 +352,156 @@ def scan_axioms(S) -> AxiomReport:
     )
 
 
+def boundary(K: SimplicialComplex) -> SimplicialComplex:
+    """Subcomplex generated by the ridges lying in exactly one facet.
+
+    Meaningful for pure complexes; void when the complex is closed.
+    """
+    if K.is_void or K.dim < 0:
+        return SimplicialComplex.void()
+    if not K.is_pure():
+        raise PreconditionError("boundary is defined for pure complexes")
+    d = K.dim
+    if d == 0:
+        return SimplicialComplex.void()
+    count: dict[frozenset, int] = {}
+    for f in K.facets:
+        for r in itertools.combinations(f, d):
+            fr = frozenset(r)
+            count[fr] = count.get(fr, 0) + 1
+    return SimplicialComplex([r for r, c in count.items() if c == 1])
+
+
+def find_shelling(
+    K: SimplicialComplex, budget: int = 10**5
+) -> list[frozenset] | None:
+    """Search for a shelling order of a pure simplicial complex.
+
+    Depth-first with a deterministic candidate order; returns the facet
+    sequence, or None when no order was found within the budget (which
+    may also mean the complex is not shellable).
+    """
+    if K.is_void or K.dim < 0:
+        raise PreconditionError("shelling search needs a nonempty complex")
+    if not K.is_pure():
+        raise PreconditionError("shelling search needs a pure complex")
+    facets = list(K.facets)
+    if len(facets) == 1 or K.dim == 0:
+        return facets
+    nodes = 0
+
+    def attaches_ok(f: frozenset, used: list[frozenset]) -> bool:
+        hit = [f - {v} for v in f if any(f - {v} <= g for g in used)]
+        if not hit:
+            return False
+        return all(any(f & g <= r for r in hit) for g in used)
+
+    def search(used: list[frozenset], rest: list[frozenset]):
+        nonlocal nodes
+        if not rest:
+            return used
+        for idx, f in enumerate(rest):
+            if nodes >= budget:
+                return None
+            nodes += 1
+            if attaches_ok(f, used):
+                got = search(used + [f], rest[:idx] + rest[idx + 1 :])
+                if got is not None:
+                    return got
+        return None
+
+    for idx, first in enumerate(facets):
+        got = search([first], facets[:idx] + facets[idx + 1 :])
+        if got is not None:
+            return got
+        if nodes >= budget:
+            return None
+    return None
+
+
+def certify_sphere(
+    L: SimplicialComplex, d: int, budget: int, h: HomologyTable | None = None
+) -> tuple[bool, str, list[str]]:
+    """(matches, certainty, notes) for 'L is a d-sphere'.
+
+    certainty is "certified" when the positive checks fully pin the type
+    at this dimension, "refuted" when an exact invariant rules it out,
+    "evidence-only" when homology agrees but certification fell short.
+    h is L's homology when the caller already has it.
+
+    With no shelling found, a closed pseudomanifold with sphere homology
+    and certified sphere vertex links is certified only for d <= 2, where
+    it is a closed surface and the classification of surfaces makes it
+    the 2-sphere.  For d >= 3 the same checks pass on a homology sphere
+    that is not a sphere (the Poincare homology 3-sphere), so the result
+    is evidence-only.
+    """
+    notes: list[str] = []
+    if d == -1:
+        ok = not L.is_void and L.dim == -1
+        return (ok, "certified" if ok else "refuted", notes)
+    if L.is_void or L.dim != d:
+        return (False, "refuted", [f"dimension is not {d}"])
+    if d == 0:
+        ok = len(L.facets) == 2 and all(len(f) == 1 for f in L.facets)
+        return (ok, "certified" if ok else "refuted", notes)
+    if not L.is_pure():
+        return (False, "refuted", ["not pure"])
+    if not L.is_closed_pseudomanifold():
+        return (False, "refuted", ["not a closed pseudomanifold"])
+    if h is None:
+        h = homology(L)
+    if not h.is_sphere(d):
+        return (False, "refuted", [f"homology {h.reduced_betti} is not a {d}-sphere"])
+    if d == 1:
+        # connected closed 1-pseudomanifold is a circle
+        return (True, "certified", notes)
+    shell = find_shelling(L, budget=budget)
+    if shell is not None:
+        notes.append(f"shelling of {len(shell)} facets found")
+        return (True, "certified", notes)
+    # recursive link check
+    all_cert = True
+    for v in L.vertex_order:
+        ok, certainty, _ = certify_sphere(L.link([v]), d - 1, budget)
+        if certainty == "refuted" or not ok:
+            return (False, "refuted", [f"link of {v!r} is not a {d-1}-sphere"])
+        if certainty != "certified":
+            all_cert = False
+    notes.append("recursive vertex-link check passed")
+    return (True, "certified" if all_cert and d <= 2 else "evidence-only", notes)
+
+
+def certify_ball(
+    L: SimplicialComplex, d: int, budget: int, h: HomologyTable
+) -> tuple[bool, str, list[str]]:
+    """(matches, certainty, notes) for 'L is a d-ball', h being L's
+    homology: ball homology, a certified (d-1)-sphere as `boundary`, and
+    a collapse."""
+    if L.is_void or L.dim != d:
+        return (False, "refuted", [f"dimension is not {d}"])
+    if d == 0:
+        ok = len(L.facets) == 1 and len(L.facets[0]) == 1
+        return (ok, "certified" if ok else "refuted", [])
+    if not L.is_pure():
+        return (False, "refuted", ["not pure"])
+    if not h.is_ball():
+        return (False, "refuted", [f"homology {h.reduced_betti} is not a ball"])
+    bd = boundary(L)
+    if bd.is_void:
+        return (False, "refuted", ["no free ridge: boundary is empty"])
+    ok, certainty, sub = certify_sphere(bd, d - 1, budget)
+    if not ok:
+        return (False, certainty, [f"boundary: {m}" for m in sub])
+    res = find_collapse(L, budget=budget)
+    if not res.collapsed:
+        return (True, "evidence-only", ["collapse search exhausted"])
+    notes = [f"collapsed in {len(res.certificate.steps)} steps"]
+    if certainty != "certified":
+        return (True, "evidence-only", notes + ["boundary sphere evidence-only"])
+    return (True, "certified", notes)
+
+
 def link_sweep(K: SimplicialComplex, budget: int = 10**6) -> LinkClassification:
     """Classify the link of every vertex as sphere-like, ball-like, or
     other, with homology evidence and honest certainty labels."""
@@ -362,13 +514,13 @@ def link_sweep(K: SimplicialComplex, budget: int = 10**6) -> LinkClassification:
     for v in K.vertex_order:
         L = K.link([v])
         h = homology(L)
-        ok_s, cert_s, notes_s = _certify_sphere(L, d - 1, budget, h)
+        ok_s, cert_s, notes_s = certify_sphere(L, d - 1, budget, h)
         if ok_s:
             verdicts.append(
                 LinkVerdict(v, "sphere-like", cert_s, h, tuple(notes_s))
             )
             continue
-        ok_b, cert_b, notes_b, _ = _certify_ball(L, d - 1, budget, h)
+        ok_b, cert_b, notes_b = certify_ball(L, d - 1, budget, h)
         if ok_b:
             verdicts.append(
                 LinkVerdict(v, "ball-like", cert_b, h, tuple(notes_b))

@@ -9,6 +9,8 @@ the negative control: the star lemmas are uniform-only statements and
 must fail on it with witnesses, not crash.
 """
 
+import gc
+
 import pytest
 
 from conftest import mk_arrangement
@@ -17,6 +19,7 @@ from oracles import (
     check_bijection_by_scan,
     cube_isomorphism_by_scan,
     cube_scans,
+    find_shelling,
     restriction_ok_by_scan,
     restriction_scans,
 )
@@ -43,6 +46,7 @@ from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet, tope_poset
 from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
+from omtop.topology import SimplicialComplex, face_poset, verify_shelling
 
 S = SignVector.from_string
 
@@ -307,6 +311,21 @@ class TestStars:
         for t in Star(tri, X).D_X:
             assert xg.below(t)
 
+    def test_no_reference_cycle(self, tri_om):
+        # a star and the bounded complex refer to the AffineOM that
+        # caches them; the caches must not close a cycle, or every
+        # verify leaves its covector set to the garbage collector
+        gc.collect()
+        gc.disable()
+        try:
+            M = AffineOM(tri_om)
+            star = M.star(S("00-+"))
+            check_bijection(M, S("00-+"))
+            del M, star
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestBijection:
     def test_triangle_origin_pairs(self, tri):
@@ -446,6 +465,32 @@ class TestInducedShellingOfCX:
         ind = induced_shelling_of_CX(line, S("0-+"))
         assert ind.ok
         assert len(ind.order) == 1
+
+    def test_a_failed_lift_is_no_evidence(self):
+        # at one vertex of the uniform (7,5,1) no lifted [D_X] order
+        # shells [C_X], yet [C_X] is a shellable 4-ball: the failure is
+        # the construction's, which is why verify does not refute on it
+        M = AffineOM(enumerate_covectors(homogenize(
+            generate_arrangement(7, 5, seed=1)
+        )))
+        X = S("0000+0-+")
+        assert not induced_shelling_of_CX(M, X).ok
+        star = M.star(X)
+        order = star.om.om.order()
+        cx = set(star.C_X)
+        faces = order.subposet(
+            y for y in order.up_set(X)
+            if y != X and not cx.isdisjoint(order.up_set(y))
+        )
+        atoms = faces.minimal_elements()
+        K = SimplicialComplex(
+            [a for a in atoms if faces.less_equal(a, t)] for t in star.C_X
+        )
+        assert (K.dim, len(K.facets)) == (4, 26)
+        assert sum(K.f_vector()) == len(faces)
+        shelling = find_shelling(K)
+        assert shelling is not None
+        assert verify_shelling(face_poset(K), shelling).ok
 
     def test_explicit_dx_order(self, tri):
         X = S("00-+")

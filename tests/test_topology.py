@@ -22,7 +22,6 @@ from omtop.topology import (
     classify_links,
     face_poset,
     find_collapse,
-    find_shelling,
     format_complex,
     homology,
     order_complex,
@@ -32,7 +31,15 @@ from omtop.topology import (
     verify_shelling,
 )
 
-from oracles import integral_homology, link_facts, link_sweep, rational_betti
+import oracles
+from oracles import (
+    boundary,
+    find_shelling,
+    integral_homology,
+    link_facts,
+    link_sweep,
+    rational_betti,
+)
 
 
 def divides_chain(P, elts):
@@ -240,11 +247,11 @@ class TestSimplicialComplex:
 
     def test_boundary_of_solid_triangle(self):
         solid = SimplicialComplex.simplex([1, 2, 3])
-        assert solid.boundary() == SimplicialComplex.simplex_boundary([1, 2, 3])
+        assert boundary(solid) == SimplicialComplex.simplex_boundary([1, 2, 3])
 
     def test_boundary_of_closed_complex_is_void(self):
         ring = SimplicialComplex.simplex_boundary([1, 2, 3])
-        assert ring.boundary().is_void
+        assert boundary(ring).is_void
 
     def test_closed_pseudomanifold(self):
         assert SimplicialComplex.simplex_boundary([1, 2, 3, 4]).is_closed_pseudomanifold()
@@ -709,6 +716,23 @@ LINK_COMPLEXES = {
 }
 
 
+def _record_homology(monkeypatch) -> dict:
+    """Record every `homology` and `order_complex` call that
+    `classify_links` makes."""
+    import omtop.topology as topology
+
+    calls = {"homology": [], "order_complex": []}
+    for name in calls:
+        real = getattr(topology, name)
+
+        def recording(X, name=name, real=real):
+            calls[name].append(X)
+            return real(X)
+
+        monkeypatch.setattr(topology, name, recording)
+    return calls
+
+
 class TestClassifyLinks:
     """Links in the barycentric subdivision of K, read from its face
     poset: vertex v of K is the element frozenset({v})."""
@@ -738,28 +762,21 @@ class TestClassifyLinks:
         assert all(v.kind == "sphere-like" for v in res.verdicts)
 
     def test_one_homology_per_octahedron_link(self, monkeypatch):
-        import omtop.topology as topology
-
+        # every link certifies, so its homology comes from the
+        # certificate: no homology and no order complex is computed
         P = face_poset(LINK_COMPLEXES["octahedron"])
-        calls = []
-        real = topology.homology
-
-        def counting(K):
-            calls.append(K)
-            return real(K)
-
-        monkeypatch.setattr(topology, "homology", counting)
-        classify_links(P)
-        assert len(P) == 26
-        assert len(calls) == 26
+        calls = _record_homology(monkeypatch)
+        res = classify_links(P)
+        assert len(P) == 26 and res.all_certified
+        assert calls == {"homology": [], "order_complex": []}
 
     def test_one_state_per_ball_like_link(self, monkeypatch):
-        # the collapse that certifies a ball-like upper factor also gives
-        # its homology, so the factor is reduced once, not twice
+        # each upper factor is reduced once, on its cells: one collapse
+        # state per cell with cells above it, none on a simplicial complex
         import omtop.topology as topology
 
         P = face_poset(LINK_COMPLEXES["solid triangle"])
-        U = order_complex(P.strictly_above(frozenset({1})))
+        Q = P.strictly_above(frozenset({1}))
         built = []
         real_init = topology._CollapseState.__init__
 
@@ -771,8 +788,9 @@ class TestClassifyLinks:
         res = classify_links(P)
         (link,) = [v for v in res.verdicts if v.vertex == frozenset({1})]
         assert (link.kind, link.certainty) == ("ball-like", "certified")
-        assert U.dim == 1
-        assert sum(X == U for X in built) == 1
+        assert len(built) == len(P) - len(P.maximal_elements())
+        assert all(isinstance(X, Poset) for X in built)
+        assert sum(X.elements == Q.elements for X in built) == 1
 
     def test_path_graph(self):
         res = classify_links(face_poset(LINK_COMPLEXES["path"]))
@@ -823,14 +841,12 @@ class TestSuspension:
 
 
 class TestSphereFallback:
-    """With no shelling, sphere homology plus sphere vertex links
-    certifies a sphere only up to dimension 2."""
+    """The sweep oracle's sphere test: with no shelling, sphere homology
+    plus sphere vertex links certifies a sphere only up to dimension 2."""
 
     def test_dimension_3_is_evidence_only(self, monkeypatch):
-        import omtop.topology as topology
-
-        monkeypatch.setattr(topology, "find_shelling", lambda K, budget: None)
-        ok, certainty, notes = topology._certify_sphere(
+        monkeypatch.setattr(oracles, "find_shelling", lambda K, budget: None)
+        ok, certainty, notes = oracles.certify_sphere(
             SimplicialComplex.simplex_boundary(range(5)), 3, 10**5
         )
         assert (ok, certainty) == (True, "evidence-only")
@@ -839,18 +855,122 @@ class TestSphereFallback:
     def test_vertices_that_are_sets(self, monkeypatch):
         # the order complex of a face poset has frozenset vertices; each
         # is one vertex, not a face made of its elements
-        import omtop.topology as topology
-
-        monkeypatch.setattr(topology, "find_shelling", lambda K, budget: None)
+        monkeypatch.setattr(oracles, "find_shelling", lambda K, budget: None)
         K = order_complex(face_poset(SimplicialComplex.simplex_boundary(range(4))))
-        ok, certainty, _ = topology._certify_sphere(K, 2, 10**5)
+        ok, certainty, _ = oracles.certify_sphere(K, 2, 10**5)
         assert (ok, certainty) == (True, "certified")
 
     def test_dimension_2_is_certified(self, monkeypatch):
-        import omtop.topology as topology
-
-        monkeypatch.setattr(topology, "find_shelling", lambda K, budget: None)
-        ok, certainty, _ = topology._certify_sphere(
+        monkeypatch.setattr(oracles, "find_shelling", lambda K, budget: None)
+        ok, certainty, _ = oracles.certify_sphere(
             SimplicialComplex.simplex_boundary(range(4)), 2, 10**5
         )
         assert (ok, certainty) == (True, "certified")
+
+
+class TestSphereTable:
+    @pytest.mark.parametrize("m", range(5))
+    def test_is_the_homology_of_a_simplex_boundary(self, m):
+        K = SimplicialComplex.simplex_boundary(range(m + 2))
+        assert HomologyTable.sphere(m) == homology(K)
+        assert HomologyTable.sphere(m).is_sphere(m)
+
+    def test_minus_one_is_the_empty_complex(self):
+        assert HomologyTable.sphere(-1) == homology(SimplicialComplex.empty())
+
+
+class TestLinkInduction:
+    """A cell is certified only when every cell above it is: a cell
+    whose upper factor is not a manifold leaves every cell below it
+    uncertified, whatever their own collapses say."""
+
+    def test_three_triangles_on_one_edge(self):
+        # the link of the edge {1, 2} is three points: refuted.  The
+        # upper factors of {1} and {2} are three arcs at {1, 2} and
+        # collapse, but the cell above them is not a manifold.  The
+        # sweep refuted {1} and {2} by their boundary (three points,
+        # not a 0-sphere); with no boundary pass, they are the only
+        # cells whose facts change
+        P = face_poset(SimplicialComplex([[1, 2, 3], [1, 2, 4], [1, 2, 5]]))
+        res = classify_links(P)
+        assert res.any_refuted and not res.all_certified
+        old = {f[0]: f for f in link_facts(link_sweep(order_complex(P)))}
+        new = {f[0]: f for f in link_facts(res)}
+        assert new[frozenset({1, 2})][1:3] == ("other", "refuted")
+        changed = {x for x in new if new[x] != old[x]}
+        assert changed == {frozenset({1}), frozenset({2})}
+        for x in changed:
+            assert old[x][1:3] == ("other", "refuted")
+            assert new[x][1:3] == ("ball-like", "evidence-only")
+            assert new[x][3] == old[x][3]
+
+    def test_cone_over_two_disjoint_edges(self):
+        K = SimplicialComplex([["a", 1, 2], ["a", 3, 4]])
+        res = classify_links(face_poset(K))
+        got = {v.vertex: (v.kind, v.certainty) for v in res.verdicts}
+        assert got[frozenset({"a"})] == ("other", "refuted")
+        assert res.any_refuted and not res.all_certified
+        assert link_facts(res) == link_facts(
+            link_sweep(order_complex(face_poset(K)))
+        )
+
+    def test_below_a_cone_over_two_disjoint_edges(self):
+        # one more cone point b: the link of b is the cone over two
+        # disjoint edges, which collapses, but the edge {a, b} above b
+        # has two disjoint edges as its link
+        K = SimplicialComplex([["b", "a", 1, 2], ["b", "a", 3, 4]])
+        res = classify_links(face_poset(K))
+        got = {v.vertex: (v.kind, v.certainty) for v in res.verdicts}
+        assert got[frozenset({"a", "b"})] == ("other", "refuted")
+        for v in ("a", "b"):
+            assert got[frozenset({v})] == ("ball-like", "evidence-only")
+        assert not any(
+            c == "certified" for x, (_, c) in got.items() if x < {"a", "b"}
+        )
+        assert res.any_refuted
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_simplex_boundaries_certify_without_homology(self, n, monkeypatch):
+        # the boundary of the (n-1)-simplex; for n = 6 the upper factor
+        # of a vertex is the boundary of the 4-simplex, a 3-sphere
+        P = face_poset(SimplicialComplex.simplex_boundary(range(n)))
+        calls = _record_homology(monkeypatch)
+        res = classify_links(P)
+        assert calls == {"homology": [], "order_complex": []}
+        assert res.all_certified
+        assert all(v.kind == "sphere-like" for v in res.verdicts)
+        assert all(v.homology == HomologyTable.sphere(n - 3) for v in res.verdicts)
+        (x,) = [x for x in P.minimal_elements() if 0 in x]
+        assert homology(order_complex(P.strictly_above(x))).is_sphere(n - 3)
+
+    def test_no_collapse_found_builds_the_order_complex(self, monkeypatch):
+        # with no collapse step allowed, only the refutation path is
+        # left: the exact invariants of each upper factor decide
+        P = face_poset(LINK_COMPLEXES["wedge"])
+        calls = _record_homology(monkeypatch)
+        res = classify_links(P, budget=0)
+        assert calls["order_complex"]
+        sweep = link_sweep(order_complex(P))
+        for new, old in zip(res.verdicts, sweep.verdicts):
+            assert (new.vertex, new.kind, new.homology) == (
+                old.vertex, old.kind, old.homology
+            )
+            # a collapse of one cell takes no step
+            one_cell = len(P.strictly_above(new.vertex)) <= 1
+            assert (new.certainty == "certified") == one_cell
+            if old.certainty == "refuted":
+                assert new.certainty == "refuted"
+
+    def test_corrupted_certificate_without_a_cell_fails_its_replay(self):
+        # the certificate that makes a closed factor a sphere is a
+        # collapse of the factor minus one maximal cell
+        Q = face_poset(SimplicialComplex.simplex_boundary(range(4)))
+        top = Q.maximal_elements()[0]
+        rest = Q.subposet(y for y in Q if y != top)
+        cert = find_collapse(rest).certificate
+        assert verify_collapse(rest, cert)
+        with pytest.raises(DomainError):
+            verify_collapse(Q, cert)
+        steps = cert.steps[1:] + cert.steps[:1]
+        with pytest.raises(DomainError):
+            verify_collapse(rest, CollapseCertificate(steps, cert.terminal))

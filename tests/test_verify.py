@@ -160,6 +160,30 @@ class TestOtherVerdicts:
         assert rep.verdict == "ball-certified"
 
 
+class TestInheritedShellingIsNoEvidence:
+    """A lifted [D_X] order that shells no [C_X] is a construction that
+    fell short; the paper's theorem makes every uniform instance a ball."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return verify_arrangement(generate_arrangement(7, 5, seed=1))
+
+    def test_ball_certified_with_no_reasons(self, report):
+        assert report.verdict == "ball-certified"
+        assert report.reasons == ()
+        assert report.stages["links"]["all_certified"]
+
+    def test_failed_lift_is_noted_not_failed(self, report):
+        sc = report.stages["star_checks"]
+        failed = [e["X"] for e in sc["per_x"] if e.get("shelling_ok") is False]
+        assert failed == ["0000+0-+"]
+        assert sc["failures"] == []
+        assert len(sc["notes"]) == 1 and "0000+0-+" in sc["notes"][0]
+
+    def test_no_notes_key_when_every_lift_shells(self, tri_report):
+        assert "notes" not in tri_report.stages["star_checks"]
+
+
 class TestEachFactOnce:
     def test_one_boundedness_test_per_affine_face(self, tri_arr, monkeypatch):
         import omtop.realization as realization
@@ -424,7 +448,9 @@ class TestLinksByUpperFactor:
         self, name, four_arr, monkeypatch
     ):
         # the collapse runs on the cells, so once it replays no order
-        # complex of L++ is built: only the links' upper factors
+        # complex of L++ is built; the links certify on their cells too,
+        # so the only order complex is the upper factor of a cell with
+        # no collapse, the refuted cell of four-line
         import omtop.topology as topology
         import omtop.verify as verify
 
@@ -443,8 +469,14 @@ class TestLinksByUpperFactor:
             "refuted" if name == "four-line" else "ball-certified"
         )
         assert rep.stages["collapse"]["replay_ok"] is True
-        assert built
-        assert all(len(Q) < rep.stages["bounded"]["size"] for Q in built)
+        refuted = [
+            v["vertex"] for v in rep.stages["links"]["vertices"]
+            if v["certainty"] == "refuted"
+        ]
+        assert len(refuted) == (name == "four-line")
+        P = _cells(A)
+        above = [P.strictly_above(x) for x in P if str(x) in refuted]
+        assert [Q.elements for Q in built] == [Q.elements for Q in above]
 
 
 def _replays(X) -> bool:

@@ -17,12 +17,14 @@ fraction-free (Bareiss) elimination, the elimination that also gives
 ranks.  Every covector is a composition of cocircuits, so the closure
 of the cocircuits under composition, plus 0, is the whole set.
 
+The affine faces are the covectors that are + at g, with g deleted.
 Fourier-Motzkin elimination with strictness tracking (zero signs become
-equations and are substituted out) decides only affine faces: which
-affine sign patterns are nonempty, and which nonempty faces are
-bounded.  That is the geometric boundedness oracle, the independent
-cross-check for every bounded-complex face count downstream; it reads
-the hyperplanes, never the covectors.
+equations and are substituted out) runs only as a test on one face at
+a time: is this affine sign pattern nonempty, and is its face bounded?
+No sign-pattern search is left.  That is the geometric boundedness
+oracle, the independent cross-check for every bounded-complex face
+count downstream; it reads the hyperplanes, never the covector set it
+checks.
 """
 
 from __future__ import annotations
@@ -288,46 +290,6 @@ def homogenize(A: Arrangement) -> VectorConfiguration:
 
 
 # ---------------------------------------------------------------------------
-# sign-pattern feasibility and enumeration
-# ---------------------------------------------------------------------------
-
-
-def _sign_row(coeffs, const, sign: Sign):
-    if sign is Sign.ZERO:
-        return (coeffs, const, _EQ)
-    if sign is Sign.PLUS:
-        return (coeffs, const, _GT)
-    return (tuple(-c for c in coeffs), -const, _GT)
-
-
-def _enumerate_patterns(rows_by_sign, n: int, nvars: int):
-    """DFS over sign patterns in (0,+,-) branch order per coordinate;
-    rows_by_sign[i][s] is the row constraining coordinate i to sign s.
-    Prefixes whose partial system is already infeasible are cut; this
-    cannot change the result (a completion only adds constraints)."""
-    order = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
-    out = []
-    prefix: list[Sign] = []
-    rows: list = []
-
-    def rec():
-        if len(prefix) == n:
-            # the full system was checked on the last append
-            out.append(SignVector.from_signs(prefix))
-            return
-        for s in order:
-            prefix.append(s)
-            rows.append(rows_by_sign[len(prefix) - 1][s])
-            if feasible(rows, nvars):
-                rec()
-            prefix.pop()
-            rows.pop()
-
-    rec()
-    return out
-
-
-# ---------------------------------------------------------------------------
 # covectors from cocircuits
 # ---------------------------------------------------------------------------
 
@@ -436,6 +398,14 @@ def enumerate_covectors(
 # ---------------------------------------------------------------------------
 
 
+def _sign_row(coeffs, const, sign: Sign):
+    if sign is Sign.ZERO:
+        return (coeffs, const, _EQ)
+    if sign is Sign.PLUS:
+        return (coeffs, const, _GT)
+    return (tuple(-c for c in coeffs), -const, _GT)
+
+
 def affine_pattern_feasible(A: Arrangement, P: SignVector) -> bool:
     """Is the relatively open face {x : sign(a_i . x - b_i) = P_i} nonempty?"""
     if P.n != A.n:
@@ -446,12 +416,26 @@ def affine_pattern_feasible(A: Arrangement, P: SignVector) -> bool:
     return feasible(rows, A.dim)
 
 
-def enumerate_affine_faces(A: Arrangement):
-    """All affine sign patterns with a nonempty face."""
-    rows_by_sign = [
-        {s: _sign_row(r[:-1], r[-1], s) for s in Sign} for r in A.rows
+_FACE_ORDER = str.maketrans("0+-", "012")
+
+
+def enumerate_affine_faces(A: Arrangement) -> list[SignVector]:
+    """All affine sign patterns with a nonempty face: the covectors of
+    `homogenize(A)` that are + at g, with g deleted, since the points
+    with t > 0 scale to the affine chart t = 1.  Listed coordinate 0
+    slowest, each coordinate in the order 0, +, -: the order in which
+    `render_arrangement_svg` draws them.
+
+    Raises ResourceExhausted past the 20,000-covector cap of
+    `enumerate_covectors`."""
+    n = A.n
+    full = (1 << n) - 1
+    faces = [
+        SignVector(n, x._pos & full, x._neg)
+        for x in enumerate_covectors(homogenize(A)).covectors
+        if x._pos >> n  # g is the last element
     ]
-    return _enumerate_patterns(rows_by_sign, A.n, A.dim)
+    return sorted(faces, key=lambda P: str(P).translate(_FACE_ORDER))
 
 
 def face_bounded(A: Arrangement, P: SignVector) -> bool:
@@ -544,8 +528,13 @@ def is_essential(A: Arrangement) -> bool:
 def bounded_faces(A: Arrangement) -> dict[SignVector, int]:
     """The sign pattern of every bounded face, mapped to its dimension:
     one pass over the affine faces, one exact boundedness test each.
-    Never consults the covector poset, so it is an independent oracle
-    for the bounded complex."""
+    It reads only A, never a covector set or its order, and decides
+    boundedness and dimension face by face, so it is an independent
+    oracle for the bounded complex.  The faces come from the cocircuit
+    closure of `enumerate_affine_faces`: each one must pass the
+    emptiness test of `face_bounded` (an empty one raises
+    PreconditionError), and that none is missing is the cocircuit
+    theorem of `enumerate_covectors`."""
     return {
         P: affine_face_dim(A, P)
         for P in enumerate_affine_faces(A)
@@ -564,7 +553,9 @@ def face_census(faces: dict[SignVector, int]) -> tuple[int, ...]:
 
 def bounded_face_census(A: Arrangement) -> tuple[int, ...]:
     """f-vector of the bounded faces, counted geometrically: entry k is
-    the number of bounded faces of dimension k."""
+    the number of bounded faces of dimension k.  Raises
+    ResourceExhausted past the 20,000-covector cap of
+    `enumerate_covectors`."""
     return face_census(bounded_faces(A))
 
 

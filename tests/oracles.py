@@ -27,6 +27,10 @@ dimension 2), a ball by its collapse plus a sphere `boundary`.
 cocircuits: a depth-first search over sign patterns with one
 Fourier-Motzkin feasibility test per prefix, so it cross-checks the
 cocircuit closure of `enumerate_covectors` as a whole set.
+`fm_affine_faces` runs the same search on the affine rows of an
+arrangement, as `enumerate_affine_faces` did before it read the faces
+off the cocircuit closure, so it cross-checks that list, order
+included.
 `pattern_feasible` decides one sign pattern of a vector configuration
 with its own feasibility call, so a brute-force scan over all patterns
 cross-checks both.
@@ -62,7 +66,6 @@ from omtop.matroid import AxiomReport, CovectorSet
 from omtop.realization import (
     _EQ,
     _GE,
-    _enumerate_patterns,
     _sign_row,
     feasible,
 )
@@ -104,6 +107,33 @@ def _rank_over_q(rows: list[list[int]]) -> int:
     return rank
 
 
+def _enumerate_patterns(rows_by_sign, n: int, nvars: int):
+    """DFS over sign patterns in (0,+,-) branch order per coordinate;
+    rows_by_sign[i][s] is the row constraining coordinate i to sign s.
+    Prefixes whose partial system is already infeasible are cut; this
+    cannot change the result (a completion only adds constraints)."""
+    order = (Sign.ZERO, Sign.PLUS, Sign.MINUS)
+    out = []
+    prefix: list[Sign] = []
+    rows: list = []
+
+    def rec():
+        if len(prefix) == n:
+            # the full system was checked on the last append
+            out.append(SignVector.from_signs(prefix))
+            return
+        for s in order:
+            prefix.append(s)
+            rows.append(rows_by_sign[len(prefix) - 1][s])
+            if feasible(rows, nvars):
+                rec()
+            prefix.pop()
+            rows.pop()
+
+    rec()
+    return out
+
+
 def fm_covectors(V) -> CovectorSet:
     """All feasible sign patterns of the configuration's forms, by the
     pruned Fourier-Motzkin pattern search."""
@@ -111,6 +141,15 @@ def fm_covectors(V) -> CovectorSet:
     return CovectorSet(
         V.ground, _enumerate_patterns(rows_by_sign, V.n_forms, V.nvars)
     )
+
+
+def fm_affine_faces(A) -> list[SignVector]:
+    """All affine sign patterns with a nonempty face, by the pruned
+    Fourier-Motzkin pattern search, in its (0,+,-) branch order."""
+    rows_by_sign = [
+        {s: _sign_row(r[:-1], r[-1], s) for s in Sign} for r in A.rows
+    ]
+    return _enumerate_patterns(rows_by_sign, A.n, A.dim)
 
 
 def pattern_feasible(V, P: SignVector) -> bool:

@@ -322,6 +322,8 @@ class TestInputErrors:
         assert main(["realize", str(p)]) == 3
         assert "cap" in capsys.readouterr().err
         assert main(["verify", str(p)]) == 3
+        # the picture's faces come from the same covector enumeration
+        assert main(["svg", str(p)]) == 3
 
 
 class TestModuleEntryPoint:

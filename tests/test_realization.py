@@ -20,6 +20,7 @@ from conftest import FOURLINE_ROWS, LINE_ROWS, TRIANGLE_ROWS, mk_arrangement
 from oracles import (
     _rank_over_q,
     face_bounded_by_directions,
+    fm_affine_faces,
     fm_covectors,
     pattern_feasible,
 )
@@ -318,7 +319,8 @@ def _special_arrangements(draw):
 
 
 class TestCocircuitClosure:
-    """Whole covector sets against the Fourier-Motzkin pattern search."""
+    """Whole covector sets, and the affine faces read off them, against
+    the Fourier-Motzkin pattern search."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(_configurations())
@@ -330,6 +332,7 @@ class TestCocircuitClosure:
     def test_special_arrangements(self, A):
         V = homogenize(A)
         assert enumerate_covectors(V).covectors == fm_covectors(V).covectors
+        assert enumerate_affine_faces(A) == fm_affine_faces(A)
 
     def test_non_essential_rank(self):
         # every normal parallel to (1, 2, 0): the forms have rank 2 of 4
@@ -341,6 +344,7 @@ class TestCocircuitClosure:
         L = enumerate_covectors(V)
         assert len(L) == 17  # as for three points on a line
         assert L.covectors == fm_covectors(V).covectors
+        assert enumerate_affine_faces(A) == fm_affine_faces(A)
 
     def test_loops_only(self):
         ground = GroundSet(["a", "g"], g="g")
@@ -356,11 +360,14 @@ class TestCocircuitClosure:
     def test_refute_workload_arrangements(self, A):
         V = homogenize(A)
         assert enumerate_covectors(V).covectors == fm_covectors(V).covectors
+        assert enumerate_affine_faces(A) == fm_affine_faces(A)
 
     @pytest.mark.parametrize("n,d,seed", [(4, 2, 0), (6, 2, 1), (5, 3, 0)])
     def test_generated(self, n, d, seed):
-        V = homogenize(generate_arrangement(n, d, seed=seed))
+        A = generate_arrangement(n, d, seed=seed)
+        V = homogenize(A)
         assert enumerate_covectors(V).covectors == fm_covectors(V).covectors
+        assert enumerate_affine_faces(A) == fm_affine_faces(A)
 
 
 class TestBoundednessOracle:

@@ -1,5 +1,7 @@
 """End-to-end pipeline: stages, verdicts, and report structure."""
 
+import gc
+
 import pytest
 
 from omtop.bounded import AffineOM, bounded_complex
@@ -7,6 +9,7 @@ from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet, atoms, verify_covector_axioms
 from omtop.realization import Arrangement, enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector as S
+from omtop.svgfig import render_arrangement_svg
 from omtop.errors import DomainError
 from omtop.topology import (
     CollapseCertificate,
@@ -184,6 +187,27 @@ class TestInheritedShellingIsNoEvidence:
         assert "notes" not in tri_report.stages["star_checks"]
 
 
+class TestNoReferenceCycle:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify_arrangement(generate_arrangement(5, 4, seed=0)),
+            lambda: render_arrangement_svg(generate_arrangement(5, 2, seed=3)),
+        ],
+        ids=["verify", "svg"],
+    )
+    def test_nothing_left_for_the_collector(self, run):
+        # the boundedness oracle and the picture enumerate the affine
+        # faces; that must not leave a reference cycle behind
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestEachFactOnce:
     def test_one_boundedness_test_per_affine_face(self, tri_arr, monkeypatch):
         import omtop.realization as realization
@@ -194,9 +218,13 @@ class TestEachFactOnce:
         monkeypatch.setattr(
             verify, "face_bounded", realization.face_bounded, raising=False
         )
+        rows = _counting(monkeypatch, realization, "feasible")
         rep = verify_arrangement(tri_arr)
         assert len(realization.enumerate_affine_faces(tri_arr)) == 19
         assert len(calls) == 19
+        # an emptiness test and a boundedness test per face, and no
+        # sign-pattern search
+        assert len(rows) == 2 * 19
         assert rep.stages["boundedness_oracle"]["matches_f_vector"]
 
     def test_realization_computes_only_on_integers(self, monkeypatch):

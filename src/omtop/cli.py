@@ -104,22 +104,24 @@ def cmd_axioms(args) -> int:
     A, L = _load(args.input, args.g)
     L = _covectors_of(A, L)
     rep = verify_covector_axioms(L)
-    j = rep.to_json()
+    labels = L.ground.labels
+    # the first witness of each axiom in sign-vector notation
     witnesses = {
         "l0": [],
-        "l1": j["l1_witnesses"],
-        "l2": j["l2_witnesses"],
-        "l3": j["l3_witnesses"],
+        "l1": [str(x) for x in rep.l1_witnesses[:1]],
+        "l2": [f"{x} o {y}" for x, y in rep.l2_witnesses[:1]],
+        "l3": [f"{x}, {y}, e={labels[e]}" for x, y, e in rep.l3_witnesses[:1]],
     }
     for key in ("l0", "l1", "l2", "l3"):
-        ok = j[f"{key}_ok"]
+        ok = getattr(rep, f"{key}_ok")
         line = f"{key.upper()}: {'ok' if ok else 'FAIL'}"
         if not ok and witnesses[key]:
-            line += f"  witness: {witnesses[key][0]}"
+            count = len(getattr(rep, f"{key}_witnesses"))
+            line += f"  witness: {witnesses[key][0]} (1 of {count})"
         print(line)
     print(f"axioms: {'ok' if rep.ok else 'FAIL'} ({len(L)} covectors)")
     if args.json:
-        _write_json(args.json, j)
+        _write_json(args.json, rep.to_json())
     return EXIT_OK if rep.ok else EXIT_FAILED
 
 

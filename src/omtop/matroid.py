@@ -9,10 +9,18 @@ there) are computed once, and the conformal order Y <= X on the set is
 built from them as a bitmask poset (:meth:`CovectorSet.order`).  Every
 order question is read from it: heights, topes, atoms, and the bounded
 complex and upper intervals of the ``bounded`` module.  The axiom check
-decides composition and elimination from the order and the columns, and
-runs the pairwise witness pass only on a set that fails them.  Rank is
-always poset height within the set itself, never an external matroid
-oracle.
+decides composition and elimination and lists their witnesses in one
+pass over the order and the columns, with no scan of all pairs.  It
+rests on three lemmas, proved in :func:`verify_covector_axioms`; the
+one that lists the elimination witnesses is this.  For sign vectors
+X, Y and e in their separation set T, elimination for (X, Y, e) asks
+for exactly the Z that elimination for (X o Y, Y o X, e) asks for:
+X o Y and Y o X are X and Y where both are nonzero and agree elsewhere,
+so their separation set is T, and (X o Y) o (Y o X) = X o Y, so both
+ask for a Z zero at e and equal to X o Y off T.  A pair whose two
+compositions lie in the set is therefore a witness pair iff the pair of
+its compositions, which have equal support, is one.  Rank is always
+poset height within the set itself, never an external matroid oracle.
 """
 
 from __future__ import annotations
@@ -217,12 +225,9 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
     """Check the four covector axioms, with witnesses.
 
     L0 and L1 are read off the set directly.  Composition (L2) and
-    elimination (L3) are first decided from the order and the sign
-    columns (:func:`_composition_and_elimination_hold`); only a set that
-    fails them goes through the pairwise pass that lists every witness
-    (:func:`_pairwise_witnesses`), so the report does not depend on
-    which route found it.  The decision rests on two lemmas, for any
-    finite set L of sign vectors.
+    elimination (L3) are decided and their witnesses listed in one pass
+    over the order and the sign columns (:func:`_axiom_witnesses`),
+    resting on three lemmas, for any finite set L of sign vectors.
 
     *L2 by counting.*  For x in L let z(x) be its zero set.  Then
     x o y in L for every y in L iff |L>=x| = |{y|z(x) : y in L}|.
@@ -231,24 +236,36 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
     x o y are exactly the vectors equal to x on supp(x) with restriction
     to z(x) in P, so there are |P| of them, and they contain L>=x.
     Hence they all lie in L iff they all lie in L>=x iff the two counts
-    agree.
+    agree.  Where they differ, x o y lies in L iff y|z(x) = w|z(x) for
+    some w in L>=x, so the y with x o y missing are those outside the
+    classes of y -> y|z(x) that L>=x meets.
 
-    *L3 on equal supports.*  If L satisfies L2, it satisfies L3 iff
-    elimination holds for every pair x, y in L with supp(x) = supp(y).
-    Proof: for X, Y in L put X' = X o Y and Y' = Y o X, both in L by
-    L2.  They have the same support, supp(X) u supp(Y), and the same
-    separation set as X and Y, and X' o Y' = X' agrees with X o Y off
-    it.  So elimination for (X, Y, e) asks for exactly the Z that
-    elimination for (X', Y', e) asks for.
+    *Elimination through compositions.*  For sign vectors X, Y and e in
+    their separation set T, elimination for (X, Y, e) in L asks for
+    exactly the Z that elimination for (X o Y, Y o X, e) asks for.
+    Proof: X o Y and Y o X are X and Y on supp(X) n supp(Y) and agree
+    elsewhere, so their separation set is T; and (X o Y) o (Y o X) =
+    X o Y.  Both ask for Z in L zero at e and equal to X o Y off T.  So
+    a pair of L with both compositions in L is a witness pair, at the
+    same e, iff the pair of its compositions is, and those two have the
+    same support.  Conversely, for x', y' in L of equal support U and
+    separation set T, the x, y in L with x o y = x' and y o x = y' are
+    exactly those with x <= x', y <= y', T inside supp(x) n supp(y) and
+    supp(x) u supp(y) = U.  Proof: x o y = x' forces x <= x', y o x = y'
+    forces y <= y', the supports to cover U, and the separation set T
+    of the pair to lie in both supports.  Given these, x o y is x' on
+    supp(x) and y = y' = x' on supp(y) - supp(x), which misses T, so
+    x o y = x'; likewise y o x = y'.
+
+    *L3 on equal supports.*  Hence if L satisfies L2, it satisfies L3
+    iff elimination holds for every pair x, y in L with supp(x) =
+    supp(y): every pair's compositions are such a pair.
     """
     n = len(S.ground)
     cset = S.covectors
     l0_ok = SignVector.zero(n) in cset
     l1_witnesses = tuple(x for x in S.sorted_covectors() if -x not in cset)
-    if _composition_and_elimination_hold(S):
-        l2_witnesses = l3_witnesses = ()
-    else:
-        l2_witnesses, l3_witnesses = _pairwise_witnesses(S)
+    l2_witnesses, l3_witnesses = _axiom_witnesses(S)
     return AxiomReport(
         ground=S.ground,
         l0_ok=l0_ok,
@@ -261,35 +278,62 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
     )
 
 
-def _composition_and_elimination_hold(S: CovectorSet) -> bool:
-    """Decide L2 and L3 together, by the two lemmas of
-    :func:`verify_covector_axioms`: L2 from up-set sizes against the
-    number of projections to each zero set, L3 on the pairs of equal
-    support, each elimination an AND of sign columns."""
-    covs = S.sorted_covectors()
-    full = (1 << len(S.ground)) - 1
-    up = S.order()._up
-    projections: dict[int, int] = {}
-    for i, x in enumerate(covs):
-        zero = full & ~(x._pos | x._neg)
-        count = projections.get(zero)
-        if count is None:
-            count = len({(y._pos & zero, y._neg & zero) for y in covs})
-            projections[zero] = count
-        if up[i].bit_count() != count:
-            return False
+def _axiom_witnesses(S: CovectorSet):
+    """Every L2 and L3 witness, by the lemmas of
+    :func:`verify_covector_axioms`: (x, y) with x o y missing, and
+    (x, y, e) for each e separating x and y with no covector zero at e
+    that agrees with x o y off the separation set.  They are listed as
+    a scan of the pairs x before or at y in
+    :meth:`~CovectorSet.sorted_covectors` order would list them.
 
+    L2 compares up-set sizes with the number of restrictions to each
+    zero set, and only where they differ builds the classes of those
+    restrictions (:func:`_restriction_classes`).  L3 checks each pair of
+    equal support, an AND of sign columns, and lifts each that fails to
+    the pairs whose compositions it is (:func:`_pairs_below`); the pairs
+    with a missing composition, the L2 witnesses, are checked one by one
+    (:func:`_unmet_eliminations`).  On an oriented matroid only the
+    counts and the equal-support pairs are examined."""
+    covs = S.sorted_covectors()
+    order = S.order()
+    up, down = order._up, order._down
     columns = S._sign_columns()
     zeros = [z for _, _, z in columns]
+    full = (1 << len(S.ground)) - 1
+    every = (1 << len(covs)) - 1
+
+    # (i, j): covs[i] o covs[j] is missing
+    l2 = []
+    counts: dict[int, int] = {}
+    classes_of: dict[int, dict[tuple[int, int], int]] = {}
+    for i, x in enumerate(covs):
+        zero = full & ~(x._pos | x._neg)
+        count = counts.get(zero)
+        if count is None:
+            count = len({(y._pos & zero, y._neg & zero) for y in covs})
+            counts[zero] = count
+        if up[i].bit_count() == count:
+            continue
+        classes = classes_of.get(zero)
+        if classes is None:
+            classes = classes_of[zero] = _restriction_classes(covs, zero)
+        hit = 0
+        for k in _bits(up[i]):
+            w = covs[k]
+            hit |= classes[w._pos & zero, w._neg & zero]
+        l2.extend((i, j) for j in _bits(every & ~hit))
+
+    # (i, j, e) with i < j
+    l3 = []
     same_support = defaultdict(list)
-    for x in covs:
+    for i, x in enumerate(covs):
         # x's own column at each coordinate: the covectors agreeing there
         own = [p if x._pos >> f & 1 else m if x._neg >> f & 1 else z
                for f, (p, m, z) in enumerate(columns)]
-        same_support[x._pos | x._neg].append((x, own))
-    for group in same_support.values():
-        for a, (x, own) in enumerate(group):
-            for y, _ in group[a + 1:]:
+        same_support[x._pos | x._neg].append((x, i, own))
+    for support, group in same_support.items():
+        for a, (x, i, own) in enumerate(group):
+            for y, j, _ in group[a + 1:]:
                 # equal supports and x != y: S(x, y) is not empty, and
                 # x o y = x
                 sep = (x._pos & y._neg) | (x._neg & y._pos)
@@ -297,61 +341,68 @@ def _composition_and_elimination_hold(S: CovectorSet) -> bool:
                 for f, col in enumerate(own):
                     if not sep >> f & 1:
                         agree &= col
-                if not all(agree & zeros[e] for e in _bits(sep)):
-                    return False
-    return True
+                if all(agree & zeros[e] for e in _bits(sep)):
+                    continue
+                unmet = [e for e in _bits(sep) if not agree & zeros[e]]
+                for p, q in _pairs_below(covs, down, zeros, i, j, sep,
+                                         support):
+                    lo, hi = (p, q) if p < q else (q, p)
+                    l3.extend((lo, hi, e) for e in unmet)
+    for lo, hi in {(i, j) if i < j else (j, i) for i, j in l2}:
+        l3.extend(
+            (lo, hi, e)
+            for e in _unmet_eliminations(columns, covs[lo], covs[hi])
+        )
+
+    l2.sort(key=lambda ij: (min(ij), max(ij), ij[0] > ij[1]))
+    l3.sort()
+    return (
+        tuple((covs[i], covs[j]) for i, j in l2),
+        tuple((covs[i], covs[j], e) for i, j, e in l3),
+    )
 
 
-def _pairwise_witnesses(S: CovectorSet):
-    """Every L2 and L3 witness, by one pass over all pairs of S in
-    :meth:`~CovectorSet.sorted_covectors` order: (x, y) with x o y
-    missing, and (x, y, e) for each e separating them with no covector
-    zero at e that agrees with x o y off the separation set."""
-    n = len(S.ground)
-    full = (1 << n) - 1
-    covs = S.sorted_covectors()
+def _restriction_classes(covs, zero: int) -> dict[tuple[int, int], int]:
+    """The covectors grouped by their restriction to the coordinates in
+    `zero`: each restriction's mask over `covs`."""
+    classes: dict[tuple[int, int], int] = defaultdict(int)
+    for j, y in enumerate(covs):
+        classes[y._pos & zero, y._neg & zero] |= 1 << j
+    return classes
 
-    keys = {(x._pos, x._neg) for x in covs}
 
-    l2_witnesses = []
-    l3_witnesses = []
-    # proj_sets[keep]: projections of all covectors to the kept coordinates
-    proj_sets: dict[int, set[tuple[int, int]]] = {}
+def _pairs_below(covs, down, zeros, i: int, j: int, sep: int, support: int):
+    """The pairs (p, q) of indices with covs[p] o covs[q] = covs[i] and
+    covs[q] o covs[p] = covs[j], for covs[i] and covs[j] of equal
+    support `support` and separation set `sep`: covs[p] <= covs[i] and
+    covs[q] <= covs[j], both nonzero on `sep`, with supports covering
+    `support`."""
+    on_sep = -1
+    for e in _bits(sep):
+        on_sep &= ~zeros[e]
+    ys = down[j] & on_sep
+    for p in _bits(down[i] & on_sep):
+        x = covs[p]
+        qs = ys
+        for f in _bits(support & ~(x._pos | x._neg)):
+            qs &= ~zeros[f]
+        for q in _bits(qs):
+            yield p, q
 
-    def projections(keep: int) -> set[tuple[int, int]]:
-        got = proj_sets.get(keep)
-        if got is None:
-            got = {(x._pos & keep, x._neg & keep) for x in covs}
-            proj_sets[keep] = got
-        return got
 
-    for i, x in enumerate(covs):
-        xp, xn = x._pos, x._neg
-        taken = xp | xn
-        for y in covs[i:]:
-            yp, yn = y._pos, y._neg
-            # composition X o Y (and Y o X for the symmetric pair)
-            if (xp | (yp & ~taken), xn | (yn & ~taken)) not in keys:
-                l2_witnesses.append((x, y))
-            if x is not y:
-                ytaken = yp | yn
-                if (yp | (xp & ~ytaken), yn | (xn & ~ytaken)) not in keys:
-                    l2_witnesses.append((y, x))
-            sep = (xp & yn) | (xn & yp)
-            if not sep:
-                continue
-            # X o Y and Y o X agree off the separation set, so checking
-            # (x, y) covers (y, x) as well
-            outside = full & ~sep
-            wp = (xp | (yp & ~taken)) & outside
-            wn = (xn | (yn & ~taken)) & outside
-            m = sep
-            while m:
-                ebit = m & -m
-                m ^= ebit
-                if (wp, wn) not in projections(outside | ebit):
-                    l3_witnesses.append((x, y, ebit.bit_length() - 1))
-    return tuple(l2_witnesses), tuple(l3_witnesses)
+def _unmet_eliminations(columns, x: SignVector, y: SignVector) -> list[int]:
+    """The e separating x and y for which no covector is zero at e and
+    agrees with x o y off the separation set: an AND of the sign columns
+    of x o y there, then one test against each zero column."""
+    sep = (x._pos & y._neg) | (x._neg & y._pos)
+    taken = x._pos | x._neg
+    wp = x._pos | (y._pos & ~taken)
+    wn = x._neg | (y._neg & ~taken)
+    agree = -1
+    for f, (p, m, z) in enumerate(columns):
+        if not sep >> f & 1:
+            agree &= p if wp >> f & 1 else m if wn >> f & 1 else z
+    return [e for e in _bits(sep) if not agree & columns[e][2]]
 
 
 # ---------------------------------------------------------------------------

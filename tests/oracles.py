@@ -14,6 +14,11 @@ order index, so they cross-check everything `CovectorSet.order` serves.
 `scan_axioms` checks the covector axioms from their definitions, pair
 by pair, with no order, sign column or decision step, so it
 cross-checks the whole report of `verify_covector_axioms`.
+`pairwise_witnesses` is the witness pass as the library ran it before
+it listed the witnesses from zero-set classes and equal-support pairs:
+one visit to every pair of the set, with a cached projection set per
+elimination, so it cross-checks the L2 and L3 witness lists, order
+included.
 
 `link_sweep` cuts every vertex link out of a whole simplicial complex
 and certifies all of it, with no join splitting and no induction, so it
@@ -389,6 +394,58 @@ def scan_axioms(S) -> AxiomReport:
         l2_witnesses=tuple(l2),
         l3_witnesses=tuple(l3),
     )
+
+
+def pairwise_witnesses(S: CovectorSet):
+    """Every L2 and L3 witness, by one pass over all pairs of S in
+    :meth:`~CovectorSet.sorted_covectors` order: (x, y) with x o y
+    missing, and (x, y, e) for each e separating them with no covector
+    zero at e that agrees with x o y off the separation set."""
+    n = len(S.ground)
+    full = (1 << n) - 1
+    covs = S.sorted_covectors()
+
+    keys = {(x._pos, x._neg) for x in covs}
+
+    l2_witnesses = []
+    l3_witnesses = []
+    # proj_sets[keep]: projections of all covectors to the kept coordinates
+    proj_sets: dict[int, set[tuple[int, int]]] = {}
+
+    def projections(keep: int) -> set[tuple[int, int]]:
+        got = proj_sets.get(keep)
+        if got is None:
+            got = {(x._pos & keep, x._neg & keep) for x in covs}
+            proj_sets[keep] = got
+        return got
+
+    for i, x in enumerate(covs):
+        xp, xn = x._pos, x._neg
+        taken = xp | xn
+        for y in covs[i:]:
+            yp, yn = y._pos, y._neg
+            # composition X o Y (and Y o X for the symmetric pair)
+            if (xp | (yp & ~taken), xn | (yn & ~taken)) not in keys:
+                l2_witnesses.append((x, y))
+            if x is not y:
+                ytaken = yp | yn
+                if (yp | (xp & ~ytaken), yn | (xn & ~ytaken)) not in keys:
+                    l2_witnesses.append((y, x))
+            sep = (xp & yn) | (xn & yp)
+            if not sep:
+                continue
+            # X o Y and Y o X agree off the separation set, so checking
+            # (x, y) covers (y, x) as well
+            outside = full & ~sep
+            wp = (xp | (yp & ~taken)) & outside
+            wn = (xn | (yn & ~taken)) & outside
+            m = sep
+            while m:
+                ebit = m & -m
+                m ^= ebit
+                if (wp, wn) not in projections(outside | ebit):
+                    l3_witnesses.append((x, y, ebit.bit_length() - 1))
+    return tuple(l2_witnesses), tuple(l3_witnesses)
 
 
 def boundary(K: SimplicialComplex) -> SimplicialComplex:

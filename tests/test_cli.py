@@ -22,6 +22,9 @@ from omtop.realization import format_arrangement
 
 from conftest import mk_arrangement
 
+# a sign string's negation
+NEG = str.maketrans("+-", "-+")
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory, line_arr, tri_arr, four_arr, line_om, tri_om):
@@ -167,9 +170,31 @@ class TestAxioms:
         )
         assert main(["axioms", str(mutated)]) == 1
         out = capsys.readouterr().out
-        assert "L1: FAIL" in out
-        assert "witness:" in out
+        assert f"L1: FAIL  witness: {victim.translate(NEG)} (1 of 1)\n" in out
         assert "axioms: FAIL (" in out
+
+    @pytest.mark.parametrize(
+        "vectors,lines",
+        [
+            # the axes without the open quadrants
+            (["00", "0+", "0-", "+0", "-0"],
+             ["L2: FAIL  witness: +0 o 0+ (1 of 8)", "L3: ok"]),
+            # the open quadrants without the axes
+            (["00", "++", "--", "+-", "-+"],
+             ["L2: ok", "L3: FAIL  witness: ++, +-, e=b (1 of 4)"]),
+        ],
+        ids=["composition", "elimination"],
+    )
+    def test_witness_in_sign_vector_notation(
+        self, vectors, lines, tmp_path, capsys
+    ):
+        p = tmp_path / "w.cov"
+        p.write_text("a b\n" + "\n".join(vectors) + "\n")
+        assert main(["axioms", str(p)]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            "L0: ok", "L1: ok", *lines, "axioms: FAIL (5 covectors)"
+        ]
 
     def test_json_report(self, files, tmp_path, capsys):
         p = tmp_path / "ax.json"

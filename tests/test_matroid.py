@@ -9,6 +9,8 @@ before being frozen here.
 
 import functools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +41,7 @@ from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
 
 from conftest import FOURLINE_ROWS, TRIANGLE_ROWS, mk_arrangement
-from oracles import scan_axioms
+from oracles import pairwise_witnesses, scan_axioms
 
 S = SignVector.from_string
 
@@ -160,6 +162,9 @@ def _seeded_om(key) -> CovectorSet:
         A = mk_arrangement(2, TRIANGLE_ROWS)
     elif key == "four-line":
         A = mk_arrangement(2, FOURLINE_ROWS)
+    elif isinstance(key, tuple):
+        n, d, seed = key
+        A = generate_arrangement(n, d, seed=seed)
     else:
         A = generate_arrangement(3, 2, seed=key)
     return enumerate_covectors(homogenize(A))
@@ -184,9 +189,69 @@ def mutated_oms(draw) -> CovectorSet:
     return CovectorSet(L.ground, L.covectors - drop)
 
 
+@st.composite
+def witness_sets(draw) -> CovectorSet:
+    """A seeded OM broken so that its L3 witnesses come from both routes
+    of the witness pass: a dropped covector above an atom (compositions
+    go missing), a dropped negation pair of atoms (only elimination
+    fails), or up to three sign vectors outside it added."""
+    L = _seeded_om(
+        draw(st.sampled_from([(4, 2, 0), (4, 2, 1), (5, 2, 2), (4, 3, 0)]))
+    )
+    kind = draw(st.sampled_from(["drop", "atom-pair", "add"]))
+    if kind == "drop":
+        above = [x for x in L.sorted_covectors()
+                 if not x.is_zero and x not in atoms(L)]
+        x = draw(st.sampled_from(above))
+        return CovectorSet(L.ground, L.covectors - {x})
+    if kind == "atom-pair":
+        v = draw(st.sampled_from(sorted(atoms(L), key=str)))
+        return CovectorSet(L.ground, L.covectors - {v, -v})
+    n = len(L.ground)
+    added = draw(st.sets(
+        st.text(alphabet="+-0", min_size=n, max_size=n).map(S),
+        min_size=1, max_size=3,
+    ))
+    return CovectorSet(L.ground, L.covectors | added)
+
+
+def _oracle_report(L: CovectorSet) -> AxiomReport:
+    """The report with its L2 and L3 witnesses listed by the pairwise
+    pass of oracles.py, and L0 and L1 read off the set."""
+    l1 = tuple(x for x in L.sorted_covectors() if -x not in L)
+    l2, l3 = pairwise_witnesses(L)
+    return AxiomReport(
+        ground=L.ground,
+        l0_ok=L.zero in L,
+        l1_ok=not l1,
+        l2_ok=not l2,
+        l3_ok=not l3,
+        l1_witnesses=l1,
+        l2_witnesses=l2,
+        l3_witnesses=l3,
+    )
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _refute_non_oms(seed: int) -> list:
+    """The dropped-covector sets of the benchmark's `refute` workload."""
+    import omtop
+
+    sys.path.insert(0, str(_PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(_PERFBENCH))
+    return [inst.covectors for inst in workloads.build("refute", omtop, seed)
+            if inst.expected == workloads.NOT_OM]
+
+
 class TestAxiomsAgainstScan:
     """Whole reports, witnesses and their order included, agree with
-    the pairwise scan of the definitions in oracles.py."""
+    the pairwise scan of the definitions in oracles.py, or on larger
+    sets with the pairwise witness pass there."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(axiom_test_sets())
@@ -204,6 +269,31 @@ class TestAxiomsAgainstScan:
         rep = verify_covector_axioms(L)
         assert rep.l0_ok and rep.l1_ok and rep.l2_ok and not rep.l3_ok
         assert rep == scan_axioms(L)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(witness_sets())
+    def test_broken_oriented_matroids(self, L):
+        assert verify_covector_axioms(L) == _oracle_report(L)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refute_workload_non_oms(self, seed):
+        sets = _refute_non_oms(seed)
+        assert len(sets) == 3
+        for L in sets:
+            rep = verify_covector_axioms(L)
+            assert not rep.l1_ok
+            assert rep == _oracle_report(L)
+
+    @pytest.mark.parametrize("n,d", [(5, 4), (8, 3)])
+    def test_one_covector_dropped(self, n, d):
+        L = _seeded_om((n, d, 0))
+        x = random.Random(0).choice(
+            [x for x in L.sorted_covectors() if not x.is_zero]
+        )
+        M = CovectorSet(L.ground, L.covectors - {x})
+        rep = verify_covector_axioms(M)
+        assert rep.l1_witnesses == (-x,)
+        assert rep == _oracle_report(M)
 
 
 class TestRank:

@@ -21,7 +21,12 @@ from omtop.topology import (
 )
 from omtop.verify import VERDICTS, verify_arrangement, verify_covectors
 
-from oracles import link_facts, link_sweep, verify_on_the_order_complex
+from oracles import (
+    link_facts,
+    link_sweep,
+    pairwise_witnesses,
+    verify_on_the_order_complex,
+)
 
 
 def _counting(monkeypatch, module, name):
@@ -310,28 +315,35 @@ class TestEachFactOnce:
         assert calls == []
 
     def test_uniform_om_skips_the_witness_pass(self, monkeypatch):
+        """On an oriented matroid no L2 class mask is built and no pair
+        outside an equal-support group is examined."""
         import omtop.matroid as matroid
 
-        def refuse(L):
-            raise AssertionError("witness pass on an oriented matroid")
-
-        monkeypatch.setattr(matroid, "_pairwise_witnesses", refuse)
+        classes = _counting(monkeypatch, matroid, "_restriction_classes")
+        lifts = _counting(monkeypatch, matroid, "_pairs_below")
+        direct = _counting(monkeypatch, matroid, "_unmet_eliminations")
         for n, d, seed in ((4, 2, 0), (4, 3, 0)):
             A = generate_arrangement(n, d, seed=seed)
             assert verify_covector_axioms(enumerate_covectors(homogenize(A))).ok
+        assert classes == lifts == direct == []
 
     def test_elimination_failure_runs_the_witness_pass(
         self, four_om, monkeypatch
     ):
+        """The four-line vertex-pair drop fails only elimination; its
+        witnesses are the oracle's, and all of them come from lifting
+        failed equal-support pairs."""
         import omtop.matroid as matroid
 
-        calls = _counting(monkeypatch, matroid, "_pairwise_witnesses")
+        classes = _counting(monkeypatch, matroid, "_restriction_classes")
+        lifts = _counting(monkeypatch, matroid, "_pairs_below")
+        direct = _counting(monkeypatch, matroid, "_unmet_eliminations")
         v = min(atoms(four_om), key=str)
-        rep = verify_covector_axioms(
-            CovectorSet(four_om.ground, four_om.covectors - {v, -v})
-        )
+        L = CovectorSet(four_om.ground, four_om.covectors - {v, -v})
+        rep = verify_covector_axioms(L)
         assert rep.l2_ok and not rep.l3_ok
-        assert len(calls) == 1
+        assert (rep.l2_witnesses, rep.l3_witnesses) == pairwise_witnesses(L)
+        assert lifts and classes == direct == []
 
 
 class TestMutationSweep:

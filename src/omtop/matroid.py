@@ -11,7 +11,7 @@ order question is read from it: heights, topes, atoms, and the bounded
 complex and upper intervals of the ``bounded`` module.  The axiom check
 decides composition and elimination and lists their witnesses in one
 pass over the order and the columns, with no scan of all pairs.  It
-rests on three lemmas, proved in :func:`verify_covector_axioms`; the
+rests on four lemmas, proved in :func:`verify_covector_axioms`.  The
 one that lists the elimination witnesses is this.  For sign vectors
 X, Y and e in their separation set T, elimination for (X, Y, e) asks
 for exactly the Z that elimination for (X o Y, Y o X, e) asks for:
@@ -19,8 +19,12 @@ X o Y and Y o X are X and Y where both are nonzero and agree elsewhere,
 so their separation set is T, and (X o Y) o (Y o X) = X o Y, so both
 ask for a Z zero at e and equal to X o Y off T.  A pair whose two
 compositions lie in the set is therefore a witness pair iff the pair of
-its compositions, which have equal support, is one.  Rank is always
-poset height within the set itself, never an external matroid oracle.
+its compositions, which have equal support, is one.  The fourth decides
+elimination on the atoms alone, from the cocircuit axioms with modular
+elimination, so on an oriented matroid no pair of equal support is
+visited; where that decision declines it concludes nothing, and the
+pairs of equal support decide L3 as before.  Rank is always poset
+height within the set itself, never an external matroid oracle.
 """
 
 from __future__ import annotations
@@ -227,7 +231,7 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
     L0 and L1 are read off the set directly.  Composition (L2) and
     elimination (L3) are decided and their witnesses listed in one pass
     over the order and the sign columns (:func:`_axiom_witnesses`),
-    resting on three lemmas, for any finite set L of sign vectors.
+    resting on four lemmas, for any finite set L of sign vectors.
 
     *L2 by counting.*  For x in L let z(x) be its zero set.  Then
     x o y in L for every y in L iff |L>=x| = |{y|z(x) : y in L}|.
@@ -260,12 +264,42 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
     *L3 on equal supports.*  Hence if L satisfies L2, it satisfies L3
     iff elimination holds for every pair x, y in L with supp(x) =
     supp(y): every pair's compositions are such a pair.
+
+    *L3 from the cocircuits.*  Let L satisfy L0, L1 and L2, and let A
+    be its atoms.  Call x, y in A a modular pair when z(x) and z(y)
+    both cover z(x) n z(y) among the zero sets of L.  Then L satisfies
+    L3 iff (a) the supports of A are incomparable unless opposite,
+    (b) every modular pair x, y of A eliminates: for each e in their
+    separation set some z in A is zero at e, with z+ inside x+ u y+ and
+    z- inside x- u y-, and (c) every x in L is the composition of the
+    atoms below it, that is, their supports cover supp(x).  Proof: if
+    L is the covector set of an oriented matroid, A is its set of
+    cocircuits, which satisfies (a) and elimination, and every
+    covector is the composition of the cocircuits below it (Bjorner,
+    Las Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*,
+    3.7).  Conversely, by L2 every union of supports of A is the
+    support of a composition in L, and by (c) every support of L is
+    such a union; so the zero sets of L are the complements of the
+    lattice of unions of supports of A, and a pair that is modular in
+    that lattice is a modular pair here.  A = -A by L1 and 0 is not in
+    A, so (a) and (b) are the cocircuit axioms with modular
+    elimination, which imply elimination on all pairs (ibid., 3.6):
+    A is the cocircuit set of an oriented matroid.  Its covectors are
+    the compositions of A (ibid., 3.7), which lie in L by L0 and L2 and
+    are all of L by (c).  So L satisfies L3.
+
+    The decision (:func:`_cocircuit_decline`) only shortcuts: when
+    (a), (b) and (c) hold, L3 holds and has no witnesses.  When one of
+    them fails, nothing is concluded from it; elimination is decided,
+    and its witnesses listed, on the pairs of equal support as before.
     """
     n = len(S.ground)
     cset = S.covectors
     l0_ok = SignVector.zero(n) in cset
     l1_witnesses = tuple(x for x in S.sorted_covectors() if -x not in cset)
-    l2_witnesses, l3_witnesses = _axiom_witnesses(S)
+    l2_witnesses, l3_witnesses = _axiom_witnesses(
+        S, l0_ok and not l1_witnesses
+    )
     return AxiomReport(
         ground=S.ground,
         l0_ok=l0_ok,
@@ -278,7 +312,7 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
     )
 
 
-def _axiom_witnesses(S: CovectorSet):
+def _axiom_witnesses(S: CovectorSet, l0_l1_ok: bool):
     """Every L2 and L3 witness, by the lemmas of
     :func:`verify_covector_axioms`: (x, y) with x o y missing, and
     (x, y, e) for each e separating x and y with no covector zero at e
@@ -288,17 +322,14 @@ def _axiom_witnesses(S: CovectorSet):
 
     L2 compares up-set sizes with the number of restrictions to each
     zero set, and only where they differ builds the classes of those
-    restrictions (:func:`_restriction_classes`).  L3 checks each pair of
-    equal support, an AND of sign columns, and lifts each that fails to
-    the pairs whose compositions it is (:func:`_pairs_below`); the pairs
-    with a missing composition, the L2 witnesses, are checked one by one
-    (:func:`_unmet_eliminations`).  On an oriented matroid only the
-    counts and the equal-support pairs are examined."""
+    restrictions (:func:`_restriction_classes`).  When L0, L1 (the flag
+    `l0_l1_ok`) and L2 hold and the atoms pass the cocircuit decision
+    (:func:`_cocircuit_decline`), L3 holds and there is nothing to
+    list.  Otherwise :func:`_elimination_witnesses` decides L3 and lists
+    its witnesses.  On an oriented matroid only the counts and the
+    cocircuits are examined."""
     covs = S.sorted_covectors()
-    order = S.order()
-    up, down = order._up, order._down
-    columns = S._sign_columns()
-    zeros = [z for _, _, z in columns]
+    up = S.order()._up
     full = (1 << len(S.ground)) - 1
     every = (1 << len(covs)) - 1
 
@@ -323,7 +354,130 @@ def _axiom_witnesses(S: CovectorSet):
             hit |= classes[w._pos & zero, w._neg & zero]
         l2.extend((i, j) for j in _bits(every & ~hit))
 
-    # (i, j, e) with i < j
+    if l0_l1_ok and not l2 and _cocircuit_decline(S) is None:
+        return (), ()
+    l3 = _elimination_witnesses(S, l2)
+    l2.sort(key=lambda ij: (min(ij), max(ij), ij[0] > ij[1]))
+    return (
+        tuple((covs[i], covs[j]) for i, j in l2),
+        tuple((covs[i], covs[j], e) for i, j, e in l3),
+    )
+
+
+def _cocircuit_decline(S: CovectorSet) -> str | None:
+    """The first of the three checks of the cocircuit lemma of
+    :func:`verify_covector_axioms` that fails on S, or None when all
+    three pass and S therefore satisfies L3.  S must satisfy L0, L1 and
+    L2.  The checks, on the atoms A of S, in the order they run:
+
+    - ``"incomparable"``: the supports of A are incomparable unless
+      opposite.  The atoms zero wherever an atom x is zero (an AND of
+      zero columns) must be x and -x alone.
+    - ``"modular"``: every modular pair x, y of A eliminates.  The
+      supports of S that contain supp(x) are those of the covectors
+      above x (for z in S, x o z lies above x, with support supp(x) u
+      supp(z)), so y is a modular partner of x when supp(y) lies inside
+      a minimal one of them, and x, y are a modular pair when each is a
+      partner of the other.  For e separating them, some atom must be
+      zero at e and below x o y off the separation set: an AND of the
+      sign columns of A.  Of a pair and its negation, which eliminate
+      together by L1, only one is checked.
+    - ``"composition"``: every nonzero covector is the composition of
+      the atoms below it, so its support is the union of theirs.  For
+      each coordinate f, the covectors nonzero at f must all lie in the
+      up-sets of the atoms nonzero at f."""
+    covs = S.sorted_covectors()
+    order = S.order()
+    up, index = order._up, order._index
+    zeros = [z for _, _, z in S._sign_columns()]
+    n = len(S.ground)
+    full = (1 << n) - 1
+    support = [x._pos | x._neg for x in covs]
+    atom = [i for i, d in enumerate(order._down) if d.bit_count() == 2]
+    atom_mask = 0
+    for i in atom:
+        atom_mask |= 1 << i
+
+    for i in atom:
+        same = atom_mask
+        for f in _bits(full & ~support[i]):
+            same &= zeros[f]
+        if same.bit_count() != 2:
+            return "incomparable"
+
+    within: dict[int, int] = {}  # a support -> the atoms inside it
+    partners = {}
+    for i in atom:
+        above = {support[k] for k in _bits(up[i])}
+        above.discard(support[i])
+        minimal: list[int] = []
+        mask = 0
+        for u in sorted(above, key=int.bit_count):
+            if any(v & u == v for v in minimal):
+                continue
+            minimal.append(u)
+            if u not in within:
+                inside = atom_mask
+                for f in _bits(full & ~u):
+                    inside &= zeros[f]
+                within[u] = inside
+            mask |= within[u]
+        partners[i] = mask & ~(1 << i) & ~(1 << index[-covs[i]])
+    # the sign columns of A: bit a stands for the atom covs[atom[a]]
+    plus, minus, zero = [0] * n, [0] * n, [0] * n
+    for a, i in enumerate(atom):
+        x = covs[i]
+        for f in range(n):
+            if x._pos >> f & 1:
+                plus[f] |= 1 << a
+            elif x._neg >> f & 1:
+                minus[f] |= 1 << a
+            else:
+                zero[f] |= 1 << a
+    below = [(z, z | p, z | m) for p, m, z in zip(plus, minus, zero)]
+    for i in atom:
+        x = covs[i]
+        # a pair x, y (i < j) is checked only when -x and -y come after x
+        if index[-x] < i:
+            continue
+        for j in _bits(partners[i] >> (i + 1) << (i + 1)):
+            if not partners[j] >> i & 1 or index[-covs[j]] < i:
+                continue
+            y = covs[j]
+            sep = (x._pos & y._neg) | (x._neg & y._pos)
+            if not sep:
+                continue
+            # x o y
+            wp = x._pos | (y._pos & ~support[i])
+            wn = x._neg | (y._neg & ~support[i])
+            agree = -1
+            for f, (z, zp, zm) in enumerate(below):
+                if not sep >> f & 1:
+                    agree &= zp if wp >> f & 1 else zm if wn >> f & 1 else z
+            if not all(agree & zero[e] for e in _bits(sep)):
+                return "modular"
+
+    covered = [0] * n
+    for i in atom:
+        for f in _bits(support[i]):
+            covered[f] |= up[i]
+    nonzero = ((1 << len(covs)) - 1) & ~(1 << index[S.zero])
+    if any(nonzero & ~z & ~c for z, c in zip(zeros, covered)):
+        return "composition"
+    return None
+
+
+def _elimination_witnesses(S: CovectorSet, l2) -> list:
+    """The L3 witnesses (i, j, e), i < j, as indices into
+    :meth:`~CovectorSet.sorted_covectors`, given the L2 witness pairs
+    `l2`.  Each pair of equal support is checked, an AND of sign
+    columns, and each that fails is lifted to the pairs whose
+    compositions it is (:func:`_pairs_below`); the pairs with a missing
+    composition are checked one by one (:func:`_unmet_eliminations`)."""
+    covs = S.sorted_covectors()
+    down = S.order()._down
+    columns = S._sign_columns()
+    zeros = [z for _, _, z in columns]
     l3 = []
     same_support = defaultdict(list)
     for i, x in enumerate(covs):
@@ -353,13 +507,8 @@ def _axiom_witnesses(S: CovectorSet):
             (lo, hi, e)
             for e in _unmet_eliminations(columns, covs[lo], covs[hi])
         )
-
-    l2.sort(key=lambda ij: (min(ij), max(ij), ij[0] > ij[1]))
     l3.sort()
-    return (
-        tuple((covs[i], covs[j]) for i, j in l2),
-        tuple((covs[i], covs[j], e) for i, j, e in l3),
-    )
+    return l3
 
 
 def _restriction_classes(covs, zero: int) -> dict[tuple[int, int], int]:
@@ -454,7 +603,7 @@ def is_uniform(L: CovectorSet) -> UniformityReport:
 
     heights = L.heights()
     rk_witness = None
-    for x in sorted(L.covectors, key=str):
+    for x in L.sorted_covectors():
         if x.is_zero:
             continue
         if heights[x] != r - len(x.zero_set()):

@@ -177,12 +177,12 @@ def verify_covectors(
             faces = bounded_faces(arrangement)
             census = face_census(faces)
             gi = M.g_index
-            mismatches = []
-            for x in sorted(
-                (x for x in L if x.sign(gi) is Sign.PLUS), key=str
-            ):
-                if (x.delete([gi]) in faces) != (x in bc):
-                    mismatches.append(str(x))
+            # iterating L yields its covectors in sign-string order
+            mismatches = [
+                str(x) for x in L
+                if x.sign(gi) is Sign.PLUS
+                and (x.delete([gi]) in faces) != (x in bc)
+            ]
             f = list(bc.f_vector)
             stages["boundedness_oracle"] = {
                 "applied": True,

@@ -58,3 +58,34 @@ def tri_om(tri_arr) -> CovectorSet:
 @pytest.fixture(scope="session")
 def four_om(four_arr) -> CovectorSet:
     return enumerate_covectors(homogenize(four_arr))
+
+
+@pytest.fixture(scope="session")
+def declining_sets(four_om) -> dict:
+    """One set for each check of the cocircuit decision, keyed by the
+    name `_cocircuit_decline` returns, with that check the first to
+    decline.  Each satisfies L0, L1 and L2 and fails L3."""
+    from omtop.matroid import atoms
+    from omtop.signvec import GroundSet, SignVector
+
+    def closed(labels, strings):
+        return CovectorSet(
+            GroundSet(labels), [SignVector.from_string(s) for s in strings]
+        )
+
+    v = min(atoms(four_om), key=str)
+    return {
+        # the atoms are +-(+-0) and +-(+++): one support inside the other
+        "incomparable": closed(
+            ["a", "b", "c"],
+            ["000", "+-0", "-+0", "+++", "---", "+-+", "-+-", "+--", "-++"],
+        ),
+        # the four-line vertex pair +-(+-000) dropped: its neighbours on
+        # the line at infinity g are a modular pair whose elimination at
+        # s lands on the dropped vertex
+        "modular": CovectorSet(four_om.ground, four_om.covectors - {v, -v}),
+        # the atoms are +-(+0) alone, and ++ is not their composition
+        "composition": closed(
+            ["a", "b"], ["00", "+0", "-0", "++", "--", "+-", "-+"]
+        ),
+    }

@@ -1,9 +1,9 @@
 """Acceptance gate: the seven headline guarantees of the tool.
 
 One test function per criterion, so `pytest -v` prints one pass/fail
-line for each.  Criteria 2, 3, and 5 share a module-scoped corpus of
-seeded arrangements; the stated runtime budgets are asserted on wall
-clock time.
+line for each; criterion 2 has a second, at d = 4.  Criteria 2, 3, and
+5 share a module-scoped corpus of seeded arrangements; the stated
+runtime budgets are asserted on wall clock time.
 """
 
 import random
@@ -105,6 +105,19 @@ def test_criterion_2_seeded_corpus_is_ball_certified(corpus):
             assert v["kind"] in ("sphere-like", "ball-like")
             assert v["certainty"] == "certified"
     assert elapsed < 600.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_criterion_2_holds_at_d4(seed):
+    """The paper's theorem as an invariant one dimension up: each seeded
+    uniform (5,4) arrangement is ball-certified, none refuted."""
+    rep = verify_arrangement(
+        generate_arrangement(5, 4, seed=seed),
+        source=f"generate(n=5, d=4, seed={seed})",
+    )
+    assert rep.verdict == "ball-certified", rep.reasons
+    assert rep.stages["uniformity"]["uniform"] is True
+    assert rep.stages["bounded"]["dim"] == 4
 
 
 def test_criterion_3_star_constructions_have_zero_failures(corpus):

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from omtop.errors import (
@@ -26,6 +26,7 @@ from omtop.generate import generate_arrangement
 from omtop.matroid import (
     AxiomReport,
     CovectorSet,
+    _cocircuit_decline,
     atoms,
     contract,
     covector_rank,
@@ -294,6 +295,60 @@ class TestAxiomsAgainstScan:
         rep = verify_covector_axioms(M)
         assert rep.l1_witnesses == (-x,)
         assert rep == _oracle_report(M)
+
+
+@st.composite
+def closed_sets(draw) -> CovectorSet:
+    """A seeded OM with a pair +-v added, v any nonzero sign vector (a
+    covector or not), then closed under composition: L0, L1 and L2 hold,
+    and L3 often fails alone."""
+    L = _seeded_om(draw(st.sampled_from(["triangle", "four-line", 0, 1, 2])))
+    n = len(L.ground)
+    v = draw(
+        st.text(alphabet="+-0", min_size=n, max_size=n)
+        .map(S)
+        .filter(lambda v: not v.is_zero)
+    )
+    return CovectorSet(L.ground, _composition_closure(L.covectors | {v, -v}))
+
+
+class TestCocircuitDecision:
+    """The cocircuit decision only ever shortcuts to "L3 holds": where it
+    declines, the equal-support loop decides L3, so whole reports agree
+    with the oracles either way."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(closed_sets())
+    def test_sets_closed_under_composition(self, L):
+        rep = verify_covector_axioms(L)
+        assert rep.l0_ok and rep.l1_ok and rep.l2_ok
+        assert rep == (scan_axioms(L) if len(L) <= 60 else _oracle_report(L))
+        if _cocircuit_decline(L) is None:
+            assert rep.l3_ok
+
+    def test_closed_sets_are_accepted_and_fail_elimination(self):
+        quick = settings(
+            derandomize=True, database=None, max_examples=200,
+            phases=[Phase.generate],
+        )
+        accepted = find(
+            closed_sets(), lambda L: _cocircuit_decline(L) is None,
+            settings=quick,
+        )
+        failing = find(
+            closed_sets(), lambda L: not verify_covector_axioms(L).l3_ok,
+            settings=quick,
+        )
+        assert verify_covector_axioms(accepted).ok
+        assert _cocircuit_decline(failing) is not None
+
+    @pytest.mark.parametrize("check", ["incomparable", "modular", "composition"])
+    def test_each_check_declines_first_on_its_set(self, declining_sets, check):
+        L = declining_sets[check]
+        rep = verify_covector_axioms(L)
+        assert rep.l0_ok and rep.l1_ok and rep.l2_ok and not rep.l3_ok
+        assert _cocircuit_decline(L) == check
+        assert rep == scan_axioms(L)
 
 
 class TestRank:

@@ -314,18 +314,31 @@ class TestEachFactOnce:
         assert len(P) == 51
         assert calls == []
 
-    def test_uniform_om_skips_the_witness_pass(self, monkeypatch):
-        """On an oriented matroid no L2 class mask is built and no pair
-        outside an equal-support group is examined."""
+    def test_uniform_om_skips_the_witness_pass(
+        self, tri_om, four_om, declining_sets, monkeypatch
+    ):
+        """On an oriented matroid, uniform or not, no L2 class mask is
+        built and the cocircuit decision settles L3, so the equal-support
+        loop is never entered; on each set the decision declines, the
+        loop runs."""
         import omtop.matroid as matroid
 
         classes = _counting(monkeypatch, matroid, "_restriction_classes")
         lifts = _counting(monkeypatch, matroid, "_pairs_below")
         direct = _counting(monkeypatch, matroid, "_unmet_eliminations")
-        for n, d, seed in ((4, 2, 0), (4, 3, 0)):
-            A = generate_arrangement(n, d, seed=seed)
-            assert verify_covector_axioms(enumerate_covectors(homogenize(A))).ok
-        assert classes == lifts == direct == []
+        loops = _counting(monkeypatch, matroid, "_elimination_witnesses")
+        oms = [tri_om, four_om] + [
+            enumerate_covectors(homogenize(generate_arrangement(n, d, seed=s)))
+            for n, d, s in ((4, 2, 0), (4, 3, 0), (5, 3, 1), (5, 4, 0))
+        ]
+        for L in oms:
+            assert verify_covector_axioms(L).ok
+        assert classes == lifts == direct == loops == []
+        for check, L in declining_sets.items():
+            rep = verify_covector_axioms(L)
+            assert rep.l2_ok and not rep.l3_ok, check
+            assert len(loops) == 1, check
+            loops.clear()
 
     def test_elimination_failure_runs_the_witness_pass(
         self, four_om, monkeypatch

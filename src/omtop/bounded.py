@@ -16,12 +16,17 @@ asserting; statements that are theorems for genuine oriented matroids
 raise only when their failure proves the input was not one.  The cube,
 restriction and bijection checks test only what can fail on any set of
 sign vectors; each docstring names the lemma that decides the rest.
+
+The star checks read L's conformal order (`CovectorSet.order`) as
+bitmasks: C_X, the cube size, the link case and the [C_X] face poset
+come from up-set masks, D_X and the [D_X] order from sign and
+separation masks, and h and r shift a vector's masks past g.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     MembershipError,
@@ -30,13 +35,13 @@ from .errors import (
 )
 from .matroid import (
     CovectorSet,
+    _separation,
+    _separation_key,
     contract,
     delete_minor,
-    tope_poset,
-    topes,
 )
-from .signvec import Sign, SignVector
-from .topology import Poset
+from .signvec import Sign, SignVector, _bits
+from .topology import Poset, ShellingCheck, _popcount
 
 
 class AffineOM:
@@ -47,7 +52,10 @@ class AffineOM:
     named on the ground set, |E| > 1, and g is not a loop.
     """
 
-    __slots__ = ("om", "_bc", "_contraction", "_stars")
+    __slots__ = (
+        "om", "_bc", "_contraction", "_stars", "_restriction",
+        "_unbounded", "_at_infinity",
+    )
 
     def __init__(self, om: CovectorSet):
         if om.ground.g is None:
@@ -66,6 +74,9 @@ class AffineOM:
         self.om = om
         self._bc = None
         self._contraction = None
+        self._restriction = None
+        self._unbounded = None
+        self._at_infinity = None
         # weak: a Star refers back to its AffineOM, and a strong cache
         # would make every star and the covector set a reference cycle
         # that lives until the garbage collector's next full pass
@@ -93,6 +104,31 @@ class AffineOM:
         if self._contraction is None:
             self._contraction = contract(self.om, [self.g])
         return self._contraction
+
+    def _unbounded_topes(self) -> int:
+        """The topes outside L++, as a mask over L's order: C_X is the
+        part of it above X."""
+        if self._unbounded is None:
+            P = self.om.order()
+            bc = self.bounded_complex()
+            mask = 0
+            for i, x in enumerate(P.elements):
+                if P._up[i] == 1 << i and x not in bc:
+                    mask |= 1 << i
+            self._unbounded = mask
+        return self._unbounded
+
+    def _topes_at_infinity(self) -> tuple[tuple[int, int, SignVector], ...]:
+        """The topes of L/g in sign-string order, each with its + and -
+        masks: D_X is the part of them that conforms to X minus g."""
+        if self._at_infinity is None:
+            P = self.contraction().order()
+            self._at_infinity = tuple(
+                (t._pos, t._neg, t)
+                for i, t in enumerate(P.elements)
+                if P._up[i] == 1 << i
+            )
+        return self._at_infinity
 
     def star(self, X: SignVector) -> "Star":
         """Star(self, X), built once per bounded covector and shared for
@@ -235,25 +271,45 @@ class SupportRestriction:
     dropped: tuple[str, ...]
     pairs: tuple[tuple[SignVector, SignVector], ...]
     ok: bool
+    # pairs as a dict; shared by every restriction of one AffineOM
+    _image: dict | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._image is None:
+            object.__setattr__(self, "_image", dict(self.pairs))
 
     def map(self, x: SignVector) -> SignVector:
-        for a, b in self.pairs:
-            if a == x:
-                return b
-        raise MembershipError(f"{x} is not a bounded covector")
+        try:
+            return self._image[x]
+        except KeyError:
+            raise MembershipError(f"{x} is not a bounded covector") from None
 
 
 def restrict_to_support(M: AffineOM) -> SupportRestriction:
     """Delete the elements outside E1 and verify that the bounded
     complexes correspond covector-for-covector, order included.  Each
     bounded covector is below a maximal one, so it is zero off E1 and
-    deletion is an order embedding of L++: only the image can fail."""
+    deletion is an order embedding of L++: only the image can fail.
+
+    The restricted set is built once per AffineOM, so every star of M
+    shares it, with its order, bounded complex and contraction."""
     bc = M.bounded_complex()
     if bc.support is None:
         raise PreconditionError(
             "maximal bounded covectors do not share a support; "
             "no canonical restriction exists"
         )
+    if M._restriction is None:
+        M._restriction = _restriction(M, bc)
+    restricted, dropped, pairs, ok, image = M._restriction
+    return SupportRestriction(
+        M, M if restricted is None else restricted, dropped, pairs, ok, image
+    )
+
+
+def _restriction(M: AffineOM, bc: BoundedComplex) -> tuple:
+    """What restrict_to_support reports, with None for an unrestricted
+    M: the cache on M must not refer back to M."""
     ground = M.ground
     drop = [
         ground.labels[i]
@@ -262,13 +318,14 @@ def restrict_to_support(M: AffineOM) -> SupportRestriction:
     ]
     if not drop:
         pairs = tuple((x, x) for x in bc.covectors)
-        return SupportRestriction(M, M, (), pairs, True)
+        return None, (), pairs, True, dict(pairs)
     drop_idx = ground.indices(drop)
     M2 = AffineOM(delete_minor(M.om, drop))
     bc2 = M2.bounded_complex()
     pairs = tuple((x, x.delete(drop_idx)) for x in bc.covectors)
-    ok = {b for _, b in pairs} == set(bc2.covectors)
-    return SupportRestriction(M, M2, tuple(drop), pairs, ok)
+    image = dict(pairs)
+    ok = set(image.values()) == set(bc2.covectors)
+    return M2, tuple(drop), pairs, ok, image
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +333,36 @@ def restrict_to_support(M: AffineOM) -> SupportRestriction:
 # ---------------------------------------------------------------------------
 
 
+class _OnFirstRead:
+    """A dataclass field that may be given as a function of no arguments:
+    the function is called on the first read, and its value kept, so a
+    caller that never reads the field never builds it."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.key)  # the field has no default
+        value = obj.__dict__[self.key]
+        if callable(value):
+            value = obj.__dict__[self.key] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.key] = value
+
+
 @dataclass(frozen=True)
 class CubeReport:
     """Verification that L_{>=X} is the full sign cube on z(X) under
-    deletion of supp(X)."""
+    deletion of supp(X).  pairs is built on its first read."""
 
     X: SignVector
     zero_set: tuple[int, ...]
     expected_size: int
     actual_size: int
-    pairs: tuple[tuple[SignVector, SignVector], ...]
+    pairs: tuple[tuple[SignVector, SignVector], ...] = _OnFirstRead()
     ok: bool
     counterexample: str | None = None
 
@@ -295,22 +372,28 @@ def cube_isomorphism(L: CovectorSet, X: SignVector) -> CubeReport:
     {+,-,0}^{z(X)}.  True whenever L is uniform; on other input the
     report simply records how it fails.  Each Y >= X equals X on
     supp(X), so the deletion is an order embedding of L_{>=X} into the
-    cube, and onto it exactly when |L_{>=X}| = 3^|z(X)|."""
+    cube, and onto it exactly when |L_{>=X}| = 3^|z(X)|: the popcount
+    of X's up-set mask decides it, and the pairs are built on first
+    read."""
     if X not in L:
         raise MembershipError(f"{X} is not a covector of this set")
     if X.is_zero:
         raise PreconditionError("the zero covector is excluded")
-    supp = sorted(X.support())
+    order = L.order()
+    size = _popcount(order._up[order.index(X)])
     zset = tuple(sorted(X.zero_set()))
-    up = L.order().up_set(X)
-    pairs = tuple((y, y.delete(supp)) for y in up)
+    supp = X.support()
+
+    def pairs():
+        return tuple((y, y.delete(supp)) for y in order.up_set(X))
+
     expected = 3 ** len(zset)
-    if len(up) != expected:
+    if size != expected:
         return CubeReport(
-            X, zset, expected, len(up), pairs, False,
-            f"|L_>=X| = {len(up)}, expected 3^{len(zset)} = {expected}",
+            X, zset, expected, size, pairs, False,
+            f"|L_>=X| = {size}, expected 3^{len(zset)} = {expected}",
         )
-    return CubeReport(X, zset, expected, len(up), pairs, True)
+    return CubeReport(X, zset, expected, size, pairs, True)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +404,15 @@ def cube_isomorphism(L: CovectorSet, X: SignVector) -> CubeReport:
 class Star:
     """Everything star-local to one bounded covector X: the ambient
     full-dimensional affine OM (restricting to E1 first if needed), the
-    tope sets C_X and D_X, and the contraction they live over."""
+    tope sets C_X and D_X, and the contraction they live over.
+
+    Both tope sets are read off masks, in sign-string order: C_X is the
+    up-set of X in L's order met with the topes outside L++, and D_X the
+    topes of L/g that conform to X minus g."""
 
     __slots__ = (
-        "om", "X", "restriction", "C_X", "D_X", "_contraction", "__weakref__"
+        "om", "X", "restriction", "C_X", "D_X", "_contraction", "_cx",
+        "__weakref__",
     )
 
     def __init__(self, M: AffineOM, X: SignVector):
@@ -333,7 +421,7 @@ class Star:
             raise MembershipError(
                 f"{X} is not in the bounded complex"
             )
-        if X.delete([M.g_index]).is_zero:
+        if not (X._pos | X._neg) & ~(1 << M.g_index):
             raise PreconditionError(
                 "X has support {g}; the degenerate case X minus g = 0 "
                 "is excluded"
@@ -348,25 +436,15 @@ class Star:
         self.X = X
         self.restriction = restriction
         self._contraction = M.contraction()
-        bc = M.bounded_complex()
-        gi = M.g_index
-        all_topes = topes(M.om)
-        self.C_X = tuple(
-            t
-            for t in M.om.order().up_set(X)
-            if t in all_topes and t != X and t not in bc
-        )
-        xg = X.delete([gi])
-        need = sorted(xg.support())
+        order = M.om.order()
+        # C_X as a mask over L's order; X is bounded, so not in it
+        self._cx = order._up[order.index(X)] & M._unbounded_topes()
+        self.C_X = tuple(order.elements[k] for k in _bits(self._cx))
+        xg = X.delete([M.g_index])
+        p, n = xg._pos, xg._neg
         self.D_X = tuple(
-            sorted(
-                (
-                    t
-                    for t in topes(self._contraction)
-                    if all(t.sign(e) is xg.sign(e) for e in need)
-                ),
-                key=str,
-            )
+            t for tp, tn, t in M._topes_at_infinity()
+            if not (p & ~tp or n & ~tn)
         )
 
     @property
@@ -379,10 +457,13 @@ class Star:
 
     def lift(self, T: SignVector) -> SignVector:
         """h(T) = i(T) o X: re-insert g as zero, then compose with X."""
-        gi = self.om.g_index
-        signs = list(T.signs)
-        signs.insert(gi, Sign.ZERO)
-        return SignVector.from_signs(signs).compose(self.X)
+        low = (1 << self.om.g_index) - 1
+        inserted = SignVector(
+            T.n + 1,
+            (T._pos & low) | (T._pos & ~low) << 1,
+            (T._neg & low) | (T._neg & ~low) << 1,
+        )
+        return inserted.compose(self.X)
 
 
 @dataclass(frozen=True)
@@ -430,7 +511,18 @@ def shelling_of_DX(
     M: AffineOM, X: SignVector, B: SignVector | None = None
 ) -> list[SignVector]:
     """The topes of D_X in the order induced by the deterministic linear
-    extension of the tope poset T(L/g, B)."""
+    extension of the tope poset T(L/g, B), that is, sorted by
+    :meth:`~omtop.matroid.TopePoset.sort_key`, computed from
+    separation masks.
+
+    D_X must be an order ideal of T(L/g, B), and only topes that are
+    zero somewhere on S = supp(X minus g) can break that.  Lemma: for
+    B in D_X and s <=_B t in D_X, s is never opposite X minus g on S.
+    B and t both agree with X minus g on S, so sep(B, t) misses S, and
+    sep(B, s) is inside sep(B, t).  A tope s that is nonzero on all of
+    S therefore agrees with X minus g there and lies in D_X; the scan
+    runs only over the topes that are zero somewhere on S.
+    """
     star = M.star(X)
     if not star.D_X:
         raise PreconditionError(f"D_X is empty for X = {star.X}")
@@ -438,17 +530,29 @@ def shelling_of_DX(
         B = min(star.D_X, key=str)
     if B not in star.D_X:
         raise MembershipError(f"base tope {B} is not in D_X")
-    P = tope_poset(star.contraction, B)
-    dset = set(star.D_X)
-    for t in star.D_X:
-        for s in P.topes:
-            if P.less_equal(s, t) and s not in dset:
-                raise OmtopError(
-                    f"D_X is not an order ideal of T(L/g, {B}): "
-                    f"{s} <= {t} but {s} is missing; the input is not "
-                    "an affine oriented matroid"
-                )
-    return sorted(star.D_X, key=P.sort_key)
+    xg = star.restrict(star.X)
+    S = xg._pos | xg._neg
+    partial = [
+        (_separation(B, s), s)
+        for _, _, s in star.om._topes_at_infinity()
+        if (s._pos | s._neg) & S != S
+    ]
+    if partial:
+        dset = set(star.D_X)
+        for t in star.D_X:
+            sep_t = _separation(B, t)
+            for sep_s, s in partial:
+                if not sep_s & ~sep_t and s not in dset:
+                    raise OmtopError(
+                        f"D_X is not an order ideal of T(L/g, {B}): "
+                        f"{s} <= {t} but {s} is missing; the input is "
+                        "not an affine oriented matroid"
+                    )
+    ground = star.contraction.ground
+    return sorted(
+        star.D_X,
+        key=lambda t: _separation_key(ground, _separation(B, t), t),
+    )
 
 
 @dataclass(frozen=True)
@@ -484,20 +588,23 @@ def induced_shelling_of_CX(
     that verify_shelling certifies is returned; a failing result is only
     reported when every base fails.  An explicit dx_order is checked
     as given.
+
+    The face poset of [C_X] above X is read off L's up-masks: the y > X
+    whose up-set meets C_X.  Its :class:`~omtop.topology.ShellingCheck`
+    is built once and shared by every base tried.
     """
     star = M.star(X)
-    # the face poset of [C_X] above X, shared by every base tried
     order = star.om.om.order()
-    cx = set(star.C_X)
-    faces = order.subposet(
-        y
-        for y in order.up_set(star.X)
-        if y != star.X and not cx.isdisjoint(order.up_set(y))
-    )
+    i = order.index(star.X)
+    keep = 0
+    for k in _bits(order._up[i] & ~(1 << i)):
+        if order._up[k] & star._cx:
+            keep |= 1 << k
+    check = ShellingCheck(order._induced(keep))
     if dx_order is None:
         first = None
         for B in sorted(star.D_X, key=str):
-            cand = _lift_and_check(star, faces, shelling_of_DX(M, X, B))
+            cand = _lift_and_check(star, check, shelling_of_DX(M, X, B))
             if cand.ok:
                 return cand
             if first is None:
@@ -505,30 +612,31 @@ def induced_shelling_of_CX(
         if first is None:
             raise PreconditionError(f"D_X is empty for X = {star.X}")
         return first
-    return _lift_and_check(star, faces, list(dx_order))
+    return _lift_and_check(star, check, list(dx_order))
 
 
 def _lift_and_check(
-    star: Star, faces: Poset, dx_order: list
+    star: Star, check: ShellingCheck, dx_order: list
 ) -> InducedShelling:
-    from .topology import verify_shelling
-
-    if sorted(dx_order, key=str) != sorted(star.D_X, key=str):
+    # D_X has no repeated tope, so equal lengths and equal sets make a
+    # permutation
+    if len(dx_order) != len(star.D_X) or set(dx_order) != set(star.D_X):
         raise PreconditionError(
             "dx_order must be a permutation of D_X"
         )
     problems = []
     order = []
-    cset = set(star.C_X)
+    index = star.om.om.order()._index
     for d in dx_order:
         c = star.lift(d)
         order.append(c)
-        if c not in cset:
+        k = index.get(c)
+        if k is None or not star._cx >> k & 1:
             problems.append(f"h({d}) = {c} is not in C_X")
     report = None
     if not problems:
         try:
-            report = verify_shelling(faces, order)
+            report = check(order)
         except PreconditionError as exc:
             problems.append(f"[C_X] face poset: {exc}")
     return InducedShelling(
@@ -580,11 +688,13 @@ def boundary_equivalence(M: AffineOM) -> BoundaryEquivalenceReport:
 @dataclass(frozen=True)
 class LinkDecomposition:
     """The two halves of the link of X in the order complex of L++:
-    everything strictly below X and everything strictly above."""
+    everything strictly below X and everything strictly above.  case is
+    read from the sizes of up-sets; lower and upper are built on their
+    first read."""
 
     X: SignVector
-    lower: Poset
-    upper: Poset
+    lower: Poset = _OnFirstRead()
+    upper: Poset = _OnFirstRead()
     case: str  # "upper_empty" | "upper_full" | "proper"
 
 
@@ -593,11 +703,16 @@ def link_decomposition(M: AffineOM, X: SignVector) -> LinkDecomposition:
     if X not in bc:
         raise MembershipError(f"{X} is not in the bounded complex")
     P = bc.as_poset()
-    lower = P.strictly_below(X)
-    upper = P.strictly_above(X)
-    if len(upper) == 0:
+    above = _popcount(P._up[P.index(X)]) - 1
+    if above == 0:
         case = "upper_empty"
     else:
-        all_above = len(M.om.order().up_set(X)) - 1
-        case = "upper_full" if all_above == len(upper) else "proper"
-    return LinkDecomposition(X=X, lower=lower, upper=upper, case=case)
+        order = M.om.order()
+        all_above = _popcount(order._up[order.index(X)]) - 1
+        case = "upper_full" if all_above == above else "proper"
+    return LinkDecomposition(
+        X,
+        lambda: P.strictly_below(X),
+        lambda: P.strictly_above(X),
+        case,
+    )

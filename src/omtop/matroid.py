@@ -683,9 +683,7 @@ class TopePoset:
         self.ground = L.ground
         self.base = base
         self.topes = tuple(sorted(ts, key=str))
-        self._sep = {
-            t: (base._pos & t._neg) | (base._neg & t._pos) for t in self.topes
-        }
+        self._sep = {t: _separation(base, t) for t in self.topes}
         self._poset = None
 
     def __len__(self) -> int:
@@ -705,11 +703,7 @@ class TopePoset:
     def sort_key(self, t: SignVector):
         """Deterministic extension key: separation-set size, then the
         sorted separation labels, then the sign string."""
-        sep = self._sep[t]
-        labels = tuple(
-            sorted(self.ground.labels[i] for i in _bits(sep))
-        )
-        return (bin(sep).count("1"), labels, str(t))
+        return _separation_key(self.ground, self._sep[t], t)
 
     def linear_extension(self) -> list[SignVector]:
         """Deterministic linear extension by sort_key.  Size order alone
@@ -733,6 +727,18 @@ class TopePoset:
 
 def tope_poset(L: CovectorSet, base: SignVector) -> TopePoset:
     return TopePoset(L, base)
+
+
+def _separation(base: SignVector, t: SignVector) -> int:
+    """The mask of the coordinates where base and t have opposite signs."""
+    return (base._pos & t._neg) | (base._neg & t._pos)
+
+
+def _separation_key(ground: GroundSet, sep: int, t: SignVector):
+    """:meth:`TopePoset.sort_key` of the tope t whose separation mask
+    from the base is sep."""
+    labels = tuple(sorted(ground.labels[i] for i in _bits(sep)))
+    return (sep.bit_count(), labels, str(t))
 
 
 # ---------------------------------------------------------------------------

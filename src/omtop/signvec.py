@@ -230,18 +230,13 @@ class SignVector:
         for i in drop:
             if not 0 <= i < self.n:
                 raise DomainError(f"coordinate {i} out of range for length {self.n}")
-        pos = neg = 0
-        j = 0
-        for i in range(self.n):
-            if i in drop:
-                continue
-            bit = 1 << i
-            if self._pos & bit:
-                pos |= 1 << j
-            elif self._neg & bit:
-                neg |= 1 << j
-            j += 1
-        return SignVector(j, pos, neg)
+        pos, neg = self._pos, self._neg
+        # highest first, so each shift leaves the lower indices in place
+        for i in sorted(drop, reverse=True):
+            low = (1 << i) - 1
+            pos = (pos & low) | (pos >> 1 & ~low)
+            neg = (neg & low) | (neg >> 1 & ~low)
+        return SignVector(self.n - len(drop), pos, neg)
 
     def restrict(self, indices: Iterable[int]) -> "SignVector":
         """Keep only the given coordinates (complement of :meth:`delete`)."""

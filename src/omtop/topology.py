@@ -172,7 +172,15 @@ class Poset:
         return hs[self.index(x)]
 
     def is_pure(self) -> bool:
-        """True iff every maximal chain has the same length."""
+        """True iff every maximal chain has the same length.
+
+        That is, the maximal elements share one height and every cover
+        raises the height by one.  The second half is read off the
+        masks: the lower covers of x all have height h(x) - 1 exactly
+        when the elements of that height below x have x's strict
+        down-set as the union of their down-sets (an element below x
+        lies under a lower cover of x, and a lower cover lies under no
+        other element below x)."""
         hs = self._height_list()
         n = len(self.elements)
         heights_of_max = {
@@ -180,10 +188,18 @@ class Poset:
         }
         if len(heights_of_max) > 1:
             return False
+        level = {}
+        for i, h in enumerate(hs):
+            level[h] = level.get(h, 0) | 1 << i
         for j in range(n):
-            for i in _bits(self._down[j] & ~(1 << j)):
-                if self._is_cover_idx(i, j) and hs[j] != hs[i] + 1:
-                    return False
+            below = self._down[j] & ~(1 << j)
+            if not below:
+                continue
+            reached = 0
+            for i in _bits(below & level[hs[j] - 1]):
+                reached |= self._down[i]
+            if reached != below:
+                return False
         return True
 
     # -- derived posets ---------------------------------------------------
@@ -191,16 +207,37 @@ class Poset:
     def subposet(self, elements: Iterable) -> "Poset":
         """The induced order on the given elements, in this poset's
         element order, read off the masks (no predicate calls)."""
-        keep = sorted(self.index(x) for x in elements)
-        if len(set(keep)) != len(keep):
-            raise DomainError("duplicate elements in subposet")
-        pos = {i: k for k, i in enumerate(keep)}
-        mask = sum(1 << i for i in keep)
-        down = []
+        keep = [self.index(x) for x in elements]
+        mask = 0
         for i in keep:
-            down.append(sum(1 << pos[j] for j in _bits(self._down[i] & mask)))
+            mask |= 1 << i
+        if _popcount(mask) != len(keep):
+            raise DomainError("duplicate elements in subposet")
+        return self._induced(mask)
+
+    def _induced(self, mask: int) -> "Poset":
+        """The induced order on the elements whose bits mask sets.  An
+        induced order of a partial order is one, so nothing is checked:
+        both relation masks are re-indexed."""
+        keep = list(_bits(mask))
+        pos = {i: k for k, i in enumerate(keep)}
+        down = []
+        up = []
+        for i in keep:
+            d = u = 0
+            for j in _bits(self._down[i] & mask):
+                d |= 1 << pos[j]
+            for j in _bits(self._up[i] & mask):
+                u |= 1 << pos[j]
+            down.append(d)
+            up.append(u)
         sub = Poset.__new__(Poset)
-        sub._set(tuple(self.elements[i] for i in keep), down)
+        sub.elements = tuple(self.elements[i] for i in keep)
+        sub._index = {x: k for k, x in enumerate(sub.elements)}
+        sub._down = down
+        sub._up = up
+        sub._heights = None
+        sub._depths = None
         return sub
 
     def strictly_below(self, x) -> "Poset":
@@ -315,7 +352,7 @@ class Poset:
 
 
 def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -1131,6 +1168,80 @@ def _poset_is_simplicial(P: Poset) -> bool:
     return True
 
 
+class ShellingCheck:
+    """The coatom shelling condition on one pure face poset P, built
+    once and run on any number of facet orders.
+
+    Construction does the per-poset work: purity, the coatom set, the
+    mode, and a map from down-set mask to element.  Each call then
+    takes the meet c_i ^ c_j as the mask down(c_i) & down(c_j): the
+    common lower bounds have a greatest element exactly when they are
+    the down-set of an element, so a lookup in that map finds the meet,
+    a zero mask is the added bottom, and a miss on a nonzero mask means
+    no unique meet.  Once P is pure, c_k ^ c_j is covered by c_j when
+    its height is one less than c_j's (the bottom's height is -1), and
+    c_i ^ c_j <= c_k ^ c_j is containment of their masks.
+    """
+
+    __slots__ = ("poset", "pure", "mode", "_coatoms", "_by_down")
+
+    def __init__(self, P: Poset):
+        self.poset = P
+        self.pure = P.is_pure()
+        self.mode = None
+        if self.pure:
+            self._coatoms = {
+                i for i, u in enumerate(P._up) if u == 1 << i
+            }
+            self.mode = (
+                "simplicial" if _poset_is_simplicial(P)
+                else "necessary-condition"
+            )
+            self._by_down = {d: i for i, d in enumerate(P._down)}
+
+    def __call__(self, order: Sequence) -> ShellingReport:
+        if not self.pure:
+            raise PreconditionError("shelling verification needs a pure poset")
+        P = self.poset
+        order_idx = [P.index(c) for c in order]
+        if (
+            len(set(order_idx)) != len(order_idx)
+            or set(order_idx) != self._coatoms
+        ):
+            raise DomainError(
+                "order is not a permutation of the maximal elements"
+            )
+        heights = P._height_list()
+        by_down = self._by_down
+        downs = [P._down[i] for i in order_idx]
+        failures = []
+        for j in range(1, len(order_idx)):
+            dj = downs[j]
+            # the height of an element c_j covers; -1 is the bottom's
+            cover_height = heights[order_idx[j]] - 1
+            meets = []
+            # the valid "horizon" masks c_k ^ c_j covered by c_j
+            horizon = set()
+            for k in range(j):
+                m = downs[k] & dj
+                if not m:
+                    h = -1
+                elif m in by_down:
+                    h = heights[by_down[m]]
+                else:
+                    # no unique meet: meet_or_bottom raises its error
+                    h = heights[P.index(P.meet_or_bottom(order[k], order[j]))]
+                meets.append(m)
+                if h == cover_height:
+                    horizon.add(m)
+            for i, m in enumerate(meets):
+                if not any(not m & ~hz for hz in horizon):
+                    failures.append((i, j))
+        return ShellingReport(
+            ok=not failures, mode=self.mode, failures=tuple(failures)
+        )
+
+
 def verify_shelling(P: Poset, order: Sequence) -> ShellingReport:
     """Check the coatom shelling condition on a pure face poset.
 
@@ -1141,46 +1252,10 @@ def verify_shelling(P: Poset, order: Sequence) -> ShellingReport:
 
     On simplicial face posets this is the definition of a shelling; on
     other posets it is necessary but not sufficient, and the report says
-    so via mode="necessary-condition".
+    so via mode="necessary-condition".  To check several orders on one
+    poset, build its :class:`ShellingCheck` once and call it per order.
     """
-    if not P.is_pure():
-        raise PreconditionError("shelling verification needs a pure poset")
-    coatoms = P.maximal_elements()
-    order_idx = [P.index(c) for c in order]
-    if len(set(order_idx)) != len(order_idx) or set(order_idx) != {
-        P.index(c) for c in coatoms
-    }:
-        raise DomainError("order is not a permutation of the maximal elements")
-    mode = "simplicial" if _poset_is_simplicial(P) else "necessary-condition"
-    t = len(order)
-    meets = {}
-
-    def meet(i: int, j: int):
-        k = (i, j) if i <= j else (j, i)
-        if k not in meets:
-            meets[k] = P.meet_or_bottom(order[k[0]], order[k[1]])
-        return meets[k]
-
-    def leq_aug(a, b) -> bool:
-        if a is None:
-            return True
-        if b is None:
-            return False
-        return P.less_equal(a, b)
-
-    failures = []
-    for j in range(1, t):
-        # the valid "horizon" elements c_k m c_j that are covered by c_j
-        horizon = [
-            meet(k, j) for k in range(j) if P.is_lower_cover(meet(k, j), order[j])
-        ]
-        for i in range(j):
-            m = meet(i, j)
-            if not any(leq_aug(m, h) for h in horizon):
-                failures.append((i, j))
-    return ShellingReport(
-        ok=not failures, mode=mode, failures=tuple(failures)
-    )
+    return ShellingCheck(P)(order)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,16 @@ about the conformal order decides them for every set of sign vectors.
 they ran before, so they cross-check the reports of `cube_isomorphism`,
 `restrict_to_support` and `check_bijection`.
 
+`pure_by_covers`, `verify_shelling_by_meets`, `star_topes_by_scan`,
+`shelling_of_DX_by_scan` and `induced_shelling_by_scan` are the star
+shellings as they ran before they moved onto the masks of L's order:
+purity by a height test on every cover, each meet c_i ^ c_j found as an
+element by `Poset.meet_or_bottom`, C_X and D_X by sign tests on every
+tope, [D_X] sorted on a `TopePoset` after a pairwise order-ideal scan,
+and the [C_X] face poset cut out of L by `Poset.subposet`.  They
+cross-check `Poset.is_pure`, `ShellingCheck`, `Star`, `shelling_of_DX`
+and `induced_shelling_of_CX`, reports and exception texts included.
+
 `verify_on_the_order_complex` runs the pipeline with its collapse found
 and replayed on the order complex K = Delta(L++) and K's f-vector read
 from K, so it cross-checks `verify`, which collapses the cells of L++
@@ -65,9 +75,15 @@ from math import gcd
 from unittest import mock
 
 import omtop.verify
-from omtop.bounded import BijectionReport, CubeReport
-from omtop.errors import DimensionError, OmtopError, PreconditionError
-from omtop.matroid import AxiomReport, CovectorSet
+from omtop.bounded import BijectionReport, CubeReport, InducedShelling
+from omtop.errors import (
+    DimensionError,
+    DomainError,
+    MembershipError,
+    OmtopError,
+    PreconditionError,
+)
+from omtop.matroid import AxiomReport, CovectorSet, tope_poset, topes
 from omtop.realization import (
     _EQ,
     _GE,
@@ -79,7 +95,9 @@ from omtop.topology import (
     HomologyTable,
     LinkClassification,
     LinkVerdict,
+    ShellingReport,
     SimplicialComplex,
+    _poset_is_simplicial,
     find_collapse,
     homology,
     order_complex,
@@ -766,3 +784,153 @@ def check_bijection_by_scan(M, X) -> BijectionReport:
         if h in star.om.om and h not in star.C_X and d not in missing:
             problems.append(f"h({d}) = {h} is outside C_X")
     return BijectionReport(X=star.X, pairs=tuple(pairs), problems=tuple(problems))
+
+
+def pure_by_covers(P) -> bool:
+    """`P.is_pure()` with every cover tested for a height step of one."""
+    hs = P._height_list()
+    n = len(P.elements)
+    if len({hs[i] for i in range(n) if P._up[i] == 1 << i}) > 1:
+        return False
+    return all(
+        hs[j] == hs[i] + 1
+        for j in range(n)
+        for i in range(n)
+        if P._is_cover_idx(i, j)
+    )
+
+
+def verify_shelling_by_meets(P, order) -> ShellingReport:
+    """`verify_shelling(P, order)` with each meet found as an element of
+    P by `meet_or_bottom` and each comparison made by `less_equal`."""
+    if not pure_by_covers(P):
+        raise PreconditionError("shelling verification needs a pure poset")
+    coatoms = P.maximal_elements()
+    order_idx = [P.index(c) for c in order]
+    if len(set(order_idx)) != len(order_idx) or set(order_idx) != {
+        P.index(c) for c in coatoms
+    }:
+        raise DomainError("order is not a permutation of the maximal elements")
+    mode = "simplicial" if _poset_is_simplicial(P) else "necessary-condition"
+    meets = {}
+
+    def meet(i: int, j: int):
+        k = (i, j) if i <= j else (j, i)
+        if k not in meets:
+            meets[k] = P.meet_or_bottom(order[k[0]], order[k[1]])
+        return meets[k]
+
+    def leq_aug(a, b) -> bool:
+        if a is None:
+            return True
+        if b is None:
+            return False
+        return P.less_equal(a, b)
+
+    failures = []
+    for j in range(1, len(order)):
+        horizon = [
+            meet(k, j) for k in range(j) if P.is_lower_cover(meet(k, j), order[j])
+        ]
+        for i in range(j):
+            if not any(leq_aug(meet(i, j), h) for h in horizon):
+                failures.append((i, j))
+    return ShellingReport(ok=not failures, mode=mode, failures=tuple(failures))
+
+
+def star_topes_by_scan(M, X) -> tuple[tuple, tuple]:
+    """(C_X, D_X) of `M.star(X)` by tests on every tope: the topes above
+    X outside L++, and the topes of L/g with X minus g's sign wherever
+    X minus g has one, sorted by sign string."""
+    star = M.star(X)
+    N = star.om
+    gi = N.g_index
+    bc = N.bounded_complex()
+    all_topes = topes(N.om)
+    X = star.X
+    cx = tuple(
+        t for t in N.om.order().up_set(X)
+        if t in all_topes and t != X and t not in bc
+    )
+    xg = X.delete([gi])
+    need = sorted(xg.support())
+    dx = tuple(sorted(
+        (t for t in topes(N.contraction())
+         if all(t.sign(e) is xg.sign(e) for e in need)),
+        key=str,
+    ))
+    return cx, dx
+
+
+def shelling_of_DX_by_scan(M, X, B=None) -> list:
+    """`shelling_of_DX(M, X, B)` on a `TopePoset`, D_X checked to be an
+    order ideal of it pair by pair over all of its topes."""
+    star = M.star(X)
+    if not star.D_X:
+        raise PreconditionError(f"D_X is empty for X = {star.X}")
+    if B is None:
+        B = min(star.D_X, key=str)
+    if B not in star.D_X:
+        raise MembershipError(f"base tope {B} is not in D_X")
+    P = tope_poset(star.contraction, B)
+    dset = set(star.D_X)
+    for t in star.D_X:
+        for s in P.topes:
+            if P.less_equal(s, t) and s not in dset:
+                raise OmtopError(
+                    f"D_X is not an order ideal of T(L/g, {B}): "
+                    f"{s} <= {t} but {s} is missing; the input is not "
+                    "an affine oriented matroid"
+                )
+    return sorted(star.D_X, key=P.sort_key)
+
+
+def induced_shelling_by_scan(M, X, dx_order=None) -> InducedShelling:
+    """`induced_shelling_of_CX(M, X, dx_order)` on the oracles above: the
+    [C_X] face poset cut out of L by `subposet`, each base's lift checked
+    from scratch by `verify_shelling_by_meets`."""
+    star = M.star(X)
+    order = star.om.om.order()
+    cx = set(star.C_X)
+    faces = order.subposet(
+        y
+        for y in order.up_set(star.X)
+        if y != star.X and not cx.isdisjoint(order.up_set(y))
+    )
+
+    def lift_and_check(dx):
+        if sorted(dx, key=str) != sorted(star.D_X, key=str):
+            raise PreconditionError("dx_order must be a permutation of D_X")
+        problems = []
+        lifted = []
+        for d in dx:
+            c = star.lift(d)
+            lifted.append(c)
+            if c not in cx:
+                problems.append(f"h({d}) = {c} is not in C_X")
+        report = None
+        if not problems:
+            try:
+                report = verify_shelling_by_meets(faces, lifted)
+            except PreconditionError as exc:
+                problems.append(f"[C_X] face poset: {exc}")
+        return InducedShelling(
+            X=star.X,
+            dx_order=tuple(dx),
+            order=tuple(lifted),
+            report=report,
+            problems=tuple(problems),
+        )
+
+    if dx_order is not None:
+        return lift_and_check(list(dx_order))
+    first = None
+    for B in sorted(star.D_X, key=str):
+        cand = lift_and_check(shelling_of_DX_by_scan(M, X, B))
+        if cand.ok:
+            return cand
+        if first is None:
+            first = cand
+    if first is None:
+        raise PreconditionError(f"D_X is empty for X = {star.X}")
+    return first

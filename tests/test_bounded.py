@@ -20,8 +20,11 @@ from oracles import (
     cube_isomorphism_by_scan,
     cube_scans,
     find_shelling,
+    induced_shelling_by_scan,
     restriction_ok_by_scan,
     restriction_scans,
+    shelling_of_DX_by_scan,
+    star_topes_by_scan,
 )
 from omtop.bounded import (
     AffineOM,
@@ -38,6 +41,7 @@ from omtop.bounded import (
     shelling_of_DX,
 )
 from omtop.errors import (
+    DomainError,
     MembershipError,
     OmtopError,
     PreconditionError,
@@ -241,6 +245,40 @@ class TestSupportRestriction:
         monkeypatch.setattr(star, "D_X", star.D_X + (S("+-"),))
         rep = check_bijection(three, S("00-+"))
         assert rep.problems == ("+- in D_X has no preimage under r",)
+
+
+class TestSharedRestriction:
+    """Stars on a set whose bounded complex misses an element share one
+    restricted set, built once."""
+
+    def test_stars_share_the_restricted_set(self, three, monkeypatch):
+        import omtop.bounded as bounded
+
+        calls = []
+        real = bounded.delete_minor
+        monkeypatch.setattr(
+            bounded, "delete_minor",
+            lambda *a: calls.append(a) or real(*a),
+        )
+        M = AffineOM(three.om)
+        cells = [
+            x for x in bounded_complex(M)
+            if not x.delete([M.g_index]).is_zero
+        ]
+        assert len(cells) == 3
+        stars = [M.star(x) for x in cells]
+        assert all(star.om is stars[0].om for star in stars)
+        assert stars[0].om is restrict_to_support(M).restricted
+        assert len(calls) == 1
+        assert [str(star.X) for star in stars] == ["+-+", "+0+", "0-+"]
+
+    def test_map_rejects_an_unbounded_covector(self, three):
+        res = three.star(S("00-+")).restriction
+        assert res.map(S("0+-+")) == S("+-+")
+        with pytest.raises(MembershipError):
+            res.map(S("+---"))
+        with pytest.raises(MembershipError):
+            restrict_to_support(three).map(S("0000"))
 
 
 class TestCubeIsomorphism:
@@ -466,13 +504,11 @@ class TestInducedShellingOfCX:
         assert ind.ok
         assert len(ind.order) == 1
 
-    def test_a_failed_lift_is_no_evidence(self):
+    def test_a_failed_lift_is_no_evidence(self, om751):
         # at one vertex of the uniform (7,5,1) no lifted [D_X] order
         # shells [C_X], yet [C_X] is a shellable 4-ball: the failure is
         # the construction's, which is why verify does not refute on it
-        M = AffineOM(enumerate_covectors(homogenize(
-            generate_arrangement(7, 5, seed=1)
-        )))
+        M = om751
         X = S("0000+0-+")
         assert not induced_shelling_of_CX(M, X).ok
         star = M.star(X)
@@ -534,6 +570,160 @@ class TestInducedShellingOfCX:
                     assert sm == X or sm not in P
                 else:
                     assert m == sm
+
+
+@pytest.fixture(scope="module")
+def om751():
+    return AffineOM(enumerate_covectors(homogenize(
+        generate_arrangement(7, 5, seed=1)
+    )))
+
+
+def _proper_cells(M: AffineOM):
+    """The cells whose inherited shelling `verify` checks."""
+    for x in bounded_complex(M):
+        if x.delete([M.g_index]).is_zero:
+            continue
+        if link_decomposition(M, x).case == "proper" and M.star(x).C_X:
+            yield x
+
+
+class TestShellingOracles:
+    """The star shellings on L's masks against the algorithms they
+    replaced: tope sets, [D_X] orders for every base, and whole
+    InducedShelling reports, ShellingReports included."""
+
+    @pytest.mark.parametrize("n,d,seed", [(4, 2, 0), (5, 4, 0), (8, 3, 0)])
+    def test_every_proper_cell(self, n, d, seed):
+        M = AffineOM(enumerate_covectors(homogenize(
+            generate_arrangement(n, d, seed=seed)
+        )))
+        cells = 0
+        for x in _proper_cells(M):
+            star = M.star(x)
+            assert (star.C_X, star.D_X) == star_topes_by_scan(M, x)
+            for B in star.D_X:
+                order = shelling_of_DX(M, x, B)
+                assert order == shelling_of_DX_by_scan(M, x, B)
+            assert induced_shelling_of_CX(M, x) == induced_shelling_by_scan(M, x)
+            cells += 1
+        assert cells > 0
+
+    def test_off_uniform_fixtures(self, three, four):
+        # on four, C_X outnumbers D_X at some cells: the lifted order is
+        # no permutation of the facets, and both raise the same error
+        def outcome(f, M, x):
+            try:
+                return f(M, x)
+            except OmtopError as exc:
+                return type(exc), str(exc)
+
+        seen = []
+        for M in (three, four):
+            for x in bounded_complex(M):
+                if x.delete([M.g_index]).is_zero or not M.star(x).D_X:
+                    continue
+                got = outcome(induced_shelling_of_CX, M, x)
+                assert got == outcome(induced_shelling_by_scan, M, x)
+                seen.append(got)
+        assert (DomainError, "order is not a permutation of the maximal "
+                "elements") in seen
+
+    def test_lift_outside_CX(self, three, monkeypatch):
+        # +- lifts to +-+, a covector of the restricted set but no tope
+        # of C_X: the lift is refused before any shelling check
+        X = S("00-+")
+        star = three.star(X)
+        monkeypatch.setattr(star, "D_X", star.D_X + (S("+-"),))
+        dx = [S("+-"), S("--")]
+        ind = induced_shelling_of_CX(three, X, dx)
+        assert ind == induced_shelling_by_scan(three, X, dx)
+        assert ind.report is None
+        assert "h(+-) = +-+ is not in C_X" in ind.problems
+
+    def test_every_base_at_a_failing_cell(self, om751):
+        X = S("0000+0-+")
+        star = om751.star(X)
+        assert len(star.D_X) > 1
+        for B in star.D_X:
+            order = shelling_of_DX(om751, X, B)
+            assert order == shelling_of_DX_by_scan(om751, X, B)
+            ind = induced_shelling_of_CX(om751, X, order)
+            assert not ind.ok and ind.report.failures
+            assert ind == induced_shelling_by_scan(om751, X, order)
+        ind = induced_shelling_of_CX(om751, X)
+        assert not ind.ok
+        assert ind == induced_shelling_by_scan(om751, X)
+
+
+class TestShellingMutations:
+    """A corrupted lift fails its check with the oracle's failure pairs;
+    a dx_order that is no permutation of D_X is refused."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        M = AffineOM(enumerate_covectors(homogenize(
+            generate_arrangement(5, 4, seed=0)
+        )))
+        X = max(_proper_cells(M), key=lambda x: len(M.star(x).D_X))
+        return M, X
+
+    def test_reordered_lift_fails(self, cell):
+        M, X = cell
+        ind = induced_shelling_of_CX(M, X)
+        assert ind.ok
+        star = M.star(X)
+        # two facets of [C_X] whose meet is the bottom X, put first: the
+        # bottom is covered by no facet, so pair (0, 1) has no k
+        dx = list(ind.dx_order)
+        a, b = next(
+            (a, b) for a in dx for b in dx
+            if star.lift(a).meet(star.lift(b)) == star.X
+        )
+        bad = [a, b] + [d for d in dx if d not in (a, b)]
+        broken = induced_shelling_of_CX(M, X, bad)
+        assert not broken.ok
+        assert (0, 1) in broken.report.failures
+        oracle = induced_shelling_by_scan(M, X, bad)
+        assert broken.report.failures == oracle.report.failures
+        assert broken == oracle
+
+    def test_repeated_or_missing_tope_rejected(self, cell):
+        M, X = cell
+        dx = list(induced_shelling_of_CX(M, X).dx_order)
+        assert len(dx) > 2
+        for bad in (dx[:-1], dx[:-1] + [dx[0]], dx + [dx[0]]):
+            with pytest.raises(
+                PreconditionError, match="dx_order must be a permutation of D_X"
+            ):
+                induced_shelling_of_CX(M, X, bad)
+
+
+class TestOrderIdealCheck:
+    """shelling_of_DX refuses a D_X that is not an order ideal of the
+    tope poset; only a tope of L/g that is zero on supp(X minus g) can
+    make it so."""
+
+    def test_fires_on_a_tope_zero_on_the_support(self):
+        # L/g has the topes ++0, +-+, -++; X minus g = 00+, so
+        # D_X = {+-+, -++} and ++0 <= -++ from the base +-+
+        L = CovectorSet(
+            GroundSet(["a", "b", "c", "g"], g="g"),
+            [S(v) for v in (
+                "0000", "00++", "--++", "++00", "-++0", "+-+0",
+            )],
+        )
+        M = AffineOM(L)
+        X = S("00++")
+        assert [str(t) for t in M.star(X).D_X] == ["+-+", "-++"]
+        text = (
+            "D_X is not an order ideal of T(L/g, +-+): ++0 <= -++ but "
+            "++0 is missing; the input is not an affine oriented matroid"
+        )
+        for f in (shelling_of_DX, shelling_of_DX_by_scan):
+            with pytest.raises(OmtopError) as exc:
+                f(M, X)
+            assert str(exc.value) == text
 
 
 class TestBoundaryEquivalence:

@@ -18,6 +18,7 @@ from omtop.topology import (
     CollapseCertificate,
     HomologyTable,
     Poset,
+    ShellingCheck,
     SimplicialComplex,
     classify_links,
     face_poset,
@@ -38,7 +39,9 @@ from oracles import (
     integral_homology,
     link_facts,
     link_sweep,
+    pure_by_covers,
     rational_betti,
+    verify_shelling_by_meets,
 )
 
 
@@ -693,6 +696,87 @@ class TestShelling:
         order = find_shelling(octa)
         assert order is not None and len(order) == 8
         assert verify_shelling(face_poset(octa), order).ok
+
+
+@st.composite
+def graded_posets(draw):
+    """A poset in levels, each element above level 0 covering a nonempty
+    set of the level below (so two elements can share several maximal
+    lower bounds), or the face poset of a small simplicial complex, most
+    often a pure one; with its maximal elements in a drawn order."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        sizes = st.integers(1, 4) if draw(st.booleans()) else st.just(k)
+        facets = draw(st.lists(
+            sizes.flatmap(lambda m: st.sets(
+                st.integers(0, 6), min_size=m, max_size=m)),
+            min_size=1, max_size=6,
+        ))
+        P = face_poset(SimplicialComplex(facets))
+    else:
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        below = {}
+        for lv in range(1, len(sizes)):
+            for k in range(sizes[lv]):
+                below[lv, k] = draw(st.sets(
+                    st.sampled_from([(lv - 1, i) for i in range(sizes[lv - 1])]),
+                    min_size=1,
+                ))
+        elements = [(lv, k) for lv, n in enumerate(sizes) for k in range(n)]
+
+        def leq(a, b):
+            return a == b or any(leq(a, c) for c in below.get(b, ()))
+
+        P = Poset(elements, leq)
+    order = draw(st.permutations(P.maximal_elements()))
+    return P, order
+
+
+def _outcome(f, *args):
+    """f's result, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestShellingCheckOracle:
+    """The mask pass of `ShellingCheck` against the meet-by-element pass
+    it replaced, on random face posets and random facet orders: whole
+    reports, or the same exception with the same text."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(graded_posets())
+    def test_random_posets(self, case):
+        P, order = case
+        assert P.is_pure() == pure_by_covers(P)
+        assert _outcome(verify_shelling, P, order) == _outcome(
+            verify_shelling_by_meets, P, order
+        )
+
+    def test_non_unique_meet_text(self):
+        # x and y both cover a and b: the meet of x and y is not unique
+        below = {"x": {"a", "b"}, "y": {"a", "b"}}
+        P = Poset(
+            ["a", "b", "x", "y"], lambda u, v: u == v or u in below.get(v, ())
+        )
+        got = _outcome(verify_shelling, P, ["x", "y"])
+        assert got == _outcome(verify_shelling_by_meets, P, ["x", "y"])
+        assert got[0] is PreconditionError
+        assert got[1].startswith("no unique meet for 'x' and 'y'")
+
+    def test_one_check_many_orders(self):
+        K = SimplicialComplex([[1, 2, 3], [2, 3, 4], [3, 4, 5]])
+        P = face_poset(K)
+        check = ShellingCheck(P)
+        for order in itertools.permutations(K.facets):
+            assert check(order) == verify_shelling_by_meets(P, order)
+
+    def test_impure_raises_per_order(self):
+        check = ShellingCheck(face_poset(SimplicialComplex([[1, 2, 3], [3, 4]])))
+        assert not check.pure
+        with pytest.raises(PreconditionError, match="needs a pure poset"):
+            check([])
 
 
 def _octahedron() -> SimplicialComplex:

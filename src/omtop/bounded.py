@@ -592,6 +592,10 @@ def induced_shelling_of_CX(
     The face poset of [C_X] above X is read off L's up-masks: the y > X
     whose up-set meets C_X.  Its :class:`~omtop.topology.ShellingCheck`
     is built once and shared by every base tried.
+
+    A lift that leaves C_X, or that misses some tope of C_X (on a
+    non-uniform input |C_X| can exceed |D_X|), is no order of the facets
+    of [C_X]: it is reported in `problems` with no shelling check.
     """
     star = M.star(X)
     order = star.om.om.order()
@@ -633,6 +637,12 @@ def _lift_and_check(
         k = index.get(c)
         if k is None or not star._cx >> k & 1:
             problems.append(f"h({d}) = {c} is not in C_X")
+    if not problems and len(set(order)) != len(star.C_X):
+        # |C_X| > |D_X|, which a non-uniform input allows
+        problems.append(
+            f"h(D_X) covers {len(set(order))} of the "
+            f"{len(star.C_X)} topes of C_X"
+        )
     report = None
     if not problems:
         try:

@@ -18,13 +18,17 @@ ranks.  Every covector is a composition of cocircuits, so the closure
 of the cocircuits under composition, plus 0, is the whole set.
 
 The affine faces are the covectors that are + at g, with g deleted.
-Fourier-Motzkin elimination with strictness tracking (zero signs become
-equations and are substituted out) runs only as a test on one face at
-a time: is this affine sign pattern nonempty, and is its face bounded?
-No sign-pattern search is left.  That is the geometric boundedness
-oracle, the independent cross-check for every bounded-complex face
-count downstream; it reads the hyperplanes, never the covector set it
-checks.
+The geometric boundedness oracle decides a face by its recession cone,
+which the cocircuits of the normals alone read off: those of the
+central arrangement a_i . u = 0 of the directions at infinity, with no
+offsets and no g.  A nonempty face with pattern P is bounded iff the
+arrangement is essential and no such cocircuit C has C <= P (the proof
+is in `face_bounded`).  No linear program is solved and no sign-pattern
+search is left.  The oracle is the independent cross-check for every
+bounded-complex face count downstream: it reads the hyperplanes, never
+the covector set it checks, and it decides on a different matrix (the
+d-column normals, not the homogenized rows) by a different criterion (a
+cocircuit at infinity below P, not the down-sets of L's order).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
@@ -39,126 +44,13 @@ from .errors import (
     DimensionError,
     DomainError,
     InputFormatError,
-    PreconditionError,
     ResourceExhausted,
 )
 from .matroid import CovectorSet
-from .signvec import GroundSet, Sign, SignVector, _bits
+from .signvec import GroundSet, SignVector, _bits
 
-# relation tags for rows "expr REL 0"
-_EQ, _GE, _GT = 0, 1, 2
-
-
-# ---------------------------------------------------------------------------
-# exact linear feasibility
-# ---------------------------------------------------------------------------
-
-
-def _const_ok(const: int, rel: int) -> bool:
-    if rel == _EQ:
-        return const == 0
-    if rel == _GE:
-        return const >= 0
-    return const > 0
-
-
-def _normalize(coeffs, const, rel):
-    g = abs(const)
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        const = const // g
-    return (coeffs, const, rel)
-
-
-def feasible(rows, nvars: int) -> bool:
-    """Is there a real point satisfying every row (coeffs, const, rel),
-    read as coeffs . x + const REL 0?  Decided exactly.  Every entry
-    must be an `int`, as in the rows an `Arrangement` or a
-    `VectorConfiguration` keeps; no row is rescaled here."""
-    work = []
-    for coeffs, const, rel in rows:
-        if len(coeffs) != nvars:
-            raise DimensionError(
-                f"row has {len(coeffs)} coefficients, expected {nvars}"
-            )
-        if not any(coeffs):
-            if not _const_ok(const, rel):
-                return False
-            continue
-        work.append((coeffs, const, rel))
-
-    live = list(range(nvars))
-
-    # substitute out equations first
-    while True:
-        pivot = None
-        for row in work:
-            if row[2] == _EQ:
-                pivot = row
-                break
-        if pivot is None:
-            break
-        work.remove(pivot)
-        pcoef, pconst, _ = pivot
-        v = next(j for j in live if pcoef[j])
-        p = pcoef[v]
-        nxt = []
-        for coeffs, const, rel in work:
-            r = coeffs[v]
-            if r:
-                # R' = |p| R - sign(p) r P keeps the relation direction
-                # (P is an equation, so any multiple may be added)
-                s = 1 if p > 0 else -1
-                coeffs = tuple(
-                    abs(p) * c - s * r * pc for c, pc in zip(coeffs, pcoef)
-                )
-                const = abs(p) * const - s * r * pconst
-                if not any(coeffs):
-                    if not _const_ok(const, rel):
-                        return False
-                    continue
-                coeffs, const, rel = _normalize(coeffs, const, rel)
-            nxt.append((coeffs, const, rel))
-        work = nxt
-        live.remove(v)
-
-    # Fourier-Motzkin on the strict/weak inequalities
-    while work:
-        best_v, best_cost = None, None
-        for v in live:
-            p = sum(1 for c, _, _ in work if c[v] > 0)
-            n = sum(1 for c, _, _ in work if c[v] < 0)
-            if p == 0 and n == 0:
-                continue
-            cost = p * n
-            if best_cost is None or cost < best_cost:
-                best_v, best_cost = v, cost
-        if best_v is None:
-            break
-        v = best_v
-        pos = [r for r in work if r[0][v] > 0]
-        neg = [r for r in work if r[0][v] < 0]
-        keep = [r for r in work if r[0][v] == 0]
-        out = set(keep)
-        for pcoef, pconst, prel in pos:
-            for ncoef, nconst, nrel in neg:
-                a, b = -ncoef[v], pcoef[v]
-                coeffs = tuple(
-                    a * pc + b * nc for pc, nc in zip(pcoef, ncoef)
-                )
-                const = a * pconst + b * nconst
-                rel = _GT if (prel == _GT or nrel == _GT) else _GE
-                if not any(coeffs):
-                    if not _const_ok(const, rel):
-                        return False
-                    continue
-                out.add(_normalize(coeffs, const, rel))
-        work = sorted(out)
-        live.remove(v)
-    return True
-
+# the most covectors `enumerate_covectors` lists by default
+_CAP = 20_000
 
 # ---------------------------------------------------------------------------
 # arrangements
@@ -225,6 +117,16 @@ class Arrangement:
 
     def hyperplanes(self):
         return tuple(zip(self.normals, self.offsets))
+
+    @cached_property
+    def _normal_cocircuits(self) -> list[int]:
+        """The cocircuits of the normals alone, packed as `_cocircuits`
+        packs them.  Computed on first use, not at construction:
+        `generate_arrangement` builds an arrangement for every draw it
+        rejects.  Each, with 0 at g appended, is a covector of
+        `homogenize(self)`, so they stay under any cap that enumeration
+        meets."""
+        return _cocircuits(tuple(r[:-1] for r in self.rows), _CAP)
 
     def repeated_hyperplanes(self) -> list[tuple[str, str]]:
         """Pairs of labels naming the same hyperplane (up to scaling):
@@ -300,8 +202,9 @@ def _over_cap(cap: int) -> ResourceExhausted:
     )
 
 
-def _cocircuits(V: VectorConfiguration, cap: int) -> list[int]:
-    """The cocircuits of V, each packed as plus | minus << n.
+def _cocircuits(forms: tuple[tuple[int, ...], ...], cap: int) -> list[int]:
+    """The cocircuits of the integer forms, each packed as
+    plus | minus << n for n forms.
 
     With r the rank of the forms, restrict them to r columns of rank r
     (the pivot columns of their elimination): the image of y -> (f.y)
@@ -310,12 +213,12 @@ def _cocircuits(V: VectorConfiguration, cap: int) -> list[int]:
     x_k = (-1)^k det(subset without column k), and sign(f.x) over all
     forms f is a cocircuit, as is its negation.  On non-uniform input
     many subsets span one hyperplane, so the set deduplicates them."""
-    n = V.n_forms
-    cols, _ = _eliminate(V.forms)
+    n = len(forms)
+    cols, _ = _eliminate(forms)
     r = len(cols)
     if r == 0:
         return []
-    forms = [tuple(f[c] for c in cols) for f in V.forms]
+    forms = [tuple(f[c] for c in cols) for f in forms]
     live = [f for f in forms if any(f)]
     found: set[int] = set()
     for sub in combinations(live, r - 1):
@@ -340,7 +243,7 @@ def _cocircuits(V: VectorConfiguration, cap: int) -> list[int]:
 
 
 def enumerate_covectors(
-    V: VectorConfiguration, cap: int = 20_000
+    V: VectorConfiguration, cap: int = _CAP
 ) -> CovectorSet:
     """All sign patterns of the configuration's forms: 0 plus the
     closure of the cocircuits under conformal composition.  Every
@@ -360,7 +263,7 @@ def enumerate_covectors(
     N = 20,000 (25 MB for the 11,003 covectors of
     `generate_arrangement(10, 4, seed=0)`)."""
     n = V.n_forms
-    cocircuits = _cocircuits(V, cap)
+    cocircuits = _cocircuits(V.forms, cap)
     # conformal[e]: the cocircuits not + at element e - n (for e >= n)
     # or not - at element e (for e < n), one bit per cocircuit
     conformal = [(1 << len(cocircuits)) - 1] * (2 * n)
@@ -398,24 +301,6 @@ def enumerate_covectors(
 # ---------------------------------------------------------------------------
 
 
-def _sign_row(coeffs, const, sign: Sign):
-    if sign is Sign.ZERO:
-        return (coeffs, const, _EQ)
-    if sign is Sign.PLUS:
-        return (coeffs, const, _GT)
-    return (tuple(-c for c in coeffs), -const, _GT)
-
-
-def affine_pattern_feasible(A: Arrangement, P: SignVector) -> bool:
-    """Is the relatively open face {x : sign(a_i . x - b_i) = P_i} nonempty?"""
-    if P.n != A.n:
-        raise DimensionError(
-            f"pattern has length {P.n}, arrangement has {A.n} hyperplanes"
-        )
-    rows = [_sign_row(r[:-1], r[-1], P.sign(i)) for i, r in enumerate(A.rows)]
-    return feasible(rows, A.dim)
-
-
 _FACE_ORDER = str.maketrans("0+-", "012")
 
 
@@ -424,7 +309,9 @@ def enumerate_affine_faces(A: Arrangement) -> list[SignVector]:
     `homogenize(A)` that are + at g, with g deleted, since the points
     with t > 0 scale to the affine chart t = 1.  Listed coordinate 0
     slowest, each coordinate in the order 0, +, -: the order in which
-    `render_arrangement_svg` draws them.
+    `render_arrangement_svg` draws them.  Every pattern listed is the
+    sign vector of a point, so it is nonempty with no feasibility test,
+    as `face_bounded` requires.
 
     Raises ResourceExhausted past the 20,000-covector cap of
     `enumerate_covectors`."""
@@ -439,26 +326,35 @@ def enumerate_affine_faces(A: Arrangement) -> list[SignVector]:
 
 
 def face_bounded(A: Arrangement, P: SignVector) -> bool:
-    """Is the nonempty face with sign pattern P bounded, i.e. is its
-    recession cone C = {u : a_i.u = 0 where P_i = 0, P_i a_i.u >= 0
-    elsewhere} the origin alone?  One feasibility test decides it.  In
-    a non-essential arrangement every face contains a line.  Otherwise
-    the normals span, so a nonzero u in C has some a_i.u != 0, hence
-    P_i a_i.u > 0 for some i outside the zero set of P; then the sum of
-    P_i a_i.u over those i is positive and scales to 1, while it is 0
-    at u = 0.  So the face is bounded iff no u in C makes that sum 1."""
-    if not affine_pattern_feasible(A, P):
-        raise PreconditionError(f"face {P} is empty")
+    """Is the nonempty face with sign pattern P bounded?
+
+    A nonempty polyhedron is bounded iff its recession cone
+    R = {u : a_i.u = 0 where P_i = 0, P_i a_i.u >= 0 elsewhere} is the
+    origin alone (Ziegler, Lectures on Polytopes, sec. 1).  In a
+    non-essential arrangement R holds the common kernel of the normals,
+    so no face is bounded.  Otherwise the normals span, so a nonzero u
+    in R has a nonzero sign vector Y = (sign a_i.u)_i, a covector of the
+    central arrangement of the normals with Y <= P.  Every nonzero
+    covector is a conformal composition of cocircuits below it (the
+    theorem `enumerate_covectors` rests on), so some cocircuit C of the
+    normals has C <= Y <= P.  Conversely a cocircuit C <= P is the sign
+    vector of some u != 0, and that u lies in R.  So the face is bounded
+    iff A is essential and no cocircuit C of the normals has C <= P:
+    C's + bits inside P's + bits and C's - bits inside P's - bits, one
+    mask test on the packed pair (Bjorner, Las Vergnas, Sturmfels, White
+    & Ziegler, Oriented Matroids, sec. 4.5).
+
+    The cocircuits are computed on the first call and kept on A.  P is
+    not tested for emptiness; the answer for an empty pattern means
+    nothing.  Raises DimensionError when P's length is not A.n."""
+    if P.n != A.n:
+        raise DimensionError(
+            f"pattern has length {P.n}, arrangement has {A.n} hyperplanes"
+        )
     if not A._essential:
         return False
-    cone = []
-    for i, r in enumerate(A.rows):
-        a, _, rel = _sign_row(r[:-1], 0, P.sign(i))
-        cone.append((a, 0, _GE if rel == _GT else _EQ))
-    total = tuple(
-        sum(a[j] for a, _, rel in cone if rel == _GE) for j in range(A.dim)
-    )
-    return not feasible(cone + [(total, -1, _EQ)], A.dim)
+    p = P._pos | P._neg << A.n
+    return all(c & ~p for c in A._normal_cocircuits)
 
 
 def _eliminate(rows) -> tuple[list[int], int]:
@@ -527,14 +423,13 @@ def is_essential(A: Arrangement) -> bool:
 
 def bounded_faces(A: Arrangement) -> dict[SignVector, int]:
     """The sign pattern of every bounded face, mapped to its dimension:
-    one pass over the affine faces, one exact boundedness test each.
+    one pass over the affine faces of `enumerate_affine_faces`, each
+    decided by `face_bounded`, the cocircuits of the normals below it.
     It reads only A, never a covector set or its order, and decides
     boundedness and dimension face by face, so it is an independent
-    oracle for the bounded complex.  The faces come from the cocircuit
-    closure of `enumerate_affine_faces`: each one must pass the
-    emptiness test of `face_bounded` (an empty one raises
-    PreconditionError), and that none is missing is the cocircuit
-    theorem of `enumerate_covectors`."""
+    oracle for the bounded complex.  Every face in the list is nonempty
+    and none is missing, by the cocircuit theorem of
+    `enumerate_covectors`."""
     return {
         P: affine_face_dim(A, P)
         for P in enumerate_affine_faces(A)

@@ -60,8 +60,9 @@ from .errors import DomainError
 from .matroid import CovectorSet, is_uniform, verify_covector_axioms
 from .realization import (
     Arrangement,
-    bounded_faces,
+    affine_face_dim,
     enumerate_covectors,
+    face_bounded,
     face_census,
     homogenize,
     is_essential,
@@ -108,7 +109,18 @@ def verify_covectors(
     budget: int = 10**6,
     arrangement: Arrangement | None = None,
 ) -> VerificationReport:
-    """Run the full pipeline on a covector set (realized or not)."""
+    """Run the full pipeline on a covector set (realized or not).
+
+    `arrangement`, when given, must be the arrangement L was enumerated
+    from: L is the covector set of `homogenize(arrangement)`, as
+    `verify_arrangement`, the only caller that passes it, guarantees.
+    The geometric boundedness oracle then takes its faces from L (the
+    covectors + at g, with g deleted) instead of enumerating them again,
+    and decides each with `face_bounded` and `affine_face_dim`.  It stays
+    independent of L++: it decides on a different matrix, the normals
+    of the arrangement, by a different criterion, a cocircuit at
+    infinity below the face's pattern, where L++ is read off the
+    down-sets of L's order."""
     instance = {
         "source": source,
         "kind": "arrangement" if arrangement is not None else "covectors",
@@ -174,15 +186,20 @@ def verify_covectors(
     # the geometric oracle, when the input came from an arrangement
     if arrangement is not None:
         if is_essential(arrangement):
-            faces = bounded_faces(arrangement)
-            census = face_census(faces)
             gi = M.g_index
+            faces = {}
+            mismatches = []
             # iterating L yields its covectors in sign-string order
-            mismatches = [
-                str(x) for x in L
-                if x.sign(gi) is Sign.PLUS
-                and (x.delete([gi]) in faces) != (x in bc)
-            ]
+            for x in L:
+                if x.sign(gi) is not Sign.PLUS:
+                    continue
+                P = x.delete([gi])
+                bounded = face_bounded(arrangement, P)
+                if bounded:
+                    faces[P] = affine_face_dim(arrangement, P)
+                if bounded != (x in bc):
+                    mismatches.append(str(x))
+            census = face_census(faces)
             f = list(bc.f_vector)
             stages["boundedness_oracle"] = {
                 "applied": True,

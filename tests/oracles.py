@@ -40,10 +40,16 @@ included.
 with its own feasibility call, so a brute-force scan over all patterns
 cross-checks both.
 
-`face_bounded_by_directions` is the boundedness test as it ran before
-the one-test criterion: it reads the arrangement's rational normals, not
-its integer rows, and runs one feasibility test per signed coordinate
-direction, so it cross-checks `realization.face_bounded`.
+`feasible` is the exact Fourier-Motzkin feasibility test all of these
+run, as the library ran it before boundedness was decided on the
+cocircuits of the normals; `affine_pattern_feasible` decides one affine
+sign pattern with it.  `face_bounded_by_fm` is the boundedness test as
+it ran then: an emptiness test, then one feasibility test on the
+recession cone.  `face_bounded_by_directions` is the test as it ran
+before that: it reads the arrangement's rational normals, not its
+integer rows, and runs one feasibility test per signed coordinate
+direction.  Both cross-check `realization.face_bounded`, which solves
+no linear program.
 
 `cube_scans`, `restriction_scans` and `bijection_scans` are the pairwise
 checks the star checks of `bounded` no longer make, because a lemma
@@ -84,12 +90,7 @@ from omtop.errors import (
     PreconditionError,
 )
 from omtop.matroid import AxiomReport, CovectorSet, tope_poset, topes
-from omtop.realization import (
-    _EQ,
-    _GE,
-    _sign_row,
-    feasible,
-)
+from omtop.realization import is_essential
 from omtop.signvec import Sign, SignVector
 from omtop.topology import (
     HomologyTable,
@@ -104,6 +105,162 @@ from omtop.topology import (
     smith_normal_form,
     verify_collapse,
 )
+
+
+# relation tags for rows "expr REL 0"
+_EQ, _GE, _GT = 0, 1, 2
+
+
+def _const_ok(const: int, rel: int) -> bool:
+    if rel == _EQ:
+        return const == 0
+    if rel == _GE:
+        return const >= 0
+    return const > 0
+
+
+def _normalize(coeffs, const, rel):
+    g = abs(const)
+    for c in coeffs:
+        g = gcd(g, abs(c))
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+        const = const // g
+    return (coeffs, const, rel)
+
+
+def feasible(rows, nvars: int) -> bool:
+    """Is there a real point satisfying every row (coeffs, const, rel),
+    read as coeffs . x + const REL 0?  Decided exactly.  Every entry
+    must be an `int`, as in the rows an `Arrangement` or a
+    `VectorConfiguration` keeps; no row is rescaled here.
+
+    Fourier-Motzkin elimination with strictness tracking: zero signs
+    become equations and are substituted out first."""
+    work = []
+    for coeffs, const, rel in rows:
+        if len(coeffs) != nvars:
+            raise DimensionError(
+                f"row has {len(coeffs)} coefficients, expected {nvars}"
+            )
+        if not any(coeffs):
+            if not _const_ok(const, rel):
+                return False
+            continue
+        work.append((coeffs, const, rel))
+
+    live = list(range(nvars))
+
+    # substitute out equations first
+    while True:
+        pivot = None
+        for row in work:
+            if row[2] == _EQ:
+                pivot = row
+                break
+        if pivot is None:
+            break
+        work.remove(pivot)
+        pcoef, pconst, _ = pivot
+        v = next(j for j in live if pcoef[j])
+        p = pcoef[v]
+        nxt = []
+        for coeffs, const, rel in work:
+            r = coeffs[v]
+            if r:
+                # R' = |p| R - sign(p) r P keeps the relation direction
+                # (P is an equation, so any multiple may be added)
+                s = 1 if p > 0 else -1
+                coeffs = tuple(
+                    abs(p) * c - s * r * pc for c, pc in zip(coeffs, pcoef)
+                )
+                const = abs(p) * const - s * r * pconst
+                if not any(coeffs):
+                    if not _const_ok(const, rel):
+                        return False
+                    continue
+                coeffs, const, rel = _normalize(coeffs, const, rel)
+            nxt.append((coeffs, const, rel))
+        work = nxt
+        live.remove(v)
+
+    # Fourier-Motzkin on the strict/weak inequalities
+    while work:
+        best_v, best_cost = None, None
+        for v in live:
+            p = sum(1 for c, _, _ in work if c[v] > 0)
+            n = sum(1 for c, _, _ in work if c[v] < 0)
+            if p == 0 and n == 0:
+                continue
+            cost = p * n
+            if best_cost is None or cost < best_cost:
+                best_v, best_cost = v, cost
+        if best_v is None:
+            break
+        v = best_v
+        pos = [r for r in work if r[0][v] > 0]
+        neg = [r for r in work if r[0][v] < 0]
+        keep = [r for r in work if r[0][v] == 0]
+        out = set(keep)
+        for pcoef, pconst, prel in pos:
+            for ncoef, nconst, nrel in neg:
+                a, b = -ncoef[v], pcoef[v]
+                coeffs = tuple(
+                    a * pc + b * nc for pc, nc in zip(pcoef, ncoef)
+                )
+                const = a * pconst + b * nconst
+                rel = _GT if (prel == _GT or nrel == _GT) else _GE
+                if not any(coeffs):
+                    if not _const_ok(const, rel):
+                        return False
+                    continue
+                out.add(_normalize(coeffs, const, rel))
+        work = sorted(out)
+        live.remove(v)
+    return True
+
+
+def _sign_row(coeffs, const, sign: Sign):
+    if sign is Sign.ZERO:
+        return (coeffs, const, _EQ)
+    if sign is Sign.PLUS:
+        return (coeffs, const, _GT)
+    return (tuple(-c for c in coeffs), -const, _GT)
+
+
+def affine_pattern_feasible(A, P: SignVector) -> bool:
+    """Is the relatively open face {x : sign(a_i . x - b_i) = P_i} nonempty?"""
+    if P.n != A.n:
+        raise DimensionError(
+            f"pattern has length {P.n}, arrangement has {A.n} hyperplanes"
+        )
+    rows = [_sign_row(r[:-1], r[-1], P.sign(i)) for i, r in enumerate(A.rows)]
+    return feasible(rows, A.dim)
+
+
+def face_bounded_by_fm(A, P: SignVector) -> bool:
+    """Is the nonempty face with sign pattern P bounded, i.e. is its
+    recession cone C = {u : a_i.u = 0 where P_i = 0, P_i a_i.u >= 0
+    elsewhere} the origin alone?  One feasibility test decides it.  In
+    a non-essential arrangement every face contains a line.  Otherwise
+    the normals span, so a nonzero u in C has some a_i.u != 0, hence
+    P_i a_i.u > 0 for some i outside the zero set of P; then the sum of
+    P_i a_i.u over those i is positive and scales to 1, while it is 0
+    at u = 0.  So the face is bounded iff no u in C makes that sum 1.
+    An emptiness test comes first: an empty pattern raises
+    PreconditionError."""
+    if not affine_pattern_feasible(A, P):
+        raise PreconditionError(f"face {P} is empty")
+    if not is_essential(A):
+        return False
+    cone = []
+    for i, r in enumerate(A.rows):
+        a, _, rel = _sign_row(r[:-1], 0, P.sign(i))
+        cone.append((a, 0, _GE if rel == _GT else _EQ))
+    total = tuple(
+        sum(a[j] for a, _, rel in cone if rel == _GE) for j in range(A.dim)
+    )
+    return not feasible(cone + [(total, -1, _EQ)], A.dim)
 
 
 def _rank_over_q(rows: list[list[int]]) -> int:
@@ -908,6 +1065,11 @@ def induced_shelling_by_scan(M, X, dx_order=None) -> InducedShelling:
             lifted.append(c)
             if c not in cx:
                 problems.append(f"h({d}) = {c} is not in C_X")
+        if not problems and len(set(lifted)) != len(cx):
+            problems.append(
+                f"h(D_X) covers {len(set(lifted))} of the "
+                f"{len(cx)} topes of C_X"
+            )
         report = None
         if not problems:
             try:

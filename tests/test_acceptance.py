@@ -1,7 +1,7 @@
 """Acceptance gate: the seven headline guarantees of the tool.
 
 One test function per criterion, so `pytest -v` prints one pass/fail
-line for each; criterion 2 has a second, at d = 4.  Criteria 2, 3, and
+line for each; criterion 2 has two more, at d = 4 and at d = 5.  Criteria 2, 3, and
 5 share a module-scoped corpus of seeded arrangements; the stated
 runtime budgets are asserted on wall clock time.
 """
@@ -118,6 +118,23 @@ def test_criterion_2_holds_at_d4(seed):
     assert rep.verdict == "ball-certified", rep.reasons
     assert rep.stages["uniformity"]["uniform"] is True
     assert rep.stages["bounded"]["dim"] == 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_criterion_2_holds_at_d5(seed):
+    """The paper's theorem at d = 5: each seeded uniform (7,5)
+    arrangement is ball-certified, and the geometric boundedness oracle
+    agrees with the bounded complex face by face."""
+    rep = verify_arrangement(
+        generate_arrangement(7, 5, seed=seed),
+        source=f"generate(n=7, d=5, seed={seed})",
+    )
+    assert rep.verdict == "ball-certified", rep.reasons
+    assert rep.stages["uniformity"]["uniform"] is True
+    oracle = rep.stages["boundedness_oracle"]
+    assert oracle["applied"] is True
+    assert oracle["matches_f_vector"] is True
+    assert oracle["mismatched_covectors"] == []
 
 
 def test_criterion_3_star_constructions_have_zero_failures(corpus):

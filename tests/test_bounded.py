@@ -29,6 +29,7 @@ from oracles import (
 from omtop.bounded import (
     AffineOM,
     BijectionReport,
+    InducedShelling,
     Star,
     bounded_complex,
     check_bijection,
@@ -41,7 +42,6 @@ from omtop.bounded import (
     shelling_of_DX,
 )
 from omtop.errors import (
-    DomainError,
     MembershipError,
     OmtopError,
     PreconditionError,
@@ -611,23 +611,28 @@ class TestShellingOracles:
 
     def test_off_uniform_fixtures(self, three, four):
         # on four, C_X outnumbers D_X at some cells: the lifted order is
-        # no permutation of the facets, and both raise the same error
+        # no permutation of the facets, and both report it as a problem
         def outcome(f, M, x):
             try:
                 return f(M, x)
             except OmtopError as exc:
                 return type(exc), str(exc)
 
-        seen = []
+        short = []
         for M in (three, four):
             for x in bounded_complex(M):
                 if x.delete([M.g_index]).is_zero or not M.star(x).D_X:
                     continue
                 got = outcome(induced_shelling_of_CX, M, x)
                 assert got == outcome(induced_shelling_by_scan, M, x)
-                seen.append(got)
-        assert (DomainError, "order is not a permutation of the maximal "
-                "elements") in seen
+                assert isinstance(got, InducedShelling)
+                if got.problems:
+                    assert not got.ok and got.report is None
+                    short.append((str(x), got.problems))
+        assert short == [
+            (x, ("h(D_X) covers 2 of the 3 topes of C_X",))
+            for x in ("+00++", "-0-0+", "0+0++", "0--0+")
+        ]
 
     def test_lift_outside_CX(self, three, monkeypatch):
         # +- lifts to +-+, a covector of the restricted set but no tope

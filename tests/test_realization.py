@@ -1,15 +1,19 @@
-"""Arrangements, exact feasibility, covector enumeration, and the
-geometric boundedness oracle.
+"""Arrangements, covector enumeration, the geometric boundedness
+oracle, and the exact feasibility test of the oracles that check them.
 
 On every canonical instance the cocircuit closure is checked against
 a brute-force 3^n scan of fresh per-pattern feasibility calls, and on
 random configurations against the Fourier-Motzkin pattern search it
-replaced; neither shares code with it.
+replaced; neither shares code with it.  Boundedness, decided on the
+cocircuits of the normals, is checked against the Fourier-Motzkin test
+it replaced, face by face, on a corpus and on degenerate arrangements,
+and a mutation drops one cocircuit at a time.
 """
 
 import random
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -18,8 +22,14 @@ from hypothesis import strategies as st
 
 from conftest import FOURLINE_ROWS, LINE_ROWS, TRIANGLE_ROWS, mk_arrangement
 from oracles import (
+    _EQ,
+    _GE,
+    _GT,
     _rank_over_q,
+    affine_pattern_feasible,
     face_bounded_by_directions,
+    face_bounded_by_fm,
+    feasible,
     fm_affine_faces,
     fm_covectors,
     pattern_feasible,
@@ -34,21 +44,16 @@ from omtop.errors import (
 from omtop.matroid import verify_covector_axioms
 from omtop.generate import generate_arrangement
 from omtop.realization import (
-    _EQ,
-    _GE,
-    _GT,
     Arrangement,
     VectorConfiguration,
     _det,
     _rank,
     affine_face_dim,
-    affine_pattern_feasible,
     bounded_face_census,
     bounded_faces,
     enumerate_affine_faces,
     enumerate_covectors,
     face_bounded,
-    feasible,
     format_arrangement,
     homogenize,
     parse_arrangement_file,
@@ -378,8 +383,10 @@ class TestBoundednessOracle:
         assert not face_bounded(line_arr, S("++"))  # the ray x > 1
 
     def test_empty_face_rejected(self, line_arr):
+        # the Fourier-Motzkin oracle tests emptiness first; the library
+        # test takes its faces from the covectors and makes no such test
         with pytest.raises(PreconditionError):
-            face_bounded(line_arr, S("00"))
+            face_bounded_by_fm(line_arr, S("00"))
 
     def test_affine_feasibility(self, line_arr):
         assert affine_pattern_feasible(line_arr, S("0-"))
@@ -547,6 +554,92 @@ class TestOneTestBoundedness:
         for P in faces:
             assert not face_bounded(A, P)
             assert not face_bounded_by_directions(A, P)
+
+
+def _corpus():
+    """The realization corpus: the fixtures, a grid, the rational
+    triangle, a strip, the `refute` pinches and grids, and generated
+    uniform arrangements in dimensions 2 to 4."""
+    named = [
+        ("line", mk_arrangement(1, LINE_ROWS)),
+        ("triangle", mk_arrangement(2, TRIANGLE_ROWS)),
+        ("four-line", mk_arrangement(2, FOURLINE_ROWS)),
+        ("grid3x3", mk_arrangement(2, _grid_rows(3))),
+        ("rational", mk_arrangement(2, RATIONAL_ROWS)),
+        ("strip", mk_arrangement(2, [("a", (1, 0), 0), ("b", (1, 0), 1)])),
+    ]
+    refute = ["pinch2", "pinch3", "pinch4", "refute-grid3x3", "grid2x1x1"]
+    named += zip(refute, _workload_arrangements())
+    named += [
+        (f"({n},{d},{seed})", generate_arrangement(n, d, seed=seed))
+        for n, d, seed in [(4, 2, 0), (6, 2, 1), (5, 3, 0), (4, 3, 0),
+                           (5, 4, 0)]
+    ]
+    return [pytest.param(A, id=name) for name, A in named]
+
+
+@st.composite
+def _grid_arrangements(draw):
+    """Lines, planes or points at 1-3 offsets along each axis of R^1 to
+    R^3: boxes, and strips where an axis gets a single offset."""
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for j in range(dim):
+        axis = tuple(int(i == j) for i in range(dim))
+        offsets = draw(st.lists(st.integers(-3, 3), min_size=1,
+                                max_size=3, unique=True))
+        rows += [(f"x{j}_{k}", axis, b) for k, b in enumerate(offsets)]
+    return mk_arrangement(dim, rows)
+
+
+class TestCocircuitBoundedness:
+    """`face_bounded`, the cocircuits of the normals below a face,
+    against the Fourier-Motzkin emptiness and recession-cone tests."""
+
+    @pytest.mark.parametrize("A", _corpus())
+    def test_agrees_with_fm_on_the_corpus(self, A):
+        faces = enumerate_affine_faces(A)
+        got = [face_bounded(A, P) for P in faces]
+        assert got == [face_bounded_by_fm(A, P) for P in faces]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.one_of(_special_arrangements(), _grid_arrangements()))
+    def test_agrees_with_fm_on_degenerate_arrangements(self, A):
+        for P in enumerate_affine_faces(A):
+            assert face_bounded(A, P) == face_bounded_by_fm(A, P)
+
+    def test_wrong_length_rejected(self, line_arr):
+        with pytest.raises(DimensionError):
+            face_bounded(line_arr, S("0-0"))
+
+    @pytest.mark.parametrize("n,d", [(4, 2), (5, 3)])
+    def test_every_normal_cocircuit_is_needed(self, n, d, monkeypatch):
+        import omtop.realization as realization
+
+        A = generate_arrangement(n, d, seed=0)
+        faces = enumerate_affine_faces(A)
+        truth = [face_bounded(A, P) for P in faces]
+        cocircuits = A._normal_cocircuits
+        # uniform: one line through the origin per (d-1)-subset of normals
+        assert len(cocircuits) == 2 * comb(n, d - 1)
+        full = (1 << n) - 1
+        for k, c in enumerate(cocircuits):
+            dropped = cocircuits[:k] + cocircuits[k + 1:]
+            monkeypatch.setattr(
+                realization, "_cocircuits", lambda forms, cap: dropped
+            )
+            B = Arrangement(A.dim, A.labels, A.normals, A.offsets)
+            wrong = [
+                P for P, t in zip(faces, truth) if face_bounded(B, P) != t
+            ]
+            monkeypatch.undo()
+            # only unbounded faces can flip, and the ray along the
+            # dropped direction is among them
+            assert wrong and not any(face_bounded_by_fm(A, P) for P in wrong)
+            C = SignVector(n, c & full, c >> n)
+            assert any(
+                affine_face_dim(A, P) == 1 and C.below(P) for P in wrong
+            )
 
 
 def _matrices(rows=st.integers(1, 5), cols=st.integers(1, 5)):

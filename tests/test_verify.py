@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from conftest import TRIANGLE_ROWS, mk_arrangement
 from omtop.bounded import AffineOM, bounded_complex
 from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet, atoms, verify_covector_axioms
@@ -218,26 +219,38 @@ class TestEachFactOnce:
         import omtop.realization as realization
         import omtop.verify as verify
 
-        calls = _counting(monkeypatch, realization, "face_bounded")
-        # calls made through a name verify imports count as well
+        calls = _counting(monkeypatch, verify, "face_bounded")
+        enums = _counting(monkeypatch, realization, "enumerate_covectors")
         monkeypatch.setattr(
-            verify, "face_bounded", realization.face_bounded, raising=False
+            verify, "enumerate_covectors", realization.enumerate_covectors
         )
-        rows = _counting(monkeypatch, realization, "feasible")
         rep = verify_arrangement(tri_arr)
+        # the affine faces are read off L, which is enumerated once
+        assert len(enums) == 1
         assert len(realization.enumerate_affine_faces(tri_arr)) == 19
         assert len(calls) == 19
-        # an emptiness test and a boundedness test per face, and no
-        # sign-pattern search
-        assert len(rows) == 2 * 19
         assert rep.stages["boundedness_oracle"]["matches_f_vector"]
+
+    def test_normal_cocircuits_once_per_arrangement(self, monkeypatch):
+        import omtop.realization as realization
+
+        found = _counting(monkeypatch, realization, "_cocircuits")
+        A = mk_arrangement(2, TRIANGLE_ROWS)
+        # nothing is computed when an arrangement is built
+        assert found == []
+        verify_arrangement(A)
+        verify_arrangement(A)
+        realization.bounded_faces(A)
+        # the homogenized forms have d + 1 columns, the normals d
+        widths = [len(forms[0]) for forms, _cap in found]
+        assert widths.count(A.dim) == 1
+        assert widths.count(A.dim + 1) == 3
 
     def test_realization_computes_only_on_integers(self, monkeypatch):
         import omtop.realization as realization
         from fractions import Fraction as F
 
-        rows = _counting(monkeypatch, realization, "feasible")
-        mats = _counting(monkeypatch, realization, "_rank")
+        mats = _counting(monkeypatch, realization, "_eliminate")
         # x = 1/3, y = -2/5 and x/2 + 3y/4 = 7/6 bound a triangle
         A = Arrangement(
             dim=2,
@@ -247,10 +260,10 @@ class TestEachFactOnce:
         )
         rep = verify_arrangement(A)
         assert rep.verdict == "ball-certified"
-        assert rows and mats
-        for system, _nvars in rows:
-            for coeffs, const, _rel in system:
-                assert all(type(c) is int for c in coeffs + (const,))
+        assert rep.stages["boundedness_oracle"]["matches_f_vector"]
+        assert mats
+        # ranks, determinants and the cocircuits of the forms and of
+        # the normals all go through `_eliminate`
         for (mat,) in mats:
             assert all(type(c) is int for r in mat for c in r)
 
@@ -258,16 +271,19 @@ class TestEachFactOnce:
     def test_at_most_two_feasibility_tests_per_face(
         self, n, d, seed, monkeypatch
     ):
+        # the Fourier-Motzkin oracle: an emptiness test and a recession
+        # cone test per face
+        import oracles
         import omtop.realization as realization
 
         A = generate_arrangement(n, d, seed=seed)
         assert realization.is_essential(A)
         faces = realization.enumerate_affine_faces(A)
-        calls = _counting(monkeypatch, realization, "feasible")
+        calls = _counting(monkeypatch, oracles, "feasible")
         bounded = 0
         for P in faces:
             del calls[:]
-            bounded += realization.face_bounded(A, P)
+            bounded += oracles.face_bounded_by_fm(A, P)
             assert len(calls) <= 2
         assert bounded > 0
 

@@ -11,8 +11,12 @@ order question is read from it: heights, topes, atoms, and the bounded
 complex and upper intervals of the ``bounded`` module.  The axiom check
 decides composition and elimination and lists their witnesses in one
 pass over the order and the columns, with no scan of all pairs.  It
-rests on four lemmas, proved in :func:`verify_covector_axioms`.  The
-one that lists the elimination witnesses is this.  For sign vectors
+rests on four lemmas, proved in :func:`verify_covector_axioms`.
+Composition is decided by counting: the classes of y -> y|Z, for a zero
+set Z, are the nonempty meets of one sign column (plus, minus or zero)
+per f in Z, so they are refined from the columns one coordinate at a
+time, and the zero sets that share a prefix share its classes.  The
+lemma that lists the elimination witnesses is this.  For sign vectors
 X, Y and e in their separation set T, elimination for (X, Y, e) asks
 for exactly the Z that elimination for (X o Y, Y o X, e) asks for:
 X o Y and Y o X are X and Y where both are nonzero and agree elsewhere,
@@ -141,22 +145,35 @@ class CovectorSet:
         Y <= X iff Y is 0 or X's sign at every coordinate, so the
         down-set of X is an AND over the coordinates f of f's zero
         column, OR'd with f's plus (minus) column where X is + (-)
-        there: n ANDs per covector, and no pairwise comparison."""
+        there.  Y >= X iff Y carries X's sign on supp X, so the up-set
+        of X is the AND of X's own sign column at each f in supp X.
+        Both are n ANDs per covector, with no pairwise comparison and no
+        transpose."""
         if self._order is None:
             from .topology import Poset
 
             covs = self.sorted_covectors()
-            below = [(z, z | p, z | m) for p, m, z in self._sign_columns()]
+            columns = [(p, m, z, z | p, z | m)
+                       for p, m, z in self._sign_columns()]
             full = (1 << len(covs)) - 1
             down = []
+            up = []
             for x in covs:
-                mask = full
-                for f, (z, zp, zm) in enumerate(below):
+                d = u = full
+                for f, (p, m, z, zp, zm) in enumerate(columns):
                     bit = 1 << f
-                    mask &= zp if x._pos & bit else zm if x._neg & bit else z
-                down.append(mask)
+                    if x._pos & bit:
+                        d &= zp
+                        u &= p
+                    elif x._neg & bit:
+                        d &= zm
+                        u &= m
+                    else:
+                        d &= z
+                down.append(d)
+                up.append(u)
             order = Poset.__new__(Poset)
-            order._set(covs, down)
+            order._set(covs, down, up)
             self._order = order
         return self._order
 
@@ -169,7 +186,7 @@ class CovectorSet:
         return self._heights
 
     def rank(self) -> int:
-        return max(self.heights().values(), default=0)
+        return max(self.order()._height_list(), default=0)
 
 
 def covector_rank(L: CovectorSet, X: SignVector) -> int:
@@ -241,8 +258,14 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
     to z(x) in P, so there are |P| of them, and they contain L>=x.
     Hence they all lie in L iff they all lie in L>=x iff the two counts
     agree.  Where they differ, x o y lies in L iff y|z(x) = w|z(x) for
-    some w in L>=x, so the y with x o y missing are those outside the
-    classes of y -> y|z(x) that L>=x meets.
+    some w in L>=x, so the y with x o y missing are those in the
+    classes of y -> y|z(x) that L>=x does not meet.  The classes of
+    y -> y|Z are the nonempty meets of one sign column per f in Z: y
+    and y' restrict alike iff they lie in the same column (plus, minus
+    or zero) at every f in Z.  So the classes for Z u {f} are the
+    nonempty meets of the classes for Z with f's three columns, and
+    |P| is their number.  The zero vector need not be checked: it lies
+    below every covector, so 0 o y = y.
 
     *Elimination through compositions.*  For sign vectors X, Y and e in
     their separation set T, elimination for (X, Y, e) in L asks for
@@ -320,39 +343,51 @@ def _axiom_witnesses(S: CovectorSet, l0_l1_ok: bool):
     a scan of the pairs x before or at y in
     :meth:`~CovectorSet.sorted_covectors` order would list them.
 
-    L2 compares up-set sizes with the number of restrictions to each
-    zero set, and only where they differ builds the classes of those
-    restrictions (:func:`_restriction_classes`).  When L0, L1 (the flag
-    `l0_l1_ok`) and L2 hold and the atoms pass the cocircuit decision
-    (:func:`_cocircuit_decline`), L3 holds and there is nothing to
-    list.  Otherwise :func:`_elimination_witnesses` decides L3 and lists
-    its witnesses.  On an oriented matroid only the counts and the
-    cocircuits are examined."""
+    L2 compares the up-set size of each nonzero x with the number of
+    classes of y -> y|z(x).  The distinct zero sets are walked in
+    lexicographic order of their coordinates, with a stack holding the
+    classes for each prefix: a new coordinate f refines the prefix's
+    classes by f's plus, minus and zero columns.  Only where the counts
+    differ are the missing compositions listed
+    (:func:`_missed_compositions`).  The zero vector lies below every
+    covector, so it is never a first factor that fails.  When L0, L1
+    (the flag `l0_l1_ok`) and L2 hold and the atoms pass the cocircuit
+    decision (:func:`_cocircuit_decline`), L3 holds and there is
+    nothing to list.  Otherwise :func:`_elimination_witnesses` decides
+    L3 and lists its witnesses.  On an oriented matroid only the counts
+    and the cocircuits are examined."""
     covs = S.sorted_covectors()
     up = S.order()._up
+    columns = S._sign_columns()
     full = (1 << len(S.ground)) - 1
-    every = (1 << len(covs)) - 1
+
+    by_zero: dict[int, list[int]] = defaultdict(list)
+    for i, x in enumerate(covs):
+        if x._pos | x._neg:
+            by_zero[full & ~(x._pos | x._neg)].append(i)
 
     # (i, j): covs[i] o covs[j] is missing
     l2 = []
-    counts: dict[int, int] = {}
-    classes_of: dict[int, dict[tuple[int, int], int]] = {}
-    for i, x in enumerate(covs):
-        zero = full & ~(x._pos | x._neg)
-        count = counts.get(zero)
-        if count is None:
-            count = len({(y._pos & zero, y._neg & zero) for y in covs})
-            counts[zero] = count
-        if up[i].bit_count() == count:
-            continue
-        classes = classes_of.get(zero)
-        if classes is None:
-            classes = classes_of[zero] = _restriction_classes(covs, zero)
-        hit = 0
-        for k in _bits(up[i]):
-            w = covs[k]
-            hit |= classes[w._pos & zero, w._neg & zero]
-        l2.extend((i, j) for j in _bits(every & ~hit))
+    # stack[k]: the classes of y -> y|prefix[:k], as masks
+    prefix: list[int] = []
+    stack = [[(1 << len(covs)) - 1]]
+    for coords, zero in sorted((tuple(_bits(z)), z) for z in by_zero):
+        k = 0
+        while k < len(prefix) and k < len(coords) and prefix[k] == coords[k]:
+            k += 1
+        del prefix[k:], stack[k + 1:]
+        for f in coords[k:]:
+            p, m, z = columns[f]
+            stack.append(
+                [c for cls in stack[-1] for c in (cls & p, cls & m, cls & z)
+                 if c]
+            )
+            prefix.append(f)
+        classes = stack[-1]
+        for i in by_zero[zero]:
+            if up[i].bit_count() != len(classes):
+                missed = _missed_compositions(classes, up[i])
+                l2.extend((i, j) for j in _bits(missed))
 
     if l0_l1_ok and not l2 and _cocircuit_decline(S) is None:
         return (), ()
@@ -511,13 +546,15 @@ def _elimination_witnesses(S: CovectorSet, l2) -> list:
     return l3
 
 
-def _restriction_classes(covs, zero: int) -> dict[tuple[int, int], int]:
-    """The covectors grouped by their restriction to the coordinates in
-    `zero`: each restriction's mask over `covs`."""
-    classes: dict[tuple[int, int], int] = defaultdict(int)
-    for j, y in enumerate(covs):
-        classes[y._pos & zero, y._neg & zero] |= 1 << j
-    return classes
+def _missed_compositions(classes, up: int) -> int:
+    """The mask of the y with x o y missing, for x with up-set mask `up`
+    and `classes` the classes of y -> y|z(x): the classes that L>=x does
+    not meet."""
+    missed = 0
+    for c in classes:
+        if not c & up:
+            missed |= c
+    return missed
 
 
 def _pairs_below(covs, down, zeros, i: int, j: int, sep: int, support: int):
@@ -590,23 +627,22 @@ def is_uniform(L: CovectorSet) -> UniformityReport:
     on a covector set satisfying the axioms."""
     r = L.rank()
     n = len(L.ground)
+    full = (1 << n) - 1
 
-    zero_sets = {x.zero_set() for x in L.covectors}
-    zs_witness = None
-    for k in range(r):
-        for F in itertools.combinations(range(n), k):
-            if frozenset(F) not in zero_sets:
-                zs_witness = frozenset(F)
-                break
-        if zs_witness is not None:
-            break
+    # zero sets and the subsets of size < r as masks
+    zero_sets = {full & ~(x._pos | x._neg) for x in L.covectors}
+    bits = [1 << f for f in range(n)]
+    missing = next(
+        (F for k in range(r) for F in itertools.combinations(bits, k)
+         if sum(F) not in zero_sets),
+        None,
+    )
+    zs_witness = None if missing is None else frozenset(_bits(sum(missing)))
 
-    heights = L.heights()
     rk_witness = None
-    for x in L.sorted_covectors():
-        if x.is_zero:
-            continue
-        if heights[x] != r - len(x.zero_set()):
+    for x, h in zip(L.sorted_covectors(), L.order()._height_list()):
+        support = x._pos | x._neg
+        if support and h != r - (n - support.bit_count()):
             rk_witness = x
             break
 

@@ -61,10 +61,14 @@ class Poset:
             down.append(m)
         self._set(elements, down)
 
-    def _set(self, elements: tuple, down: list[int]) -> None:
+    def _set(
+        self, elements: tuple, down: list[int], up: list[int] | None = None
+    ) -> None:
         """Store the elements and the relation given by its down-set
-        masks (bit j of down[i] is set iff element j <= element i),
-        checking that it is a partial order."""
+        masks (bit j of down[i] is set iff element j <= element i) and,
+        when the caller has them, its up-set masks (bit j of up[i] is
+        set iff element j >= element i; otherwise they are transposed
+        from the down-sets), checking that it is a partial order."""
         self.elements = elements
         self._index = {}
         for i, x in enumerate(elements):
@@ -75,11 +79,12 @@ class Poset:
         for i in range(n):
             if not (down[i] >> i) & 1:
                 raise DomainError("less_equal is not reflexive")
-        up = [0] * n
-        for i in range(n):
-            bit = 1 << i
-            for j in _bits(down[i]):
-                up[j] |= bit
+        if up is None:
+            up = [0] * n
+            for i in range(n):
+                bit = 1 << i
+                for j in _bits(down[i]):
+                    up[j] |= bit
         for i in range(n):
             both = down[i] & up[i]
             if both != (1 << i):
@@ -154,13 +159,36 @@ class Poset:
         ]
 
     def _height_list(self) -> list[int]:
+        """The height of each element, by levels.
+
+        *Level lemma.*  The height of x, the length of a longest chain
+        ending at x, is the least k such that every element strictly
+        below x has height < k.  So the elements of height k are those
+        not yet placed whose strict down-set lies inside the levels
+        < k, and the levels are assigned one round each: O(height * |P|)
+        mask tests, with no pass over the bits of a down-set.  A round
+        that places nothing means the relation has a cycle."""
         if self._heights is None:
-            n = len(self.elements)
-            order = sorted(range(n), key=lambda i: _popcount(self._down[i]))
-            h = [0] * n
-            for i in order:
-                below = self._down[i] & ~(1 << i)
-                h[i] = max((h[j] + 1 for j in _bits(below)), default=0)
+            down = self._down
+            h = [0] * len(down)
+            rest = range(len(down))
+            placed = 0
+            k = 0
+            while rest:
+                unplaced = ~placed
+                level = 0
+                left = []
+                for i in rest:
+                    if down[i] & unplaced == 1 << i:
+                        h[i] = k
+                        level |= 1 << i
+                    else:
+                        left.append(i)
+                if not level:
+                    raise DomainError("less_equal has a cycle")
+                placed |= level
+                rest = left
+                k += 1
             self._heights = h
         return self._heights
 
@@ -242,20 +270,17 @@ class Poset:
 
     def strictly_below(self, x) -> "Poset":
         j = self.index(x)
-        return self.subposet(
-            self.elements[i] for i in _bits(self._down[j] & ~(1 << j))
-        )
+        return self._induced(self._down[j] & ~(1 << j))
 
     def strictly_above(self, x) -> "Poset":
         i = self.index(x)
-        return self.subposet(
-            self.elements[j] for j in _bits(self._up[i] & ~(1 << i))
-        )
+        return self._induced(self._up[i] & ~(1 << i))
 
     def open_interval(self, x, y) -> "Poset":
         i, j = self.index(x), self.index(y)
-        mask = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-        return self.subposet(self.elements[k] for k in _bits(mask))
+        return self._induced(
+            self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
+        )
 
     # -- chains -----------------------------------------------------------
 

@@ -18,7 +18,17 @@ cross-checks the whole report of `verify_covector_axioms`.
 it listed the witnesses from zero-set classes and equal-support pairs:
 one visit to every pair of the set, with a cached projection set per
 elimination, so it cross-checks the L2 and L3 witness lists, order
-included.
+included.  `restriction_l2_witnesses` is the L2 pass as the library ran
+it before it refined sign columns: the set of restrictions of every
+covector counted per zero set and, where the count differs from the
+up-set, the covectors grouped by a dictionary keyed on their
+restriction (`restriction_classes`).
+
+`transposed_up_sets` builds a poset's up-sets bit by bit from its
+down-sets, and `heights_by_max` takes each height as a maximum over the
+down-set, as `Poset` did before it read up-sets off the sign columns and
+heights off levels; they cross-check `CovectorSet.order` and
+`Poset._height_list`.
 
 `link_sweep` cuts every vertex link out of a whole simplicial complex
 and certifies all of it, with no join splitting and no induction, so it
@@ -569,6 +579,66 @@ def scan_axioms(S) -> AxiomReport:
         l2_witnesses=tuple(l2),
         l3_witnesses=tuple(l3),
     )
+
+
+def restriction_classes(covs, zero: int) -> dict[tuple[int, int], int]:
+    """The covectors grouped by their restriction to the coordinates in
+    `zero`: each restriction's mask over `covs`."""
+    classes: dict[tuple[int, int], int] = {}
+    for j, y in enumerate(covs):
+        key = (y._pos & zero, y._neg & zero)
+        classes[key] = classes.get(key, 0) | 1 << j
+    return classes
+
+
+def restriction_l2_witnesses(S: CovectorSet) -> tuple:
+    """The L2 witnesses (x, y), x o y missing, in the order
+    `verify_covector_axioms` lists them: for each x, |L>=x| against the
+    number of restrictions of all covectors to z(x), and where they
+    differ, the y outside the restriction classes that L>=x meets."""
+    covs = S.sorted_covectors()
+    up = transposed_up_sets(S.order()._down)
+    full = (1 << len(S.ground)) - 1
+    every = (1 << len(covs)) - 1
+    l2 = []
+    for i, x in enumerate(covs):
+        zero = full & ~(x._pos | x._neg)
+        count = len({(y._pos & zero, y._neg & zero) for y in covs})
+        if bin(up[i]).count("1") == count:
+            continue
+        classes = restriction_classes(covs, zero)
+        hit = 0
+        for k, w in enumerate(covs):
+            if up[i] >> k & 1:
+                hit |= classes[w._pos & zero, w._neg & zero]
+        l2.extend((i, j) for j in range(len(covs)) if (every & ~hit) >> j & 1)
+    l2.sort(key=lambda ij: (min(ij), max(ij), ij[0] > ij[1]))
+    return tuple((covs[i], covs[j]) for i, j in l2)
+
+
+def transposed_up_sets(down: list[int]) -> list[int]:
+    """The up-set masks of a relation given by its down-set masks, one
+    bit at a time."""
+    up = [0] * len(down)
+    for i, d in enumerate(down):
+        for j in range(len(down)):
+            if d >> j & 1:
+                up[j] |= 1 << i
+    return up
+
+
+def heights_by_max(P) -> list[int]:
+    """Each element's height as one more than the largest height in its
+    strict down-set, elements taken by down-set size."""
+    n = len(P.elements)
+    down = P._down
+    h = [0] * n
+    for i in sorted(range(n), key=lambda i: bin(down[i]).count("1")):
+        h[i] = max(
+            (h[j] + 1 for j in range(n) if j != i and down[i] >> j & 1),
+            default=0,
+        )
+    return h
 
 
 def pairwise_witnesses(S: CovectorSet):

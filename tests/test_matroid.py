@@ -11,6 +11,7 @@ import functools
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -42,7 +43,7 @@ from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
 
 from conftest import FOURLINE_ROWS, TRIANGLE_ROWS, mk_arrangement
-from oracles import pairwise_witnesses, scan_axioms
+from oracles import pairwise_witnesses, restriction_l2_witnesses, scan_axioms
 
 S = SignVector.from_string
 
@@ -349,6 +350,69 @@ class TestCocircuitDecision:
         assert rep.l0_ok and rep.l1_ok and rep.l2_ok and not rep.l3_ok
         assert _cocircuit_decline(L) == check
         assert rep == scan_axioms(L)
+
+
+def _check_l2_refinement(L: CovectorSet) -> None:
+    """The whole report agrees with the pairwise oracle, and its L2
+    witnesses with the restriction count of oracles.py; the missed-class
+    step runs exactly when L2 fails."""
+    import omtop.matroid as matroid
+
+    real = matroid._missed_compositions
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(matroid, "_missed_compositions", counted):
+        rep = verify_covector_axioms(L)
+    assert rep == _oracle_report(L)
+    assert rep.l2_witnesses == restriction_l2_witnesses(L)
+    assert bool(calls) == (not rep.l2_ok)
+
+
+class TestL2ByRefinement:
+    """The L2 classes are refined from sign columns along the zero sets
+    in lexicographic order; whole reports agree with the oracles on
+    sets closed under composition, on the `refute` sets and on mutants
+    that drop or add covectors."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(closed_sets())
+    def test_sets_closed_under_composition(self, L):
+        _check_l2_refinement(L)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(mutated_oms())
+    def test_drop_and_add_mutants(self, L):
+        _check_l2_refinement(L)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refute_workload_non_oms(self, seed):
+        for L in _refute_non_oms(seed):
+            _check_l2_refinement(L)
+
+    @pytest.mark.parametrize("n,d,seed", [(5, 3, 0), (4, 3, 1)])
+    def test_mutants_of_larger_oms(self, n, d, seed):
+        """Sign vectors with zero sets of every size added to, and
+        covectors dropped from, OMs with many zero sets sharing
+        prefixes: each mutant fails L2 at many x."""
+        L = _seeded_om((n, d, seed))
+        rng = random.Random(seed)
+        nonzero = [x for x in L.sorted_covectors() if not x.is_zero]
+        k = len(L.ground)
+        for zeros in range(k):
+            while True:
+                signs = [rng.choice("+-") for _ in range(k - zeros)]
+                signs += ["0"] * zeros
+                rng.shuffle(signs)
+                v = S("".join(signs))
+                if v not in L:
+                    break
+            x = rng.choice(nonzero)
+            for M in (L.covectors | {v, -v}, L.covectors - {x}):
+                _check_l2_refinement(CovectorSet(L.ground, M))
 
 
 class TestRank:

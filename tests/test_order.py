@@ -19,11 +19,13 @@ from omtop.signvec import GroundSet, SignVector
 from omtop.topology import _chain_counts, order_complex
 
 from oracles import (
+    heights_by_max,
     scan_atoms,
     scan_bounded_complex,
     scan_heights,
     scan_topes,
     scan_upper,
+    transposed_up_sets,
 )
 
 
@@ -76,6 +78,9 @@ def check_order(L: CovectorSet) -> None:
     assert atoms(L) == scan_atoms(L)
     P = L.order()
     assert P.elements == L.sorted_covectors()
+    # the up-sets built from sign columns are the down-sets transposed
+    assert P._up == transposed_up_sets(P._down)
+    assert P._height_list() == heights_by_max(P)
     # the relation built from sign columns is exactly pairwise `below`
     assert {(a, b) for a in P for b in P if P.less_equal(a, b)} == {
         (a, b) for a in L for b in L if a.below(b)

@@ -36,6 +36,7 @@ import oracles
 from oracles import (
     boundary,
     find_shelling,
+    heights_by_max,
     integral_homology,
     link_facts,
     link_sweep,
@@ -49,6 +50,21 @@ def divides_chain(P, elts):
     return Poset(elts, lambda a, b: b % a == 0)
 
 
+@st.composite
+def posets(draw) -> Poset:
+    """A poset on range(n) listed in a drawn order: the transitive
+    closure of drawn relations, oriented by a drawn linear order, so it
+    is often ungraded and has isolated points."""
+    n = draw(st.integers(0, 12))
+    rank = draw(st.permutations(range(n)))
+    pairs = draw(st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11))))
+    less = {(a, b) for a, b in pairs if a < n and b < n and rank[a] < rank[b]}
+    for k in range(n):
+        less |= {(a, b) for a, c in less if c == k for d, b in less if d == k}
+    elements = draw(st.permutations(range(n)))
+    return Poset(elements, lambda a, b: a == b or (a, b) in less)
+
+
 RP2_FACETS = [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
     (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
@@ -57,6 +73,44 @@ RP2_FACETS = [
 TORUS_FACETS = [
     tuple(sorted(((i) % 7, (i + 1) % 7, (i + 3) % 7))) for i in range(7)
 ] + [tuple(sorted(((i) % 7, (i + 2) % 7, (i + 3) % 7))) for i in range(7)]
+
+
+class TestHeightsByLevels:
+    """`Poset._height_list` assigns heights level by level; the maximum
+    over each down-set in oracles.py is the reference."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(posets())
+    def test_random_posets(self, P):
+        assert P._height_list() == heights_by_max(P)
+        for x in P:
+            for Q in (P.strictly_below(x), P.strictly_above(x)):
+                assert Q._height_list() == heights_by_max(Q)
+
+    def test_every_poset_built_verifying_640(self, monkeypatch):
+        from omtop.generate import generate_arrangement
+        from omtop.verify import verify_arrangement
+
+        built = []
+        real_set, real_induced = Poset._set, Poset._induced
+
+        def record_set(self, *args):
+            real_set(self, *args)
+            built.append(self)
+
+        def record_induced(self, mask):
+            sub = real_induced(self, mask)
+            built.append(sub)
+            return sub
+
+        monkeypatch.setattr(Poset, "_set", record_set)
+        monkeypatch.setattr(Poset, "_induced", record_induced)
+        rep = verify_arrangement(generate_arrangement(6, 4, seed=0))
+        assert rep.verdict == "ball-certified"
+        assert len(built) > 100
+        assert max(map(len, built)) > 1000
+        for P in built:
+            assert P._height_list() == heights_by_max(P)
 
 
 class TestPoset:
@@ -86,6 +140,13 @@ class TestPoset:
         # 1 < 2 < 4 and 1 < 5: maximal chains of lengths 2 and 1
         P = Poset([1, 2, 4, 5], lambda a, b: b % a == 0)
         assert not P.is_pure()
+
+    def test_cycle_has_no_heights(self):
+        # reflexive and antisymmetric, but not transitive: a < b < c < a
+        cycle = {("a", "b"), ("b", "c"), ("c", "a")}
+        P = Poset("abc", lambda x, y: x == y or (x, y) in cycle)
+        with pytest.raises(DomainError):
+            P.height()
 
     def test_subposet_and_intervals(self):
         P = divides_chain(None, [1, 2, 3, 6, 12])

@@ -333,13 +333,13 @@ class TestEachFactOnce:
     def test_uniform_om_skips_the_witness_pass(
         self, tri_om, four_om, declining_sets, monkeypatch
     ):
-        """On an oriented matroid, uniform or not, no L2 class mask is
-        built and the cocircuit decision settles L3, so the equal-support
-        loop is never entered; on each set the decision declines, the
-        loop runs."""
+        """On an oriented matroid, uniform or not, every L2 count
+        matches, so no missing composition is looked for, and the
+        cocircuit decision settles L3, so the equal-support loop is never
+        entered; on each set the decision declines, the loop runs."""
         import omtop.matroid as matroid
 
-        classes = _counting(monkeypatch, matroid, "_restriction_classes")
+        missed = _counting(monkeypatch, matroid, "_missed_compositions")
         lifts = _counting(monkeypatch, matroid, "_pairs_below")
         direct = _counting(monkeypatch, matroid, "_unmet_eliminations")
         loops = _counting(monkeypatch, matroid, "_elimination_witnesses")
@@ -349,12 +349,13 @@ class TestEachFactOnce:
         ]
         for L in oms:
             assert verify_covector_axioms(L).ok
-        assert classes == lifts == direct == loops == []
+        assert missed == lifts == direct == loops == []
         for check, L in declining_sets.items():
             rep = verify_covector_axioms(L)
             assert rep.l2_ok and not rep.l3_ok, check
             assert len(loops) == 1, check
             loops.clear()
+        assert missed == []
 
     def test_elimination_failure_runs_the_witness_pass(
         self, four_om, monkeypatch
@@ -364,7 +365,7 @@ class TestEachFactOnce:
         failed equal-support pairs."""
         import omtop.matroid as matroid
 
-        classes = _counting(monkeypatch, matroid, "_restriction_classes")
+        missed = _counting(monkeypatch, matroid, "_missed_compositions")
         lifts = _counting(monkeypatch, matroid, "_pairs_below")
         direct = _counting(monkeypatch, matroid, "_unmet_eliminations")
         v = min(atoms(four_om), key=str)
@@ -372,7 +373,7 @@ class TestEachFactOnce:
         rep = verify_covector_axioms(L)
         assert rep.l2_ok and not rep.l3_ok
         assert (rep.l2_witnesses, rep.l3_witnesses) == pairwise_witnesses(L)
-        assert lifts and classes == direct == []
+        assert lifts and missed == direct == []
 
 
 class TestMutationSweep:

@@ -52,23 +52,24 @@ class Poset:
 
     def __init__(self, elements: Iterable, less_equal: Callable):
         elements = tuple(elements)
-        down = []
-        for x in elements:
+        n = len(elements)
+        down = [0] * n
+        up = [0] * n
+        for i, x in enumerate(elements):
+            bit = 1 << i
             m = 0
             for j, y in enumerate(elements):
                 if less_equal(y, x):
                     m |= 1 << j
-            down.append(m)
-        self._set(elements, down)
+                    up[j] |= bit
+            down[i] = m
+        self._set(elements, down, up)
 
-    def _set(
-        self, elements: tuple, down: list[int], up: list[int] | None = None
-    ) -> None:
+    def _set(self, elements: tuple, down: list[int], up: list[int]) -> None:
         """Store the elements and the relation given by its down-set
-        masks (bit j of down[i] is set iff element j <= element i) and,
-        when the caller has them, its up-set masks (bit j of up[i] is
-        set iff element j >= element i; otherwise they are transposed
-        from the down-sets), checking that it is a partial order."""
+        masks (bit j of down[i] is set iff element j <= element i) and
+        its up-set masks (bit j of up[i] is set iff element j >= element
+        i), checking that it is a partial order."""
         self.elements = elements
         self._index = {}
         for i, x in enumerate(elements):
@@ -79,12 +80,6 @@ class Poset:
         for i in range(n):
             if not (down[i] >> i) & 1:
                 raise DomainError("less_equal is not reflexive")
-        if up is None:
-            up = [0] * n
-            for i in range(n):
-                bit = 1 << i
-                for j in _bits(down[i]):
-                    up[j] |= bit
         for i in range(n):
             both = down[i] & up[i]
             if both != (1 << i):

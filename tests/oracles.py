@@ -26,9 +26,9 @@ restriction (`restriction_classes`).
 
 `transposed_up_sets` builds a poset's up-sets bit by bit from its
 down-sets, and `heights_by_max` takes each height as a maximum over the
-down-set, as `Poset` did before it read up-sets off the sign columns and
-heights off levels; they cross-check `CovectorSet.order` and
-`Poset._height_list`.
+down-set, as `Poset` did before it built up-sets beside the down-sets
+(off the sign columns, for L's order) and heights off levels; they
+cross-check `Poset`, `CovectorSet.order` and `Poset._height_list`.
 
 `link_sweep` cuts every vertex link out of a whole simplicial complex
 and certifies all of it, with no join splitting and no induction, so it

@@ -42,6 +42,7 @@ from oracles import (
     link_sweep,
     pure_by_covers,
     rational_betti,
+    transposed_up_sets,
     verify_shelling_by_meets,
 )
 
@@ -77,11 +78,13 @@ TORUS_FACETS = [
 
 class TestHeightsByLevels:
     """`Poset._height_list` assigns heights level by level; the maximum
-    over each down-set in oracles.py is the reference."""
+    over each down-set in oracles.py is the reference.  The up-sets,
+    built beside the down-sets, must be their transpose."""
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(posets())
     def test_random_posets(self, P):
+        assert P._up == transposed_up_sets(P._down)
         assert P._height_list() == heights_by_max(P)
         for x in P:
             for Q in (P.strictly_below(x), P.strictly_above(x)):
@@ -110,6 +113,7 @@ class TestHeightsByLevels:
         assert len(built) > 100
         assert max(map(len, built)) > 1000
         for P in built:
+            assert P._up == transposed_up_sets(P._down)
             assert P._height_list() == heights_by_max(P)
 
 

@@ -18,9 +18,11 @@ restriction and bijection checks test only what can fail on any set of
 sign vectors; each docstring names the lemma that decides the rest.
 
 The star checks read L's conformal order (`CovectorSet.order`) as
-bitmasks: C_X, the cube size, the link case and the [C_X] face poset
-come from up-set masks, D_X and the [D_X] order from sign and
-separation masks, and h and r shift a vector's masks past g.
+bitmasks: C_X, the cube size and the link case come from up-set masks,
+D_X and the [D_X] order from sign and separation masks, and h and r
+shift a vector's masks past g.  The lifted shelling of [C_X] is decided
+in the sign cube above X, on the separation masks of the lifted topes
+alone: no face poset of [C_X] is built.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .matroid import (
     delete_minor,
 )
 from .signvec import Sign, SignVector, _bits
-from .topology import Poset, ShellingCheck, _popcount
+from .topology import Poset, ShellingReport, _popcount
 
 
 class AffineOM:
@@ -563,7 +565,7 @@ class InducedShelling:
     X: SignVector
     dx_order: tuple[SignVector, ...]
     order: tuple[SignVector, ...]
-    report: object | None  # ShellingReport, None if lifting failed
+    report: ShellingReport | None  # None if lifting failed
     problems: tuple[str, ...]
 
     @property
@@ -585,30 +587,47 @@ def induced_shelling_of_CX(
     [d_i, d_j] seen from d_i can order two of its topes opposite to how
     T(L/g, B) does when d_i and d_j are incomparable from B).  With
     dx_order unset, bases are tried in sorted order and the first lift
-    that verify_shelling certifies is returned; a failing result is only
-    reported when every base fails.  An explicit dx_order is checked
-    as given.
+    that shells [C_X] is returned; a failing result is only reported
+    when every base fails.  An explicit dx_order is checked as given.
 
-    The face poset of [C_X] above X is read off L's up-masks: the y > X
-    whose up-set meets C_X.  Its :class:`~omtop.topology.ShellingCheck`
-    is built once and shared by every base tried.
+    The condition is decided in the sign cube above X.  When
+    |L_>=X| = 3^|z(X)| (the popcount of X's up-set, as in
+    `cube_isomorphism`), deleting supp(X) is an order isomorphism from
+    L_>=X onto {+,-,0}^z(X), X going to the zero vector, the bottom
+    that the face poset of [C_X] is augmented with.
+
+    *Flip lemma.*  In the cube the meet of topes c_i, c_j is their
+    agreement vector, zero exactly on sep(c_i, c_j), and c_j covers
+    c_k ^ c_j exactly when |sep(c_k, c_j)| = 1.  Two restrictions of
+    c_j compare by their zero sets, so c_i ^ c_j <= c_k ^ c_j iff
+    sep(c_k, c_j) is inside sep(c_i, c_j).  Hence (i, j) satisfies the
+    condition iff some k < j has sep(c_k, c_j) equal to one element of
+    sep(c_i, c_j): with F_j the OR of the one-bit masks sep(c_k, c_j)
+    for k < j, the pair fails iff sep(c_i, c_j) & F_j is zero.  Every
+    principal down-set of the face poset is the boolean lattice of the
+    nonzero restrictions of one face, so the mode is always
+    `simplicial`.
 
     A lift that leaves C_X, or that misses some tope of C_X (on a
     non-uniform input |C_X| can exceed |D_X|), is no order of the facets
-    of [C_X]: it is reported in `problems` with no shelling check.
+    of [C_X], and an X whose L_>=X is not the cube has no flip decision:
+    each is reported in `problems` with no shelling report.  On a
+    uniform input the cube holds at every X by theorem.
     """
     star = M.star(X)
     order = star.om.om.order()
-    i = order.index(star.X)
-    keep = 0
-    for k in _bits(order._up[i] & ~(1 << i)):
-        if order._up[k] & star._cx:
-            keep |= 1 << k
-    check = ShellingCheck(order._induced(keep))
+    size = _popcount(order._up[order.index(star.X)])
+    zeros = len(star.X) - _popcount(star.X._pos | star.X._neg)
+    cube = None
+    if size != 3 ** zeros:
+        cube = (
+            f"L_>=X is not the sign cube on z(X): |L_>=X| = {size}, "
+            f"expected 3^{zeros} = {3 ** zeros}"
+        )
     if dx_order is None:
         first = None
-        for B in sorted(star.D_X, key=str):
-            cand = _lift_and_check(star, check, shelling_of_DX(M, X, B))
+        for B in star.D_X:  # in sign-string order
+            cand = _lift_and_check(star, cube, shelling_of_DX(M, X, B))
             if cand.ok:
                 return cand
             if first is None:
@@ -616,18 +635,21 @@ def induced_shelling_of_CX(
         if first is None:
             raise PreconditionError(f"D_X is empty for X = {star.X}")
         return first
-    return _lift_and_check(star, check, list(dx_order))
-
-
-def _lift_and_check(
-    star: Star, check: ShellingCheck, dx_order: list
-) -> InducedShelling:
+    dx_order = list(dx_order)
     # D_X has no repeated tope, so equal lengths and equal sets make a
     # permutation
     if len(dx_order) != len(star.D_X) or set(dx_order) != set(star.D_X):
         raise PreconditionError(
             "dx_order must be a permutation of D_X"
         )
+    return _lift_and_check(star, cube, dx_order)
+
+
+def _lift_and_check(
+    star: Star, cube: str | None, dx_order: list
+) -> InducedShelling:
+    """The lift of dx_order, a permutation of D_X, and its report; cube
+    is the problem that L_>=X is not the cube, or None."""
     problems = []
     order = []
     index = star.om.om.order()._index
@@ -643,12 +665,14 @@ def _lift_and_check(
             f"h(D_X) covers {len(set(order))} of the "
             f"{len(star.C_X)} topes of C_X"
         )
+    if cube is not None:
+        problems.append(cube)
     report = None
     if not problems:
-        try:
-            report = check(order)
-        except PreconditionError as exc:
-            problems.append(f"[C_X] face poset: {exc}")
+        failures = _flip_failures(order)
+        report = ShellingReport(
+            ok=not failures, mode="simplicial", failures=tuple(failures)
+        )
     return InducedShelling(
         X=star.X,
         dx_order=tuple(dx_order),
@@ -656,6 +680,21 @@ def _lift_and_check(
         report=report,
         problems=tuple(problems),
     )
+
+
+def _flip_failures(topes: list[SignVector]) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, that fail the coatom condition on the
+    facets of [C_X] in this order, by the flip lemma of
+    `induced_shelling_of_CX`: j ascending, then i."""
+    failures = []
+    for j, cj in enumerate(topes):
+        seps = [_separation(c, cj) for c in topes[:j]]
+        flips = 0
+        for s in seps:
+            if not s & (s - 1):
+                flips |= s
+        failures.extend((i, j) for i, s in enumerate(seps) if not s & flips)
+    return failures
 
 
 # ---------------------------------------------------------------------------

@@ -898,17 +898,27 @@ class _CollapseState:
 
     On a complex the cells are the nonempty faces, and facets[f][i]
     omits the i-th vertex of f in vertex order.  On a poset the cells
-    are the elements, the facets of a cell are its lower covers and its
-    cofaces its upper covers.  `key` puts the highest dimension first,
-    then orders by vertex indices or by element index.
+    are element indices: the facets of j are its lower covers, the i
+    with down[j] & up[i] = {i, j} on the masks, and its cofaces its
+    upper covers, so no element is hashed.  `key` puts the highest
+    dimension first, then orders by vertex indices or by element index.
+    A certificate names a poset cell by its element: `name` and `vertex`
+    map an index back to it, and `cell` maps an element to its index
+    (None for a name that is no element, which is never live).
     """
 
     def __init__(self, X: SimplicialComplex | Poset):
         self.cellular = isinstance(X, Poset)
         if self.cellular:
-            hs, index = X._height_list(), X._index
-            self.key = lambda x: (-hs[index[x]], index[x])
-            self.facets = {x: tuple(X.lower_covers(x)) for x in X.elements}
+            self.poset = X
+            hs, down, up = X._height_list(), X._down, X._up
+            self.key = lambda j: (-hs[j], j)
+            self.facets = {}
+            for j, d in enumerate(down):
+                self.facets[j] = tuple(
+                    i for i in _bits(d & ~(1 << j))
+                    if d & up[i] == (1 << i) | (1 << j)
+                )
         else:
             vindex = self.vindex = X._vindex
             self.key = lambda f: (-len(f), tuple(sorted(vindex[v] for v in f)))
@@ -932,18 +942,23 @@ class _CollapseState:
     # -- the certificate's names for cells --------------------------------
 
     def name(self, cell) -> Hashable:
-        """A poset cell is named by itself, a simplex by its vertices in
-        vertex order."""
+        """A poset cell is named by its element, a simplex by its
+        vertices in vertex order."""
         if self.cellular:
-            return cell
+            return self.poset.elements[cell]
         return tuple(sorted(cell, key=self.vindex.__getitem__))
 
     def cell(self, name: Hashable):
-        return name if self.cellular else frozenset(name)
+        if self.cellular:
+            return self.poset._index.get(name)
+        return frozenset(name)
 
     def vertex(self, cell) -> Hashable:
-        """The name of a minimal cell: itself, or the simplex's vertex."""
-        return cell if self.cellular else next(iter(cell))
+        """The name of a minimal cell: its element, or the simplex's
+        vertex."""
+        if self.cellular:
+            return self.poset.elements[cell]
+        return next(iter(cell))
 
     def certificate(self, steps) -> CollapseCertificate:
         (last,) = self.alive
@@ -1188,80 +1203,6 @@ def _poset_is_simplicial(P: Poset) -> bool:
     return True
 
 
-class ShellingCheck:
-    """The coatom shelling condition on one pure face poset P, built
-    once and run on any number of facet orders.
-
-    Construction does the per-poset work: purity, the coatom set, the
-    mode, and a map from down-set mask to element.  Each call then
-    takes the meet c_i ^ c_j as the mask down(c_i) & down(c_j): the
-    common lower bounds have a greatest element exactly when they are
-    the down-set of an element, so a lookup in that map finds the meet,
-    a zero mask is the added bottom, and a miss on a nonzero mask means
-    no unique meet.  Once P is pure, c_k ^ c_j is covered by c_j when
-    its height is one less than c_j's (the bottom's height is -1), and
-    c_i ^ c_j <= c_k ^ c_j is containment of their masks.
-    """
-
-    __slots__ = ("poset", "pure", "mode", "_coatoms", "_by_down")
-
-    def __init__(self, P: Poset):
-        self.poset = P
-        self.pure = P.is_pure()
-        self.mode = None
-        if self.pure:
-            self._coatoms = {
-                i for i, u in enumerate(P._up) if u == 1 << i
-            }
-            self.mode = (
-                "simplicial" if _poset_is_simplicial(P)
-                else "necessary-condition"
-            )
-            self._by_down = {d: i for i, d in enumerate(P._down)}
-
-    def __call__(self, order: Sequence) -> ShellingReport:
-        if not self.pure:
-            raise PreconditionError("shelling verification needs a pure poset")
-        P = self.poset
-        order_idx = [P.index(c) for c in order]
-        if (
-            len(set(order_idx)) != len(order_idx)
-            or set(order_idx) != self._coatoms
-        ):
-            raise DomainError(
-                "order is not a permutation of the maximal elements"
-            )
-        heights = P._height_list()
-        by_down = self._by_down
-        downs = [P._down[i] for i in order_idx]
-        failures = []
-        for j in range(1, len(order_idx)):
-            dj = downs[j]
-            # the height of an element c_j covers; -1 is the bottom's
-            cover_height = heights[order_idx[j]] - 1
-            meets = []
-            # the valid "horizon" masks c_k ^ c_j covered by c_j
-            horizon = set()
-            for k in range(j):
-                m = downs[k] & dj
-                if not m:
-                    h = -1
-                elif m in by_down:
-                    h = heights[by_down[m]]
-                else:
-                    # no unique meet: meet_or_bottom raises its error
-                    h = heights[P.index(P.meet_or_bottom(order[k], order[j]))]
-                meets.append(m)
-                if h == cover_height:
-                    horizon.add(m)
-            for i, m in enumerate(meets):
-                if not any(not m & ~hz for hz in horizon):
-                    failures.append((i, j))
-        return ShellingReport(
-            ok=not failures, mode=self.mode, failures=tuple(failures)
-        )
-
-
 def verify_shelling(P: Poset, order: Sequence) -> ShellingReport:
     """Check the coatom shelling condition on a pure face poset.
 
@@ -1272,10 +1213,51 @@ def verify_shelling(P: Poset, order: Sequence) -> ShellingReport:
 
     On simplicial face posets this is the definition of a shelling; on
     other posets it is necessary but not sufficient, and the report says
-    so via mode="necessary-condition".  To check several orders on one
-    poset, build its :class:`ShellingCheck` once and call it per order.
+    so via mode="necessary-condition".
+
+    Each meet c_i ^ c_j is taken as the mask down(c_i) & down(c_j): the
+    common lower bounds have a greatest element exactly when they are
+    the down-set of an element, so a lookup in a map from down-set mask
+    to element finds the meet, a zero mask is the added bottom, and a
+    miss on a nonzero mask means no unique meet.  Once P is pure,
+    c_k ^ c_j is covered by c_j when its height is one less than c_j's
+    (the bottom's height is -1), and c_i ^ c_j <= c_k ^ c_j is
+    containment of their masks.
     """
-    return ShellingCheck(P)(order)
+    if not P.is_pure():
+        raise PreconditionError("shelling verification needs a pure poset")
+    coatoms = {i for i, u in enumerate(P._up) if u == 1 << i}
+    mode = "simplicial" if _poset_is_simplicial(P) else "necessary-condition"
+    order_idx = [P.index(c) for c in order]
+    if len(set(order_idx)) != len(order_idx) or set(order_idx) != coatoms:
+        raise DomainError("order is not a permutation of the maximal elements")
+    heights = P._height_list()
+    by_down = {d: i for i, d in enumerate(P._down)}
+    downs = [P._down[i] for i in order_idx]
+    failures = []
+    for j in range(1, len(order_idx)):
+        dj = downs[j]
+        # the height of an element c_j covers; -1 is the bottom's
+        cover_height = heights[order_idx[j]] - 1
+        meets = []
+        # the valid "horizon" masks c_k ^ c_j covered by c_j
+        horizon = set()
+        for k in range(j):
+            m = downs[k] & dj
+            if not m:
+                h = -1
+            elif m in by_down:
+                h = heights[by_down[m]]
+            else:
+                # no unique meet: meet_or_bottom raises its error
+                h = heights[P.index(P.meet_or_bottom(order[k], order[j]))]
+            meets.append(m)
+            if h == cover_height:
+                horizon.add(m)
+        for i, m in enumerate(meets):
+            if not any(not m & ~hz for hz in horizon):
+                failures.append((i, j))
+    return ShellingReport(ok=not failures, mode=mode, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ purity by a height test on every cover, each meet c_i ^ c_j found as an
 element by `Poset.meet_or_bottom`, C_X and D_X by sign tests on every
 tope, [D_X] sorted on a `TopePoset` after a pairwise order-ideal scan,
 and the [C_X] face poset cut out of L by `Poset.subposet`.  They
-cross-check `Poset.is_pure`, `ShellingCheck`, `Star`, `shelling_of_DX`
+cross-check `Poset.is_pure`, `verify_shelling`, `Star`, `shelling_of_DX`
 and `induced_shelling_of_CX`, reports and exception texts included.
 
 `verify_on_the_order_complex` runs the pipeline with its collapse found

@@ -704,6 +704,50 @@ class TestShellingMutations:
                 induced_shelling_of_CX(M, X, bad)
 
 
+class TestFlipDecision:
+    """The lifted shelling decided by single flips in the sign cube
+    above X: whole reports, failure lists included, equal the poset
+    check on every base (the failing cell of (7,5,1) is in
+    TestShellingOracles), and an X whose L_>=X is not the cube is
+    reported."""
+
+    @pytest.mark.parametrize("n,d,seed", [(5, 3, 0), (6, 4, 0)])
+    def test_every_base_of_every_proper_cell(self, n, d, seed):
+        M = AffineOM(enumerate_covectors(homogenize(
+            generate_arrangement(n, d, seed=seed)
+        )))
+        pairs = failing = 0
+        for x in _proper_cells(M):
+            for B in M.star(x).D_X:
+                order = shelling_of_DX(M, x, B)
+                ind = induced_shelling_of_CX(M, x, order)
+                assert ind == induced_shelling_by_scan(M, x, order)
+                pairs += 1
+                failing += not ind.ok
+        assert 0 < failing < pairs
+
+    def test_three_lines_through_a_vertex(self, five):
+        # a = 0, b = 0 and d = 0 meet at the origin: |L_>=X| = 13, not 27,
+        # and no flip decision is made there
+        X = S("00-0-+")
+        assert not cube_isomorphism(five.om, X).ok
+        ind = induced_shelling_of_CX(five, X)
+        assert not ind.ok and ind.report is None
+        assert ind.problems == (
+            "L_>=X is not the sign cube on z(X): |L_>=X| = 13, "
+            "expected 3^3 = 27",
+        )
+        # the face poset check alone would pass this lift; at every
+        # other cell the two agree
+        assert induced_shelling_by_scan(five, X).ok
+        for x in bounded_complex(five):
+            if x == X or x.delete([five.g_index]).is_zero:
+                continue
+            if five.star(x).D_X:
+                got = induced_shelling_of_CX(five, x)
+                assert got == induced_shelling_by_scan(five, x)
+
+
 class TestOrderIdealCheck:
     """shelling_of_DX refuses a D_X that is not an order ideal of the
     tope poset; only a tope of L/g that is zero on supp(X minus g) can

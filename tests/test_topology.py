@@ -18,7 +18,6 @@ from omtop.topology import (
     CollapseCertificate,
     HomologyTable,
     Poset,
-    ShellingCheck,
     SimplicialComplex,
     classify_links,
     face_poset,
@@ -640,6 +639,40 @@ class TestCellCollapse:
         with pytest.raises(DomainError, match="collapse step 0: 'b' is not maximal"):
             verify_collapse(P, CollapseCertificate((("a", "b"),), "c"))
 
+    def test_absent_element_is_not_live(self):
+        P = Poset("abc", lambda x, y: x <= y)
+        for s, t in (("z", "c"), ("b", "z")):
+            text = f"collapse step 0: '{s}' or '{t}' is not a live face"
+            with pytest.raises(DomainError, match=text):
+                verify_collapse(P, CollapseCertificate(((s, t),), "a"))
+
+    def test_cells_are_indices_on_L_plus_plus(self, monkeypatch):
+        # the search runs on element indices: no covector is hashed, and
+        # the certificate still names covectors and replays
+        from omtop.bounded import AffineOM
+        from omtop.generate import generate_arrangement
+        from omtop.realization import enumerate_covectors, homogenize
+        from omtop.signvec import SignVector
+
+        M = AffineOM(enumerate_covectors(homogenize(
+            generate_arrangement(6, 4, seed=0)
+        )))
+        P = M.bounded_complex().as_poset()
+        hashed = []
+        real_hash = SignVector.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return real_hash(self)
+
+        monkeypatch.setattr(SignVector, "__hash__", counting)
+        res = find_collapse(P)
+        assert hashed == []
+        monkeypatch.undo()
+        assert res.collapsed and verify_collapse(P, res.certificate)
+        assert all(s in P and t in P for s, t in res.certificate.steps)
+        assert res.certificate.terminal in P
+
 
 class TestCollapseGivesPointHomology:
     """A replayed collapse stands in for `homology` on the order
@@ -806,7 +839,7 @@ def _outcome(f, *args):
 
 
 class TestShellingCheckOracle:
-    """The mask pass of `ShellingCheck` against the meet-by-element pass
+    """The mask pass of `verify_shelling` against the meet-by-element pass
     it replaced, on random face posets and random facet orders: whole
     reports, or the same exception with the same text."""
 
@@ -833,15 +866,18 @@ class TestShellingCheckOracle:
     def test_one_check_many_orders(self):
         K = SimplicialComplex([[1, 2, 3], [2, 3, 4], [3, 4, 5]])
         P = face_poset(K)
-        check = ShellingCheck(P)
         for order in itertools.permutations(K.facets):
-            assert check(order) == verify_shelling_by_meets(P, order)
+            assert verify_shelling(P, order) == verify_shelling_by_meets(
+                P, order
+            )
 
     def test_impure_raises_per_order(self):
-        check = ShellingCheck(face_poset(SimplicialComplex([[1, 2, 3], [3, 4]])))
-        assert not check.pure
-        with pytest.raises(PreconditionError, match="needs a pure poset"):
-            check([])
+        K = SimplicialComplex([[1, 2, 3], [3, 4]])
+        P = face_poset(K)
+        assert not P.is_pure()
+        for order in ([], list(K.facets)):
+            with pytest.raises(PreconditionError, match="needs a pure poset"):
+                verify_shelling(P, order)
 
 
 def _octahedron() -> SimplicialComplex:

@@ -553,7 +553,7 @@ def shelling_of_DX(
     ground = star.contraction.ground
     return sorted(
         star.D_X,
-        key=lambda t: _separation_key(ground, _separation(B, t), t),
+        key=lambda t: _separation_key(ground, _separation(B, t)),
     )
 
 

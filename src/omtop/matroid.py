@@ -738,8 +738,8 @@ class TopePoset:
 
     def sort_key(self, t: SignVector):
         """Deterministic extension key: separation-set size, then the
-        sorted separation labels, then the sign string."""
-        return _separation_key(self.ground, self._sep[t], t)
+        sorted separation labels."""
+        return _separation_key(self.ground, self._sep[t])
 
     def linear_extension(self) -> list[SignVector]:
         """Deterministic linear extension by sort_key.  Size order alone
@@ -770,11 +770,12 @@ def _separation(base: SignVector, t: SignVector) -> int:
     return (base._pos & t._neg) | (base._neg & t._pos)
 
 
-def _separation_key(ground: GroundSet, sep: int, t: SignVector):
-    """:meth:`TopePoset.sort_key` of the tope t whose separation mask
-    from the base is sep."""
+def _separation_key(ground: GroundSet, sep: int):
+    """:meth:`TopePoset.sort_key` of the tope whose separation mask from
+    the base is sep.  Topes have full support, so the base and sep
+    determine the tope, and distinct topes get distinct keys."""
     labels = tuple(sorted(ground.labels[i] for i in _bits(sep)))
-    return (sep.bit_count(), labels, str(t))
+    return (sep.bit_count(), labels)
 
 
 # ---------------------------------------------------------------------------

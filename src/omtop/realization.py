@@ -12,10 +12,12 @@ From there on, all arithmetic is on integers.  No floating point
 anywhere.
 
 The covectors come from the cocircuits: the sign patterns of the kernel
-lines of rank-deficient subsets of forms, spanned by signed minors from
-fraction-free (Bareiss) elimination, the elimination that also gives
-ranks.  Every covector is a composition of cocircuits, so the closure
-of the cocircuits under composition, plus 0, is the whole set.
+lines of rank-deficient subsets of forms, spanned by signed minors.  One
+depth-first walk over the subsets computes the minors as exterior
+products, each prefix's shared by every subset that extends it; the
+rank comes from fraction-free (Bareiss) elimination.  Every covector is
+a composition of cocircuits, so the closure of the cocircuits under
+composition, plus 0, is the whole set.
 
 The affine faces are the covectors that are + at g, with g deleted.
 The geometric boundedness oracle decides a face by its recession cone,
@@ -36,9 +38,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import (
     DimensionError,
@@ -202,6 +205,75 @@ def _over_cap(cap: int) -> ResourceExhausted:
     )
 
 
+@cache  # one set of tables per number of columns, for the process
+def _wedge_tables(r: int) -> tuple:
+    """For j = 1..r-1, how the wedge of j forms on r columns follows
+    from the wedge of the first j-1.  A wedge is the tuple of its
+    Pluecker coordinates, the j-minors on the j-subsets S of the columns
+    in `combinations` order.  Entry j-1 lists, for each S, the Laplace
+    expansion of the minor along its last row: one term (c, t, s) per
+    column c of S, with t the index of S - {c} among the (j-1)-subsets
+    and s = (-1)^(j-1+p) for c at position p of S.  The last table
+    (j = r-1) is reordered and signed to give the cofactor vector x,
+    x_k = (-1)^k times the minor without column k."""
+    tables = []
+    for j in range(1, r):
+        index = {S: t for t, S in enumerate(combinations(range(r), j - 1))}
+        subsets = list(combinations(range(r), j))
+        signs = [1] * len(subsets)
+        if j == r - 1:  # reversed, subset k leaves out column k
+            subsets.reverse()
+            signs = [(-1) ** k for k in range(r)]
+        tables.append(tuple(
+            tuple(
+                (c, index[S[:p] + S[p + 1:]], sgn * (-1) ** (j - 1 + p))
+                for p, c in enumerate(S)
+            )
+            for S, sgn in zip(subsets, signs)
+        ))
+    return tuple(tables)
+
+
+def _cofactor_walk(forms, r: int):
+    """Walk the (r-1)-subsets of the forms (rows of r integers) depth
+    first, in `combinations` order, extending each prefix's wedge (its
+    exterior product, as exact integer Pluecker coordinates) by one
+    form.  Yields (i, x) for the subset whose last form is forms[i],
+    with x its cofactor vector: x_k = (-1)^k det(subset without column
+    k), so f.x = det(f, subset) spans its kernel line.  A prefix whose
+    wedge is zero is dependent, and so is every superset: it yields
+    (i, None) for that prefix's last form i and is not extended."""
+    if r == 1:  # the empty subset: the 0x0 minor is 1
+        yield -1, (1,)
+        return
+    tables = _wedge_tables(r)
+    depth = r - 1
+    n = len(forms)
+    wedge = [(1,)] + [()] * depth  # wedge[j]: of the prefix's first j forms
+    prefix = [0] * depth  # prefix[j]: the index of its form j
+    j = i = 0
+    while True:
+        if i > n - depth + j:  # too few forms left to fill the subset
+            if j == 0:
+                return
+            j -= 1
+            i = prefix[j] + 1
+            continue
+        f, w = forms[i], wedge[j]
+        v = tuple([
+            sum([s * f[c] * w[t] for c, t, s in terms]) for terms in tables[j]
+        ])
+        if not any(v):
+            yield i, None
+        elif j + 1 == depth:
+            yield i, v
+        else:
+            prefix[j] = i
+            j += 1
+            wedge[j] = v
+        i += 1
+
+
 def _cocircuits(forms: tuple[tuple[int, ...], ...], cap: int) -> list[int]:
     """The cocircuits of the integer forms, each packed as
     plus | minus << n for n forms.
@@ -210,9 +282,11 @@ def _cocircuits(forms: tuple[tuple[int, ...], ...], cap: int) -> list[int]:
     (the pivot columns of their elimination): the image of y -> (f.y)
     is unchanged, and so are the sign patterns.  Each (r-1)-subset of
     rank r-1 then has a kernel line spanned by its cofactor vector x,
-    x_k = (-1)^k det(subset without column k), and sign(f.x) over all
-    forms f is a cocircuit, as is its negation.  On non-uniform input
-    many subsets span one hyperplane, so the set deduplicates them."""
+    and sign(f.x) over all forms f is a cocircuit, as is its negation.
+    `_cofactor_walk` lists the x, sharing each prefix's wedge among the
+    subsets that extend it and skipping every superset of a dependent
+    prefix.  On non-uniform input many subsets span one hyperplane, so
+    the set deduplicates them."""
     n = len(forms)
     cols, _ = _eliminate(forms)
     r = len(cols)
@@ -221,16 +295,12 @@ def _cocircuits(forms: tuple[tuple[int, ...], ...], cap: int) -> list[int]:
     forms = [tuple(f[c] for c in cols) for f in forms]
     live = [f for f in forms if any(f)]
     found: set[int] = set()
-    for sub in combinations(live, r - 1):
-        x = [
-            _det([row[:k] + row[k + 1 :] for row in sub]) * (-1) ** k
-            for k in range(r)
-        ]
-        if not any(x):
+    for _, x in _cofactor_walk(live, r):
+        if x is None:
             continue
         pos = neg = 0
         for j, f in enumerate(forms):
-            v = sum(a * b for a, b in zip(f, x))
+            v = sum(map(mul, f, x))
             if v > 0:
                 pos |= 1 << j
             elif v < 0:
@@ -240,6 +310,20 @@ def _cocircuits(forms: tuple[tuple[int, ...], ...], cap: int) -> list[int]:
         if len(found) >= cap:  # with 0, more than cap covectors
             raise _over_cap(cap)
     return sorted(found)
+
+
+def _uniform_covector_count(n: int, r: int) -> int:
+    """|L| for the uniform oriented matroid of rank r on n elements.  A
+    covector with j < r zeros is a tope of the contraction of its zero
+    set, uniform of rank r-j on n-j elements, which has
+    2 * sum_{i < r-j} C(n-j-1, i) topes; with the zero vector,
+    |L| = 1 + sum_{j < r} C(n, j) * 2 * sum_{i < r-j} C(n-j-1, i)
+    (the regions of a central arrangement in general position: Buck
+    1943; Zaslavsky 1975)."""
+    return 1 + sum(
+        comb(n, j) * 2 * sum(comb(n - j - 1, i) for i in range(r - j))
+        for j in range(r)
+    )
 
 
 def enumerate_covectors(
@@ -257,13 +341,23 @@ def enumerate_covectors(
     conformal to x are an AND of per-sign columns over the support of x.
 
     Raises ResourceExhausted as soon as there are more than `cap`
-    covectors.  The default, 20,000, bounds what comes next:
-    `CovectorSet.order()` keeps a down-set and an up-set mask of up to
-    N bits for each of N covectors, up to N**2 / 4 bytes: 100 MB at
-    N = 20,000 (25 MB for the 11,003 covectors of
-    `generate_arrangement(10, 4, seed=0)`)."""
+    covectors.  A configuration of rank r is uniform exactly when it
+    has 2 * C(n, r-1) cocircuits, one line per (r-1)-subset of forms;
+    then |L| is known in closed form (`_uniform_covector_count`), so
+    past the cap it raises before the closure.  The default cap,
+    20,000, bounds what comes next: `CovectorSet.order()` keeps a
+    down-set and an up-set mask of up to N bits for each of N
+    covectors, up to N**2 / 4 bytes: 100 MB at N = 20,000 (25 MB for
+    the 11,003 covectors of `generate_arrangement(10, 4, seed=0)`)."""
     n = V.n_forms
     cocircuits = _cocircuits(V.forms, cap)
+    r = _rank(V.forms)
+    if (
+        r
+        and len(cocircuits) == 2 * comb(n, r - 1)
+        and _uniform_covector_count(n, r) > cap
+    ):
+        raise _over_cap(cap)
     # conformal[e]: the cocircuits not + at element e - n (for e >= n)
     # or not - at element e (for e < n), one bit per cocircuit
     conformal = [(1 << len(cocircuits)) - 1] * (2 * n)
@@ -390,13 +484,6 @@ def _eliminate(rows) -> tuple[list[int], int]:
 def _rank(rows) -> int:
     """Rank of an integer matrix, by fraction-free elimination."""
     return len(_eliminate(rows)[0])
-
-
-def _det(rows) -> int:
-    """Determinant of a square integer matrix, by fraction-free
-    elimination."""
-    cols, last = _eliminate(rows)
-    return last if len(cols) == len(rows) else 0
 
 
 def affine_face_dim(A: Arrangement, P: SignVector) -> int:

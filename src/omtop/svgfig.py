@@ -111,6 +111,9 @@ def render_arrangement_svg(
         raise DomainError(
             f"only dim-2 arrangements can be drawn, got dim {A.dim}"
         )
+    # first, so an arrangement past the covector cap exits before the
+    # vertex map, which costs n^3 rational operations
+    faces = enumerate_affine_faces(A)
     box = tuple(float(v) for v in bounds) if bounds is not None else default_bounds(A)
     x0, y0, x1, y1 = box
     if not (x1 > x0 and y1 > y0):
@@ -126,7 +129,6 @@ def render_arrangement_svg(
         )
 
     vmap = _vertex_map(A)
-    faces = list(enumerate_affine_faces(A))
     bounded = [P for P in faces if face_bounded(A, P)]
     by_dim = {d: [P for P in bounded if affine_face_dim(A, P) == d] for d in (0, 1, 2)}
 

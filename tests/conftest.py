@@ -4,6 +4,7 @@ sets, enumerated once per session."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from omtop.matroid import CovectorSet
 from omtop.realization import Arrangement, enumerate_covectors, homogenize
@@ -15,6 +16,47 @@ def mk_arrangement(dim, rows) -> Arrangement:
     normals = tuple(tuple(Fraction(c) for c in r[1]) for r in rows)
     offsets = tuple(Fraction(r[2]) for r in rows)
     return Arrangement(dim=dim, labels=labels, normals=normals, offsets=offsets)
+
+
+@st.composite
+def integer_forms(draw, nvars=st.integers(1, 5), n=st.integers(1, 8)):
+    """Rows of small integers in general or special position: random,
+    or with a repeated row, a parallel (scaled) row or a zero row, or
+    spanning fewer dimensions than there are columns, or all through
+    one kernel vector (concurrent hyperplanes)."""
+    k, m = draw(nvars), draw(n)
+    kind = draw(st.sampled_from(
+        ("random", "repeated", "parallel", "zero", "deficient", "concurrent")
+    ))
+    row = st.lists(st.integers(-4, 4), min_size=k, max_size=k)
+    if kind == "deficient":
+        base = draw(st.lists(row, min_size=1, max_size=max(1, k - 1)))
+        coeffs = draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=len(base),
+                     max_size=len(base)),
+            min_size=m, max_size=m,
+        ))
+        forms = [
+            [sum(c * b[j] for c, b in zip(cs, base)) for j in range(k)]
+            for cs in coeffs
+        ]
+    else:
+        forms = draw(st.lists(row, min_size=m, max_size=m))
+    a, b = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    if kind == "repeated":
+        forms[b] = list(forms[a])
+    elif kind == "parallel":
+        scale = draw(st.sampled_from((-3, -2, -1, 2, 3)))
+        forms[b] = [scale * c for c in forms[a]]
+    elif kind == "zero":
+        forms[a] = [0] * k
+    elif kind == "concurrent":
+        # every row orthogonal to p = (p_0, ..., p_{k-2}, 1)
+        p = draw(st.lists(st.integers(-3, 3), min_size=k - 1,
+                          max_size=k - 1))
+        for f in forms:
+            f[-1] = -sum(c * q for c, q in zip(f, p))
+    return tuple(tuple(f) for f in forms)
 
 
 # the segment between x=0 and x=1 on the line

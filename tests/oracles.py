@@ -79,6 +79,15 @@ and the [C_X] face poset cut out of L by `Poset.subposet`.  They
 cross-check `Poset.is_pure`, `verify_shelling`, `Star`, `shelling_of_DX`
 and `induced_shelling_of_CX`, reports and exception texts included.
 
+`cocircuits_by_dets` lists the cocircuits as `realization._cocircuits`
+did before the wedge walk: each (r-1)-subset of the non-loop forms on
+its own, its cofactor vector from r separate determinants `det` by
+fraction-free elimination.  `general_position_by_ranks` is the
+generator's uniformity test as it ran before that walk, one rank per
+(d+1)-subset of the homogenized forms (`every_subset_a_basis_by_ranks`).
+They cross-check `_cocircuits`, the uniform early exit of
+`enumerate_covectors` and `generate._general_position`.
+
 `verify_on_the_order_complex` runs the pipeline with its collapse found
 and replayed on the order complex K = Delta(L++) and K's f-vector read
 from K, so it cross-checks `verify`, which collapses the cells of L++
@@ -100,7 +109,13 @@ from omtop.errors import (
     PreconditionError,
 )
 from omtop.matroid import AxiomReport, CovectorSet, tope_poset, topes
-from omtop.realization import is_essential
+from omtop.realization import (
+    _eliminate,
+    _over_cap,
+    _rank,
+    homogenize,
+    is_essential,
+)
 from omtop.signvec import Sign, SignVector
 from omtop.topology import (
     HomologyTable,
@@ -295,6 +310,58 @@ def _rank_over_q(rows: list[list[int]]) -> int:
                     m[r][c] -= f * m[rank][c]
         rank += 1
     return rank
+
+
+def det(rows) -> int:
+    """Determinant of a square integer matrix, by fraction-free
+    elimination."""
+    cols, last = _eliminate(rows)
+    return last if len(cols) == len(rows) else 0
+
+
+def cocircuits_by_dets(forms, cap: int) -> list[int]:
+    """The cocircuits of the integer forms, packed plus | minus << n:
+    one cofactor vector per (r-1)-subset of the non-loop forms on r
+    pivot columns, x_k = (-1)^k det(subset without column k)."""
+    n = len(forms)
+    cols, _ = _eliminate(forms)
+    r = len(cols)
+    if r == 0:
+        return []
+    forms = [tuple(f[c] for c in cols) for f in forms]
+    live = [f for f in forms if any(f)]
+    found: set[int] = set()
+    for sub in itertools.combinations(live, r - 1):
+        x = [
+            det([row[:k] + row[k + 1:] for row in sub]) * (-1) ** k
+            for k in range(r)
+        ]
+        if not any(x):
+            continue
+        pos = neg = 0
+        for j, f in enumerate(forms):
+            v = sum(a * b for a, b in zip(f, x))
+            if v > 0:
+                pos |= 1 << j
+            elif v < 0:
+                neg |= 1 << j
+        found.add(pos | neg << n)
+        found.add(neg | pos << n)
+        if len(found) >= cap:
+            raise _over_cap(cap)
+    return sorted(found)
+
+
+def every_subset_a_basis_by_ranks(forms, k: int) -> bool:
+    """Is every k-subset of the forms (rows of k integers) of rank k?"""
+    return all(
+        _rank(sub) == k for sub in itertools.combinations(forms, k)
+    )
+
+
+def general_position_by_ranks(A) -> bool:
+    """Every d+1 homogenized forms of A independent."""
+    return every_subset_a_basis_by_ranks(homogenize(A).forms, A.dim + 1)
 
 
 def _enumerate_patterns(rows_by_sign, n: int, nvars: int):

@@ -20,13 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FOURLINE_ROWS, LINE_ROWS, TRIANGLE_ROWS, mk_arrangement
+from conftest import (
+    FOURLINE_ROWS,
+    LINE_ROWS,
+    TRIANGLE_ROWS,
+    integer_forms,
+    mk_arrangement,
+)
 from oracles import (
     _EQ,
     _GE,
     _GT,
     _rank_over_q,
     affine_pattern_feasible,
+    cocircuits_by_dets,
+    det,
     face_bounded_by_directions,
     face_bounded_by_fm,
     feasible,
@@ -46,8 +54,9 @@ from omtop.generate import generate_arrangement
 from omtop.realization import (
     Arrangement,
     VectorConfiguration,
-    _det,
+    _cocircuits,
     _rank,
+    _uniform_covector_count,
     affine_face_dim,
     bounded_face_census,
     bounded_faces,
@@ -373,6 +382,93 @@ class TestCocircuitClosure:
         V = homogenize(A)
         assert enumerate_covectors(V).covectors == fm_covectors(V).covectors
         assert enumerate_affine_faces(A) == fm_affine_faces(A)
+
+
+# every uniform instance the tests and CI generate, among them the
+# acceptance grid, the benchmark's and the d = 5 instances
+_UNIFORM = sorted(
+    {(n, 1, s) for n in range(2, 8) for s in (0, 1, 2, 3)}
+    | {(n, 2, s) for n in range(3, 8) for s in range(5)}
+    | {(n, 3, s) for n in range(4, 8) for s in (0, 1, 2, 3)}
+    | {(5, 4, s) for s in range(5)}
+    | {(7, 5, s) for s in range(4)}
+    | {(3, 2, 7), (5, 2, 9), (6, 2, 1), (8, 2, 1000), (11, 2, 0),
+       (12, 2, 0), (13, 2, 0), (5, 3, 1001), (8, 3, 0), (5, 4, 1002),
+       (6, 4, 0), (7, 4, 0), (9, 4, 0), (8, 5, 0)}
+)
+
+
+class TestCocircuitWalk:
+    """The wedge walk of `_cocircuits` against one determinant per
+    cofactor entry, and the uniform early exit of `enumerate_covectors`
+    against the closure it skips."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(integer_forms())
+    def test_agrees_with_determinants(self, forms):
+        found = _cocircuits(forms, 10**6)
+        assert found == cocircuits_by_dets(forms, 10**6)
+        # both raise at the same cap
+        if found:
+            for f in (_cocircuits, cocircuits_by_dets):
+                with pytest.raises(ResourceExhausted, match="cap"):
+                    f(forms, len(found))
+            assert _cocircuits(forms, len(found) + 1) == found
+
+    @pytest.mark.parametrize("n,d,seed", [(11, 2, 0), (6, 4, 0), (7, 5, 1)])
+    def test_agrees_on_generated_forms(self, n, d, seed):
+        A = generate_arrangement(n, d, seed=seed)
+        for forms in (homogenize(A).forms, tuple(r[:-1] for r in A.rows)):
+            assert _cocircuits(forms, 10**6) == cocircuits_by_dets(
+                forms, 10**6
+            )
+
+    @pytest.mark.parametrize("n,d,seed", _UNIFORM)
+    def test_closed_form_counts_the_covectors(self, n, d, seed):
+        L = enumerate_covectors(homogenize(generate_arrangement(n, d, seed)))
+        assert len(L) == _uniform_covector_count(n + 1, d + 1)
+
+    def test_closed_form_values(self):
+        # (6,4,0), (12,3,0), (8,5,0), (9,5,0) and the 80 lines of the
+        # CLI cap test
+        assert _uniform_covector_count(7, 5) == 1291
+        assert _uniform_covector_count(13, 4) == 4629
+        assert _uniform_covector_count(9, 6) == 9445
+        assert _uniform_covector_count(10, 6) == 18089
+        assert _uniform_covector_count(81, 3) == 25923
+
+    @pytest.mark.parametrize(
+        "A",
+        [generate_arrangement(n, d, seed=s)
+         for n, d, s in ((4, 2, 0), (8, 3, 0), (6, 4, 0), (7, 5, 1))]
+        + [mk_arrangement(1, [(f"h{i}", (1,), i) for i in range(13)])],
+        ids=["(4,2,0)", "(8,3,0)", "(6,4,0)", "(7,5,1)", "13-points"],
+    )
+    def test_cap_decision_on_uniform_input(self, A, monkeypatch):
+        import omtop.realization as realization
+
+        V = homogenize(A)
+        size = len(enumerate_covectors(V))
+        assert size == _uniform_covector_count(V.n_forms, A.dim + 1)
+        assert len(enumerate_covectors(V, cap=size)) == size
+        assert len(enumerate_covectors(V, cap=size + 1)) == size
+        # one past the cap raises before the closure reads a cocircuit
+        monkeypatch.setattr(realization, "_bits", None)
+        with pytest.raises(ResourceExhausted, match="cap"):
+            enumerate_covectors(V, cap=size - 1)
+
+    @pytest.mark.parametrize(
+        "A", _workload_arrangements(),
+        ids=["pinch2", "pinch3", "pinch4", "grid3x3", "grid2x1x1"],
+    )
+    def test_cap_decision_on_special_input(self, A):
+        # no closed form applies: the closure meets the cap
+        V = homogenize(A)
+        size = len(enumerate_covectors(V))
+        assert size != _uniform_covector_count(V.n_forms, A.dim + 1)
+        assert len(enumerate_covectors(V, cap=size)) == size
+        with pytest.raises(ResourceExhausted, match="cap"):
+            enumerate_covectors(V, cap=size - 1)
 
 
 class TestBoundednessOracle:
@@ -702,7 +798,7 @@ class TestIntegerRank:
                 for k in range(len(m))
             )
 
-        assert _det(M) == laplace(M)
+        assert det(M) == laplace(M)
 
 
 class TestRationalsAtTheBoundary:

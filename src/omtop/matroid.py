@@ -11,7 +11,7 @@ order question is read from it: heights, topes, atoms, and the bounded
 complex and upper intervals of the ``bounded`` module.  The axiom check
 decides composition and elimination and lists their witnesses in one
 pass over the order and the columns, with no scan of all pairs.  It
-rests on four lemmas, proved in :func:`verify_covector_axioms`.
+rests on five lemmas, proved in :func:`verify_covector_axioms`.
 Composition is decided by counting: the classes of y -> y|Z, for a zero
 set Z, are the nonempty meets of one sign column (plus, minus or zero)
 per f in Z, so they are refined from the columns one coordinate at a
@@ -27,8 +27,13 @@ its compositions, which have equal support, is one.  The fourth decides
 elimination on the atoms alone, from the cocircuit axioms with modular
 elimination, so on an oriented matroid no pair of equal support is
 visited; where that decision declines it concludes nothing, and the
-pairs of equal support decide L3 as before.  Rank is always poset
-height within the set itself, never an external matroid oracle.
+pairs of equal support decide L3.  The fifth, the wall lemma, spares
+most of those pairs on a set that is not an oriented matroid: a pair
+of equal support separated at e meets elimination at e when either
+vector with e zeroed lies in the set, so only the pairs opposite at
+some e that is a wall of neither are tested, and only there.  Rank is
+always poset height within the set itself, never an external matroid
+oracle.
 """
 
 from __future__ import annotations
@@ -228,16 +233,26 @@ class AxiomReport:
 
     def to_json(self) -> dict:
         labels = self.ground.labels
+        names: dict[SignVector, str] = {}
+
+        def name(x: SignVector) -> str:
+            # a covector recurs across many witnesses: name it once
+            s = names.get(x)
+            if s is None:
+                s = names[x] = str(x)
+            return s
+
         return {
             "ok": self.ok,
             "l0_ok": self.l0_ok,
             "l1_ok": self.l1_ok,
             "l2_ok": self.l2_ok,
             "l3_ok": self.l3_ok,
-            "l1_witnesses": [str(x) for x in self.l1_witnesses],
-            "l2_witnesses": [[str(x), str(y)] for x, y in self.l2_witnesses],
+            "l1_witnesses": [name(x) for x in self.l1_witnesses],
+            "l2_witnesses": [[name(x), name(y)] for x, y in self.l2_witnesses],
             "l3_witnesses": [
-                [str(x), str(y), labels[e]] for x, y, e in self.l3_witnesses
+                [name(x), name(y), labels[e]]
+                for x, y, e in self.l3_witnesses
             ],
         }
 
@@ -248,7 +263,7 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
     L0 and L1 are read off the set directly.  Composition (L2) and
     elimination (L3) are decided and their witnesses listed in one pass
     over the order and the sign columns (:func:`_axiom_witnesses`),
-    resting on four lemmas, for any finite set L of sign vectors.
+    resting on five lemmas, for any finite set L of sign vectors.
 
     *L2 by counting.*  For x in L let z(x) be its zero set.  Then
     x o y in L for every y in L iff |L>=x| = |{y|z(x) : y in L}|.
@@ -314,12 +329,27 @@ def verify_covector_axioms(S: CovectorSet) -> AxiomReport:
     The decision (:func:`_cocircuit_decline`) only shortcuts: when
     (a), (b) and (c) hold, L3 holds and has no witnesses.  When one of
     them fails, nothing is concluded from it; elimination is decided,
-    and its witnesses listed, on the pairs of equal support as before.
+    and its witnesses listed, on the pairs of equal support.
+
+    *Walls.*  For x in L and e in supp(x), call e a wall of x when x
+    with e zeroed, x \\ e, lies in L.  Let x, y in L have equal support
+    U, and let e separate them.  If e is a wall of x or of y, the pair
+    meets elimination at e.  Proof: x o y = x, and off the separation
+    set T, x and y agree (both are zero outside U, and inside U they
+    differ only on T).  x \\ e is zero at e and equals x at every other
+    coordinate, so off T it equals x o y; y \\ e is zero at e and equals
+    y, so x, off T.  Either is a Z for (x, y, e).  So only the e in T
+    that are walls of neither need a test, and only the pairs opposite
+    at some such e (:func:`_elimination_witnesses`).
     """
     n = len(S.ground)
-    cset = S.covectors
-    l0_ok = SignVector.zero(n) in cset
-    l1_witnesses = tuple(x for x in S.sorted_covectors() if -x not in cset)
+    covs = S.sorted_covectors()
+    # each covector packed into one int; its negation swaps the halves
+    packed = {x._pos | x._neg << n for x in covs}
+    l0_ok = 0 in packed
+    l1_witnesses = tuple(
+        x for x in covs if x._neg | x._pos << n not in packed
+    )
     l2_witnesses, l3_witnesses = _axiom_witnesses(
         S, l0_ok and not l1_witnesses
     )
@@ -505,43 +535,96 @@ def _cocircuit_decline(S: CovectorSet) -> str | None:
 def _elimination_witnesses(S: CovectorSet, l2) -> list:
     """The L3 witnesses (i, j, e), i < j, as indices into
     :meth:`~CovectorSet.sorted_covectors`, given the L2 witness pairs
-    `l2`.  Each pair of equal support is checked, an AND of sign
-    columns, and each that fails is lifted to the pairs whose
-    compositions it is (:func:`_pairs_below`); the pairs with a missing
-    composition are checked one by one (:func:`_unmet_eliminations`)."""
+    `l2`.
+
+    Pairs of equal support are settled by walls (the wall lemma of
+    :func:`verify_covector_axioms`): e is a wall of x when x with e
+    zeroed is in S, and a pair meets elimination at every e that is a
+    wall of either.  In a support group G of support U, ``walled[e]``,
+    the members with wall e, is the union of the up-sets of the
+    covectors of support U - {e}, cut to G.  A later y can fail with x
+    only at an e where they are opposite and that is a wall of neither,
+    so x's candidates are an OR, over the e in U that are no wall of
+    x, of the members opposite x at e outside ``walled[e]``.  For each
+    candidate the covectors agreeing with x off the separation set are
+    an AND of x's sign columns, tested only at the e that are walls of
+    neither; each pair that fails is lifted to the pairs whose
+    compositions it is (:func:`_pairs_below`).  A pair with a missing
+    composition is checked by :func:`_unmet_eliminations`, whose answer
+    depends only on x o y off the separation set T and on T, so it is
+    asked once per such key; the memo lives for this call only."""
     covs = S.sorted_covectors()
-    down = S.order()._down
+    order = S.order()
+    down, up = order._down, order._up
     columns = S._sign_columns()
     zeros = [z for _, _, z in columns]
+    full = (1 << len(S.ground)) - 1
     l3 = []
-    same_support = defaultdict(list)
+    groups: dict[int, int] = defaultdict(int)  # a support -> its members
     for i, x in enumerate(covs):
-        # x's own column at each coordinate: the covectors agreeing there
-        own = [p if x._pos >> f & 1 else m if x._neg >> f & 1 else z
-               for f, (p, m, z) in enumerate(columns)]
-        same_support[x._pos | x._neg].append((x, i, own))
-    for support, group in same_support.items():
-        for a, (x, i, own) in enumerate(group):
-            for y, j, _ in group[a + 1:]:
-                # equal supports and x != y: S(x, y) is not empty, and
-                # x o y = x
+        groups[x._pos | x._neg] |= 1 << i
+    for support, G in groups.items():
+        if not G & (G - 1):
+            continue
+        # the covectors zero off the support, where every member is zero
+        inside = -1
+        for f in _bits(full & ~support):
+            inside &= zeros[f]
+        walls: dict[int, int] = defaultdict(int)  # a member -> its walls
+        # the members of G opposite a + (a -) at e with no wall at e
+        open_minus, open_plus = {}, {}
+        for e in _bits(support):
+            walled = 0
+            for k in _bits(groups.get(support & ~(1 << e), 0)):
+                walled |= up[k]
+            walled &= G
+            for k in _bits(walled):
+                walls[k] |= 1 << e
+            p, m, _ = columns[e]
+            open_minus[e] = m & G & ~walled
+            open_plus[e] = p & G & ~walled
+        support_columns = [(1 << f, columns[f]) for f in _bits(support)]
+        for i in _bits(G):
+            x = covs[i]
+            xwalls = walls[i]
+            candidates = 0
+            for e in _bits(support & ~xwalls):
+                candidates |= (open_minus[e] if x._pos >> e & 1
+                               else open_plus[e])
+            # the later members only: bit k now stands for covs[i + 1 + k]
+            candidates >>= i + 1
+            if not candidates:
+                continue
+            # x's own column at each coordinate of the support: the
+            # covectors agreeing with x there
+            own = [(bit, p if x._pos & bit else m)
+                   for bit, (p, m, _) in support_columns]
+            for j in _bits(candidates):
+                j += i + 1
+                y = covs[j]
                 sep = (x._pos & y._neg) | (x._neg & y._pos)
-                agree = -1
-                for f, col in enumerate(own):
-                    if not sep >> f & 1:
+                agree = inside
+                for bit, col in own:
+                    if not sep & bit:
                         agree &= col
-                if all(agree & zeros[e] for e in _bits(sep)):
+                unmet = [e for e in _bits(sep & ~xwalls & ~walls[j])
+                         if not agree & zeros[e]]
+                if not unmet:
                     continue
-                unmet = [e for e in _bits(sep) if not agree & zeros[e]]
                 for p, q in _pairs_below(covs, down, zeros, i, j, sep,
                                          support):
                     lo, hi = (p, q) if p < q else (q, p)
                     l3.extend((lo, hi, e) for e in unmet)
+    unmet_at: dict[tuple[int, int, int], list[int]] = {}
     for lo, hi in {(i, j) if i < j else (j, i) for i, j in l2}:
-        l3.extend(
-            (lo, hi, e)
-            for e in _unmet_eliminations(columns, covs[lo], covs[hi])
-        )
+        x, y = covs[lo], covs[hi]
+        sep = (x._pos & y._neg) | (x._neg & y._pos)
+        # x o y off the separation set
+        key = ((x._pos | y._pos) & ~sep, (x._neg | y._neg) & ~sep, sep)
+        unmet = unmet_at.get(key)
+        if unmet is None:
+            unmet = unmet_at[key] = _unmet_eliminations(columns, x, y)
+        l3.extend((lo, hi, e) for e in unmet)
     l3.sort()
     return l3
 

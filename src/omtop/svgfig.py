@@ -59,10 +59,15 @@ def _vertex_map(A: Arrangement) -> dict[SignVector, tuple[Fraction, Fraction]]:
     return out
 
 
-def default_bounds(A: Arrangement) -> tuple[float, float, float, float]:
+def default_bounds(
+    A: Arrangement, vmap: dict | None = None
+) -> tuple[float, float, float, float]:
     """Bounding box of all arrangement vertices plus a 20% margin; the
-    unit box around the origin when there are no vertices."""
-    pts = list(_vertex_map(A).values())
+    unit box around the origin when there are no vertices.  `vmap` is
+    A's vertex map when the caller has already built it."""
+    if vmap is None:
+        vmap = _vertex_map(A)
+    pts = list(vmap.values())
     if not pts:
         return (-1.0, -1.0, 1.0, 1.0)
     xs = [float(p[0]) for p in pts]
@@ -114,7 +119,14 @@ def render_arrangement_svg(
     # first, so an arrangement past the covector cap exits before the
     # vertex map, which costs n^3 rational operations
     faces = enumerate_affine_faces(A)
-    box = tuple(float(v) for v in bounds) if bounds is not None else default_bounds(A)
+    vmap = _vertex_map(A)
+    # the vertices in one fixed order, for the corners of every face
+    vertices = sorted(vmap, key=str)
+    box = (
+        tuple(float(v) for v in bounds)
+        if bounds is not None
+        else default_bounds(A, vmap)
+    )
     x0, y0, x1, y1 = box
     if not (x1 > x0 and y1 > y0):
         raise DomainError(f"empty drawing bounds {box}")
@@ -128,7 +140,6 @@ def render_arrangement_svg(
             pad + (y1 - float(p[1])) * scale,
         )
 
-    vmap = _vertex_map(A)
     bounded = [P for P in faces if face_bounded(A, P)]
     by_dim = {d: [P for P in bounded if affine_face_dim(A, P) == d] for d in (0, 1, 2)}
 
@@ -138,7 +149,7 @@ def render_arrangement_svg(
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for P in by_dim[2]:
-        corners = [vmap[z] for z in sorted(vmap, key=str) if z.below(P)]
+        corners = [vmap[z] for z in vertices if z.below(P)]
         cx = sum(float(p[0]) for p in corners) / len(corners)
         cy = sum(float(p[1]) for p in corners) / len(corners)
         corners.sort(key=lambda p: math.atan2(float(p[1]) - cy, float(p[0]) - cx))
@@ -154,7 +165,7 @@ def render_arrangement_svg(
         ty = sy1 + 0.06 * (sy2 - sy1) - 5
         parts.append(_TEXT.format(tx, ty, label))
     for P in by_dim[1]:
-        ends = [vmap[z] for z in sorted(vmap, key=str) if z.below(P)]
+        ends = [vmap[z] for z in vertices if z.below(P)]
         if len(ends) == 2:
             (sx1, sy1), (sx2, sy2) = T(ends[0]), T(ends[1])
             parts.append(_LINE.format(sx1, sy1, sx2, sy2, "#b03a2e", 3))

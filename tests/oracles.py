@@ -18,7 +18,12 @@ cross-checks the whole report of `verify_covector_axioms`.
 it listed the witnesses from zero-set classes and equal-support pairs:
 one visit to every pair of the set, with a cached projection set per
 elimination, so it cross-checks the L2 and L3 witness lists, order
-included.  `restriction_l2_witnesses` is the L2 pass as the library ran
+included.  `equal_support_elimination` is the L3 pass as the library
+ran it before it settled pairs of equal support by walls: every pair
+of equal support tested coordinate by coordinate, and every pair with
+a missing composition tested on its own, so it cross-checks the L3
+witness list of a set that fails the axioms, order included.
+`restriction_l2_witnesses` is the L2 pass as the library ran
 it before it refined sign columns: the set of restrictions of every
 covector counted per zero set and, where the count differs from the
 up-set, the covectors grouped by a dictionary keyed on their
@@ -95,6 +100,7 @@ and counts the chains of L++.
 """
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -108,7 +114,14 @@ from omtop.errors import (
     OmtopError,
     PreconditionError,
 )
-from omtop.matroid import AxiomReport, CovectorSet, tope_poset, topes
+from omtop.matroid import (
+    AxiomReport,
+    CovectorSet,
+    _pairs_below,
+    _unmet_eliminations,
+    tope_poset,
+    topes,
+)
 from omtop.realization import (
     _eliminate,
     _over_cap,
@@ -116,7 +129,7 @@ from omtop.realization import (
     homogenize,
     is_essential,
 )
-from omtop.signvec import Sign, SignVector
+from omtop.signvec import Sign, SignVector, _bits
 from omtop.topology import (
     HomologyTable,
     LinkClassification,
@@ -758,6 +771,50 @@ def pairwise_witnesses(S: CovectorSet):
                 if (wp, wn) not in projections(outside | ebit):
                     l3_witnesses.append((x, y, ebit.bit_length() - 1))
     return tuple(l2_witnesses), tuple(l3_witnesses)
+
+
+def equal_support_elimination(S: CovectorSet, l2) -> list:
+    """The L3 witnesses (i, j, e), i < j, as indices into
+    :meth:`~CovectorSet.sorted_covectors`, given the L2 witness pairs
+    `l2`.  Each pair of equal support is checked, an AND of sign
+    columns, and each that fails is lifted to the pairs whose
+    compositions it is (:func:`_pairs_below`); the pairs with a missing
+    composition are checked one by one (:func:`_unmet_eliminations`)."""
+    covs = S.sorted_covectors()
+    down = S.order()._down
+    columns = S._sign_columns()
+    zeros = [z for _, _, z in columns]
+    l3 = []
+    same_support = defaultdict(list)
+    for i, x in enumerate(covs):
+        # x's own column at each coordinate: the covectors agreeing there
+        own = [p if x._pos >> f & 1 else m if x._neg >> f & 1 else z
+               for f, (p, m, z) in enumerate(columns)]
+        same_support[x._pos | x._neg].append((x, i, own))
+    for support, group in same_support.items():
+        for a, (x, i, own) in enumerate(group):
+            for y, j, _ in group[a + 1:]:
+                # equal supports and x != y: S(x, y) is not empty, and
+                # x o y = x
+                sep = (x._pos & y._neg) | (x._neg & y._pos)
+                agree = -1
+                for f, col in enumerate(own):
+                    if not sep >> f & 1:
+                        agree &= col
+                if all(agree & zeros[e] for e in _bits(sep)):
+                    continue
+                unmet = [e for e in _bits(sep) if not agree & zeros[e]]
+                for p, q in _pairs_below(covs, down, zeros, i, j, sep,
+                                         support):
+                    lo, hi = (p, q) if p < q else (q, p)
+                    l3.extend((lo, hi, e) for e in unmet)
+    for lo, hi in {(i, j) if i < j else (j, i) for i, j in l2}:
+        l3.extend(
+            (lo, hi, e)
+            for e in _unmet_eliminations(columns, covs[lo], covs[hi])
+        )
+    l3.sort()
+    return l3
 
 
 def boundary(K: SimplicialComplex) -> SimplicialComplex:

@@ -40,10 +40,15 @@ from omtop.matroid import (
     verify_covector_axioms,
 )
 from omtop.realization import enumerate_covectors, homogenize
-from omtop.signvec import GroundSet, SignVector
+from omtop.signvec import GroundSet, SignVector, _bits
 
 from conftest import FOURLINE_ROWS, TRIANGLE_ROWS, mk_arrangement
-from oracles import pairwise_witnesses, restriction_l2_witnesses, scan_axioms
+from oracles import (
+    equal_support_elimination,
+    pairwise_witnesses,
+    restriction_l2_witnesses,
+    scan_axioms,
+)
 
 S = SignVector.from_string
 
@@ -413,6 +418,132 @@ class TestL2ByRefinement:
             x = rng.choice(nonzero)
             for M in (L.covectors | {v, -v}, L.covectors - {x}):
                 _check_l2_refinement(CovectorSet(L.ground, M))
+
+
+def _l2_indices(L: CovectorSet) -> list[tuple[int, int]]:
+    """The L2 witness pairs of L as index pairs into its sorted order,
+    from the restriction count of oracles.py."""
+    index = {x: i for i, x in enumerate(L.sorted_covectors())}
+    return [(index[x], index[y]) for x, y in restriction_l2_witnesses(L)]
+
+
+def _check_elimination(L: CovectorSet) -> list:
+    """The kernel's L3 witness list equals the equal-support oracle's."""
+    import omtop.matroid as matroid
+
+    l2 = _l2_indices(L)
+    l3 = matroid._elimination_witnesses(L, l2)
+    assert l3 == equal_support_elimination(L, l2)
+    return l3
+
+
+@st.composite
+def ranked_mutants(draw) -> CovectorSet:
+    """A seeded OM of rank 3, 4 or 5 with one covector or one negation
+    pair dropped, or one sign vector, or one pair +-v, added."""
+    L = _seeded_om(draw(st.sampled_from(
+        [(4, 2, 0), (5, 2, 1), (4, 3, 0), (5, 3, 1), (5, 4, 0)]
+    )))
+    kind = draw(st.sampled_from(["drop", "drop-pair", "add", "add-pair"]))
+    if kind.startswith("drop"):
+        x = draw(st.sampled_from(
+            [x for x in L.sorted_covectors() if not x.is_zero]
+        ))
+        return CovectorSet(
+            L.ground, L.covectors - ({x} if kind == "drop" else {x, -x})
+        )
+    n = len(L.ground)
+    v = draw(
+        st.text(alphabet="+-0", min_size=n, max_size=n)
+        .map(S)
+        .filter(lambda v: v not in L)
+    )
+    return CovectorSet(
+        L.ground, L.covectors | ({v} if kind == "add" else {v, -v})
+    )
+
+
+class TestEliminationByWalls:
+    """Pairs of equal support are settled by walls and tested only at
+    the coordinates that are walls of neither; the L3 witness list is
+    the equal-support oracle's, order included."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_refute_workload_non_oms(self, seed):
+        for L in _refute_non_oms(seed):
+            _check_elimination(L)
+
+    def test_tope_dropped_at_scale(self):
+        L = _seeded_om((7, 4, 0))
+        M = CovectorSet(L.ground, L.covectors - {S("++++++++")})
+        _check_elimination(M)
+
+    @pytest.mark.parametrize("n,d", [(6, 4), (8, 3), (9, 2)])
+    def test_one_covector_dropped(self, n, d):
+        L = _seeded_om((n, d, 0))
+        x = random.Random(0).choice(
+            [x for x in L.sorted_covectors() if not x.is_zero]
+        )
+        assert _check_elimination(CovectorSet(L.ground, L.covectors - {x}))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(ranked_mutants())
+    def test_drop_and_add_mutants(self, L):
+        _check_elimination(L)
+
+    @pytest.mark.parametrize("key", [(4, 2, 0), (5, 3, 1), (5, 4, 0)])
+    def test_dropped_wall_is_never_hidden(self, key):
+        """With w = x with e zeroed dropped, and -w with it, no covector
+        is zero at e and equal to x off e, so the pair of w's two lifts
+        across e, which have e as a wall of neither now, is a witness at
+        e, and so is the pair of their negations."""
+        L = _seeded_om(key)
+        rng = random.Random(0)
+        walls = [(w, e) for w in L.sorted_covectors() if not w.is_zero
+                 for e in sorted(w.zero_set())]
+        for w, e in rng.sample(walls, 4):
+            lifts = [
+                SignVector(w.n, w._pos | (1 << e), w._neg),
+                SignVector(w.n, w._pos, w._neg | (1 << e)),
+            ]
+            assert all(v in L for v in lifts)
+            M = CovectorSet(L.ground, L.covectors - {w, -w})
+            rep = verify_covector_axioms(M)
+            for x, y in (lifts, [-v for v in lifts]):
+                x, y = sorted((x, y), key=str)
+                assert (x, y, e) in rep.l3_witnesses, (str(w), e)
+            assert rep.l3_witnesses == _oracle_report(M).l3_witnesses
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_direct_check_per_key(self, seed, monkeypatch):
+        """A pair with a missing composition is checked once per key
+        (x o y off the separation set T, T): the answer depends on
+        nothing else."""
+        import omtop.matroid as matroid
+
+        def key(x, y):
+            sep = (x._pos & y._neg) | (x._neg & y._pos)
+            off = set(range(x.n)) - set(_bits(sep))
+            return x.compose(y).restrict(off), sep
+
+        real = matroid._unmet_eliminations
+        keys = []
+
+        def counted(columns, x, y):
+            keys.append(key(x, y))
+            return real(columns, x, y)
+
+        monkeypatch.setattr(matroid, "_unmet_eliminations", counted)
+        pairs = checks = 0
+        for L in _refute_non_oms(seed):
+            keys.clear()
+            l2 = {frozenset(p) for p in restriction_l2_witnesses(L)}
+            _check_elimination(L)
+            assert len(keys) == len(set(keys))
+            assert set(keys) == {key(*sorted(p, key=str)) for p in l2}
+            pairs += len(l2)
+            checks += len(keys)
+        assert checks < pairs
 
 
 class TestRank:

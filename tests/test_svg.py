@@ -59,3 +59,22 @@ class TestErrors:
     def test_only_dim2(self, line_arr):
         with pytest.raises(DomainError, match="dim"):
             render_arrangement_svg(line_arr)
+
+
+class TestVertexMapOnce:
+    @pytest.mark.parametrize("bounds", [None, (-2, -2, 2, 2)])
+    def test_one_vertex_map_per_render(self, four_arr, bounds, monkeypatch):
+        import omtop.svgfig as svgfig
+
+        real = svgfig._vertex_map
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return real(A)
+
+        monkeypatch.setattr(svgfig, "_vertex_map", counted)
+        svg = render_arrangement_svg(four_arr, bounds=bounds)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert svg == render_arrangement_svg(four_arr, bounds=bounds)

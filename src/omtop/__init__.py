@@ -34,7 +34,6 @@ from .errors import (  # noqa: E402
 from .matroid import (  # noqa: E402
     AxiomReport,
     CovectorSet,
-    TopePoset,
     UniformityReport,
     atoms,
     contract,
@@ -43,7 +42,6 @@ from .matroid import (  # noqa: E402
     format_covector_file,
     is_uniform,
     parse_covector_file,
-    tope_poset,
     topes,
     verify_covector_axioms,
 )

@@ -7,9 +7,9 @@ complex L++ (covectors all of whose nonzero faces stay positive at g),
 then implements everything needed to take a bounded covector X apart:
 the cube structure of L_{>=X}, the unbounded-tope set C_X and its
 contraction counterpart D_X, the deletion/lifting bijection between
-them, the shelling of [D_X] inherited from a tope-poset linear
-extension, the lifted shelling of [C_X] checked against the coatom
-condition, and the lower/upper link decomposition.
+them, the shelling of [D_X] sorted by separation from a base tope, the
+lifted shelling of [C_X] checked against the coatom condition, and the
+lower/upper link decomposition.
 
 Every verification op returns a report with witnesses instead of
 asserting; statements that are theorems for genuine oriented matroids
@@ -17,12 +17,19 @@ raise only when their failure proves the input was not one.  The cube,
 restriction and bijection checks test only what can fail on any set of
 sign vectors; each docstring names the lemma that decides the rest.
 
-The star checks read L's conformal order (`CovectorSet.order`) as
-bitmasks: C_X, the cube size and the link case come from up-set masks,
-D_X and the [D_X] order from sign and separation masks, and h and r
-shift a vector's masks past g.  The lifted shelling of [C_X] is decided
-in the sign cube above X, on the separation masks of the lifted topes
-alone: no face poset of [C_X] is built.
+The star checks run on indices, not on sign vectors.  Once per
+`AffineOM` a tope table (`_TopeTable`) reads the topes of L/g off L's
+conformal order (`CovectorSet.order`) in sign-string order, with their
+sign columns, and maps each g-positive unbounded tope of L (an index of
+L's order) to the tope of L/g it restricts to: r is a shift past g on
+packed ints.  A star then holds C_X as a mask over L's order
+(X's up-set met with the unbounded topes) and D_X as a mask over the
+topes of L/g (an AND of sign columns).  The bijection is a mask
+equality, the lift h is the inverse of r, [D_X] is sorted by an int
+key on separation masks, and the lifted shelling of [C_X] is decided
+by single flips on those masks: no face poset of [C_X] is built.  Sign
+vectors, their pairs and their names are built only when a report is
+read, and the per-X problems are listed only when a check fails.
 """
 
 from __future__ import annotations
@@ -37,8 +44,6 @@ from .errors import (
 )
 from .matroid import (
     CovectorSet,
-    _separation,
-    _separation_key,
     contract,
     delete_minor,
 )
@@ -56,7 +61,7 @@ class AffineOM:
 
     __slots__ = (
         "om", "_bc", "_contraction", "_stars", "_restriction",
-        "_unbounded", "_at_infinity",
+        "_unbounded", "_topes",
     )
 
     def __init__(self, om: CovectorSet):
@@ -78,7 +83,7 @@ class AffineOM:
         self._contraction = None
         self._restriction = None
         self._unbounded = None
-        self._at_infinity = None
+        self._topes = None
         # weak: a Star refers back to its AffineOM, and a strong cache
         # would make every star and the covector set a reference cycle
         # that lives until the garbage collector's next full pass
@@ -111,26 +116,18 @@ class AffineOM:
         """The topes outside L++, as a mask over L's order: C_X is the
         part of it above X."""
         if self._unbounded is None:
-            P = self.om.order()
-            bc = self.bounded_complex()
-            mask = 0
-            for i, x in enumerate(P.elements):
-                if P._up[i] == 1 << i and x not in bc:
-                    mask |= 1 << i
-            self._unbounded = mask
+            up = self.om.order()._up
+            topes = 0
+            for i, u in enumerate(up):
+                if u == 1 << i:
+                    topes |= 1 << i
+            self._unbounded = topes & ~self.bounded_complex()._mask
         return self._unbounded
 
-    def _topes_at_infinity(self) -> tuple[tuple[int, int, SignVector], ...]:
-        """The topes of L/g in sign-string order, each with its + and -
-        masks: D_X is the part of them that conforms to X minus g."""
-        if self._at_infinity is None:
-            P = self.contraction().order()
-            self._at_infinity = tuple(
-                (t._pos, t._neg, t)
-                for i, t in enumerate(P.elements)
-                if P._up[i] == 1 << i
-            )
-        return self._at_infinity
+    def _tope_table(self) -> "_TopeTable":
+        if self._topes is None:
+            self._topes = _TopeTable(self)
+        return self._topes
 
     def star(self, X: SignVector) -> "Star":
         """Star(self, X), built once per bounded covector and shared for
@@ -170,16 +167,22 @@ class BoundedComplex:
         "_set",
         "_ranks",
         "_poset",
+        "_names",
+        "_mask",
     )
 
-    def __init__(self, om: AffineOM, covectors: tuple[SignVector, ...]):
+    def __init__(
+        self, om: AffineOM, covectors: tuple[SignVector, ...], mask: int
+    ):
         # the ground set, not om: om caches this complex
         self.ground = om.ground
         self.covectors = covectors
         self._set = frozenset(covectors)
         heights = om.om.heights()
         self._ranks = {x: heights[x] for x in covectors}
-        self._poset = om.om.order().subposet(covectors)
+        # the covectors as a mask over L's order, in the same order
+        self._mask = mask
+        self._poset = om.om.order()._induced(mask)
         maximal = self.maximal()
         max_ranks = {self._ranks[x] for x in maximal}
         self.dim = max(max_ranks) - 1
@@ -190,6 +193,7 @@ class BoundedComplex:
         for x in covectors:
             f[self._ranks[x] - 1] += 1
         self.f_vector = tuple(f)
+        self._names = None
 
     def __len__(self) -> int:
         return len(self.covectors)
@@ -211,6 +215,12 @@ class BoundedComplex:
         if x not in self._set:
             raise MembershipError(f"{x} is not in the bounded complex")
         return self._ranks[x] - 1
+
+    def names(self) -> tuple[str, ...]:
+        """The covectors as strings, in order, computed once."""
+        if self._names is None:
+            self._names = tuple(map(str, self.covectors))
+        return self._names
 
     def maximal(self) -> tuple[SignVector, ...]:
         return tuple(self._poset.maximal_elements())
@@ -241,17 +251,16 @@ def _compute_bounded_complex(M: AffineOM) -> BoundedComplex:
     for i, y in enumerate(P.elements):
         if not y.is_zero and y.sign(gi) is not Sign.PLUS:
             bad |= 1 << i
-    kept = tuple(
-        x
-        for i, x in enumerate(P.elements)
-        if x.sign(gi) is Sign.PLUS and not P._down[i] & bad
-    )
-    if not kept:
+    mask = 0
+    for i, x in enumerate(P.elements):
+        if x.sign(gi) is Sign.PLUS and not P._down[i] & bad:
+            mask |= 1 << i
+    if not mask:
         raise OmtopError(
             "the bounded complex is empty, which cannot happen for an "
             "affine oriented matroid"
         )
-    return BoundedComplex(M, kept)
+    return BoundedComplex(M, tuple(P.elements[i] for i in _bits(mask)), mask)
 
 
 def bounded_complex(M: AffineOM) -> BoundedComplex:
@@ -403,18 +412,155 @@ def cube_isomorphism(L: CovectorSet, X: SignVector) -> CubeReport:
 # ---------------------------------------------------------------------------
 
 
+def _without(mask: int, g: int) -> int:
+    """The mask with bit g deleted and the bits above it shifted down:
+    a coordinate mask of a sign vector minus g."""
+    low = (1 << g) - 1
+    return (mask & low) | (mask >> 1 & ~low)
+
+
+class _TopeTable:
+    """The topes the star checks read, by index, built once per AffineOM
+    from L's order alone.
+
+    *Topes at infinity.*  The covectors of L/g are the Y minus g for Y
+    in L zero at g, and Y <= Y' exactly when Y minus g <= Y' minus g, so
+    the topes of L/g are the Y minus g for Y maximal among the
+    covectors of L zero at g: Y's up-set meets g's zero column in Y
+    alone.  Deleting a coordinate that is 0 in all of them keeps their
+    sign-string order, so they come in that order, indexed j, as L/g's
+    own order would list them; that order is never built.
+
+    plus[e] and minus[e] are the masks of the j with + and - at
+    coordinate e of L/g, so D_X is an AND of columns, and zero[e] those
+    with 0 there.  ranked[j] is tope j's (+, -) masks with coordinate e
+    moved to bit width - 1 - rank(e), rank(e) the place of e's label in
+    label order: a separation mask taken on these is read by
+    `_separation_key` as an int.
+
+    *Lift lemma.*  For a g-positive unbounded tope t of L at order
+    index k, rbit[k] is the bit of the tope r(t) = t minus g of L/g
+    when r(t) is one; `past`, a bit past every tope, stands for r(t) of
+    any other t.  r is injective on these topes, and lift[j] is the k
+    with r(t) = tope j, or None.  For every d in D_X, h(d) = i(d) o X
+    is d with + at g: d has X's sign wherever X minus g has one, and X
+    is + at g.  So lift[j] is h(d) whenever h(d) is such a tope, and
+    when it is none, h(d) is in no C_X.
+    """
+
+    __slots__ = (
+        "topes", "width", "plus", "minus", "zero", "ranked", "rbit",
+        "past", "lift", "_key", "_names", "_lnames", "_elements",
+    )
+
+    def __init__(self, M: AffineOM):
+        L, gi = M.om, M.g_index
+        order = L.order()
+        up, elements = order._up, order.elements
+        positive, _, at_zero = L._sign_columns()[gi]
+        n = self.width = len(L.ground) - 1
+        labels = [lab for e, lab in enumerate(L.ground.labels) if e != gi]
+        at_inf = []
+        for i in _bits(at_zero):
+            if up[i] & at_zero == 1 << i:
+                y = elements[i]
+                at_inf.append((_without(y._pos, gi), _without(y._neg, gi)))
+        self.topes = tuple(SignVector(n, p, q) for p, q in at_inf)
+        self.plus, self.minus = [0] * n, [0] * n
+        self._key = {}
+        # rank places: the least label takes the highest bit
+        place = [0] * n
+        for r, e in enumerate(sorted(range(n), key=labels.__getitem__)):
+            place[e] = n - 1 - r
+        self.ranked = []
+        for j, (tp, tn) in enumerate(at_inf):
+            self._key[tp | tn << n] = j
+            rp = rn = 0
+            for e in _bits(tp):
+                self.plus[e] |= 1 << j
+                rp |= 1 << place[e]
+            for e in _bits(tn):
+                self.minus[e] |= 1 << j
+                rn |= 1 << place[e]
+            self.ranked.append((rp, rn))
+        full = (1 << len(at_inf)) - 1
+        self.zero = [full & ~(p | m) for p, m in zip(self.plus, self.minus)]
+        self._elements = elements
+        self.past = 1 << len(at_inf)
+        self.rbit = {}
+        self.lift = [None] * len(at_inf)
+        for k in _bits(M._unbounded_topes() & positive):
+            t = elements[k]
+            j = self._key.get(_without(t._pos, gi) | _without(t._neg, gi) << n)
+            if j is not None:
+                self.rbit[k] = 1 << j
+                self.lift[j] = k
+        self._names = [None] * len(at_inf)
+        self._lnames = {}
+
+    @property
+    def full(self) -> int:
+        return (1 << len(self.topes)) - 1
+
+    def index(self, T: SignVector) -> int | None:
+        """The index of T among the topes of L/g, or None."""
+        if T.n != self.width:
+            return None
+        return self._key.get(T._pos | T._neg << self.width)
+
+    def mask(self, topes) -> int | None:
+        """The mask of a set of topes of L/g, or None when one is not."""
+        out = 0
+        for t in topes:
+            j = self.index(t)
+            if j is None:
+                return None
+            out |= 1 << j
+        return out
+
+    def name(self, j: int) -> str:
+        """str of tope j of L/g, computed once."""
+        s = self._names[j]
+        if s is None:
+            s = self._names[j] = str(self.topes[j])
+        return s
+
+    def lname(self, k: int) -> str:
+        """str of element k of L's order, computed once."""
+        s = self._lnames.get(k)
+        if s is None:
+            s = self._lnames[k] = str(self._elements[k])
+        return s
+
+
+def _separation_key(sep: int, width: int) -> int:
+    """The [D_X] sort key of a tope whose separation mask from the base,
+    on ranked coordinates (`_TopeTable.ranked`), is sep: the size of the
+    separation set first, then its labels in sorted order.  Of two sets
+    of one size, the one holding the least label of their symmetric
+    difference comes first; that label is the highest bit in which the
+    ranked masks differ, so the complement orders them.  Topes have
+    full support, so the base and sep determine the tope, and distinct
+    topes get distinct keys."""
+    return sep.bit_count() << width | ((1 << width) - 1) ^ sep
+
+
 class Star:
     """Everything star-local to one bounded covector X: the ambient
     full-dimensional affine OM (restricting to E1 first if needed), the
     tope sets C_X and D_X, and the contraction they live over.
 
-    Both tope sets are read off masks, in sign-string order: C_X is the
-    up-set of X in L's order met with the topes outside L++, and D_X the
-    topes of L/g that conform to X minus g."""
+    Both tope sets are held as masks: C_X over L's order, the up-set of
+    X met with the topes outside L++, and D_X over the topes of L/g
+    (`_TopeTable`), those that conform to X minus g.  The tuples C_X and
+    D_X, in sign-string order, are built on their first read.  A tuple
+    set by hand replaces the mask, or leaves it None when the tuple
+    holds a vector that is no tope, and the checks then read the tuple.
+    """
 
     __slots__ = (
-        "om", "X", "restriction", "C_X", "D_X", "_contraction", "_cx",
-        "__weakref__",
+        "om", "X", "restriction", "_xi", "_xg", "_cx", "_dx", "_C_X",
+        "_D_X", "__weakref__",
     )
 
     def __init__(self, M: AffineOM, X: SignVector):
@@ -429,29 +575,70 @@ class Star:
                 "is excluded"
             )
         restriction = None
-        full = frozenset(range(len(M.ground)))
-        if bc.support != full:
+        if bc.support is None or len(bc.support) != len(M.ground):
             restriction = restrict_to_support(M)
             X = restriction.map(X)
             M = restriction.restricted
+            if X not in M.bounded_complex():
+                raise MembershipError(
+                    f"the support restriction maps a bounded covector to "
+                    f"{X}, which is not bounded"
+                )
         self.om = M
         self.X = X
         self.restriction = restriction
-        self._contraction = M.contraction()
         order = M.om.order()
+        self._xi = order.index(X)
         # C_X as a mask over L's order; X is bounded, so not in it
-        self._cx = order._up[order.index(X)] & M._unbounded_topes()
-        self.C_X = tuple(order.elements[k] for k in _bits(self._cx))
-        xg = X.delete([M.g_index])
-        p, n = xg._pos, xg._neg
-        self.D_X = tuple(
-            t for tp, tn, t in M._topes_at_infinity()
-            if not (p & ~tp or n & ~tn)
-        )
+        self._cx = order._up[self._xi] & M._unbounded_topes()
+        table = M._tope_table()
+        gi = M.g_index
+        self._xg = (_without(X._pos, gi), _without(X._neg, gi))
+        dx = table.full
+        for e in _bits(self._xg[0]):
+            dx &= table.plus[e]
+        for e in _bits(self._xg[1]):
+            dx &= table.minus[e]
+        self._dx = dx
+        self._C_X = self._D_X = None
+
+    @property
+    def C_X(self) -> tuple[SignVector, ...]:
+        if self._C_X is None:
+            elements = self.om.om.order().elements
+            self._C_X = tuple(elements[k] for k in _bits(self._cx))
+        return self._C_X
+
+    @C_X.setter
+    def C_X(self, topes) -> None:
+        index = self.om.om.order()._index
+        self._C_X = tuple(topes)
+        self._cx = 0
+        for t in self._C_X:
+            if t not in index:
+                raise MembershipError(f"{t} is not a covector of this set")
+            self._cx |= 1 << index[t]
+
+    @property
+    def D_X(self) -> tuple[SignVector, ...]:
+        if self._D_X is None:
+            topes = self.om._tope_table().topes
+            self._D_X = tuple(topes[j] for j in _bits(self._dx))
+        return self._D_X
+
+    @D_X.setter
+    def D_X(self, topes) -> None:
+        self._D_X = tuple(topes)
+        self._dx = self.om._tope_table().mask(self._D_X)
 
     @property
     def contraction(self) -> CovectorSet:
-        return self._contraction
+        return self.om.contraction()
+
+    @property
+    def c_size(self) -> int:
+        """|C_X|, the popcount of its mask."""
+        return _popcount(self._cx)
 
     def restrict(self, T: SignVector) -> SignVector:
         """r(T) = T minus g."""
@@ -467,14 +654,22 @@ class Star:
         )
         return inserted.compose(self.X)
 
+    def _masked_dx(self) -> int:
+        if self._dx is None:
+            raise PreconditionError(
+                f"D_X at {self.X} holds a vector that is no tope of L/g"
+            )
+        return self._dx
+
 
 @dataclass(frozen=True)
 class BijectionReport:
     """Outcome of checking that restriction r and lifting h are inverse
-    bijections between C_X and D_X."""
+    bijections between C_X and D_X.  pairs is built on its first
+    read."""
 
     X: SignVector
-    pairs: tuple[tuple[SignVector, SignVector], ...]
+    pairs: tuple[tuple[SignVector, SignVector], ...] = _OnFirstRead()
     problems: tuple[str, ...]
 
     @property
@@ -488,8 +683,21 @@ class BijectionReport:
 def check_bijection(M: AffineOM, X: SignVector) -> BijectionReport:
     """Check that r and h are inverse bijections between C_X and D_X.
     Each t in C_X is >= X, so it is + at g and h(r(t)) = t: r is
-    injective and h inverts it, and only r(C_X) = D_X can fail."""
+    injective and h inverts it, and only r(C_X) = D_X can fail.  That
+    is one mask equality: the OR of `_TopeTable.rbit` over C_X against
+    D_X.  The problems are listed, tope by tope, only when it fails."""
     star = M.star(X)
+    if star._cx is not None and star._dx is not None:
+        table = star.om._tope_table()
+        image = 0
+        for k in _bits(star._cx):
+            image |= table.rbit.get(k, table.past)
+        if image == star._dx:
+            return BijectionReport(
+                star.X,
+                lambda: tuple((t, star.restrict(t)) for t in star.C_X),
+                (),
+            )
     problems = []
     dset = set(star.D_X)
     pairs = tuple((t, star.restrict(t)) for t in star.C_X)
@@ -505,17 +713,18 @@ def check_bijection(M: AffineOM, X: SignVector) -> BijectionReport:
 
 
 # ---------------------------------------------------------------------------
-# shellings: [D_X] by linear extension, [C_X] by lifting
+# shellings: [D_X] by separation from a base, [C_X] by lifting
 # ---------------------------------------------------------------------------
 
 
 def shelling_of_DX(
     M: AffineOM, X: SignVector, B: SignVector | None = None
 ) -> list[SignVector]:
-    """The topes of D_X in the order induced by the deterministic linear
-    extension of the tope poset T(L/g, B), that is, sorted by
-    :meth:`~omtop.matroid.TopePoset.sort_key`, computed from
-    separation masks.
+    """The topes of D_X in the order of a deterministic linear extension
+    of the tope poset T(L/g, B) (topes ordered by containment of their
+    separation sets from B): sorted by the size of the separation set,
+    then by its labels in sorted order (`_separation_key`).  Size order
+    alone refines the poset, so the sort is a linear extension.
 
     D_X must be an order ideal of T(L/g, B), and only topes that are
     zero somewhere on S = supp(X minus g) can break that.  Lemma: for
@@ -526,47 +735,67 @@ def shelling_of_DX(
     runs only over the topes that are zero somewhere on S.
     """
     star = M.star(X)
-    if not star.D_X:
+    table = star.om._tope_table()
+    dx = star._masked_dx()
+    if not dx:
         raise PreconditionError(f"D_X is empty for X = {star.X}")
     if B is None:
-        B = min(star.D_X, key=str)
-    if B not in star.D_X:
-        raise MembershipError(f"base tope {B} is not in D_X")
-    xg = star.restrict(star.X)
-    S = xg._pos | xg._neg
-    partial = [
-        (_separation(B, s), s)
-        for _, _, s in star.om._topes_at_infinity()
-        if (s._pos | s._neg) & S != S
-    ]
+        b = (dx & -dx).bit_length() - 1  # the least sign string
+    else:
+        b = table.index(B)
+        if b is None or not dx >> b & 1:
+            raise MembershipError(f"base tope {B} is not in D_X")
+    return [table.topes[j] for j in _dx_order(star, table, b)]
+
+
+def _dx_order(star: Star, table: _TopeTable, b: int) -> list[int]:
+    """`shelling_of_DX` from base tope b, on tope indices."""
+    dx = star._dx
+    ranked = table.ranked
+    bp, bn = ranked[b]
+    partial = 0
+    for e in _bits(star._xg[0] | star._xg[1]):
+        partial |= table.zero[e]
     if partial:
-        dset = set(star.D_X)
-        for t in star.D_X:
-            sep_t = _separation(B, t)
-            for sep_s, s in partial:
-                if not sep_s & ~sep_t and s not in dset:
+        for t in _bits(dx):
+            tp, tn = ranked[t]
+            sep_t = (bp & tn) | (bn & tp)
+            for s in _bits(partial):
+                sp, sn = ranked[s]
+                if not ((bp & sn) | (bn & sp)) & ~sep_t and not dx >> s & 1:
                     raise OmtopError(
-                        f"D_X is not an order ideal of T(L/g, {B}): "
-                        f"{s} <= {t} but {s} is missing; the input is "
+                        f"D_X is not an order ideal of T(L/g, {table.name(b)}): "
+                        f"{table.name(s)} <= {table.name(t)} but "
+                        f"{table.name(s)} is missing; the input is "
                         "not an affine oriented matroid"
                     )
-    ground = star.contraction.ground
-    return sorted(
-        star.D_X,
-        key=lambda t: _separation_key(ground, _separation(B, t)),
-    )
+    width = table.width
+    keyed = []
+    m = dx
+    while m:
+        low = m & -m
+        j = low.bit_length() - 1
+        tp, tn = ranked[j]
+        keyed.append((_separation_key((bp & tn) | (bn & tp), width), j))
+        m ^= low
+    keyed.sort()
+    return [j for _, j in keyed]
 
 
 @dataclass(frozen=True)
 class InducedShelling:
     """The lifted facet order on [C_X] and its coatom-condition check
-    inside the augmented face lattice with bottom X."""
+    inside the augmented face lattice with bottom X.  dx_order and
+    order are built on their first read; names holds their strings."""
 
     X: SignVector
-    dx_order: tuple[SignVector, ...]
-    order: tuple[SignVector, ...]
+    dx_order: tuple[SignVector, ...] = _OnFirstRead()
+    order: tuple[SignVector, ...] = _OnFirstRead()
     report: ShellingReport | None  # None if lifting failed
     problems: tuple[str, ...]
+    names: tuple[tuple[str, ...], tuple[str, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def ok(self) -> bool:
@@ -574,6 +803,12 @@ class InducedShelling:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def order_names(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """(dx_order, order) as strings."""
+        if self.names is not None:
+            return self.names
+        return tuple(map(str, self.dx_order)), tuple(map(str, self.order))
 
 
 def induced_shelling_of_CX(
@@ -606,7 +841,9 @@ def induced_shelling_of_CX(
     for k < j, the pair fails iff sep(c_i, c_j) & F_j is zero.  Every
     principal down-set of the face poset is the boolean lattice of the
     nonzero restrictions of one face, so the mode is always
-    `simplicial`.
+    `simplicial`.  A lift is its [D_X] tope with + at g (the lift lemma
+    of `_TopeTable`), so sep(c_i, c_j) is sep(d_i, d_j) moved past g,
+    and the flips are taken on the topes of L/g.
 
     A lift that leaves C_X, or that misses some tope of C_X (on a
     non-uniform input |C_X| can exceed |D_X|), is no order of the facets
@@ -616,7 +853,7 @@ def induced_shelling_of_CX(
     """
     star = M.star(X)
     order = star.om.om.order()
-    size = _popcount(order._up[order.index(star.X)])
+    size = _popcount(order._up[star._xi])
     zeros = len(star.X) - _popcount(star.X._pos | star.X._neg)
     cube = None
     if size != 3 ** zeros:
@@ -625,16 +862,20 @@ def induced_shelling_of_CX(
             f"expected 3^{zeros} = {3 ** zeros}"
         )
     if dx_order is None:
+        table = star.om._tope_table()
+        dx = star._masked_dx()
         first = None
-        for B in star.D_X:  # in sign-string order
-            cand = _lift_and_check(star, cube, shelling_of_DX(M, X, B))
-            if cand.ok:
-                return cand
+        # in the order of D_X: sign-string order, unless set by hand
+        bases = _bits(dx) if star._D_X is None else map(table.index, star.D_X)
+        for b in bases:
+            cand = _lift_indices(star, table, cube, _dx_order(star, table, b))
+            if cand[2] is not None and not cand[2]:
+                return _indexed_shelling(star, table, *cand)
             if first is None:
                 first = cand
         if first is None:
             raise PreconditionError(f"D_X is empty for X = {star.X}")
-        return first
+        return _indexed_shelling(star, table, *first)
     dx_order = list(dx_order)
     # D_X has no repeated tope, so equal lengths and equal sets make a
     # permutation
@@ -645,11 +886,61 @@ def induced_shelling_of_CX(
     return _lift_and_check(star, cube, dx_order)
 
 
+def _lift_indices(star: Star, table: _TopeTable, cube: str | None, dx: list):
+    """(dx, problems, failures) of the lift of dx, tope indices of L/g
+    in a [D_X] order; failures is None when a problem stops the flip
+    decision.  Problem texts are those of `_lift_and_check`."""
+    problems = []
+    lift, cx = table.lift, star._cx
+    for j in dx:
+        k = lift[j]
+        if k is None or not cx >> k & 1:
+            d = table.topes[j]
+            problems.append(f"h({d}) = {star.lift(d)} is not in C_X")
+    if not problems and len(dx) != _popcount(cx):
+        # |C_X| > |D_X|, which a non-uniform input allows
+        problems.append(
+            f"h(D_X) covers {len(dx)} of the {_popcount(cx)} topes of C_X"
+        )
+    if cube is not None:
+        problems.append(cube)
+    if problems:
+        return dx, problems, None
+    return dx, problems, _flip_failures([table.ranked[j] for j in dx])
+
+
+def _indexed_shelling(star, table, dx, problems, failures) -> InducedShelling:
+    report = None
+    if failures is not None:
+        report = ShellingReport(
+            ok=not failures, mode="simplicial", failures=tuple(failures)
+        )
+    lift = table.lift
+    cx_names = tuple(
+        str(star.lift(table.topes[j])) if lift[j] is None
+        else table.lname(lift[j])
+        for j in dx
+    )
+    elements = star.om.om.order().elements
+    return InducedShelling(
+        X=star.X,
+        dx_order=lambda: tuple(table.topes[j] for j in dx),
+        order=lambda: tuple(
+            star.lift(table.topes[j]) if lift[j] is None else elements[lift[j]]
+            for j in dx
+        ),
+        report=report,
+        problems=tuple(problems),
+        names=(tuple(table.name(j) for j in dx), cx_names),
+    )
+
+
 def _lift_and_check(
     star: Star, cube: str | None, dx_order: list
 ) -> InducedShelling:
-    """The lift of dx_order, a permutation of D_X, and its report; cube
-    is the problem that L_>=X is not the cube, or None."""
+    """The lift of dx_order, a permutation of D_X given as sign vectors,
+    and its report; cube is the problem that L_>=X is not the cube, or
+    None."""
     problems = []
     order = []
     index = star.om.om.order()._index
@@ -669,7 +960,7 @@ def _lift_and_check(
         problems.append(cube)
     report = None
     if not problems:
-        failures = _flip_failures(order)
+        failures = _flip_failures([(c._pos, c._neg) for c in order])
         report = ShellingReport(
             ok=not failures, mode="simplicial", failures=tuple(failures)
         )
@@ -682,18 +973,21 @@ def _lift_and_check(
     )
 
 
-def _flip_failures(topes: list[SignVector]) -> list[tuple[int, int]]:
+def _flip_failures(topes: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The pairs (i, j), i < j, that fail the coatom condition on the
-    facets of [C_X] in this order, by the flip lemma of
-    `induced_shelling_of_CX`: j ascending, then i."""
+    facets of [C_X] in this order, each tope given by its (+, -) masks,
+    by the flip lemma of `induced_shelling_of_CX`: j ascending, then
+    i."""
     failures = []
-    for j, cj in enumerate(topes):
-        seps = [_separation(c, cj) for c in topes[:j]]
+    for j, (pj, nj) in enumerate(topes):
+        seps = [(p & nj) | (n & pj) for p, n in topes[:j]]
         flips = 0
         for s in seps:
             if not s & (s - 1):
                 flips |= s
-        failures.extend((i, j) for i, s in enumerate(seps) if not s & flips)
+        for i, s in enumerate(seps):
+            if not s & flips:
+                failures.append((i, j))
     return failures
 
 
@@ -719,17 +1013,29 @@ class BoundaryEquivalenceReport:
 
 
 def boundary_equivalence(M: AffineOM) -> BoundaryEquivalenceReport:
-    gi = M.g_index
-    bc = M.bounded_complex()
-    cg = M.contraction()
+    """Check the equivalence on L's order indices.  L+ is the plus
+    column of g and L++ a mask over the order.  X minus g is a covector
+    of L/g exactly when X with g set to 0 is a covector of L, looked up
+    among the covectors zero at g as packed (+, -) masks."""
+    L, gi = M.om, M.g_index
+    elements = L.order().elements
+    positive, _, at_zero = L._sign_columns()[gi]
+    n = len(L.ground)
+    at_inf = set()
+    for i in _bits(at_zero):
+        y = elements[i]
+        at_inf.add(y._pos | y._neg << n)
+    inside = M.bounded_complex()._mask
+    gbit = 1 << gi
     checked = 0
     witnesses = []
-    for x in positive_part(M):
-        xg = x.delete([gi])
-        if xg.is_zero:
+    for i in _bits(positive):
+        x = elements[i]
+        p, q = x._pos & ~gbit, x._neg
+        if not p | q:
             continue
         checked += 1
-        if (xg in cg) == (x in bc):
+        if ((p | q << n) in at_inf) == bool(inside >> i & 1):
             witnesses.append(x)
     return BoundaryEquivalenceReport(checked=checked, witnesses=tuple(witnesses))
 

@@ -786,82 +786,6 @@ def contract(L: CovectorSet, labels) -> CovectorSet:
 
 
 # ---------------------------------------------------------------------------
-# tope posets
-# ---------------------------------------------------------------------------
-
-
-class TopePoset:
-    """Topes ordered by containment of separation sets from a base tope."""
-
-    __slots__ = ("ground", "base", "topes", "_sep", "_poset")
-
-    def __init__(self, L: CovectorSet, base: SignVector):
-        ts = topes(L)
-        if base not in ts:
-            raise MembershipError(f"{base} is not a tope")
-        self.ground = L.ground
-        self.base = base
-        self.topes = tuple(sorted(ts, key=str))
-        self._sep = {t: _separation(base, t) for t in self.topes}
-        self._poset = None
-
-    def __len__(self) -> int:
-        return len(self.topes)
-
-    def less_equal(self, t1: SignVector, t2: SignVector) -> bool:
-        s1, s2 = self._sep[t1], self._sep[t2]
-        return (s1 & ~s2) == 0
-
-    def as_poset(self):
-        if self._poset is None:
-            from .topology import Poset
-
-            self._poset = Poset(self.topes, self.less_equal)
-        return self._poset
-
-    def sort_key(self, t: SignVector):
-        """Deterministic extension key: separation-set size, then the
-        sorted separation labels."""
-        return _separation_key(self.ground, self._sep[t])
-
-    def linear_extension(self) -> list[SignVector]:
-        """Deterministic linear extension by sort_key.  Size order alone
-        already refines the poset order, so sorting is a valid
-        extension."""
-        return sorted(self.topes, key=self.sort_key)
-
-    def random_linear_extension(self, rng) -> list[SignVector]:
-        return self.as_poset().random_linear_extension(rng)
-
-    def order_ideal(self, members) -> bool:
-        """Is the given tope subset downward closed?"""
-        ms = set(members)
-        return all(
-            (a in ms) or (b not in ms)
-            for a in self.topes
-            for b in self.topes
-            if self.less_equal(a, b)
-        )
-
-
-def tope_poset(L: CovectorSet, base: SignVector) -> TopePoset:
-    return TopePoset(L, base)
-
-
-def _separation(base: SignVector, t: SignVector) -> int:
-    """The mask of the coordinates where base and t have opposite signs."""
-    return (base._pos & t._neg) | (base._neg & t._pos)
-
-
-def _separation_key(ground: GroundSet, sep: int):
-    """:meth:`TopePoset.sort_key` of the tope whose separation mask from
-    the base is sep.  Topes have full support, so the base and sep
-    determine the tope, and distinct topes get distinct keys."""
-    labels = tuple(sorted(ground.labels[i] for i in _bits(sep)))
-    return (sep.bit_count(), labels)
-
-
-# ---------------------------------------------------------------------------
 # covector file format
 # ---------------------------------------------------------------------------
 

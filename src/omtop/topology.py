@@ -15,10 +15,9 @@ all): the former is the (-1)-sphere and is the identity for the join.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
@@ -48,7 +47,7 @@ class Poset:
     comparisons, covers, intervals and meets are cheap afterwards.
     """
 
-    __slots__ = ("elements", "_index", "_down", "_up", "_heights", "_depths")
+    __slots__ = ("elements", "_index", "_down", "_up", "_heights", "_cells")
 
     def __init__(self, elements: Iterable, less_equal: Callable):
         elements = tuple(elements)
@@ -87,7 +86,7 @@ class Poset:
         self._down = down
         self._up = up
         self._heights = None
-        self._depths = None
+        self._cells = None
 
     # -- basics ------------------------------------------------------
 
@@ -260,7 +259,7 @@ class Poset:
         sub._down = down
         sub._up = up
         sub._heights = None
-        sub._depths = None
+        sub._cells = None
         return sub
 
     def strictly_below(self, x) -> "Poset":
@@ -892,127 +891,36 @@ class CollapseResult:
 
 
 class _CollapseState:
-    """The live cells of a simplicial complex or of a poset, with their
-    facets and live cofaces: the one state that the collapse search, its
-    replay and `homology` reduce.
+    """The live faces of a simplicial complex with their facets and live
+    cofaces, for `homology` to reduce.  facets[f][i] omits the i-th
+    vertex of f in vertex order, and `key` puts the highest dimension
+    first, then orders by vertex indices."""
 
-    On a complex the cells are the nonempty faces, and facets[f][i]
-    omits the i-th vertex of f in vertex order.  On a poset the cells
-    are element indices: the facets of j are its lower covers, the i
-    with down[j] & up[i] = {i, j} on the masks, and its cofaces its
-    upper covers, so no element is hashed.  `key` puts the highest
-    dimension first, then orders by vertex indices or by element index.
-    A certificate names a poset cell by its element: `name` and `vertex`
-    map an index back to it, and `cell` maps an element to its index
-    (None for a name that is no element, which is never live).
-    """
-
-    def __init__(self, X: SimplicialComplex | Poset):
-        self.cellular = isinstance(X, Poset)
-        if self.cellular:
-            self.poset = X
-            hs, down, up = X._height_list(), X._down, X._up
-            self.key = lambda j: (-hs[j], j)
-            self.facets = {}
-            for j, d in enumerate(down):
-                self.facets[j] = tuple(
-                    i for i in _bits(d & ~(1 << j))
-                    if d & up[i] == (1 << i) | (1 << j)
+    def __init__(self, K: SimplicialComplex):
+        vindex = K._vindex
+        self.key = lambda f: (-len(f), tuple(sorted(vindex[v] for v in f)))
+        faces = {f: f for f in K.all_faces()}
+        self.facets: dict = {}
+        for f in faces:
+            subs = ()
+            if len(f) > 1:
+                vs = sorted(f, key=vindex.__getitem__)
+                subs = tuple(
+                    faces[frozenset(vs[:i] + vs[i + 1 :])]
+                    for i in range(len(vs))
                 )
-        else:
-            vindex = self.vindex = X._vindex
-            self.key = lambda f: (-len(f), tuple(sorted(vindex[v] for v in f)))
-            faces = {f: f for f in X.all_faces()}
-            self.facets: dict = {}
-            for f in faces:
-                subs = ()
-                if len(f) > 1:
-                    vs = sorted(f, key=vindex.__getitem__)
-                    subs = tuple(
-                        faces[frozenset(vs[:i] + vs[i + 1 :])]
-                        for i in range(len(vs))
-                    )
-                self.facets[f] = subs
+            self.facets[f] = subs
         self.alive: set = set(self.facets)
         self.cofaces: dict = {f: set() for f in self.facets}
         for f, subs in self.facets.items():
             for sub in subs:
                 self.cofaces[sub].add(f)
 
-    # -- the certificate's names for cells --------------------------------
-
-    def name(self, cell) -> Hashable:
-        """A poset cell is named by its element, a simplex by its
-        vertices in vertex order."""
-        if self.cellular:
-            return self.poset.elements[cell]
-        return tuple(sorted(cell, key=self.vindex.__getitem__))
-
-    def cell(self, name: Hashable):
-        if self.cellular:
-            return self.poset._index.get(name)
-        return frozenset(name)
-
-    def vertex(self, cell) -> Hashable:
-        """The name of a minimal cell: its element, or the simplex's
-        vertex."""
-        if self.cellular:
-            return self.poset.elements[cell]
-        return next(iter(cell))
-
-    def certificate(self, steps) -> CollapseCertificate:
-        (last,) = self.alive
-        return CollapseCertificate(
-            tuple((self.name(s), self.name(t)) for s, t in steps),
-            self.vertex(last),
-        )
-
-    # -- reduction ----------------------------------------------------------
-
-    def is_connected(self) -> bool:
-        """Do the live cells form one component under the facet relation?"""
-        start = next(iter(self.alive))
-        seen, stack = {start}, [start]
-        while stack:
-            f = stack.pop()
-            for g in (*self.facets[f], *self.cofaces[f]):
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        return len(seen) == len(self.alive)
-
-    def is_free(self, sigma) -> bool:
-        cfs = self.cofaces.get(sigma)
-        if cfs is None or len(cfs) != 1 or sigma not in self.alive:
-            return False
-        (tau,) = cfs
-        return not self.cofaces[tau]
-
-    def free_faces(self) -> list:
-        return sorted((f for f in self.alive if self.is_free(f)), key=self.key)
-
     def remove_pair(self, sigma, tau) -> None:
         for f in (tau, sigma):
             self.alive.discard(f)
             for sub in self.facets[f]:
                 self.cofaces[sub].discard(f)
-
-    def restore_pair(self, sigma, tau) -> None:
-        for f in (sigma, tau):
-            self.alive.add(f)
-            for sub in self.facets[f]:
-                self.cofaces[sub].add(f)
-
-    def neighbors_to_recheck(self, sigma, tau) -> set:
-        out = set()
-        for f in (sigma, tau):
-            for sub in self.facets[f]:
-                if sub in self.alive:
-                    out.add(sub)
-                    for sub2 in self.facets[sub]:
-                        if sub2 in self.alive:
-                            out.add(sub2)
-        return out
 
     def live_facets(self, f) -> list:
         return [sub for sub in self.facets[f] if sub in self.alive]
@@ -1042,6 +950,253 @@ class _CollapseState:
                 queue.extend(self.cofaces[g])
 
 
+class _Cells:
+    """The cells of a poset or of a simplicial complex, with the cover
+    relation as masks: bit i of lc[j] (and bit j of uc[i]) is set when
+    cell i is a facet of cell j, a lower cover.  `hs` holds the heights
+    (dimensions, on a complex) and `levels[h]` the mask of the cells of
+    height h.  The collapse search and its replay run on this table,
+    restricted to a window: a mask of the cells they may use, with a
+    mask `alive` of the cells not yet removed.  No cell is hashed and
+    nothing is re-indexed, so one table serves every window of a poset.
+
+    On a poset the cells are the element indices.  On a complex they
+    are the nonempty faces, sorted by dimension and then by vertex
+    indices, and each is named by its vertices in vertex order.  Either
+    way the search key, the highest height first and then the lowest
+    index, is the order `find_collapse` documents.
+    """
+
+    __slots__ = ("names", "lc", "uc", "hs", "levels", "pure", "_index", "_simplicial")
+
+    def __init__(self, names, lc, uc, hs, levels, pure, index, simplicial):
+        self.names = names
+        self.lc = lc
+        self.uc = uc
+        self.hs = hs
+        self.levels = levels
+        self.pure = pure  # read on posets only: see `Poset.is_pure`
+        self._index = index
+        self._simplicial = simplicial
+
+    def cell(self, name):
+        """The index of the cell a certificate names (None for a name
+        that is no cell, which is never live)."""
+        return self._index.get(frozenset(name) if self._simplicial else name)
+
+    def vertex(self, k: int) -> Hashable:
+        """The name of a minimal cell: its element, or the vertex."""
+        return self.names[k][0] if self._simplicial else self.names[k]
+
+
+def _cell_table(X: SimplicialComplex | Poset) -> _Cells:
+    """The cells of X; a poset keeps its table, so every collapse and
+    every link of one poset reads the same masks."""
+    if not isinstance(X, Poset):
+        vindex = X._vindex
+        faces = sorted(
+            (tuple(sorted(f, key=vindex.__getitem__)) for f in X.all_faces()),
+            key=lambda f: (len(f), [vindex[v] for v in f]),
+        )
+        index = {frozenset(f): k for k, f in enumerate(faces)}
+        lc = [0] * len(faces)
+        uc = [0] * len(faces)
+        for k, f in enumerate(faces):
+            if len(f) > 1:
+                for i in range(len(f)):
+                    sub = index[frozenset(f[:i] + f[i + 1 :])]
+                    lc[k] |= 1 << sub
+                    uc[sub] |= 1 << k
+        hs = [len(f) - 1 for f in faces]
+        return _Cells(tuple(faces), lc, uc, hs, _levels(hs), None, index, True)
+    if X._cells is None:
+        hs = X._height_list()
+        down, up = X._down, X._up
+        n = len(down)
+        level = _levels(hs)
+        # graded lemma of `Poset.is_pure`: the elements one height below
+        # j are its lower covers exactly when their down-sets fill j's
+        lc = [0] * n
+        graded = True
+        for j in range(n):
+            below = down[j] ^ (1 << j)
+            if not below:
+                continue
+            near = below & level[hs[j] - 1]
+            reached = 0
+            for i in _bits(near):
+                reached |= down[i]
+            if reached != below:
+                graded = False
+                reached = 0
+                for i in _bits(below):
+                    reached |= down[i] ^ (1 << i)
+                near = below & ~reached
+            lc[j] = near
+        if graded:
+            top = len(level) - 1
+            uc = [up[i] & level[h + 1] if h < top else 0
+                  for i, h in enumerate(hs)]
+        else:
+            uc = [0] * n
+            for j, m in enumerate(lc):
+                for i in _bits(m):
+                    uc[i] |= 1 << j
+        pure = graded and len({hs[i] for i in range(n) if not uc[i]}) <= 1
+        X._cells = _Cells(X.elements, lc, uc, hs, level, pure, X._index, False)
+    return X._cells
+
+
+def _levels(hs: list[int]) -> list[int]:
+    """The mask of the cells of each height."""
+    out = [0] * (max(hs, default=-1) + 1)
+    for i, h in enumerate(hs):
+        out[h] |= 1 << i
+    return out
+
+
+def _connected(cells: _Cells, W: int) -> bool:
+    """Do the cells in W form one component under the cover relation?"""
+    lc, uc = cells.lc, cells.uc
+    seen = frontier = W & -W
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            f = low.bit_length() - 1
+            grown |= lc[f] | uc[f]
+            frontier ^= low
+        frontier = grown & W & ~seen
+        seen |= frontier
+    return seen == W
+
+
+def _free_cells(cells: _Cells, alive: int, among: int) -> int:
+    """The cells of `among` free in `alive`: live, with one live upper
+    cover, and that cover maximal among the live cells."""
+    uc = cells.uc
+    out = 0
+    m = among & alive
+    while m:
+        low = m & -m
+        c = uc[low.bit_length() - 1] & alive
+        if c and not c & (c - 1) and not uc[c.bit_length() - 1] & alive:
+            out |= low
+        m ^= low
+    return out
+
+
+def _in_key_order(cells: _Cells, mask: int) -> list[int]:
+    out = []
+    for level in reversed(cells.levels):
+        out.extend(_bits(mask & level))
+    return out
+
+
+def _search(cells: _Cells, W: int, budget: int):
+    """The collapse search of `find_collapse` on the cells in W:
+    (status, steps, nodes, search_complete, terminal), the steps index
+    pairs (None unless collapsed) and terminal the cell left.
+
+    The greedy keeps the free cells as a mask.  Removing (sigma, tau)
+    changes the live upper covers only of their live lower covers N,
+    and the maximality only of N's cells, so only N and the live lower
+    covers of N are tested again."""
+    lc, uc = cells.lc, cells.uc
+    levels = cells.levels[::-1]
+    alive = W
+    free = _free_cells(cells, alive, W)
+    steps = []
+    nodes = 0
+    while alive & (alive - 1) and free:
+        for level in levels:
+            m = free & level
+            if m:
+                break
+        if nodes >= budget:
+            return "exhausted", None, nodes, False, None
+        s = (m & -m).bit_length() - 1
+        c = uc[s] & alive
+        t = c.bit_length() - 1
+        alive ^= (1 << s) | c
+        steps.append((s, t))
+        nodes += 1
+        m = around = (lc[s] | lc[t]) & alive
+        while m:
+            low = m & -m
+            around |= lc[low.bit_length() - 1]
+            m ^= low
+        around &= alive
+        free = (free & alive & ~around) | _free_cells(cells, alive, around)
+    if alive.bit_count() == 1:
+        return "collapsed", steps, nodes, True, alive.bit_length() - 1
+
+    # greedy got stuck: undo it, then backtrack over free-cell choices
+    alive = W
+    steps = []
+    stack = [_in_key_order(cells, _free_cells(cells, alive, alive))]
+    while stack:
+        if alive.bit_count() == 1:
+            return "collapsed", steps, nodes, True, alive.bit_length() - 1
+        frame = stack[-1]
+        advanced = False
+        while frame:
+            s = frame.pop(0)
+            if not _free_cells(cells, alive, 1 << s):
+                continue
+            if nodes >= budget:
+                return "exhausted", None, nodes, False, None
+            c = uc[s] & alive
+            alive ^= (1 << s) | c
+            steps.append((s, c.bit_length() - 1))
+            nodes += 1
+            stack.append(_in_key_order(cells, _free_cells(cells, alive, alive)))
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+            if steps:
+                s, t = steps.pop()
+                alive |= (1 << s) | (1 << t)
+    return "exhausted", None, nodes, True, None
+
+
+def _replay(cells: _Cells, W: int, steps, terminal, names=None) -> None:
+    """Replay steps, index pairs (None for a name that is no cell), on
+    the cells in W.  Every step must remove a live sigma that is a
+    facet of tau, with tau maximal and sigma's only live coface, and
+    one cell must be left: `terminal`, an index, or with `names` (the
+    certificate's pairs) the name of that vertex.  Raises DomainError
+    naming the failing step."""
+    lc, uc = cells.lc, cells.uc
+    alive = W
+    count = 0
+    for i, (s, t) in enumerate(steps):
+        if s is None or t is None or not (alive >> s & alive >> t & 1):
+            fault = "{a!r} or {b!r} is not a live face"
+        elif not lc[t] >> s & 1:
+            fault = "{a!r} is not a facet of {b!r}"
+        elif uc[t] & alive:
+            fault = "{b!r} is not maximal"
+        elif uc[s] & alive != 1 << t:
+            fault = "{a!r} is not free"
+        else:
+            alive ^= (1 << s) | (1 << t)
+            count = i + 1
+            continue
+        a, b = names[i] if names is not None else (
+            cells.names[s], cells.names[t])
+        raise DomainError(f"collapse step {i}: " + fault.format(a=a, b=b))
+    left = alive.bit_length() - 1
+    if alive.bit_count() != 1 or (
+        cells.vertex(left) if names is not None else left
+    ) != terminal:
+        raise DomainError(
+            f"after {count} collapse steps: replay leaves "
+            f"{alive.bit_count()} faces, not the terminal vertex"
+        )
+
+
 def find_collapse(
     X: SimplicialComplex | Poset, budget: int = 10**6
 ) -> CollapseResult:
@@ -1054,10 +1209,11 @@ def find_collapse(
     live cell above sigma.
 
     Greedy: always take the least free face in `key` order, the highest
-    dimension first.  If the pure greedy descent gets stuck, it is undone
-    and a backtracking pass revisits the choices, spending at most
-    `budget` collapse steps overall.  Exhaustion is reported as such and
-    never as "not collapsible".
+    dimension first, then the lowest element index (on a complex: the
+    least vertex indices).  If the pure greedy descent gets stuck, it is
+    undone and a backtracking pass revisits the choices, spending at
+    most `budget` collapse steps overall.  Exhaustion is reported as
+    such and never as "not collapsible".
 
     On a poset the result means something only when the poset is the
     face poset of a PL regular cell complex.  `verify` relies on this for
@@ -1070,68 +1226,22 @@ def find_collapse(
     to PL topology, ch. 3); the manifold property is what the induction
     of `classify_links` certifies.
     """
-    state = _CollapseState(X)
-    if not state.alive:
+    cells = _cell_table(X)
+    W = (1 << len(cells.hs)) - 1
+    if not W:
         raise PreconditionError("collapse search needs a nonempty complex")
-    if not state.is_connected():
+    if not _connected(cells, W):
         raise PreconditionError(
             "complex is disconnected; it cannot collapse to one point"
         )
-    nodes = 0
-    steps = []
-    heap = [(state.key(f), f) for f in state.alive if state.is_free(f)]
-    heapq.heapify(heap)
-    while len(state.alive) > 1:
-        while heap and not state.is_free(heap[0][1]):
-            heapq.heappop(heap)
-        if not heap:
-            break
-        if nodes >= budget:
-            return CollapseResult("exhausted", None, nodes, False)
-        sigma = heapq.heappop(heap)[1]
-        (tau,) = state.cofaces[sigma]
-        state.remove_pair(sigma, tau)
-        steps.append((sigma, tau))
-        nodes += 1
-        for f in state.neighbors_to_recheck(sigma, tau):
-            if state.is_free(f):
-                heapq.heappush(heap, (state.key(f), f))
-    if len(state.alive) == 1:
-        return CollapseResult("collapsed", state.certificate(steps), nodes, True)
-
-    # greedy got stuck: undo it, then backtrack over free-face choices
-    for sigma, tau in reversed(steps):
-        state.restore_pair(sigma, tau)
-    steps = []
-    stack = [state.free_faces()]
-    while stack:
-        if len(state.alive) == 1:
-            return CollapseResult(
-                "collapsed", state.certificate(steps), nodes, True
-            )
-        frame = stack[-1]
-        advanced = False
-        while frame:
-            sigma = frame.pop(0)
-            if not state.is_free(sigma):
-                continue
-            if nodes >= budget:
-                return CollapseResult(
-                    "exhausted", None, nodes, search_complete=False
-                )
-            (tau,) = state.cofaces[sigma]
-            state.remove_pair(sigma, tau)
-            steps.append((sigma, tau))
-            nodes += 1
-            stack.append(state.free_faces())
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            if steps:
-                sigma, tau = steps.pop()
-                state.restore_pair(sigma, tau)
-    return CollapseResult("exhausted", None, nodes, search_complete=True)
+    status, steps, nodes, complete, last = _search(cells, W, budget)
+    if steps is None:
+        return CollapseResult(status, None, nodes, complete)
+    names = cells.names
+    cert = CollapseCertificate(
+        tuple((names[s], names[t]) for s, t in steps), cells.vertex(last)
+    )
+    return CollapseResult(status, cert, nodes, complete)
 
 
 def verify_collapse(
@@ -1142,25 +1252,9 @@ def verify_collapse(
     sigma that is one of tau's facets, with tau maximal and sigma's only
     live coface, and the replay must end at the terminal vertex.
     Raises DomainError naming the failing step on any defect."""
-    state = _CollapseState(X)
-    for i, (s, t) in enumerate(cert.steps):
-        sigma, tau = state.cell(s), state.cell(t)
-        if sigma not in state.alive or tau not in state.alive:
-            raise DomainError(
-                f"collapse step {i}: {s!r} or {t!r} is not a live face"
-            )
-        if sigma not in state.facets[tau]:
-            raise DomainError(f"collapse step {i}: {s!r} is not a facet of {t!r}")
-        if state.cofaces[tau]:
-            raise DomainError(f"collapse step {i}: {t!r} is not maximal")
-        if state.cofaces[sigma] != {tau}:
-            raise DomainError(f"collapse step {i}: {s!r} is not free")
-        state.remove_pair(sigma, tau)
-    if len(state.alive) != 1 or state.vertex(*state.alive) != cert.terminal:
-        raise DomainError(
-            f"after {len(cert.steps)} collapse steps: replay leaves "
-            f"{len(state.alive)} faces, not the terminal vertex"
-        )
+    cells = _cell_table(X)
+    steps = ((cells.cell(s), cells.cell(t)) for s, t in cert.steps)
+    _replay(cells, (1 << len(cells.hs)) - 1, steps, cert.terminal, cert.steps)
     return True
 
 
@@ -1266,12 +1360,31 @@ def verify_shelling(P: Poset, order: Sequence) -> ShellingReport:
 
 
 @dataclass(frozen=True)
+class LinkCertificate:
+    """The collapse that certifies an upper factor Q = P>x on P's own
+    cells (element indices of P).  For a closed Q, `top` is the maximal
+    cell removed first; `steps` then collapse the rest of Q to the cell
+    `terminal`.  The certificate of an empty Q has neither."""
+
+    top: int | None
+    steps: tuple[tuple[int, int], ...]
+    terminal: int | None
+
+
+_EMPTY_FACTOR = LinkCertificate(None, (), None)
+
+
+@dataclass(frozen=True)
 class LinkVerdict:
     vertex: Hashable
     kind: str  # "sphere-like" | "ball-like" | "other"
     certainty: str  # "certified" | "evidence-only" | "refuted"
     homology: HomologyTable
     notes: tuple[str, ...] = ()
+    # the upper factor's replayed certificate; None when it has none
+    certificate: LinkCertificate | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def to_json(self) -> dict:
         return {
@@ -1334,7 +1447,7 @@ def classify_links(P: Poset, budget: int = 10**6) -> LinkClassification:
     U_x = Delta(P>x) at dimension m = height(P) - height(x) - 1.  The
     precondition makes Q = P>x the face poset of a regular cell complex
     whose subdivision is U_x, so Q is certified on its own cells by
-    `find_collapse`, with no order complex:
+    the collapse search of `find_collapse`, with no order complex:
 
     * Q is closed when every cell of dimension m - 1 has exactly two
       upper covers (for m = 0: Q has two cells).  A closed Q is an
@@ -1342,98 +1455,140 @@ def classify_links(P: Poset, budget: int = 10**6) -> LinkClassification:
       PL m-balls glued along their common boundary.
     * Any other Q is an m-ball when Q collapses (Whitehead).
 
+    *Window lemma.*  Q is never re-indexed: the search runs on the
+    window W = up(x) minus x of P's own cell table.  On a pure P every
+    cover raises the height by one, so the heights in Q are P's heights
+    minus height(x) + 1, the cells of dimension m - 1 in Q are those of
+    P-height height(P) - 1 in W, and the maximal cells of Q those of
+    P-height height(P).  W is an up-set minus x, so the covers inside W
+    are P's covers, and Q lists its elements in P's order, so the
+    search key (the highest height first, then the lowest index) orders
+    W as it ordered the re-indexed Q: the search takes the same steps.
+
     Both need U_x to be a PL manifold, and this comes by induction down
     the heights.  The link of a vertex y of U_x is
     Delta((x, y)) * U_y, a sphere joined with a sphere or a ball once U_y
     is certified, so U_x is a PL m-manifold when every U_y above x is
-    certified.  A cell's label is therefore `certified` only when every
-    cell above it is; otherwise it is `evidence-only`.  The homology
-    reported is the link's, read off the certificate's sphere or point
-    by `HomologyTable.suspension`.
+    certified.  A cell's label is therefore `certified` only when its
+    certificate (`LinkCertificate`: the removed top for a closed Q and
+    the collapse steps) replays on W with the checks of
+    `verify_collapse`, and every cell above it is certified; otherwise
+    it is `evidence-only`.  The homology reported is the link's, read
+    off the certificate's sphere or point by `HomologyTable.suspension`.
 
-    Only when no collapse is found is U_x built, and its closed
+    Only when no certificate replays is U_x built, and its closed
     pseudomanifold test and homology decide between `refuted` (an exact
     invariant rules out both a sphere and a ball) and `evidence-only`.
     Vertices come in the order complex's vertex order.
     """
     if len(P) == 0:
         raise PreconditionError("link classification needs vertices")
-    if not P.is_pure():
+    cells = _cell_table(P)
+    if not cells.pure:
         raise PreconditionError("link classification is defined for pure posets")
-    d = P.height()
-    hs = P._height_list()
-    verdict = {}
+    hs = cells.hs
+    d = len(cells.levels) - 1
+    verdict = [None] * len(P)
     uncertified = 0  # mask of the cells labelled below `certified` so far
     for i in sorted(range(len(P)), key=hs.__getitem__, reverse=True):
-        x, k = P.elements[i], hs[i]
-        kind, certainty, h, notes = _upper_factor(
-            P.strictly_above(x), d - k - 1, budget
+        k = hs[i]
+        kind, certainty, h, notes, cert = _upper_factor(
+            P, cells, i, d - k - 1, budget
         )
         weak = P._up[i] & uncertified
         if weak and certainty == "certified":
-            y = P.elements[min(_bits(weak))]
+            y = P.elements[(weak & -weak).bit_length() - 1]
             certainty = "evidence-only"
             notes += [f"the cell {y} above is not certified"]
         if certainty != "certified":
             uncertified |= 1 << i
-        verdict[x] = LinkVerdict(
-            x, kind, certainty, h.suspension(k), tuple(notes)
+        verdict[i] = LinkVerdict(
+            P.elements[i], kind, certainty, h.suspension(k), tuple(notes),
+            cert,
         )
-    return LinkClassification(
-        tuple(verdict[x] for x in sorted(P.elements, key=_vkey))
-    )
+    order = sorted(range(len(P)), key=lambda i: _vkey(P.elements[i]))
+    return LinkClassification(tuple(verdict[i] for i in order))
 
 
 def _upper_factor(
-    Q: Poset, m: int, budget: int
-) -> tuple[str, str, HomologyTable, list[str]]:
-    """(kind, certainty, homology, notes) of U = Delta(Q) as an m-sphere
-    or m-ball, by the rules of `classify_links`, before the cells above
-    are consulted."""
-    if len(Q) == 0:
-        return "sphere-like", "certified", HomologyTable.sphere(-1), []
-    hs = Q._height_list()
+    P: Poset, cells: _Cells, i: int, m: int, budget: int
+) -> tuple[str, str, HomologyTable, list[str], LinkCertificate | None]:
+    """(kind, certainty, homology, notes, certificate) of U = Delta(P>x),
+    x = P.elements[i], as an m-sphere or m-ball, by the rules of
+    `classify_links`, before the cells above are consulted."""
+    W = P._up[i] ^ (1 << i)
+    if not W:
+        return "sphere-like", "certified", HomologyTable.sphere(-1), [], _EMPTY_FACTOR
     if m == 0:
-        closed = len(Q) == 2
+        closed = W.bit_count() == 2
     else:
+        uc = cells.uc
         closed = all(
-            len(Q.upper_covers(y)) == 2
-            for i, y in enumerate(Q.elements)
-            if hs[i] == m - 1
+            uc[y].bit_count() == 2 for y in _bits(W & cells.levels[-2])
         )
-    if closed:
-        top = Q.maximal_elements()[0]
-        res = _collapse(Q.subposet(y for y in Q if y != top), budget)
-        if res is not None:
-            steps = len(res.certificate.steps)
-            note = f"closed; collapsed in {steps} steps without {top}"
-            return "sphere-like", "certified", HomologyTable.sphere(m), [note]
-    else:
-        res = _collapse(Q, budget)
-        if res is not None:
-            note = f"collapsed in {len(res.certificate.steps)} steps"
-            return "ball-like", "certified", HomologyTable.point(m), [note]
+    cert = _certify_window(cells, W, closed, budget)
+    notes = []
+    if cert is not None:
+        failure = _replay_link(cells, W, closed, cert)
+        if failure is None:
+            if closed:
+                top = P.elements[cert.top]
+                note = f"closed; collapsed in {len(cert.steps)} steps without {top}"
+                return "sphere-like", "certified", HomologyTable.sphere(m), [note], cert
+            note = f"collapsed in {len(cert.steps)} steps"
+            return "ball-like", "certified", HomologyTable.point(m), [note], cert
+        notes.append(f"link certificate failed to replay: {failure}")
     # no certificate: exact invariants of U may still refute
-    U = order_complex(Q)
+    U = order_complex(P._induced(W))
     h = homology(U)
     if U.is_closed_pseudomanifold():
         if h.is_sphere(m):
-            return "sphere-like", "evidence-only", h, ["no collapse found"]
+            missing = notes or ["no collapse found"]
+            return "sphere-like", "evidence-only", h, missing, None
         note = f"homology {h.reduced_betti} is not a {m}-sphere"
-        return "other", "refuted", h, [note]
+        return "other", "refuted", h, notes + [note], None
     if h.is_ball():
-        return "ball-like", "evidence-only", h, ["no collapse found"]
+        return "ball-like", "evidence-only", h, notes or ["no collapse found"], None
     note = f"not a closed pseudomanifold; homology {h.reduced_betti} is not a ball"
-    return "other", "refuted", h, [note]
+    return "other", "refuted", h, notes + [note], None
 
 
-def _collapse(Q: Poset, budget: int) -> CollapseResult | None:
-    """The collapse `find_collapse` finds on Q, or None."""
-    try:
-        res = find_collapse(Q, budget=budget)
-    except PreconditionError:  # Q is disconnected
+def _certify_window(
+    cells: _Cells, W: int, closed: bool, budget: int
+) -> LinkCertificate | None:
+    """The collapse of the upper factor on the cells in W (without its
+    first maximal cell when it is closed), or None."""
+    top = None
+    if closed:
+        maximal = W & cells.levels[-1]
+        top = (maximal & -maximal).bit_length() - 1
+        W ^= 1 << top
+    if not W or not _connected(cells, W):
         return None
-    return res if res.collapsed else None
+    status, steps, _, _, last = _search(cells, W, budget)
+    if steps is None:
+        return None
+    return LinkCertificate(top, tuple(steps), last)
+
+
+def _replay_link(
+    cells: _Cells, W: int, closed: bool, cert: LinkCertificate
+) -> str | None:
+    """Why cert does not certify the upper factor on the cells in W, or
+    None when it replays: a closed factor must lose one maximal cell
+    first, and the steps must collapse the rest."""
+    if closed != (cert.top is not None):
+        return "a closed factor needs a removed top, an open one none"
+    if closed:
+        top = cert.top
+        if not (0 <= top < len(cells.hs) and W >> top & 1) or cells.uc[top] & W:
+            return f"cell {top} is not a maximal cell of the factor"
+        W ^= 1 << top
+    try:
+        _replay(cells, W, cert.steps, cert.terminal)
+    except DomainError as exc:
+        return str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,29 @@ They cross-check `_cocircuits`, the uniform early exit of
 and replayed on the order complex K = Delta(L++) and K's f-vector read
 from K, so it cross-checks `verify`, which collapses the cells of L++
 and counts the chains of L++.
+
+`CollapseState`, `find_collapse_by_state` and `verify_collapse_by_state`
+are the collapse search and its replay as they ran before the cell
+table: live cells, facets and cofaces in dicts and sets, free faces in
+a heap.  `classify_links_by_subposets` is the link classification as it
+ran then: every upper factor re-indexed by `Poset.strictly_above`, a
+second `subposet` without the top of a closed factor, a fresh state per
+collapse, and no replay.  They cross-check `find_collapse`,
+`verify_collapse` and `classify_links`, which run one mask kernel on
+windows of a poset's own cells.
+
+`TopePoset` (with `tope_poset` and `TopePoset.order_ideal`) is the tope
+poset the library exported before [D_X] was sorted on masks, with the
+sort key as a tuple of labels (`separation_key_by_labels`).
+`boundary_equivalence_by_deletion`, `check_bijection_by_vectors`,
+`shelling_of_DX_by_vectors`, `induced_shelling_by_vectors` and
+`star_checks_by_vectors` are the star checks as they ran before the
+tope table: per X, on sign vectors, with `delete`, composition and
+hashing, so `star_checks_by_vectors` cross-checks `verify._star_checks`
+dict for dict.
 """
 
+import heapq
 import itertools
 from collections import defaultdict
 from fractions import Fraction
@@ -106,7 +127,14 @@ from math import gcd
 from unittest import mock
 
 import omtop.verify
-from omtop.bounded import BijectionReport, CubeReport, InducedShelling
+from omtop.bounded import (
+    BijectionReport,
+    BoundaryEquivalenceReport,
+    CubeReport,
+    InducedShelling,
+    cube_isomorphism,
+    link_decomposition,
+)
 from omtop.errors import (
     DimensionError,
     DomainError,
@@ -119,7 +147,6 @@ from omtop.matroid import (
     CovectorSet,
     _pairs_below,
     _unmet_eliminations,
-    tope_poset,
     topes,
 )
 from omtop.realization import (
@@ -131,12 +158,16 @@ from omtop.realization import (
 )
 from omtop.signvec import Sign, SignVector, _bits
 from omtop.topology import (
+    CollapseCertificate,
+    CollapseResult,
     HomologyTable,
     LinkClassification,
     LinkVerdict,
+    Poset,
     ShellingReport,
     SimplicialComplex,
     _poset_is_simplicial,
+    _vkey,
     find_collapse,
     homology,
     order_complex,
@@ -1290,3 +1321,550 @@ def induced_shelling_by_scan(M, X, dx_order=None) -> InducedShelling:
     if first is None:
         raise PreconditionError(f"D_X is empty for X = {star.X}")
     return first
+
+
+# ---------------------------------------------------------------------------
+# tope posets
+# ---------------------------------------------------------------------------
+
+
+def _separation(base: SignVector, t: SignVector) -> int:
+    """The mask of the coordinates where base and t have opposite signs."""
+    return (base._pos & t._neg) | (base._neg & t._pos)
+
+
+def separation_key_by_labels(ground, sep: int):
+    """`TopePoset.sort_key` of the tope whose separation mask from the
+    base is sep: the size, then the sorted labels, as a tuple."""
+    labels = tuple(sorted(ground.labels[i] for i in _bits(sep)))
+    return (sep.bit_count(), labels)
+
+
+class TopePoset:
+    """Topes ordered by containment of separation sets from a base tope."""
+
+    __slots__ = ("ground", "base", "topes", "_sep", "_poset")
+
+    def __init__(self, L: CovectorSet, base: SignVector):
+        ts = topes(L)
+        if base not in ts:
+            raise MembershipError(f"{base} is not a tope")
+        self.ground = L.ground
+        self.base = base
+        self.topes = tuple(sorted(ts, key=str))
+        self._sep = {t: _separation(base, t) for t in self.topes}
+        self._poset = None
+
+    def __len__(self) -> int:
+        return len(self.topes)
+
+    def less_equal(self, t1: SignVector, t2: SignVector) -> bool:
+        s1, s2 = self._sep[t1], self._sep[t2]
+        return (s1 & ~s2) == 0
+
+    def as_poset(self):
+        if self._poset is None:
+            self._poset = Poset(self.topes, self.less_equal)
+        return self._poset
+
+    def sort_key(self, t: SignVector):
+        """Deterministic extension key: separation-set size, then the
+        sorted separation labels."""
+        return separation_key_by_labels(self.ground, self._sep[t])
+
+    def linear_extension(self) -> list[SignVector]:
+        """Deterministic linear extension by sort_key.  Size order alone
+        already refines the poset order, so sorting is a valid
+        extension."""
+        return sorted(self.topes, key=self.sort_key)
+
+    def random_linear_extension(self, rng) -> list[SignVector]:
+        return self.as_poset().random_linear_extension(rng)
+
+    def order_ideal(self, members) -> bool:
+        """Is the given tope subset downward closed?"""
+        ms = set(members)
+        return all(
+            (a in ms) or (b not in ms)
+            for a in self.topes
+            for b in self.topes
+            if self.less_equal(a, b)
+        )
+
+
+def tope_poset(L: CovectorSet, base: SignVector) -> TopePoset:
+    return TopePoset(L, base)
+
+
+# ---------------------------------------------------------------------------
+# the collapse search on a state of live cells, and links on sub-posets
+# ---------------------------------------------------------------------------
+
+
+class CollapseState:
+    """The live cells of a simplicial complex or of a poset, with their
+    facets and live cofaces, in dicts and sets.  On a complex the cells
+    are the nonempty faces, and facets[f][i] omits the i-th vertex of f
+    in vertex order.  On a poset the cells are element indices and the
+    facets of j its lower covers, the i with down[j] & up[i] = {i, j}.
+    `key` puts the highest dimension first, then orders by vertex
+    indices or by element index."""
+
+    def __init__(self, X):
+        self.cellular = isinstance(X, Poset)
+        if self.cellular:
+            self.poset = X
+            hs, down, up = X._height_list(), X._down, X._up
+            self.key = lambda j: (-hs[j], j)
+            self.facets = {}
+            for j, d in enumerate(down):
+                self.facets[j] = tuple(
+                    i for i in _bits(d & ~(1 << j))
+                    if d & up[i] == (1 << i) | (1 << j)
+                )
+        else:
+            vindex = self.vindex = X._vindex
+            self.key = lambda f: (-len(f), tuple(sorted(vindex[v] for v in f)))
+            faces = {f: f for f in X.all_faces()}
+            self.facets = {}
+            for f in faces:
+                subs = ()
+                if len(f) > 1:
+                    vs = sorted(f, key=vindex.__getitem__)
+                    subs = tuple(
+                        faces[frozenset(vs[:i] + vs[i + 1:])]
+                        for i in range(len(vs))
+                    )
+                self.facets[f] = subs
+        self.alive = set(self.facets)
+        self.cofaces = {f: set() for f in self.facets}
+        for f, subs in self.facets.items():
+            for sub in subs:
+                self.cofaces[sub].add(f)
+
+    def name(self, cell):
+        if self.cellular:
+            return self.poset.elements[cell]
+        return tuple(sorted(cell, key=self.vindex.__getitem__))
+
+    def cell(self, name):
+        if self.cellular:
+            return self.poset._index.get(name)
+        return frozenset(name)
+
+    def vertex(self, cell):
+        if self.cellular:
+            return self.poset.elements[cell]
+        return next(iter(cell))
+
+    def certificate(self, steps) -> CollapseCertificate:
+        (last,) = self.alive
+        return CollapseCertificate(
+            tuple((self.name(s), self.name(t)) for s, t in steps),
+            self.vertex(last),
+        )
+
+    def is_connected(self) -> bool:
+        start = next(iter(self.alive))
+        seen, stack = {start}, [start]
+        while stack:
+            f = stack.pop()
+            for g in (*self.facets[f], *self.cofaces[f]):
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+        return len(seen) == len(self.alive)
+
+    def is_free(self, sigma) -> bool:
+        cfs = self.cofaces.get(sigma)
+        if cfs is None or len(cfs) != 1 or sigma not in self.alive:
+            return False
+        (tau,) = cfs
+        return not self.cofaces[tau]
+
+    def free_faces(self) -> list:
+        return sorted((f for f in self.alive if self.is_free(f)), key=self.key)
+
+    def remove_pair(self, sigma, tau) -> None:
+        for f in (tau, sigma):
+            self.alive.discard(f)
+            for sub in self.facets[f]:
+                self.cofaces[sub].discard(f)
+
+    def restore_pair(self, sigma, tau) -> None:
+        for f in (sigma, tau):
+            self.alive.add(f)
+            for sub in self.facets[f]:
+                self.cofaces[sub].add(f)
+
+    def neighbors_to_recheck(self, sigma, tau) -> set:
+        out = set()
+        for f in (sigma, tau):
+            for sub in self.facets[f]:
+                if sub in self.alive:
+                    out.add(sub)
+                    for sub2 in self.facets[sub]:
+                        if sub2 in self.alive:
+                            out.add(sub2)
+        return out
+
+
+def find_collapse_by_state(X, budget: int = 10**6) -> CollapseResult:
+    """`find_collapse(X, budget)` on a `CollapseState`, with a heap of
+    free faces keyed by `CollapseState.key`."""
+    state = CollapseState(X)
+    if not state.alive:
+        raise PreconditionError("collapse search needs a nonempty complex")
+    if not state.is_connected():
+        raise PreconditionError(
+            "complex is disconnected; it cannot collapse to one point"
+        )
+    nodes = 0
+    steps = []
+    heap = [(state.key(f), f) for f in state.alive if state.is_free(f)]
+    heapq.heapify(heap)
+    while len(state.alive) > 1:
+        while heap and not state.is_free(heap[0][1]):
+            heapq.heappop(heap)
+        if not heap:
+            break
+        if nodes >= budget:
+            return CollapseResult("exhausted", None, nodes, False)
+        sigma = heapq.heappop(heap)[1]
+        (tau,) = state.cofaces[sigma]
+        state.remove_pair(sigma, tau)
+        steps.append((sigma, tau))
+        nodes += 1
+        for f in state.neighbors_to_recheck(sigma, tau):
+            if state.is_free(f):
+                heapq.heappush(heap, (state.key(f), f))
+    if len(state.alive) == 1:
+        return CollapseResult("collapsed", state.certificate(steps), nodes, True)
+    for sigma, tau in reversed(steps):
+        state.restore_pair(sigma, tau)
+    steps = []
+    stack = [state.free_faces()]
+    while stack:
+        if len(state.alive) == 1:
+            return CollapseResult(
+                "collapsed", state.certificate(steps), nodes, True
+            )
+        frame = stack[-1]
+        advanced = False
+        while frame:
+            sigma = frame.pop(0)
+            if not state.is_free(sigma):
+                continue
+            if nodes >= budget:
+                return CollapseResult("exhausted", None, nodes, False)
+            (tau,) = state.cofaces[sigma]
+            state.remove_pair(sigma, tau)
+            steps.append((sigma, tau))
+            nodes += 1
+            stack.append(state.free_faces())
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+            if steps:
+                sigma, tau = steps.pop()
+                state.restore_pair(sigma, tau)
+    return CollapseResult("exhausted", None, nodes, True)
+
+
+def verify_collapse_by_state(X, cert: CollapseCertificate) -> bool:
+    """`verify_collapse(X, cert)` on a `CollapseState`."""
+    state = CollapseState(X)
+    for i, (s, t) in enumerate(cert.steps):
+        sigma, tau = state.cell(s), state.cell(t)
+        if sigma not in state.alive or tau not in state.alive:
+            raise DomainError(
+                f"collapse step {i}: {s!r} or {t!r} is not a live face"
+            )
+        if sigma not in state.facets[tau]:
+            raise DomainError(f"collapse step {i}: {s!r} is not a facet of {t!r}")
+        if state.cofaces[tau]:
+            raise DomainError(f"collapse step {i}: {t!r} is not maximal")
+        if state.cofaces[sigma] != {tau}:
+            raise DomainError(f"collapse step {i}: {s!r} is not free")
+        state.remove_pair(sigma, tau)
+    if len(state.alive) != 1 or state.vertex(*state.alive) != cert.terminal:
+        raise DomainError(
+            f"after {len(cert.steps)} collapse steps: replay leaves "
+            f"{len(state.alive)} faces, not the terminal vertex"
+        )
+    return True
+
+
+def classify_links_by_subposets(P, budget: int = 10**6) -> LinkClassification:
+    """`classify_links(P, budget)` with each upper factor re-indexed as
+    the sub-poset `P.strictly_above(x)` (and a second `subposet` without
+    the top of a closed factor) and collapsed on a fresh
+    `CollapseState`; its collapse is not replayed."""
+    if len(P) == 0:
+        raise PreconditionError("link classification needs vertices")
+    if not P.is_pure():
+        raise PreconditionError("link classification is defined for pure posets")
+    d = P.height()
+    hs = P._height_list()
+    verdict = {}
+    uncertified = 0
+    for i in sorted(range(len(P)), key=hs.__getitem__, reverse=True):
+        x, k = P.elements[i], hs[i]
+        kind, certainty, h, notes = _upper_factor_by_subposet(
+            P.strictly_above(x), d - k - 1, budget
+        )
+        weak = P._up[i] & uncertified
+        if weak and certainty == "certified":
+            y = P.elements[min(_bits(weak))]
+            certainty = "evidence-only"
+            notes += [f"the cell {y} above is not certified"]
+        if certainty != "certified":
+            uncertified |= 1 << i
+        verdict[x] = LinkVerdict(
+            x, kind, certainty, h.suspension(k), tuple(notes)
+        )
+    return LinkClassification(
+        tuple(verdict[x] for x in sorted(P.elements, key=_vkey))
+    )
+
+
+def _upper_factor_by_subposet(Q, m: int, budget: int):
+    if len(Q) == 0:
+        return "sphere-like", "certified", HomologyTable.sphere(-1), []
+    hs = Q._height_list()
+    if m == 0:
+        closed = len(Q) == 2
+    else:
+        closed = all(
+            len(Q.upper_covers(y)) == 2
+            for i, y in enumerate(Q.elements)
+            if hs[i] == m - 1
+        )
+    if closed:
+        top = Q.maximal_elements()[0]
+        res = _collapse_or_none(Q.subposet(y for y in Q if y != top), budget)
+        if res is not None:
+            steps = len(res.certificate.steps)
+            note = f"closed; collapsed in {steps} steps without {top}"
+            return "sphere-like", "certified", HomologyTable.sphere(m), [note]
+    else:
+        res = _collapse_or_none(Q, budget)
+        if res is not None:
+            note = f"collapsed in {len(res.certificate.steps)} steps"
+            return "ball-like", "certified", HomologyTable.point(m), [note]
+    U = order_complex(Q)
+    h = homology(U)
+    if U.is_closed_pseudomanifold():
+        if h.is_sphere(m):
+            return "sphere-like", "evidence-only", h, ["no collapse found"]
+        note = f"homology {h.reduced_betti} is not a {m}-sphere"
+        return "other", "refuted", h, [note]
+    if h.is_ball():
+        return "ball-like", "evidence-only", h, ["no collapse found"]
+    note = f"not a closed pseudomanifold; homology {h.reduced_betti} is not a ball"
+    return "other", "refuted", h, [note]
+
+
+def _collapse_or_none(Q, budget: int):
+    try:
+        res = find_collapse_by_state(Q, budget=budget)
+    except PreconditionError:
+        return None
+    return res if res.collapsed else None
+
+
+# ---------------------------------------------------------------------------
+# the star checks on sign vectors, per X
+# ---------------------------------------------------------------------------
+
+
+def boundary_equivalence_by_deletion(M) -> BoundaryEquivalenceReport:
+    """`boundary_equivalence(M)` by deleting g from every covector of
+    L+ and looking the result up in L/g."""
+    gi = M.g_index
+    bc = M.bounded_complex()
+    cg = M.contraction()
+    checked = 0
+    witnesses = []
+    for x in M.om:
+        if x.sign(gi) is not Sign.PLUS:
+            continue
+        xg = x.delete([gi])
+        if xg.is_zero:
+            continue
+        checked += 1
+        if (xg in cg) == (x in bc):
+            witnesses.append(x)
+    return BoundaryEquivalenceReport(checked=checked, witnesses=tuple(witnesses))
+
+
+def check_bijection_by_vectors(M, X) -> BijectionReport:
+    """`check_bijection(M, X)` tope by tope on the star's sign vectors."""
+    star = M.star(X)
+    problems = []
+    dset = set(star.D_X)
+    pairs = tuple((t, star.restrict(t)) for t in star.C_X)
+    for t, rt in pairs:
+        if rt not in dset:
+            problems.append(f"r({t}) = {rt} is not in D_X")
+    for d in sorted(dset - {rt for _, rt in pairs}, key=str):
+        problems.append(f"{d} in D_X has no preimage under r")
+        h = star.lift(d)
+        if h not in star.om.om:
+            problems.append(f"h({d}) = {h} is not even a covector")
+    return BijectionReport(X=star.X, pairs=pairs, problems=tuple(problems))
+
+
+def shelling_of_DX_by_vectors(M, X, B=None) -> list:
+    """`shelling_of_DX(M, X, B)` on sign vectors, sorted by the tuple key
+    `separation_key_by_labels`."""
+    star = M.star(X)
+    if not star.D_X:
+        raise PreconditionError(f"D_X is empty for X = {star.X}")
+    if B is None:
+        B = min(star.D_X, key=str)
+    if B not in star.D_X:
+        raise MembershipError(f"base tope {B} is not in D_X")
+    xg = star.restrict(star.X)
+    S = xg._pos | xg._neg
+    partial = [
+        (_separation(B, s), s)
+        for s in sorted(topes(star.contraction), key=str)
+        if (s._pos | s._neg) & S != S
+    ]
+    dset = set(star.D_X)
+    for t in star.D_X:
+        sep_t = _separation(B, t)
+        for sep_s, s in partial:
+            if not sep_s & ~sep_t and s not in dset:
+                raise OmtopError(
+                    f"D_X is not an order ideal of T(L/g, {B}): "
+                    f"{s} <= {t} but {s} is missing; the input is "
+                    "not an affine oriented matroid"
+                )
+    ground = star.contraction.ground
+    return sorted(
+        star.D_X,
+        key=lambda t: separation_key_by_labels(ground, _separation(B, t)),
+    )
+
+
+def induced_shelling_by_vectors(M, X) -> InducedShelling:
+    """`induced_shelling_of_CX(M, X)` on sign vectors: each base's
+    [D_X] order from `shelling_of_DX_by_vectors`, lifted by h, and the
+    flips taken on the lifted topes."""
+    star = M.star(X)
+    order = star.om.om.order()
+    size = len(order.up_set(star.X))
+    zeros = len(star.X.zero_set())
+    cube = None
+    if size != 3 ** zeros:
+        cube = (
+            f"L_>=X is not the sign cube on z(X): |L_>=X| = {size}, "
+            f"expected 3^{zeros} = {3 ** zeros}"
+        )
+    cx = set(star.C_X)
+    first = None
+    for B in star.D_X:
+        dx = shelling_of_DX_by_vectors(M, X, B)
+        problems = []
+        lifted = []
+        for d in dx:
+            c = star.lift(d)
+            lifted.append(c)
+            if c not in cx:
+                problems.append(f"h({d}) = {c} is not in C_X")
+        if not problems and len(set(lifted)) != len(cx):
+            problems.append(
+                f"h(D_X) covers {len(set(lifted))} of the "
+                f"{len(cx)} topes of C_X"
+            )
+        if cube is not None:
+            problems.append(cube)
+        report = None
+        if not problems:
+            failures = []
+            for j, cj in enumerate(lifted):
+                seps = [_separation(c, cj) for c in lifted[:j]]
+                flips = 0
+                for s in seps:
+                    if len(list(_bits(s))) == 1:
+                        flips |= s
+                failures.extend(
+                    (i, j) for i, s in enumerate(seps) if not s & flips
+                )
+            report = ShellingReport(
+                ok=not failures, mode="simplicial", failures=tuple(failures)
+            )
+        cand = InducedShelling(
+            X=star.X, dx_order=tuple(dx), order=tuple(lifted),
+            report=report, problems=tuple(problems),
+        )
+        if cand.ok:
+            return cand
+        if first is None:
+            first = cand
+    if first is None:
+        raise PreconditionError(f"D_X is empty for X = {star.X}")
+    return first
+
+
+def star_checks_by_vectors(M, bc) -> dict:
+    """`verify._star_checks(M, bc)` with each check made per X on sign
+    vectors: boundary equivalence by deletion, the bijection tope by
+    tope, [D_X] sorted by label tuples, the lifts by composition."""
+    gi = M.g_index
+    per_x = []
+    failures = []
+    notes = []
+    be = boundary_equivalence_by_deletion(M)
+    if not be.ok:
+        failures.append(
+            f"boundary equivalence fails at {len(be.witnesses)} covectors"
+        )
+    for x in bc:
+        entry = {"X": str(x)}
+        cube = cube_isomorphism(M.om, x)
+        entry["cube_ok"] = cube.ok
+        entry["cube_size"] = cube.actual_size
+        if not cube.ok:
+            failures.append(f"cube check fails at {x}")
+        if x.delete([gi]).is_zero:
+            entry["star"] = "degenerate"
+            per_x.append(entry)
+            continue
+        star = M.star(x)
+        bij = check_bijection_by_vectors(M, x)
+        entry["c_size"] = len(star.C_X)
+        entry["bijection_ok"] = bij.ok
+        if not bij.ok:
+            failures.append(f"restriction bijection fails at {x}")
+        ld = link_decomposition(M, x)
+        entry["case"] = ld.case
+        if ld.case == "proper" and bij.pairs:
+            ind = induced_shelling_by_vectors(M, x)
+            entry["dx_order"] = [str(t) for t in ind.dx_order]
+            entry["cx_order"] = [str(t) for t in ind.order]
+            entry["shelling_ok"] = ind.ok
+            entry["shelling_mode"] = (
+                ind.report.mode if ind.report is not None else None
+            )
+            if not ind.ok:
+                notes.append(
+                    f"no lifted order of a [D_X] shelling shells [C_X] at {x}"
+                )
+        per_x.append(entry)
+    out = {
+        "skipped": False,
+        "boundary_equivalence": {
+            "ok": be.ok,
+            "checked": be.checked,
+            "witnesses": [str(w) for w in be.witnesses],
+        },
+        "per_x": per_x,
+        "failures": failures,
+    }
+    if notes:
+        out["notes"] = notes
+    return out

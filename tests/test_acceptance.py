@@ -16,7 +16,6 @@ from omtop.generate import generate_arrangement
 from omtop.matroid import (
     CovectorSet,
     atoms,
-    tope_poset,
     topes,
     verify_covector_axioms,
 )
@@ -36,6 +35,7 @@ from omtop.topology import (
     verify_shelling,
 )
 from omtop.verify import verify_arrangement
+from oracles import tope_poset
 
 # -- the seeded corpus (criteria 2, 3, 5) -----------------------------------
 

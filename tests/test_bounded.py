@@ -25,6 +25,7 @@ from oracles import (
     restriction_scans,
     shelling_of_DX_by_scan,
     star_topes_by_scan,
+    tope_poset,
 )
 from omtop.bounded import (
     AffineOM,
@@ -47,7 +48,7 @@ from omtop.errors import (
     PreconditionError,
 )
 from omtop.generate import generate_arrangement
-from omtop.matroid import CovectorSet, tope_poset
+from omtop.matroid import CovectorSet
 from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
 from omtop.topology import SimplicialComplex, face_poset, verify_shelling

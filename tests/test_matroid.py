@@ -35,7 +35,6 @@ from omtop.matroid import (
     format_covector_file,
     is_uniform,
     parse_covector_file,
-    tope_poset,
     topes,
     verify_covector_axioms,
 )
@@ -48,6 +47,7 @@ from oracles import (
     pairwise_witnesses,
     restriction_l2_witnesses,
     scan_axioms,
+    tope_poset,
 )
 
 S = SignVector.from_string

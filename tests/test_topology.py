@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from omtop.errors import DomainError, MembershipError, PreconditionError
 from omtop.topology import (
     CollapseCertificate,
+    CollapseResult,
     HomologyTable,
+    LinkCertificate,
     Poset,
     SimplicialComplex,
     classify_links,
@@ -90,7 +92,14 @@ class TestHeightsByLevels:
                 assert Q._height_list() == heights_by_max(Q)
 
     def test_every_poset_built_verifying_640(self, monkeypatch):
+        # verify builds two posets: L's order and L++.  The star checks
+        # read the topes of L/g off L's order, and the links run on
+        # windows of L++'s cell table, so the per-link sub-posets are
+        # built only by the oracle that re-indexes every upper factor,
+        # which keeps `_induced` covered
+        from omtop.bounded import AffineOM
         from omtop.generate import generate_arrangement
+        from omtop.realization import enumerate_covectors, homogenize
         from omtop.verify import verify_arrangement
 
         built = []
@@ -105,15 +114,24 @@ class TestHeightsByLevels:
             built.append(sub)
             return sub
 
+        A = generate_arrangement(6, 4, seed=0)
+        M = AffineOM(enumerate_covectors(homogenize(A)))
+        sizes = [len(M.om), len(M.bounded_complex())]
         monkeypatch.setattr(Poset, "_set", record_set)
         monkeypatch.setattr(Poset, "_induced", record_induced)
-        rep = verify_arrangement(generate_arrangement(6, 4, seed=0))
+        rep = verify_arrangement(A)
         assert rep.verdict == "ball-certified"
+        assert sorted(map(len, built)) == sorted(sizes)
+        (P,) = [Q for Q in built if len(Q) == sizes[1]]
+        assert len(P) == 129
+        del built[:]
+        assert oracles.classify_links_by_subposets(P) == classify_links(P)
         assert len(built) > 100
+        built += [M.om.order(), M.contraction().order()]
         assert max(map(len, built)) > 1000
-        for P in built:
-            assert P._up == transposed_up_sets(P._down)
-            assert P._height_list() == heights_by_max(P)
+        for Q in built:
+            assert Q._up == transposed_up_sets(Q._down)
+            assert Q._height_list() == heights_by_max(Q)
 
 
 class TestPoset:
@@ -901,6 +919,19 @@ LINK_COMPLEXES = {
 }
 
 
+def _counting(monkeypatch, owner, name) -> list:
+    """Record the positional arguments of every call of owner.name."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def _record_homology(monkeypatch) -> dict:
     """Record every `homology` and `order_complex` call that
     `classify_links` makes."""
@@ -956,26 +987,25 @@ class TestClassifyLinks:
         assert calls == {"homology": [], "order_complex": []}
 
     def test_one_state_per_ball_like_link(self, monkeypatch):
-        # each upper factor is reduced once, on its cells: one collapse
-        # state per cell with cells above it, none on a simplicial complex
+        # each upper factor is collapsed once, on a window of the poset's
+        # own cell table: one window collapse per cell with cells above
+        # it, none on a simplicial complex, and no sub-poset is built
+        # for a certified link
         import omtop.topology as topology
 
         P = face_poset(LINK_COMPLEXES["solid triangle"])
-        Q = P.strictly_above(frozenset({1}))
-        built = []
-        real_init = topology._CollapseState.__init__
-
-        def counting(self, X):
-            built.append(X)
-            real_init(self, X)
-
-        monkeypatch.setattr(topology._CollapseState, "__init__", counting)
+        calls = _counting(monkeypatch, topology, "_certify_window")
+        induced = _counting(monkeypatch, Poset, "_induced")
         res = classify_links(P)
         (link,) = [v for v in res.verdicts if v.vertex == frozenset({1})]
         assert (link.kind, link.certainty) == ("ball-like", "certified")
-        assert len(built) == len(P) - len(P.maximal_elements())
-        assert all(isinstance(X, Poset) for X in built)
-        assert sum(X.elements == Q.elements for X in built) == 1
+        assert res.all_certified
+        assert len(calls) == len(P) - len(P.maximal_elements())
+        assert all(cells is P._cells for cells, *_ in calls)
+        assert not any(cells._simplicial for cells, *_ in calls)
+        i = P.index(frozenset({1}))
+        assert sum(W == P._up[i] ^ (1 << i) for _, W, *_ in calls) == 1
+        assert induced == []
 
     def test_path_graph(self):
         res = classify_links(face_poset(LINK_COMPLEXES["path"]))
@@ -1159,3 +1189,206 @@ class TestLinkInduction:
         steps = cert.steps[1:] + cert.steps[:1]
         with pytest.raises(DomainError):
             verify_collapse(rest, CollapseCertificate(steps, cert.terminal))
+
+
+_BUDGETS = st.sampled_from([0, 1, 3, 1000])
+
+
+class TestCollapseAgainstState:
+    """The collapse search on masks of a cell table against the search
+    on a dict-and-set state that it replaced
+    (`oracles.find_collapse_by_state`): whole results, certificates and
+    node counts included, or the same exception with the same text."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 10**6])
+    @pytest.mark.parametrize("name", sorted(LINK_COMPLEXES))
+    def test_link_complexes(self, name, budget):
+        K = LINK_COMPLEXES[name]
+        for X in (K, face_poset(K), order_complex(face_poset(K))):
+            got = _outcome(find_collapse, X, budget)
+            assert got == _outcome(oracles.find_collapse_by_state, X, budget)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(posets(), _BUDGETS)
+    def test_random_posets(self, P, budget):
+        got = _outcome(find_collapse, P, budget)
+        assert got == _outcome(oracles.find_collapse_by_state, P, budget)
+        if isinstance(got, CollapseResult) and got.collapsed:
+            assert verify_collapse(P, got.certificate)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=7), _BUDGETS)
+    def test_random_complexes(self, facets, budget):
+        K = SimplicialComplex(facets)
+        for X in (K, face_poset(K)):
+            got = _outcome(find_collapse, X, budget)
+            assert got == _outcome(oracles.find_collapse_by_state, X, budget)
+
+    def test_corrupted_certificates_fail_with_the_same_text(self):
+        P = face_poset(SimplicialComplex([[1, 2, 3], [2, 3, 4]]))
+        K = SimplicialComplex([[1, 2, 3], [2, 3, 4]])
+        for X in (P, K):
+            cert = find_collapse(X).certificate
+            steps = list(cert.steps)
+            bad = [
+                steps[1:] + steps[:1],
+                [(t, s) for s, t in steps[:1]] + steps[1:],
+                steps + steps[:1],
+                steps[:-1],
+                [(steps[0][0], "nope")] + steps[1:],
+            ]
+            for b in bad:
+                c = CollapseCertificate(tuple(b), cert.terminal)
+                got = _outcome(verify_collapse, X, c)
+                assert got == _outcome(oracles.verify_collapse_by_state, X, c)
+                assert got[0] is DomainError
+            other = CollapseCertificate(cert.steps, "elsewhere")
+            assert _outcome(verify_collapse, X, other) == _outcome(
+                oracles.verify_collapse_by_state, X, other
+            )
+
+
+class TestLinksAgainstSubposets:
+    """`classify_links` on windows of P's own cell table against the
+    classification that re-indexes every upper factor as a sub-poset
+    and collapses it on a fresh state
+    (`oracles.classify_links_by_subposets`): equal `to_json()`, or the
+    same exception with the same text."""
+
+    @staticmethod
+    def both(P, budget):
+        def new():
+            return classify_links(P, budget).to_json()
+
+        def old():
+            return oracles.classify_links_by_subposets(P, budget).to_json()
+
+        return _outcome(new), _outcome(old)
+
+    @pytest.mark.parametrize("budget", [0, 1, 10**6])
+    @pytest.mark.parametrize("name", sorted(LINK_COMPLEXES))
+    def test_link_complexes(self, name, budget):
+        got, want = self.both(face_poset(LINK_COMPLEXES[name]), budget)
+        assert got == want
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(graded_posets(), _BUDGETS)
+    def test_random_face_posets(self, case, budget):
+        P, _ = case
+        got, want = self.both(P, budget)
+        assert got == want
+
+    def test_every_certified_link_carries_its_certificate(self):
+        for K in LINK_COMPLEXES.values():
+            P = face_poset(K)
+            for v in classify_links(P).verdicts:
+                assert (v.certificate is None) == (
+                    v.certainty != "certified"
+                    and not v.notes[-1].startswith("the cell ")
+                )
+                if v.certificate is not None:
+                    assert _replays_on_the_factor(P, v.vertex, v.certificate)
+
+
+def _replays_on_the_factor(P, x, cert) -> bool:
+    """A link certificate replayed by the oracle's state on the
+    re-indexed factor P>x (minus the removed top)."""
+    i = P.index(x)
+    W = P._up[i] ^ (1 << i)
+    if cert.top is not None:
+        assert P._up[cert.top] & W == 1 << cert.top  # a maximal cell
+        W ^= 1 << cert.top
+    if not W:
+        return cert.steps == () and cert.terminal is None
+    names = P.elements
+    return oracles.verify_collapse_by_state(P._induced(W), CollapseCertificate(
+        tuple((names[s], names[t]) for s, t in cert.steps),
+        names[cert.terminal],
+    ))
+
+
+class TestLinkCertificateReplay:
+    """A link is `certified` only when its certificate replays on the
+    window: a swapped pair, a step out of order or a wrong removed top
+    leaves the link `evidence-only`, with the failed replay named, and
+    every cell below it `evidence-only` too."""
+
+    @staticmethod
+    def check(monkeypatch, P, how):
+        import omtop.topology as topology
+
+        honest = classify_links(P)
+        assert honest.all_certified
+        real = topology._certify_window
+        changed = set()
+
+        def corrupted(cells, W, closed, budget):
+            cert = real(cells, W, closed, budget)
+            bad = how(cells, W, cert) if cert is not None and cert.steps else None
+            if bad is None:
+                return cert
+            changed.add(W)
+            return bad
+
+        monkeypatch.setattr(topology, "_certify_window", corrupted)
+        got = classify_links(P)
+        assert changed and not got.all_certified and not got.any_refuted
+        for old, new in zip(honest.verdicts, got.verdicts):
+            assert (new.kind, new.homology) == (old.kind, old.homology)
+            i = P.index(new.vertex)
+            if P._up[i] ^ (1 << i) in changed:
+                assert new.certainty == "evidence-only"
+                assert new.certificate is None
+                assert new.notes[0].startswith(
+                    "link certificate failed to replay: "
+                )
+            elif new.certainty != "certified":
+                assert new.notes[-1].startswith("the cell ")
+                assert new.certificate == old.certificate
+
+    def test_swapped_pair(self, monkeypatch):
+        def swap(cells, W, cert):
+            (s, t), *rest = cert.steps
+            return LinkCertificate(cert.top, ((t, s), *rest), cert.terminal)
+
+        P = face_poset(LINK_COMPLEXES["solid tetrahedron"])
+        self.check(monkeypatch, P, swap)
+
+    def test_step_out_of_order(self, monkeypatch):
+        # the last step moves before the step that removes a cell above
+        # its tau: tau is not maximal yet
+        def early(cells, W, cert):
+            *steps, (s, t) = cert.steps
+            for k, (a, b) in enumerate(steps):
+                if cells.uc[t] & ((1 << a) | (1 << b)):
+                    steps.insert(k, (s, t))
+                    return LinkCertificate(cert.top, tuple(steps), cert.terminal)
+            return None
+
+        P = face_poset(SimplicialComplex.simplex_boundary(range(5)))
+        self.check(monkeypatch, P, early)
+
+    def test_wrong_removed_top(self, monkeypatch):
+        def other_top(cells, W, cert):
+            maximal = W & cells.levels[-1] & ~(1 << cert.top)
+            top = (maximal & -maximal).bit_length() - 1
+            return LinkCertificate(top, cert.steps, cert.terminal)
+
+        P = face_poset(LINK_COMPLEXES["octahedron"])
+        self.check(monkeypatch, P, other_top)
+
+    def test_a_top_that_is_not_maximal(self):
+        import omtop.topology as topology
+
+        P = face_poset(LINK_COMPLEXES["octahedron"])
+        cells = topology._cell_table(P)
+        i = P.index(frozenset({"x+"}))
+        W = P._up[i] ^ (1 << i)
+        cert = topology._certify_window(cells, W, True, 10**6)
+        assert topology._replay_link(cells, W, True, cert) is None
+        edge = (W & cells.levels[1] & -(W & cells.levels[1])).bit_length() - 1
+        bad = LinkCertificate(edge, cert.steps, cert.terminal)
+        assert topology._replay_link(cells, W, True, bad) == (
+            f"cell {edge} is not a maximal cell of the factor"
+        )
+        assert topology._replay_link(cells, W, False, cert) is not None

@@ -106,7 +106,8 @@ ran then: every upper factor re-indexed by `Poset.strictly_above`, a
 second `subposet` without the top of a closed factor, a fresh state per
 collapse, and no replay.  They cross-check `find_collapse`,
 `verify_collapse` and `classify_links`, which run one mask kernel on
-windows of a poset's own cells.
+windows of a poset's own cells; `link_certificate_replays` replays a
+link's certificate on the re-indexed factor with that state.
 
 `TopePoset` (with `tope_poset` and `TopePoset.order_ideal`) is the tope
 poset the library exported before [D_X] was sorted on masks, with the
@@ -1672,6 +1673,24 @@ def _collapse_or_none(Q, budget: int):
     except PreconditionError:
         return None
     return res if res.collapsed else None
+
+
+def link_certificate_replays(P, x, cert) -> bool:
+    """A link certificate replayed by the oracle's state on the
+    re-indexed factor P>x (minus the removed top)."""
+    i = P.index(x)
+    W = P._up[i] ^ (1 << i)
+    if cert.top is not None:
+        if P._up[cert.top] & W != 1 << cert.top:  # not a maximal cell
+            return False
+        W ^= 1 << cert.top
+    if not W:
+        return cert.steps == () and cert.terminal is None
+    names = P.elements
+    return verify_collapse_by_state(P._induced(W), CollapseCertificate(
+        tuple((names[s], names[t]) for s, t in cert.steps),
+        names[cert.terminal],
+    ))
 
 
 # ---------------------------------------------------------------------------

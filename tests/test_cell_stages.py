@@ -37,10 +37,10 @@ from omtop.verify import _star_checks, verify_arrangement, verify_covectors
 from oracles import (
     check_bijection_by_vectors,
     classify_links_by_subposets,
+    link_certificate_replays,
     restriction_ok_by_scan,
     star_checks_by_vectors,
 )
-from test_topology import _replays_on_the_factor
 
 S = SignVector.from_string
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -97,7 +97,7 @@ class TestLinksOnWindows:
         for v in got.verdicts:
             if v.certainty == "certified":
                 assert v.certificate is not None
-                assert _replays_on_the_factor(P, v.vertex, v.certificate)
+                assert link_certificate_replays(P, v.vertex, v.certificate)
                 certified += 1
         return got, certified
 

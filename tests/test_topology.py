@@ -1287,24 +1287,9 @@ class TestLinksAgainstSubposets:
                     and not v.notes[-1].startswith("the cell ")
                 )
                 if v.certificate is not None:
-                    assert _replays_on_the_factor(P, v.vertex, v.certificate)
-
-
-def _replays_on_the_factor(P, x, cert) -> bool:
-    """A link certificate replayed by the oracle's state on the
-    re-indexed factor P>x (minus the removed top)."""
-    i = P.index(x)
-    W = P._up[i] ^ (1 << i)
-    if cert.top is not None:
-        assert P._up[cert.top] & W == 1 << cert.top  # a maximal cell
-        W ^= 1 << cert.top
-    if not W:
-        return cert.steps == () and cert.terminal is None
-    names = P.elements
-    return oracles.verify_collapse_by_state(P._induced(W), CollapseCertificate(
-        tuple((names[s], names[t]) for s, t in cert.steps),
-        names[cert.terminal],
-    ))
+                    assert oracles.link_certificate_replays(
+                        P, v.vertex, v.certificate
+                    )
 
 
 class TestLinkCertificateReplay:

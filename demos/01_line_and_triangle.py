@@ -2,8 +2,8 @@
 
 Two points on a line bound a segment; three generic lines in the plane
 bound a triangle.  This script realizes both, prints their covectors,
-extracts the bounded complex, and certifies that it is a ball: the
-order complex has the homology of a point and collapses to a vertex.
+extracts the bounded complex, and certifies that it is a ball: on its
+own cells, it has the homology of a point and collapses to a vertex.
 
 Run:  python3 demos/01_line_and_triangle.py
 """
@@ -18,7 +18,6 @@ from omtop import (
     find_collapse,
     homogenize,
     homology,
-    order_complex,
     verify_collapse,
     verify_covector_axioms,
 )
@@ -38,14 +37,14 @@ def show(title, A):
     for x in sorted(bc, key=str):
         print(f"    {x}  (dim {bc.face_dim(x)})")
 
-    K = order_complex(bc.as_poset())
-    H = homology(K)
-    print(f"order complex: f-vector {K.f_vector()}, "
-          f"betti {H.betti}, ball {H.is_ball()}")
-    col = find_collapse(K)
-    assert col.collapsed and verify_collapse(K, col.certificate)
+    P = bc.as_poset()  # the cells, ordered by inclusion
+    H = homology(P)
+    print(f"homology of the cells: betti {H.betti}, ball {H.is_ball()}")
+    col = find_collapse(P)
+    assert col.collapsed and verify_collapse(P, col.certificate)
     print(f"collapse: {len(col.certificate.steps)} elementary collapses "
-          f"down to a vertex, certificate replays\n")
+          f"of cells down to the vertex {col.certificate.terminal}, "
+          f"certificate replays\n")
 
 
 segment = Arrangement(

@@ -3,8 +3,8 @@
 The package verifies, on concrete instances, the constructive steps of
 the proof that the bounded complex of a uniform affine oriented matroid
 is a piecewise-linear ball: covector axioms, tope posets and their
-shellings, bounded-complex extraction, and collapsibility certificates
-for order complexes.
+shellings, bounded-complex extraction, and collapse certificates and
+integral homology on the cells of the bounded complex.
 """
 
 __version__ = "0.1.0"
@@ -59,11 +59,9 @@ from .realization import (  # noqa: E402
 from .signvec import GroundSet, Sign, SignVector  # noqa: E402
 from .topology import (  # noqa: E402
     Poset,
-    SimplicialComplex,
     classify_links,
     find_collapse,
     homology,
-    order_complex,
     verify_collapse,
     verify_shelling,
 )

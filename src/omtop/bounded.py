@@ -141,12 +141,6 @@ class AffineOM:
         return f"AffineOM({len(self.om)} covectors, g={self.g!r})"
 
 
-def positive_part(M: AffineOM) -> tuple[SignVector, ...]:
-    """L+: the covectors with positive g-coordinate, sorted."""
-    gi = M.g_index
-    return tuple(x for x in M.om if x.sign(gi) is Sign.PLUS)
-
-
 class BoundedComplex:
     """L++ with its purity data attached.
 
@@ -846,10 +840,12 @@ def induced_shelling_of_CX(
     and the flips are taken on the topes of L/g.
 
     A lift that leaves C_X, or that misses some tope of C_X (on a
-    non-uniform input |C_X| can exceed |D_X|), is no order of the facets
-    of [C_X], and an X whose L_>=X is not the cube has no flip decision:
-    each is reported in `problems` with no shelling report.  On a
-    uniform input the cube holds at every X by theorem.
+    non-uniform input |C_X| can exceed |D_X|, and D_X can be empty while
+    C_X is not), is no order of the facets of [C_X], and an X whose
+    L_>=X is not the cube has no flip decision: each is reported in
+    `problems` with no shelling report.  On a uniform input the cube
+    holds at every X by theorem.  An explicit dx_order runs through the
+    same lift, on its tope indices.
     """
     star = M.star(X)
     order = star.om.om.order()
@@ -861,41 +857,51 @@ def induced_shelling_of_CX(
             f"L_>=X is not the sign cube on z(X): |L_>=X| = {size}, "
             f"expected 3^{zeros} = {3 ** zeros}"
         )
-    if dx_order is None:
-        table = star.om._tope_table()
-        dx = star._masked_dx()
-        first = None
-        # in the order of D_X: sign-string order, unless set by hand
-        bases = _bits(dx) if star._D_X is None else map(table.index, star.D_X)
-        for b in bases:
-            cand = _lift_indices(star, table, cube, _dx_order(star, table, b))
-            if cand[2] is not None and not cand[2]:
-                return _indexed_shelling(star, table, *cand)
-            if first is None:
-                first = cand
-        if first is None:
-            raise PreconditionError(f"D_X is empty for X = {star.X}")
-        return _indexed_shelling(star, table, *first)
-    dx_order = list(dx_order)
-    # D_X has no repeated tope, so equal lengths and equal sets make a
-    # permutation
-    if len(dx_order) != len(star.D_X) or set(dx_order) != set(star.D_X):
-        raise PreconditionError(
-            "dx_order must be a permutation of D_X"
+    table = star.om._tope_table()
+    if dx_order is not None:
+        dx_order = tuple(dx_order)
+        # D_X has no repeated tope, so equal lengths and equal sets make
+        # a permutation
+        if len(dx_order) != len(star.D_X) or set(dx_order) != set(star.D_X):
+            raise PreconditionError("dx_order must be a permutation of D_X")
+        dx = [table.index(d) for d in dx_order]
+        return _indexed_shelling(
+            star, table, *_lift_indices(star, table, cube, dx, dx_order)
         )
-    return _lift_and_check(star, cube, dx_order)
+    dx = star._masked_dx()
+    if not dx:
+        # an X with C_X but no D_X is possible only off uniform input
+        problems = [f"D_X is empty, and |C_X| = {star.c_size}"]
+        if cube is not None:
+            problems.append(cube)
+        return _indexed_shelling(star, table, [], (), problems, None)
+    first = None
+    # in the order of D_X: sign-string order, unless set by hand
+    bases = _bits(dx) if star._D_X is None else map(table.index, star.D_X)
+    for b in bases:
+        cand = _lift_indices(star, table, cube, _dx_order(star, table, b))
+        if cand[3] is not None and not cand[3]:
+            return _indexed_shelling(star, table, *cand)
+        if first is None:
+            first = cand
+    return _indexed_shelling(star, table, *first)
 
 
-def _lift_indices(star: Star, table: _TopeTable, cube: str | None, dx: list):
-    """(dx, problems, failures) of the lift of dx, tope indices of L/g
-    in a [D_X] order; failures is None when a problem stops the flip
-    decision.  Problem texts are those of `_lift_and_check`."""
+def _lift_indices(
+    star: Star, table: _TopeTable, cube: str | None, dx: list, topes=None
+):
+    """(dx, topes, problems, failures) of the lift of dx, tope indices
+    of L/g in a [D_X] order, with topes their vectors; failures is None
+    when a problem stops the flip decision.  An explicit order gives its
+    vectors: one that is no tope of L/g (a D_X set by hand can hold one)
+    has index None and is reported as a lift outside C_X."""
+    if topes is None:
+        topes = tuple(table.topes[j] for j in dx)
     problems = []
     lift, cx = table.lift, star._cx
-    for j in dx:
-        k = lift[j]
+    for d, j in zip(topes, dx):
+        k = None if j is None else lift[j]
         if k is None or not cx >> k & 1:
-            d = table.topes[j]
             problems.append(f"h({d}) = {star.lift(d)} is not in C_X")
     if not problems and len(dx) != _popcount(cx):
         # |C_X| > |D_X|, which a non-uniform input allows
@@ -905,71 +911,35 @@ def _lift_indices(star: Star, table: _TopeTable, cube: str | None, dx: list):
     if cube is not None:
         problems.append(cube)
     if problems:
-        return dx, problems, None
-    return dx, problems, _flip_failures([table.ranked[j] for j in dx])
+        return dx, topes, problems, None
+    return dx, topes, problems, _flip_failures([table.ranked[j] for j in dx])
 
 
-def _indexed_shelling(star, table, dx, problems, failures) -> InducedShelling:
+def _indexed_shelling(
+    star, table, dx, topes, problems, failures
+) -> InducedShelling:
     report = None
     if failures is not None:
         report = ShellingReport(
             ok=not failures, mode="simplicial", failures=tuple(failures)
         )
-    lift = table.lift
-    cx_names = tuple(
-        str(star.lift(table.topes[j])) if lift[j] is None
-        else table.lname(lift[j])
-        for j in dx
-    )
+    lift = [None if j is None else table.lift[j] for j in dx]
     elements = star.om.om.order().elements
     return InducedShelling(
         X=star.X,
-        dx_order=lambda: tuple(table.topes[j] for j in dx),
+        dx_order=topes,
         order=lambda: tuple(
-            star.lift(table.topes[j]) if lift[j] is None else elements[lift[j]]
-            for j in dx
+            star.lift(d) if k is None else elements[k]
+            for d, k in zip(topes, lift)
         ),
         report=report,
         problems=tuple(problems),
-        names=(tuple(table.name(j) for j in dx), cx_names),
-    )
-
-
-def _lift_and_check(
-    star: Star, cube: str | None, dx_order: list
-) -> InducedShelling:
-    """The lift of dx_order, a permutation of D_X given as sign vectors,
-    and its report; cube is the problem that L_>=X is not the cube, or
-    None."""
-    problems = []
-    order = []
-    index = star.om.om.order()._index
-    for d in dx_order:
-        c = star.lift(d)
-        order.append(c)
-        k = index.get(c)
-        if k is None or not star._cx >> k & 1:
-            problems.append(f"h({d}) = {c} is not in C_X")
-    if not problems and len(set(order)) != len(star.C_X):
-        # |C_X| > |D_X|, which a non-uniform input allows
-        problems.append(
-            f"h(D_X) covers {len(set(order))} of the "
-            f"{len(star.C_X)} topes of C_X"
-        )
-    if cube is not None:
-        problems.append(cube)
-    report = None
-    if not problems:
-        failures = _flip_failures([(c._pos, c._neg) for c in order])
-        report = ShellingReport(
-            ok=not failures, mode="simplicial", failures=tuple(failures)
-        )
-    return InducedShelling(
-        X=star.X,
-        dx_order=tuple(dx_order),
-        order=tuple(order),
-        report=report,
-        problems=tuple(problems),
+        names=(
+            tuple(str(d) if j is None else table.name(j)
+                  for d, j in zip(topes, dx)),
+            tuple(str(star.lift(d)) if k is None else table.lname(k)
+                  for d, k in zip(topes, lift)),
+        ),
     )
 
 

@@ -286,18 +286,3 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(_bits(mask))
-
-
-def all_sign_vectors(n: int) -> Iterator[SignVector]:
-    """All 3**n sign vectors of length n, coordinate 0 varying slowest,
-    each coordinate running through 0, +, - in that order."""
-    def rec(i: int, pos: int, neg: int) -> Iterator[SignVector]:
-        if i == n:
-            yield SignVector(n, pos, neg)
-            return
-        bit = 1 << i
-        yield from rec(i + 1, pos, neg)
-        yield from rec(i + 1, pos | bit, neg)
-        yield from rec(i + 1, pos, neg | bit)
-
-    return rec(0, 0, 0)

@@ -1,21 +1,23 @@
-"""Finite posets and simplicial complexes, with exact integral homology,
-collapsibility search, shelling verification, and link certification
-by induction on a cell poset.
+"""Finite posets read as the face posets of regular cell complexes,
+with exact integral homology, collapsibility search, shelling
+verification, and link certification by induction on a cell poset.
 
-The collapse search and its replay take a simplicial complex or a poset
-read as the face poset of a regular cell complex, so a cell complex is
-collapsed on its own cells, not on its order complex.  Everything is
-exact: homology is computed over the integers (Smith normal
-form after removing collapse and coreduction pairs), collapse and
-shelling results are certificates or witness-carrying reports, never
-floats or heuristic verdicts.  The empty complex {emptyset} (one empty
-face, no vertices) is kept distinct from the void complex (no faces at
-all): the former is the (-1)-sphere and is the identity for the join.
+One cell table (`_Cells`: the cover relation as masks, with heights,
+built once per poset) serves every computation on a complex: the
+collapse search and its replay, the link certificates, and homology,
+each on a window of the poset's own cells.  A cell complex is never
+subdivided into its order complex: the order complex Delta(P) is the
+barycentric subdivision of the complex whose face poset is P, so its
+homology is the cellular homology of P (Bjorner, "Posets, regular CW
+complexes and Bruhat order", 1984).  Everything is exact: homology is
+computed over the integers (Smith normal form after removing collapse
+and coreduction pairs), collapse and shelling results are certificates
+or witness-carrying reports, never floats or heuristic verdicts.  The
+order complex of the empty poset is {emptyset}, the (-1)-sphere.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
@@ -24,7 +26,6 @@ from .errors import (
     DomainError,
     MembershipError,
     PreconditionError,
-    ResourceExhausted,
 )
 from .signvec import _bits
 
@@ -110,11 +111,6 @@ class Poset:
 
     def less(self, x, y) -> bool:
         return x != y and self.less_equal(x, y)
-
-    def down_set(self, x) -> tuple:
-        """The elements y <= x, in element order."""
-        mask = self._down[self.index(x)]
-        return tuple(self.elements[i] for i in _bits(mask))
 
     def up_set(self, x) -> tuple:
         """The elements y >= x, in element order."""
@@ -270,37 +266,6 @@ class Poset:
         i = self.index(x)
         return self._induced(self._up[i] & ~(1 << i))
 
-    def open_interval(self, x, y) -> "Poset":
-        i, j = self.index(x), self.index(y)
-        return self._induced(
-            self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-        )
-
-    # -- chains -----------------------------------------------------------
-
-    def maximal_chains(self) -> list[tuple]:
-        n = len(self.elements)
-        ups = [
-            [j for j in _bits(self._up[i] & ~(1 << i)) if self._is_cover_idx(i, j)]
-            for i in range(n)
-        ]
-        out: list[tuple] = []
-
-        def extend(path: list[int]) -> None:
-            tail = ups[path[-1]]
-            if not tail:
-                out.append(tuple(self.elements[k] for k in path))
-                return
-            for j in tail:
-                path.append(j)
-                extend(path)
-                path.pop()
-
-        for i in range(n):
-            if self._down[i] == 1 << i:
-                extend([i])
-        return out
-
     def linear_extension(self, key: Callable) -> list:
         """Topological sort; among available elements the one with the
         least `key` comes first."""
@@ -358,14 +323,6 @@ class Poset:
             )
         return self.elements[tops[0]]
 
-    def is_lower_cover(self, y, x) -> bool:
-        """Is y covered by x in the poset augmented with a bottom?  y may
-        be None for the bottom element."""
-        j = self.index(x)
-        if y is None:
-            return self._down[j] == 1 << j
-        return self._is_cover_idx(self.index(y), j)
-
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements)"
 
@@ -374,251 +331,9 @@ def _popcount(mask: int) -> int:
     return mask.bit_count()
 
 
-# ---------------------------------------------------------------------------
-# simplicial complexes
-# ---------------------------------------------------------------------------
-
-
-class SimplicialComplex:
-    """An abstract simplicial complex stored by its facets.
-
-    Downward closure is implicit.  `SimplicialComplex([])` is the void
-    complex (no faces); `SimplicialComplex([[]])` is {emptyset}, the
-    (-1)-sphere.
-    """
-
-    __slots__ = ("facets", "vertex_order", "_vindex", "_faces")
-
-    def __init__(self, facets: Iterable[Iterable[Hashable]]):
-        fs = {frozenset(f) for f in facets}
-        maximal = [f for f in fs if not any(f < g for g in fs)]
-        self.vertex_order: tuple = tuple(
-            sorted({v for f in maximal for v in f}, key=_vkey)
-        )
-        self._vindex = {v: i for i, v in enumerate(self.vertex_order)}
-        vindex = self._vindex
-        self.facets: tuple[frozenset, ...] = tuple(
-            sorted(maximal, key=lambda f: (len(f), sorted(vindex[v] for v in f)))
-        )
-        self._faces = None
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def void(cls) -> "SimplicialComplex":
-        return cls([])
-
-    @classmethod
-    def empty(cls) -> "SimplicialComplex":
-        """The complex {emptyset}: no vertices, one empty face."""
-        return cls([[]])
-
-    @classmethod
-    def simplex(cls, vertices: Iterable[Hashable]) -> "SimplicialComplex":
-        return cls([list(vertices)])
-
-    @classmethod
-    def simplex_boundary(cls, vertices: Iterable[Hashable]) -> "SimplicialComplex":
-        vs = list(vertices)
-        if not vs:
-            raise DomainError("boundary of the empty simplex is void")
-        return cls([vs[:i] + vs[i + 1 :] for i in range(len(vs))])
-
-    # -- predicates --------------------------------------------------------
-
-    @property
-    def is_void(self) -> bool:
-        return not self.facets
-
-    @property
-    def dim(self) -> int:
-        """Dimension; -1 for {emptyset}.  Void complex has no dimension."""
-        if self.is_void:
-            raise DomainError("the void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
-
-    @property
-    def vertices(self) -> tuple:
-        return self.vertex_order
-
-    def faces(self) -> dict[int, set[frozenset]]:
-        """All nonempty faces, keyed by dimension."""
-        if self._faces is None:
-            byd: dict[int, set[frozenset]] = {}
-            seen: set[frozenset] = set()
-            for f in self.facets:
-                vs = sorted(f, key=self._vindex.__getitem__)
-                for k in range(1, len(f) + 1):
-                    for sub in itertools.combinations(vs, k):
-                        fsub = frozenset(sub)
-                        if fsub not in seen:
-                            seen.add(fsub)
-                            byd.setdefault(k - 1, set()).add(fsub)
-            self._faces = byd
-        return self._faces
-
-    def all_faces(self) -> set[frozenset]:
-        out: set[frozenset] = set()
-        for fs in self.faces().values():
-            out |= fs
-        return out
-
-    def has_face(self, face: Iterable[Hashable]) -> bool:
-        f = frozenset(face)
-        return any(f <= g for g in self.facets)
-
-    def f_vector(self) -> tuple[int, ...]:
-        if self.is_void or self.dim < 0:
-            return ()
-        byd = self.faces()
-        return tuple(len(byd.get(k, ())) for k in range(self.dim + 1))
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
-
-    def reduced_euler(self) -> int:
-        if self.is_void:
-            return 0
-        return self.euler_characteristic() - 1
-
-    def is_pure(self) -> bool:
-        if self.is_void:
-            return True
-        d = self.dim
-        return all(len(f) - 1 == d for f in self.facets)
-
-    def is_connected(self) -> bool:
-        vs = self.vertex_order
-        if len(vs) <= 1:
-            return True
-        parent = {v: v for v in vs}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for f in self.facets:
-            it = iter(f)
-            first = find(next(it))
-            for v in it:
-                parent[find(v)] = first
-        return len({find(v) for v in vs}) == 1
-
-    # -- subcomplex operations ----------------------------------------------
-
-    def link(self, face: Iterable[Hashable] | Hashable) -> "SimplicialComplex":
-        f = self._as_face(face)
-        if not self.has_face(f):
-            raise MembershipError(f"{sorted(f, key=_vkey)!r} is not a face")
-        return SimplicialComplex([g - f for g in self.facets if f <= g])
-
-    def star(self, face: Iterable[Hashable] | Hashable) -> "SimplicialComplex":
-        f = self._as_face(face)
-        if not self.has_face(f):
-            raise MembershipError(f"{sorted(f, key=_vkey)!r} is not a face")
-        return SimplicialComplex([g for g in self.facets if f <= g])
-
-    def _as_face(self, face) -> frozenset:
-        # a vertex means that vertex, whatever its type (order complexes
-        # of face posets have frozenset vertices, relabelled joins tuples)
-        if not isinstance(face, (set, list)) and face in self._vindex:
-            return frozenset([face])
-        if isinstance(face, (frozenset, set, list, tuple)):
-            return frozenset(face)
-        return frozenset([face])
-
-    def join(self, other: "SimplicialComplex", relabel: bool = False):
-        """Simplicial join.  Vertex sets must be disjoint; with
-        relabel=True they are tagged 0/1 instead."""
-        if relabel:
-            a = SimplicialComplex([[(0, v) for v in f] for f in self.facets])
-            b = SimplicialComplex([[(1, v) for v in f] for f in other.facets])
-            return a.join(b)
-        overlap = set(self.vertex_order) & set(other.vertex_order)
-        if overlap:
-            raise DomainError(
-                f"join of complexes sharing vertices {sorted(overlap, key=_vkey)!r} "
-                f"(pass relabel=True to disambiguate)"
-            )
-        return SimplicialComplex(
-            [f | g for f in self.facets for g in other.facets]
-        )
-
-    def is_closed_pseudomanifold(self) -> bool:
-        """Pure, every ridge in exactly two facets, and strongly connected
-        (facet graph through ridges connected)."""
-        if self.is_void or self.dim < 0 or not self.is_pure():
-            return False
-        d = self.dim
-        if d == 0:
-            return len(self.facets) == 2
-        ridge_facets: dict[frozenset, list[int]] = {}
-        for i, f in enumerate(self.facets):
-            for r in itertools.combinations(f, d):
-                ridge_facets.setdefault(frozenset(r), []).append(i)
-        if any(len(fs) != 2 for fs in ridge_facets.values()):
-            return False
-        # strong connectivity via ridge adjacency
-        t = len(self.facets)
-        seen = {0}
-        stack = [0]
-        adj: dict[int, set[int]] = {i: set() for i in range(t)}
-        for fs in ridge_facets.values():
-            a, b = fs
-            adj[a].add(b)
-            adj[b].add(a)
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == t
-
-    # -- plumbing ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialComplex) and self.facets == other.facets
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.facets)
-
-    def __repr__(self) -> str:
-        if self.is_void:
-            return "SimplicialComplex(void)"
-        if self.dim < 0:
-            return "SimplicialComplex({emptyset})"
-        return (
-            f"SimplicialComplex(dim={self.dim}, f={self.f_vector()})"
-        )
-
-
-def face_poset(K: SimplicialComplex) -> Poset:
-    """Poset of nonempty faces of K ordered by inclusion."""
-    vindex = K._vindex
-    elems = sorted(
-        K.all_faces(), key=lambda f: (len(f), sorted(vindex[v] for v in f))
-    )
-    return Poset(elems, lambda a, b: a <= b)
-
-
-def order_complex(P: Poset) -> SimplicialComplex:
-    """The complex of chains of P; facets are the maximal chains.
-
-    The order complex of the empty poset is {emptyset}.
-    """
-    if len(P) == 0:
-        return SimplicialComplex.empty()
-    return SimplicialComplex(P.maximal_chains())
-
-
 def _chain_counts(P: Poset) -> tuple[int, ...]:
-    """`order_complex(P).f_vector()` without the complex: entry k counts
-    the chains of k + 1 elements, read off P's masks."""
+    """The f-vector of the order complex Delta(P) without the complex:
+    entry k counts the chains of k + 1 elements, read off P's masks."""
     hs = P._height_list()
     f = [0] * (max(hs) + 1 if hs else 0)
     ending: list = [None] * len(P)  # ending[i][k]: chains of k + 1 topped by i
@@ -640,11 +355,13 @@ def _chain_counts(P: Poset) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class HomologyTable:
-    """Integral homology of a simplicial complex.
+    """Integral homology of the order complex of a poset (`homology`),
+    or of a link read off its certificate.
 
     `betti` and `torsion` are unreduced, indexed by dimension 0..dim.
     `reduced_betti` differs only in dimension 0.  `minus_one` is the rank
-    of the reduced (-1)-st group (1 exactly for the complex {emptyset}).
+    of the reduced (-1)-st group (1 exactly for {emptyset}, the order
+    complex of no cells).
     """
 
     dim: int
@@ -795,54 +512,169 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
     return out
 
 
-def homology(K: SimplicialComplex) -> HomologyTable:
-    """Integral simplicial homology, exact over the integers.
+def homology(P: Poset, window: int | None = None) -> HomologyTable:
+    """Integral homology of the order complex Delta(Q), exact over the
+    integers, on the cells of P with no order complex built.
 
-    For a nonempty K this computes the relative groups H(K, v0) for the
-    first vertex v0, which are the reduced groups of K.  Two kinds of
-    pair (sigma, tau), sigma a facet of tau, are removed until none is
-    left: a collapse (tau is the only live coface of sigma) and a
-    coreduction (sigma is the only live facet of tau).  Each keeps the
-    integral homology, and the boundary of what is left is the original
-    boundary restricted to the live cells (reduction lemma: Kaczynski,
-    Mrozek & Slusarek 1998; Mrozek & Batko, "Coreduction homology
-    algorithm", 2009).  Smith normal form of the restricted boundary
-    matrices finishes the job.
+    Q is the window of P's cells: all of P, or, given as a mask of
+    element indices, up(x) minus x for an element x.  Precondition: P is
+    the face poset of a regular CW complex (a CW poset: the order complex
+    of every principal down-set minus its top is a sphere), which L++ is
+    once the covector axioms pass.  Then Delta(Q) subdivides the complex with face poset
+    Q, and its homology is the cellular homology of Q with the incidence
+    numbers of `_incidences` (Bjorner 1984), which checks every interval
+    of length 2 it reads and raises PreconditionError off that premise.
+
+    *Window lemma.*  Every diamond between two cells of an up-set lies
+    in that up-set, so P's incidence numbers, restricted to the window,
+    still give a boundary with square zero.  Re-signing each bottom cell
+    z of up(x) minus x by [z : x] is a chain isomorphism onto the
+    window's own cellular complex, so P's numbers compute Q's homology
+    with the heights shifted down to start at 0.
+
+    Reduced groups come as relative ones, H(Q, v0) for the first cell
+    v0 of least height.  Two kinds of pair (sigma, tau), sigma a facet
+    of tau, are removed until none is left: a collapse (tau is the only
+    live coface of sigma) and a coreduction (sigma is the only live
+    facet of tau).  Each keeps the integral homology, since every
+    incidence number is +-1, and the boundary of what is left is the
+    original boundary restricted to the live cells (reduction lemma:
+    Kaczynski, Mrozek & Slusarek 1998; Mrozek & Batko, "Coreduction
+    homology algorithm", 2009).  Smith normal form of the restricted
+    boundary matrices finishes the job.
     """
-    if K.is_void:
-        return HomologyTable(
-            dim=-2, betti=(), torsion=(), reduced_betti=(), minus_one=0
-        )
-    d = K.dim
-    if d < 0:
+    cells = _cell_table(P)
+    W = (1 << len(cells.hs)) - 1 if window is None else window
+    # the window's heights are P's, shifted to start at 0
+    levels = [m for m in (W & level for level in cells.levels) if m]
+    if not levels:
         return HomologyTable.sphere(-1)
-    state = _CollapseState(K)
-    state.alive.discard(frozenset([K.vertex_order[0]]))
-    state.reduce_pairs()
-    cells: dict[int, list[frozenset]] = {k: [] for k in range(d + 1)}
-    for f in sorted(state.alive, key=state.key):
-        cells[len(f) - 1].append(f)
+    d = len(levels) - 1
+    neg = _incidences(cells)
+    lc, uc = cells.lc, cells.uc
+    alive = W ^ (levels[0] & -levels[0])
+    queue = deque(i for level in levels for i in _bits(level & alive))
+    while queue:
+        f = queue.popleft()
+        if not alive >> f & 1:
+            continue
+        above = uc[f] & alive
+        if above and not above & (above - 1):
+            sigma, tau = f, above.bit_length() - 1
+        else:
+            below = lc[f] & alive
+            if not below or below & (below - 1):
+                continue
+            sigma, tau = below.bit_length() - 1, f
+        alive ^= (1 << sigma) | (1 << tau)
+        queue.extend(_bits(
+            (lc[sigma] | uc[sigma] | lc[tau] | uc[tau]) & alive
+        ))
+    live = [list(_bits(level & alive)) for level in levels]
     ranks = [0] * (d + 2)
     torsion: list[tuple[int, ...]] = [()] * (d + 1)
     for k in range(1, d + 1):
-        if not cells[k] or not cells[k - 1]:
+        if not live[k] or not live[k - 1]:
             continue
-        ridx = {r: i for i, r in enumerate(cells[k - 1])}
-        dense = [[0] * len(cells[k]) for _ in ridx]
-        for j, c in enumerate(cells[k]):
-            for i, sub in enumerate(state.facets[c]):
-                if sub in ridx:
-                    dense[ridx[sub]][j] = (-1) ** i
+        ridx = {r: i for i, r in enumerate(live[k - 1])}
+        dense = [[0] * len(live[k]) for _ in ridx]
+        for j, c in enumerate(live[k]):
+            for r in _bits(lc[c] & alive):
+                dense[ridx[r]][j] = -1 if neg[c] >> r & 1 else 1
         factors = smith_normal_form(dense)
         ranks[k] = len(factors)
         torsion[k - 1] = tuple(f for f in factors if f > 1)
-    rb = tuple(len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1))
+    rb = tuple(len(live[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1))
     return HomologyTable(
         dim=d,
         betti=(rb[0] + 1,) + rb[1:],
         torsion=tuple(torsion),
         reduced_betti=rb,
     )
+
+
+def _incidences(cells: _Cells) -> list[int]:
+    """The incidence numbers of a CW poset's cells, built on the first
+    call and kept on the table: bit i of neg[j] is set when
+    [j : i] = -1 for the facet i of cell j, and [j : i] = +1 otherwise.
+
+    A cell of height 1 puts +1 and -1 on its two facets.  A cell tau of
+    height h >= 2 puts +1 on its first facet and propagates across
+    ridges: a facet rho of a signed facet sigma lies in exactly one
+    other facet sigma' of tau (the interval [rho, tau] is a diamond),
+    and [tau : sigma][sigma : rho] + [tau : sigma'][sigma' : rho] = 0
+    fixes [tau : sigma'].  The facets of tau must all be reached (a
+    facet below height h - 1 never is), and `_check_diamonds` then
+    checks every diamond.  Raises PreconditionError when P is not a CW
+    poset that way."""
+    if cells.neg is None:
+        lc, uc, levels, names = cells.lc, cells.uc, cells.levels, cells.names
+        neg = [0] * len(cells.hs)
+        for h in range(1, len(levels)):
+            for j in _bits(levels[h]):
+                F = lc[j]
+                first = F & -F
+                if h == 1:
+                    if F.bit_count() != 2:
+                        raise PreconditionError(
+                            f"the cells below {names[j]!r} are no 0-sphere"
+                        )
+                    neg[j] = F ^ first
+                    continue
+                known, n = first, 0
+                stack = [first.bit_length() - 1]
+                while stack:
+                    s = stack.pop()
+                    for r in _bits(lc[s]):
+                        both = uc[r] & F
+                        if both.bit_count() != 2:
+                            raise PreconditionError(
+                                f"the interval [{names[r]!r}, {names[j]!r}] "
+                                "is not a diamond"
+                            )
+                        t = (both ^ (1 << s)).bit_length() - 1
+                        if not known >> t & 1:
+                            # [j : t] = -[j : s][s : r][t : r]
+                            odd = (n >> s) + (neg[s] >> r) + (neg[t] >> r) + 1
+                            n |= (odd & 1) << t
+                            known |= 1 << t
+                            stack.append(t)
+                if known != F:
+                    raise PreconditionError(
+                        f"the facets of {names[j]!r} are not connected "
+                        "through their ridges"
+                    )
+                neg[j] = n
+        _check_diamonds(cells, neg)
+        cells.neg = neg
+    return cells.neg
+
+
+def _check_diamonds(cells: _Cells, neg: list[int]) -> None:
+    """Raise PreconditionError unless the two paths through every
+    diamond carry opposite signs under the incidence numbers neg, the
+    diamonds [bottom, e] of the cells e of height 1 included: the
+    boundary then has square zero.  The intervals are those
+    `_incidences` found to be diamonds."""
+    lc, uc, levels, names = cells.lc, cells.uc, cells.levels, cells.names
+    for h in range(1, len(levels)):
+        for j in _bits(levels[h]):
+            F = lc[j]
+            if h == 1:
+                if (neg[j] & F).bit_count() != 1:
+                    raise PreconditionError(
+                        f"the incidence numbers of {names[j]!r} do not cancel"
+                    )
+                continue
+            for s in _bits(F):
+                for r in _bits(lc[s]):
+                    t = ((uc[r] & F) ^ (1 << s)).bit_length() - 1
+                    odd = (neg[j] >> s) + (neg[s] >> r) + (neg[j] >> t) + (neg[t] >> r)
+                    if not odd & 1:
+                        raise PreconditionError(
+                            f"the incidence numbers around the interval "
+                            f"[{names[r]!r}, {names[j]!r}] do not cancel"
+                        )
 
 
 # ---------------------------------------------------------------------------
@@ -855,9 +687,7 @@ class CollapseCertificate:
     """A replayable elementary-collapse sequence.
 
     Each step (sigma, tau) removes a free cell sigma together with tau,
-    its only coface.  On a simplicial complex a cell is named by the
-    tuple of its vertices, and `terminal` is the single vertex left at
-    the end.  On a poset a cell is an element (on L++, a covector), and
+    its only coface.  A cell is a poset element (on L++, a covector), and
     `terminal` is the one element left.
     """
 
@@ -866,16 +696,9 @@ class CollapseCertificate:
 
     def to_json(self) -> dict:
         return {
-            "steps": [[_cell_json(s), _cell_json(t)] for s, t in self.steps],
+            "steps": [[str(s), str(t)] for s, t in self.steps],
             "terminal": str(self.terminal),
         }
-
-
-def _cell_json(cell):
-    # a simplex is written as its list of vertices, a poset cell as itself
-    if isinstance(cell, tuple):
-        return [str(v) for v in cell]
-    return str(cell)
 
 
 @dataclass(frozen=True)
@@ -890,128 +713,39 @@ class CollapseResult:
         return self.status == "collapsed"
 
 
-class _CollapseState:
-    """The live faces of a simplicial complex with their facets and live
-    cofaces, for `homology` to reduce.  facets[f][i] omits the i-th
-    vertex of f in vertex order, and `key` puts the highest dimension
-    first, then orders by vertex indices."""
-
-    def __init__(self, K: SimplicialComplex):
-        vindex = K._vindex
-        self.key = lambda f: (-len(f), tuple(sorted(vindex[v] for v in f)))
-        faces = {f: f for f in K.all_faces()}
-        self.facets: dict = {}
-        for f in faces:
-            subs = ()
-            if len(f) > 1:
-                vs = sorted(f, key=vindex.__getitem__)
-                subs = tuple(
-                    faces[frozenset(vs[:i] + vs[i + 1 :])]
-                    for i in range(len(vs))
-                )
-            self.facets[f] = subs
-        self.alive: set = set(self.facets)
-        self.cofaces: dict = {f: set() for f in self.facets}
-        for f, subs in self.facets.items():
-            for sub in subs:
-                self.cofaces[sub].add(f)
-
-    def remove_pair(self, sigma, tau) -> None:
-        for f in (tau, sigma):
-            self.alive.discard(f)
-            for sub in self.facets[f]:
-                self.cofaces[sub].discard(f)
-
-    def live_facets(self, f) -> list:
-        return [sub for sub in self.facets[f] if sub in self.alive]
-
-    def reduce_pairs(self) -> None:
-        """Remove collapse pairs (sigma has tau as its only live coface)
-        and coreduction pairs (tau has sigma as its only live facet)
-        until neither is left.  The live cells need not form a simplicial
-        complex: homology uses this on K with a vertex deleted."""
-        # lowest dimension first: on the (7,4,0) order complex this
-        # leaves no cell, highest first leaves 18
-        queue = deque(sorted(self.alive, key=self.key, reverse=True))
-        while queue:
-            f = queue.popleft()
-            if f not in self.alive:
-                continue
-            if len(self.cofaces[f]) == 1:
-                sigma, (tau,) = f, self.cofaces[f]
-            else:
-                below = self.live_facets(f)
-                if len(below) != 1:
-                    continue
-                (sigma,), tau = below, f
-            self.remove_pair(sigma, tau)
-            for g in (sigma, tau):
-                queue.extend(self.live_facets(g))
-                queue.extend(self.cofaces[g])
-
-
 class _Cells:
-    """The cells of a poset or of a simplicial complex, with the cover
+    """The cells of a poset, its element indices, with the cover
     relation as masks: bit i of lc[j] (and bit j of uc[i]) is set when
     cell i is a facet of cell j, a lower cover.  `hs` holds the heights
-    (dimensions, on a complex) and `levels[h]` the mask of the cells of
-    height h.  The collapse search and its replay run on this table,
-    restricted to a window: a mask of the cells they may use, with a
-    mask `alive` of the cells not yet removed.  No cell is hashed and
-    nothing is re-indexed, so one table serves every window of a poset.
-
-    On a poset the cells are the element indices.  On a complex they
-    are the nonempty faces, sorted by dimension and then by vertex
-    indices, and each is named by its vertices in vertex order.  Either
-    way the search key, the highest height first and then the lowest
-    index, is the order `find_collapse` documents.
+    and `levels[h]` the mask of the cells of height h.  The collapse
+    search and its replay run on this table, restricted to a window: a
+    mask of the cells they may use, with a mask `alive` of the cells not
+    yet removed.  No cell is hashed and nothing is re-indexed, so one
+    table serves every window of a poset.  The search key, the highest
+    height first and then the lowest index, is the order `find_collapse`
+    documents.  `neg` holds the incidence numbers (`_incidences`), built
+    on the first `homology` call.
     """
 
-    __slots__ = ("names", "lc", "uc", "hs", "levels", "pure", "_index", "_simplicial")
+    __slots__ = ("names", "lc", "uc", "hs", "levels", "pure", "index", "neg")
 
-    def __init__(self, names, lc, uc, hs, levels, pure, index, simplicial):
+    def __init__(self, names, lc, uc, hs, levels, pure, index):
         self.names = names
         self.lc = lc
         self.uc = uc
         self.hs = hs
         self.levels = levels
-        self.pure = pure  # read on posets only: see `Poset.is_pure`
-        self._index = index
-        self._simplicial = simplicial
-
-    def cell(self, name):
-        """The index of the cell a certificate names (None for a name
-        that is no cell, which is never live)."""
-        return self._index.get(frozenset(name) if self._simplicial else name)
-
-    def vertex(self, k: int) -> Hashable:
-        """The name of a minimal cell: its element, or the vertex."""
-        return self.names[k][0] if self._simplicial else self.names[k]
+        self.pure = pure  # see `Poset.is_pure`
+        self.index = index  # element -> cell
+        self.neg = None
 
 
-def _cell_table(X: SimplicialComplex | Poset) -> _Cells:
-    """The cells of X; a poset keeps its table, so every collapse and
-    every link of one poset reads the same masks."""
-    if not isinstance(X, Poset):
-        vindex = X._vindex
-        faces = sorted(
-            (tuple(sorted(f, key=vindex.__getitem__)) for f in X.all_faces()),
-            key=lambda f: (len(f), [vindex[v] for v in f]),
-        )
-        index = {frozenset(f): k for k, f in enumerate(faces)}
-        lc = [0] * len(faces)
-        uc = [0] * len(faces)
-        for k, f in enumerate(faces):
-            if len(f) > 1:
-                for i in range(len(f)):
-                    sub = index[frozenset(f[:i] + f[i + 1 :])]
-                    lc[k] |= 1 << sub
-                    uc[sub] |= 1 << k
-        hs = [len(f) - 1 for f in faces]
-        return _Cells(tuple(faces), lc, uc, hs, _levels(hs), None, index, True)
-    if X._cells is None:
-        hs = X._height_list()
-        down, up = X._down, X._up
+def _cell_table(P: Poset) -> _Cells:
+    """The cells of P, kept on P, so every collapse, every link and
+    every homology of one poset reads the same masks."""
+    if P._cells is None:
+        hs = P._height_list()
+        down, up = P._down, P._up
         n = len(down)
         level = _levels(hs)
         # graded lemma of `Poset.is_pure`: the elements one height below
@@ -1043,8 +777,8 @@ def _cell_table(X: SimplicialComplex | Poset) -> _Cells:
                 for i in _bits(m):
                     uc[i] |= 1 << j
         pure = graded and len({hs[i] for i in range(n) if not uc[i]}) <= 1
-        X._cells = _Cells(X.elements, lc, uc, hs, level, pure, X._index, False)
-    return X._cells
+        P._cells = _Cells(P.elements, lc, uc, hs, level, pure, P._index)
+    return P._cells
 
 
 def _levels(hs: list[int]) -> list[int]:
@@ -1166,7 +900,7 @@ def _replay(cells: _Cells, W: int, steps, terminal, names=None) -> None:
     the cells in W.  Every step must remove a live sigma that is a
     facet of tau, with tau maximal and sigma's only live coface, and
     one cell must be left: `terminal`, an index, or with `names` (the
-    certificate's pairs) the name of that vertex.  Raises DomainError
+    certificate's pairs) the element of that cell.  Raises DomainError
     naming the failing step."""
     lc, uc = cells.lc, cells.uc
     alive = W
@@ -1189,7 +923,7 @@ def _replay(cells: _Cells, W: int, steps, terminal, names=None) -> None:
         raise DomainError(f"collapse step {i}: " + fault.format(a=a, b=b))
     left = alive.bit_length() - 1
     if alive.bit_count() != 1 or (
-        cells.vertex(left) if names is not None else left
+        cells.names[left] if names is not None else left
     ) != terminal:
         raise DomainError(
             f"after {count} collapse steps: replay leaves "
@@ -1197,26 +931,25 @@ def _replay(cells: _Cells, W: int, steps, terminal, names=None) -> None:
         )
 
 
-def find_collapse(
-    X: SimplicialComplex | Poset, budget: int = 10**6
-) -> CollapseResult:
-    """Search for a collapse of X to a single vertex.
+def find_collapse(P: Poset, budget: int = 10**6) -> CollapseResult:
+    """Search for a collapse of P to a single cell.
 
-    X is a simplicial complex, or a poset read as the face poset of a
-    regular cell complex: the cells are its elements and the facets of
-    a cell its lower covers.  An elementary collapse removes a pair
-    sigma < tau with sigma a facet of tau, tau maximal, and tau the only
-    live cell above sigma.
+    P is read as the face poset of a regular cell complex: the cells are
+    its elements and the facets of a cell its lower covers.  An
+    elementary collapse removes a pair sigma < tau with sigma a facet of
+    tau, tau maximal, and tau the only live cell above sigma.  A
+    simplicial complex K is collapsed on its face poset, whose elements
+    are its faces; listed by size and then by vertex indices, they take
+    the steps the search took on K itself.
 
-    Greedy: always take the least free face in `key` order, the highest
-    dimension first, then the lowest element index (on a complex: the
-    least vertex indices).  If the pure greedy descent gets stuck, it is
-    undone and a backtracking pass revisits the choices, spending at
-    most `budget` collapse steps overall.  Exhaustion is reported as
-    such and never as "not collapsible".
+    Greedy: always take the least free cell in `key` order, the highest
+    height first, then the lowest element index.  If the pure greedy
+    descent gets stuck, it is undone and a backtracking pass revisits
+    the choices, spending at most `budget` collapse steps overall.
+    Exhaustion is reported as such and never as "not collapsible".
 
-    On a poset the result means something only when the poset is the
-    face poset of a PL regular cell complex.  `verify` relies on this for
+    The result means something only when P is the face poset of a PL
+    regular cell complex.  `verify` relies on this for
     L++, which is one once the covector axioms pass, and
     `classify_links` for each set of cells above a cell of L++, which is
     one by the same premise.  Then each elementary cellular collapse is
@@ -1226,7 +959,7 @@ def find_collapse(
     to PL topology, ch. 3); the manifold property is what the induction
     of `classify_links` certifies.
     """
-    cells = _cell_table(X)
+    cells = _cell_table(P)
     W = (1 << len(cells.hs)) - 1
     if not W:
         raise PreconditionError("collapse search needs a nonempty complex")
@@ -1239,21 +972,20 @@ def find_collapse(
         return CollapseResult(status, None, nodes, complete)
     names = cells.names
     cert = CollapseCertificate(
-        tuple((names[s], names[t]) for s, t in steps), cells.vertex(last)
+        tuple((names[s], names[t]) for s, t in steps), names[last]
     )
     return CollapseResult(status, cert, nodes, complete)
 
 
-def verify_collapse(
-    X: SimplicialComplex | Poset, cert: CollapseCertificate
-) -> bool:
-    """Replay a collapse certificate against X, a simplicial complex or
-    a cell poset as in `find_collapse`.  Every step must name a live
-    sigma that is one of tau's facets, with tau maximal and sigma's only
-    live coface, and the replay must end at the terminal vertex.
-    Raises DomainError naming the failing step on any defect."""
-    cells = _cell_table(X)
-    steps = ((cells.cell(s), cells.cell(t)) for s, t in cert.steps)
+def verify_collapse(P: Poset, cert: CollapseCertificate) -> bool:
+    """Replay a collapse certificate against the cell poset P, as in
+    `find_collapse`.  Every step must name a live sigma that is one of
+    tau's facets, with tau maximal and sigma's only live coface, and the
+    replay must end at the terminal cell.  Raises DomainError naming the
+    failing step on any defect."""
+    cells = _cell_table(P)
+    cell = cells.index.get
+    steps = ((cell(s), cell(t)) for s, t in cert.steps)
     _replay(cells, (1 << len(cells.hs)) - 1, steps, cert.terminal, cert.steps)
     return True
 
@@ -1410,10 +1142,6 @@ class LinkClassification:
             v.certainty == "certified" for v in self.verdicts
         )
 
-    @property
-    def any_refuted(self) -> bool:
-        return any(v.certainty == "refuted" for v in self.verdicts)
-
     def to_json(self) -> dict:
         return {
             "is_manifold": self.is_manifold,
@@ -1458,7 +1186,7 @@ def classify_links(P: Poset, budget: int = 10**6) -> LinkClassification:
     *Window lemma.*  Q is never re-indexed: the search runs on the
     window W = up(x) minus x of P's own cell table.  On a pure P every
     cover raises the height by one, so the heights in Q are P's heights
-    minus height(x) + 1, the cells of dimension m - 1 in Q are those of
+    minus (height(x) + 1), the cells of dimension m - 1 in Q are those of
     P-height height(P) - 1 in W, and the maximal cells of Q those of
     P-height height(P).  W is an up-set minus x, so the covers inside W
     are P's covers, and Q lists its elements in P's order, so the
@@ -1476,10 +1204,17 @@ def classify_links(P: Poset, budget: int = 10**6) -> LinkClassification:
     it is `evidence-only`.  The homology reported is the link's, read
     off the certificate's sphere or point by `HomologyTable.suspension`.
 
-    Only when no certificate replays is U_x built, and its closed
-    pseudomanifold test and homology decide between `refuted` (an exact
-    invariant rules out both a sphere and a ball) and `evidence-only`.
-    Vertices come in the order complex's vertex order.
+    Only when no certificate replays do exact invariants of U_x decide
+    between `refuted` (one rules out both a sphere and a ball) and
+    `evidence-only`, still on the window W and with no order complex:
+    `homology(P, W)`, and the closed pseudomanifold test.  U_x is a
+    closed pseudomanifold exactly when Q is closed and, for m >= 1, the
+    maximal cells of Q are connected through its cells of dimension
+    m - 1: a ridge of U_x that misses its top cell lies in as many
+    facets as that chain's top has upper covers, any other ridge lies in
+    two (the intervals of Q are spheres), and each closed cell of Q is a
+    ball whose subdivision is strongly connected.
+    Vertices come in the order of `_vkey` on the elements.
     """
     if len(P) == 0:
         raise PreconditionError("link classification needs vertices")
@@ -1539,9 +1274,10 @@ def _upper_factor(
             return "ball-like", "certified", HomologyTable.point(m), [note], cert
         notes.append(f"link certificate failed to replay: {failure}")
     # no certificate: exact invariants of U may still refute
-    U = order_complex(P._induced(W))
-    h = homology(U)
-    if U.is_closed_pseudomanifold():
+    h = homology(P, W)
+    if closed and (m == 0 or _connected(
+        cells, W & (cells.levels[-1] | cells.levels[-2])
+    )):
         if h.is_sphere(m):
             missing = notes or ["no collapse found"]
             return "sphere-like", "evidence-only", h, missing, None
@@ -1589,27 +1325,3 @@ def _replay_link(
     except DomainError as exc:
         return str(exc)
     return None
-
-
-# ---------------------------------------------------------------------------
-# text format: one facet per line
-# ---------------------------------------------------------------------------
-
-
-def parse_complex(text: str, source: str = "<string>") -> SimplicialComplex:
-    """One facet per line, vertices whitespace-separated, # comments."""
-    facets = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        facets.append(line.split())
-    return SimplicialComplex(facets)
-
-
-def format_complex(K: SimplicialComplex) -> str:
-    lines = []
-    key = K._vindex.__getitem__
-    for f in K.facets:
-        lines.append(" ".join(str(v) for v in sorted(f, key=key)))
-    return "\n".join(lines) + ("\n" if lines else "")

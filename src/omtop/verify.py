@@ -9,9 +9,10 @@ star checks (cube, restriction bijection, inherited shellings), the
 link classification, and — for essential arrangements — the geometric
 boundedness oracle.
 
-Everything runs on the cell poset L++.  Its order complex is built only
-for `homology` when no collapse certificate replays, and its f-vector
-is read off L++ by counting chains.  The collapse is sound for the
+Everything runs on the cell poset L++, and its order complex is never
+built: its f-vector is read off L++ by counting chains, and when no
+collapse certificate replays, `homology` computes its groups as the
+cellular homology of L++.  The collapse is sound for the
 following reasons.  Once the axioms pass, L++ is the face poset of a PL
 regular cell complex, the premise `classify_links` states.  An
 elementary cellular collapse (sigma a facet of tau, tau maximal and
@@ -76,7 +77,6 @@ from .topology import (
     classify_links,
     find_collapse,
     homology,
-    order_complex,
     verify_collapse,
 )
 
@@ -223,8 +223,8 @@ def verify_covectors(
             }
 
     # the collapse, on the cells of L++: a replayed one proves the order
-    # complex K = Delta(L++) has a point's homology, so K is built only
-    # for `homology` when there is none
+    # complex Delta(L++) has a point's homology, so `homology` runs on
+    # the cells only when there is none
     P = bc_full.as_poset()
     col = find_collapse(P, budget=budget)
     col_stage = {"status": col.status, "nodes": col.nodes}
@@ -242,7 +242,7 @@ def verify_covectors(
     if col_stage.get("replay_ok"):
         H = HomologyTable.point(P.height())
     else:
-        H = homology(order_complex(P))
+        H = homology(P)
     stages["order_complex"] = {
         "f_vector": list(_chain_counts(P)),
         "homology": H.to_json(),

@@ -6,6 +6,17 @@ Gaussian elimination (`rational_betti`) and over the integers with the
 Smith normal form of every full boundary matrix (`integral_homology`),
 so they cross-check the collapse/coreduction path of `homology`.
 
+`SimplicialComplex`, `face_poset`, `maximal_chains`, `order_complex` and
+`simplicial_homology` are the simplicial engine the library ran before
+homology moved onto the cells of a poset: `homology(P)` is checked
+against `simplicial_homology(order_complex(P))`, window by window, and a
+simplicial complex K reaches the library as `face_poset(K)`.
+`cw_defect` names an element whose lower interval is no homology
+sphere, the reason the cell engine may refuse a poset.  `down_set`,
+`open_interval`, `is_lower_cover`, `any_refuted`, `positive_part` and
+`all_sign_vectors` are helpers the library exported and no longer
+calls.
+
 The covector-order oracles (`scan_heights`, `scan_topes`, `scan_atoms`,
 `scan_upper`, `scan_bounded_complex`) answer each order question by
 pairwise `SignVector.below` scans over the whole set, with no shared
@@ -94,9 +105,9 @@ They cross-check `_cocircuits`, the uniform early exit of
 `enumerate_covectors` and `generate._general_position`.
 
 `verify_on_the_order_complex` runs the pipeline with its collapse found
-and replayed on the order complex K = Delta(L++) and K's f-vector read
-from K, so it cross-checks `verify`, which collapses the cells of L++
-and counts the chains of L++.
+and replayed, and its homology computed, on the order complex
+K = Delta(L++) and K's f-vector read from K, so it cross-checks
+`verify`, which does all three on the cells of L++.
 
 `CollapseState`, `find_collapse_by_state` and `verify_collapse_by_state`
 are the collapse search and its replay as they ran before the cell
@@ -122,9 +133,10 @@ dict for dict.
 
 import heapq
 import itertools
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
 from math import gcd
+from typing import Hashable, Iterable
 from unittest import mock
 
 import omtop.verify
@@ -166,14 +178,9 @@ from omtop.topology import (
     LinkVerdict,
     Poset,
     ShellingReport,
-    SimplicialComplex,
     _poset_is_simplicial,
     _vkey,
-    find_collapse,
-    homology,
-    order_complex,
     smith_normal_form,
-    verify_collapse,
 )
 
 
@@ -501,6 +508,388 @@ def face_bounded_by_directions(A, P) -> bool:
             if feasible([_to_int_row(*r) for r in rows], A.dim):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# simplicial complexes, order complexes and simplicial homology
+# ---------------------------------------------------------------------------
+
+
+class SimplicialComplex:
+    """An abstract simplicial complex stored by its facets.
+
+    Downward closure is implicit.  `SimplicialComplex([])` is the void
+    complex (no faces); `SimplicialComplex([[]])` is {emptyset}, the
+    (-1)-sphere.
+    """
+
+    __slots__ = ("facets", "vertex_order", "_vindex", "_faces")
+
+    def __init__(self, facets: Iterable[Iterable[Hashable]]):
+        fs = {frozenset(f) for f in facets}
+        maximal = [f for f in fs if not any(f < g for g in fs)]
+        self.vertex_order: tuple = tuple(
+            sorted({v for f in maximal for v in f}, key=_vkey)
+        )
+        self._vindex = {v: i for i, v in enumerate(self.vertex_order)}
+        vindex = self._vindex
+        self.facets: tuple[frozenset, ...] = tuple(
+            sorted(maximal, key=lambda f: (len(f), sorted(vindex[v] for v in f)))
+        )
+        self._faces = None
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def void(cls) -> "SimplicialComplex":
+        return cls([])
+
+    @classmethod
+    def empty(cls) -> "SimplicialComplex":
+        """The complex {emptyset}: no vertices, one empty face."""
+        return cls([[]])
+
+    @classmethod
+    def simplex(cls, vertices: Iterable[Hashable]) -> "SimplicialComplex":
+        return cls([list(vertices)])
+
+    @classmethod
+    def simplex_boundary(cls, vertices: Iterable[Hashable]) -> "SimplicialComplex":
+        vs = list(vertices)
+        if not vs:
+            raise DomainError("boundary of the empty simplex is void")
+        return cls([vs[:i] + vs[i + 1 :] for i in range(len(vs))])
+
+    # -- predicates --------------------------------------------------------
+
+    @property
+    def is_void(self) -> bool:
+        return not self.facets
+
+    @property
+    def dim(self) -> int:
+        """Dimension; -1 for {emptyset}.  Void complex has no dimension."""
+        if self.is_void:
+            raise DomainError("the void complex has no dimension")
+        return max(len(f) for f in self.facets) - 1
+
+    @property
+    def vertices(self) -> tuple:
+        return self.vertex_order
+
+    def faces(self) -> dict[int, set[frozenset]]:
+        """All nonempty faces, keyed by dimension."""
+        if self._faces is None:
+            byd: dict[int, set[frozenset]] = {}
+            seen: set[frozenset] = set()
+            for f in self.facets:
+                vs = sorted(f, key=self._vindex.__getitem__)
+                for k in range(1, len(f) + 1):
+                    for sub in itertools.combinations(vs, k):
+                        fsub = frozenset(sub)
+                        if fsub not in seen:
+                            seen.add(fsub)
+                            byd.setdefault(k - 1, set()).add(fsub)
+            self._faces = byd
+        return self._faces
+
+    def all_faces(self) -> set[frozenset]:
+        out: set[frozenset] = set()
+        for fs in self.faces().values():
+            out |= fs
+        return out
+
+    def has_face(self, face: Iterable[Hashable]) -> bool:
+        f = frozenset(face)
+        return any(f <= g for g in self.facets)
+
+    def f_vector(self) -> tuple[int, ...]:
+        if self.is_void or self.dim < 0:
+            return ()
+        byd = self.faces()
+        return tuple(len(byd.get(k, ())) for k in range(self.dim + 1))
+
+    def euler_characteristic(self) -> int:
+        return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
+
+    def reduced_euler(self) -> int:
+        if self.is_void:
+            return 0
+        return self.euler_characteristic() - 1
+
+    def is_pure(self) -> bool:
+        if self.is_void:
+            return True
+        d = self.dim
+        return all(len(f) - 1 == d for f in self.facets)
+
+    def is_connected(self) -> bool:
+        vs = self.vertex_order
+        if len(vs) <= 1:
+            return True
+        parent = {v: v for v in vs}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for f in self.facets:
+            it = iter(f)
+            first = find(next(it))
+            for v in it:
+                parent[find(v)] = first
+        return len({find(v) for v in vs}) == 1
+
+    # -- subcomplex operations ----------------------------------------------
+
+    def link(self, face: Iterable[Hashable] | Hashable) -> "SimplicialComplex":
+        f = self._as_face(face)
+        if not self.has_face(f):
+            raise MembershipError(f"{sorted(f, key=_vkey)!r} is not a face")
+        return SimplicialComplex([g - f for g in self.facets if f <= g])
+
+    def star(self, face: Iterable[Hashable] | Hashable) -> "SimplicialComplex":
+        f = self._as_face(face)
+        if not self.has_face(f):
+            raise MembershipError(f"{sorted(f, key=_vkey)!r} is not a face")
+        return SimplicialComplex([g for g in self.facets if f <= g])
+
+    def _as_face(self, face) -> frozenset:
+        # a vertex means that vertex, whatever its type (order complexes
+        # of face posets have frozenset vertices, relabelled joins tuples)
+        if not isinstance(face, (set, list)) and face in self._vindex:
+            return frozenset([face])
+        if isinstance(face, (frozenset, set, list, tuple)):
+            return frozenset(face)
+        return frozenset([face])
+
+    def join(self, other: "SimplicialComplex", relabel: bool = False):
+        """Simplicial join.  Vertex sets must be disjoint; with
+        relabel=True they are tagged 0/1 instead."""
+        if relabel:
+            a = SimplicialComplex([[(0, v) for v in f] for f in self.facets])
+            b = SimplicialComplex([[(1, v) for v in f] for f in other.facets])
+            return a.join(b)
+        overlap = set(self.vertex_order) & set(other.vertex_order)
+        if overlap:
+            raise DomainError(
+                f"join of complexes sharing vertices {sorted(overlap, key=_vkey)!r} "
+                f"(pass relabel=True to disambiguate)"
+            )
+        return SimplicialComplex(
+            [f | g for f in self.facets for g in other.facets]
+        )
+
+    def is_closed_pseudomanifold(self) -> bool:
+        """Pure, every ridge in exactly two facets, and strongly connected
+        (facet graph through ridges connected)."""
+        if self.is_void or self.dim < 0 or not self.is_pure():
+            return False
+        d = self.dim
+        if d == 0:
+            return len(self.facets) == 2
+        ridge_facets: dict[frozenset, list[int]] = {}
+        for i, f in enumerate(self.facets):
+            for r in itertools.combinations(f, d):
+                ridge_facets.setdefault(frozenset(r), []).append(i)
+        if any(len(fs) != 2 for fs in ridge_facets.values()):
+            return False
+        # strong connectivity via ridge adjacency
+        t = len(self.facets)
+        seen = {0}
+        stack = [0]
+        adj: dict[int, set[int]] = {i: set() for i in range(t)}
+        for fs in ridge_facets.values():
+            a, b = fs
+            adj[a].add(b)
+            adj[b].add(a)
+        while stack:
+            i = stack.pop()
+            for j in adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        return len(seen) == t
+
+    # -- plumbing ----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SimplicialComplex) and self.facets == other.facets
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.facets)
+
+    def __repr__(self) -> str:
+        if self.is_void:
+            return "SimplicialComplex(void)"
+        if self.dim < 0:
+            return "SimplicialComplex({emptyset})"
+        return (
+            f"SimplicialComplex(dim={self.dim}, f={self.f_vector()})"
+        )
+
+
+def face_poset(K: SimplicialComplex) -> Poset:
+    """Poset of nonempty faces of K ordered by inclusion, listed by size
+    and then by vertex indices."""
+    vindex = K._vindex
+    elems = sorted(
+        K.all_faces(), key=lambda f: (len(f), sorted(vindex[v] for v in f))
+    )
+    return Poset(elems, lambda a, b: a <= b)
+
+
+def maximal_chains(P: Poset) -> list[tuple]:
+    """The maximal chains of P, each from a minimal element up."""
+    n = len(P.elements)
+    ups = [
+        [j for j in _bits(P._up[i] & ~(1 << i)) if P._is_cover_idx(i, j)]
+        for i in range(n)
+    ]
+    out: list[tuple] = []
+
+    def extend(path: list[int]) -> None:
+        tail = ups[path[-1]]
+        if not tail:
+            out.append(tuple(P.elements[k] for k in path))
+            return
+        for j in tail:
+            path.append(j)
+            extend(path)
+            path.pop()
+
+    for i in range(n):
+        if P._down[i] == 1 << i:
+            extend([i])
+    return out
+
+
+def order_complex(P: Poset) -> SimplicialComplex:
+    """The complex of chains of P; facets are the maximal chains.
+
+    The order complex of the empty poset is {emptyset}.
+    """
+    if len(P) == 0:
+        return SimplicialComplex.empty()
+    return SimplicialComplex(maximal_chains(P))
+
+
+def simplicial_homology(K: SimplicialComplex) -> HomologyTable:
+    """Integral simplicial homology as `homology` computed it before it
+    ran on cells: the relative groups H(K, v0) for the first vertex v0,
+    after removing collapse and coreduction pairs on a `CollapseState`
+    of K, then Smith normal form with the simplicial signs."""
+    if K.is_void:
+        return HomologyTable(
+            dim=-2, betti=(), torsion=(), reduced_betti=(), minus_one=0
+        )
+    d = K.dim
+    if d < 0:
+        return HomologyTable.sphere(-1)
+    state = CollapseState(K)
+    state.alive.discard(frozenset([K.vertex_order[0]]))
+    # lowest dimension first: on the (7,4,0) order complex this leaves
+    # no cell, highest first leaves 18
+    queue = deque(sorted(state.alive, key=state.key, reverse=True))
+    while queue:
+        f = queue.popleft()
+        if f not in state.alive:
+            continue
+        if len(state.cofaces[f]) == 1:
+            sigma, (tau,) = f, state.cofaces[f]
+        else:
+            below = [s for s in state.facets[f] if s in state.alive]
+            if len(below) != 1:
+                continue
+            (sigma,), tau = below, f
+        state.remove_pair(sigma, tau)
+        for g in (sigma, tau):
+            queue.extend(s for s in state.facets[g] if s in state.alive)
+            queue.extend(state.cofaces[g])
+    cells: dict[int, list[frozenset]] = {k: [] for k in range(d + 1)}
+    for f in sorted(state.alive, key=state.key):
+        cells[len(f) - 1].append(f)
+    ranks = [0] * (d + 2)
+    torsion: list[tuple[int, ...]] = [()] * (d + 1)
+    for k in range(1, d + 1):
+        if not cells[k] or not cells[k - 1]:
+            continue
+        ridx = {r: i for i, r in enumerate(cells[k - 1])}
+        dense = [[0] * len(cells[k]) for _ in ridx]
+        for j, c in enumerate(cells[k]):
+            for i, sub in enumerate(state.facets[c]):
+                if sub in ridx:
+                    dense[ridx[sub]][j] = (-1) ** i
+        factors = smith_normal_form(dense)
+        ranks[k] = len(factors)
+        torsion[k - 1] = tuple(f for f in factors if f > 1)
+    rb = tuple(len(cells[k]) - ranks[k] - ranks[k + 1] for k in range(d + 1))
+    return HomologyTable(
+        dim=d,
+        betti=(rb[0] + 1,) + rb[1:],
+        torsion=tuple(torsion),
+        reduced_betti=rb,
+    )
+
+
+def cw_defect(P: Poset):
+    """An element y of P whose strict down-set has an order complex
+    without the homology of a (height(y) - 1)-sphere, or None: a CW
+    poset, the face poset of a regular CW complex, has none."""
+    for y in P:
+        Q = P.strictly_below(y)
+        if not simplicial_homology(order_complex(Q)).is_sphere(P.height(y) - 1):
+            return y
+    return None
+
+
+def down_set(P: Poset, x) -> tuple:
+    """The elements y <= x, in element order."""
+    return tuple(P.elements[i] for i in _bits(P._down[P.index(x)]))
+
+
+def open_interval(P: Poset, x, y) -> Poset:
+    """The induced order on the elements strictly between x and y."""
+    i, j = P.index(x), P.index(y)
+    return P._induced(P._up[i] & P._down[j] & ~(1 << i) & ~(1 << j))
+
+
+def is_lower_cover(P: Poset, y, x) -> bool:
+    """Is y covered by x in P augmented with a bottom?  y may be None
+    for the bottom element."""
+    j = P.index(x)
+    if y is None:
+        return P._down[j] == 1 << j
+    return P._is_cover_idx(P.index(y), j)
+
+
+def any_refuted(res: LinkClassification) -> bool:
+    return any(v.certainty == "refuted" for v in res.verdicts)
+
+
+def positive_part(M) -> tuple[SignVector, ...]:
+    """L+: the covectors with positive g-coordinate, sorted."""
+    gi = M.g_index
+    return tuple(x for x in M.om if x.sign(gi) is Sign.PLUS)
+
+
+def all_sign_vectors(n: int):
+    """All 3**n sign vectors of length n, coordinate 0 varying slowest,
+    each coordinate running through 0, +, - in that order."""
+    def rec(i: int, pos: int, neg: int):
+        if i == n:
+            yield SignVector(n, pos, neg)
+            return
+        bit = 1 << i
+        yield from rec(i + 1, pos, neg)
+        yield from rec(i + 1, pos | bit, neg)
+        yield from rec(i + 1, pos, neg | bit)
+
+    return rec(0, 0, 0)
 
 
 def rational_betti(K: SimplicialComplex) -> tuple[int, ...]:
@@ -947,7 +1336,7 @@ def certify_sphere(
     if not L.is_closed_pseudomanifold():
         return (False, "refuted", ["not a closed pseudomanifold"])
     if h is None:
-        h = homology(L)
+        h = simplicial_homology(L)
     if not h.is_sphere(d):
         return (False, "refuted", [f"homology {h.reduced_betti} is not a {d}-sphere"])
     if d == 1:
@@ -990,7 +1379,7 @@ def certify_ball(
     ok, certainty, sub = certify_sphere(bd, d - 1, budget)
     if not ok:
         return (False, certainty, [f"boundary: {m}" for m in sub])
-    res = find_collapse(L, budget=budget)
+    res = find_collapse_by_state(L, budget=budget)
     if not res.collapsed:
         return (True, "evidence-only", ["collapse search exhausted"])
     notes = [f"collapsed in {len(res.certificate.steps)} steps"]
@@ -1010,7 +1399,7 @@ def link_sweep(K: SimplicialComplex, budget: int = 10**6) -> LinkClassification:
     verdicts = []
     for v in K.vertex_order:
         L = K.link([v])
-        h = homology(L)
+        h = simplicial_homology(L)
         ok_s, cert_s, notes_s = certify_sphere(L, d - 1, budget, h)
         if ok_s:
             verdicts.append(
@@ -1045,19 +1434,22 @@ def link_facts(res: LinkClassification) -> list[tuple]:
 
 
 def verify_on_the_order_complex(A, budget: int = 10**6):
-    """`verify_arrangement(A)` as it ran before the collapse moved to
-    the cells: the collapse is searched and replayed on the order
-    complex K of L++, and the reported f-vector is K's."""
+    """`verify_arrangement(A)` as it ran before the collapse and
+    homology moved to the cells: the collapse is searched and replayed
+    and the homology computed on the order complex K of L++, and the
+    reported f-vector is K's."""
 
     def on_K(f):
         return lambda P, *args, **kwargs: f(order_complex(P), *args, **kwargs)
 
     with mock.patch.object(
-        omtop.verify, "find_collapse", on_K(find_collapse)
+        omtop.verify, "find_collapse", on_K(find_collapse_by_state)
     ), mock.patch.object(
-        omtop.verify, "verify_collapse", on_K(verify_collapse)
+        omtop.verify, "verify_collapse", on_K(verify_collapse_by_state)
     ), mock.patch.object(
         omtop.verify, "_chain_counts", lambda P: order_complex(P).f_vector()
+    ), mock.patch.object(
+        omtop.verify, "homology", lambda P: simplicial_homology(order_complex(P))
     ):
         return omtop.verify.verify_arrangement(A, budget=budget)
 
@@ -1213,7 +1605,7 @@ def verify_shelling_by_meets(P, order) -> ShellingReport:
     failures = []
     for j in range(1, len(order)):
         horizon = [
-            meet(k, j) for k in range(j) if P.is_lower_cover(meet(k, j), order[j])
+            meet(k, j) for k in range(j) if is_lower_cover(P, meet(k, j), order[j])
         ]
         for i in range(j):
             if not any(leq_aug(meet(i, j), h) for h in horizon):
@@ -1655,7 +2047,7 @@ def _upper_factor_by_subposet(Q, m: int, budget: int):
             note = f"collapsed in {len(res.certificate.steps)} steps"
             return "ball-like", "certified", HomologyTable.point(m), [note]
     U = order_complex(Q)
-    h = homology(U)
+    h = simplicial_homology(U)
     if U.is_closed_pseudomanifold():
         if h.is_sphere(m):
             return "sphere-like", "evidence-only", h, ["no collapse found"]
@@ -1784,6 +2176,14 @@ def induced_shelling_by_vectors(M, X) -> InducedShelling:
             f"expected 3^{zeros} = {3 ** zeros}"
         )
     cx = set(star.C_X)
+    if not star.D_X:
+        problems = [f"D_X is empty, and |C_X| = {len(cx)}"]
+        if cube is not None:
+            problems.append(cube)
+        return InducedShelling(
+            X=star.X, dx_order=(), order=(), report=None,
+            problems=tuple(problems),
+        )
     first = None
     for B in star.D_X:
         dx = shelling_of_DX_by_vectors(M, X, B)
@@ -1824,8 +2224,6 @@ def induced_shelling_by_vectors(M, X) -> InducedShelling:
             return cand
         if first is None:
             first = cand
-    if first is None:
-        raise PreconditionError(f"D_X is empty for X = {star.X}")
     return first
 
 

@@ -26,16 +26,15 @@ from omtop.realization import (
 )
 from omtop.signvec import Sign, SignVector
 from omtop.topology import (
+    HomologyTable,
     Poset,
-    SimplicialComplex,
     find_collapse,
     homology,
-    order_complex,
     verify_collapse,
     verify_shelling,
 )
 from omtop.verify import verify_arrangement
-from oracles import tope_poset
+from oracles import SimplicialComplex, face_poset, tope_poset
 
 # -- the seeded corpus (criteria 2, 3, 5) -----------------------------------
 
@@ -205,16 +204,16 @@ def test_criterion_5_oracle_agrees_with_bounded_complex(
 
 def test_criterion_6_topology_engine():
     """Simplex homology tables, join identities, and collapse
-    certificate replay."""
+    certificate replay, on face posets and on L++."""
     for d in range(5):
         verts = list(range(d + 1))
-        solid = SimplicialComplex.simplex(verts)
+        solid = face_poset(SimplicialComplex.simplex(verts))
         assert homology(solid).is_ball()
         col = find_collapse(solid)
         assert col.collapsed
         assert verify_collapse(solid, col.certificate)
         if d >= 1:
-            boundary = SimplicialComplex.simplex_boundary(verts)
+            boundary = face_poset(SimplicialComplex.simplex_boundary(verts))
             assert homology(boundary).is_sphere(d - 1)
     # {emptyset} * K = K
     path = SimplicialComplex([[1, 2], [2, 3]])
@@ -223,15 +222,16 @@ def test_criterion_6_topology_engine():
     s0 = SimplicialComplex([[0], [1]])
     square = s0.join(s0, relabel=True)
     assert square.f_vector() == (4, 4)
-    assert homology(square).is_sphere(1)
+    assert homology(face_poset(square)).is_sphere(1)
     # certificates emitted on a real instance replay as well
     M = AffineOM(
         enumerate_covectors(homogenize(generate_arrangement(4, 2, seed=1)))
     )
-    K = order_complex(bounded_complex(M).as_poset())
-    col = find_collapse(K)
+    P = bounded_complex(M).as_poset()
+    col = find_collapse(P)
     assert col.collapsed
-    assert verify_collapse(K, col.certificate)
+    assert verify_collapse(P, col.certificate)
+    assert homology(P) == HomologyTable.point(P.height())
 
 
 # -- criterion 7: the axiom verifier and its mutation harness ---------------

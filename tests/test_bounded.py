@@ -19,9 +19,12 @@ from oracles import (
     check_bijection_by_scan,
     cube_isomorphism_by_scan,
     cube_scans,
+    SimplicialComplex,
+    face_poset,
     find_shelling,
     induced_shelling_by_scan,
     restriction_ok_by_scan,
+    positive_part,
     restriction_scans,
     shelling_of_DX_by_scan,
     star_topes_by_scan,
@@ -38,7 +41,6 @@ from omtop.bounded import (
     cube_isomorphism,
     induced_shelling_of_CX,
     link_decomposition,
-    positive_part,
     restrict_to_support,
     shelling_of_DX,
 )
@@ -51,7 +53,7 @@ from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet
 from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
-from omtop.topology import SimplicialComplex, face_poset, verify_shelling
+from omtop.topology import verify_shelling
 
 S = SignVector.from_string
 

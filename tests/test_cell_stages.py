@@ -1,9 +1,11 @@
 """The per-cell stages of `verify` on indices: the link of every cell
-of L++ on a window of L++'s own cell table, and the star checks on the
-tope masks of `bounded._TopeTable`.
+of L++ on a window of L++'s own cell table, the homology of each window
+on the same cells, and the star checks on the tope masks of
+`bounded._TopeTable`.
 
 Each is checked against the algorithm it replaced, kept in oracles.py
-(`classify_links_by_subposets`, `star_checks_by_vectors`), on the
+(`classify_links_by_subposets`, `simplicial_homology` of an order
+complex, `star_checks_by_vectors`), on the
 benchmark's workloads and on instances whose failing lifts run the
 base loop to its end.  Every certified link carries a certificate that
 replays on the re-indexed factor; corrupted certificates, bijections
@@ -26,19 +28,26 @@ from omtop.bounded import (
     AffineOM,
     bounded_complex,
     check_bijection,
+    induced_shelling_of_CX,
     restrict_to_support,
+    shelling_of_DX,
 )
+from omtop.errors import PreconditionError
 from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet
-from omtop.realization import enumerate_covectors, homogenize
+from omtop.realization import Arrangement, enumerate_covectors, homogenize
 from omtop.signvec import SignVector
-from omtop.topology import LinkCertificate, classify_links
+from omtop.topology import LinkCertificate, classify_links, homology
 from omtop.verify import _star_checks, verify_arrangement, verify_covectors
 from oracles import (
+    any_refuted,
     check_bijection_by_vectors,
     classify_links_by_subposets,
+    induced_shelling_by_vectors,
     link_certificate_replays,
+    order_complex,
     restriction_ok_by_scan,
+    simplicial_homology,
     star_checks_by_vectors,
 )
 
@@ -84,6 +93,59 @@ _OMS = _oms()
 _D5 = [(7, 5, 1), (7, 5, 2)]
 
 
+def _pinch(d: int) -> Arrangement:
+    """x_i = 0 and sum x = +-1: two d-simplices meeting at the origin."""
+    return Arrangement(
+        dim=d,
+        labels=tuple(f"x{i}" for i in range(d)) + ("s", "t"),
+        normals=tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        + ((1,) * d, (1,) * d),
+        offsets=(0,) * d + (1, -1),
+    )
+
+
+def _cell_posets():
+    """(id, L++) of (5,4,0), of the refute sets at seed 1 that are
+    oriented matroids, and of the pinch in R^5."""
+    out = [("(5,4,0)", _generated(5, 4, 0).bounded_complex().as_poset())]
+    for inst in _workload("refute", 1):
+        if inst.dropped is None:
+            out.append((inst.id, _affine(inst).bounded_complex().as_poset()))
+    out.append(("pinch5", AffineOM(enumerate_covectors(homogenize(
+        _pinch(5)))).bounded_complex().as_poset()))
+    return out
+
+
+_CELL_POSETS = _cell_posets()
+
+
+class TestHomologyOnWindows:
+    """`homology` of L++ and of every upper factor, on windows of L++'s
+    cells, against the simplicial homology of the window's order
+    complex; and every link decided with no collapse at all, by those
+    homologies and the closed pseudomanifold test on cells, against the
+    oracle that decides on order complexes."""
+
+    @pytest.mark.parametrize("iid,P", _CELL_POSETS, ids=[i for i, _ in _CELL_POSETS])
+    def test_every_window(self, iid, P):
+        windows = [((1 << len(P)) - 1, P)] + [
+            (P._up[i] ^ (1 << i), P.strictly_above(x)) for i, x in enumerate(P)
+        ]
+        for W, Q in windows:
+            assert homology(P, W) == simplicial_homology(order_complex(Q))
+        got = classify_links(P, budget=0).to_json()
+        assert got == classify_links_by_subposets(P, budget=0).to_json()
+
+    def test_deep_verify_builds_no_incidence_numbers(self, monkeypatch):
+        def refuse(cells):
+            raise AssertionError("incidence numbers built")
+
+        monkeypatch.setattr(topology, "_incidences", refuse)
+        for inst in _workload("deep", 1):
+            rep = verify_arrangement(inst.arrangement, source=inst.id)
+            assert rep.verdict == "ball-certified"
+
+
 class TestLinksOnWindows:
     """classify_links on windows of L++ against the per-link sub-posets
     of the oracle: equal `to_json()`, and every certified link's
@@ -105,7 +167,7 @@ class TestLinksOnWindows:
     def test_workload_instances(self, iid, inst):
         P = _affine(inst).bounded_complex().as_poset()
         got, certified = self.check(P)
-        assert got.any_refuted == iid.split("/")[2].startswith("pinch")
+        assert any_refuted(got) == iid.split("/")[2].startswith("pinch")
         assert certified > 0
 
     @pytest.mark.parametrize("n,d,seed", _D5)
@@ -145,9 +207,10 @@ def _outcome(f, *args):
 
 class TestStarChecksOnMasks:
     """_star_checks on tope masks against the per-X checks on sign
-    vectors: equal dicts, or the same exception with the same text
-    (off uniform input a proper cell can have C_X but no D_X), full
-    support or not."""
+    vectors: equal dicts, or the same exception with the same text,
+    full support or not.  Off uniform input a proper cell can have C_X
+    but no D_X: its inherited shelling reports that, and the checks
+    run on."""
 
     @pytest.mark.parametrize("iid,inst", _OMS, ids=[i for i, _ in _OMS])
     def test_workload_instances(self, iid, inst):
@@ -155,7 +218,33 @@ class TestStarChecksOnMasks:
         bc = M.bounded_complex()
         got = _outcome(_star_checks, M, bc)
         assert got == _outcome(star_checks_by_vectors, M, bc)
-        assert isinstance(got, dict) == (iid.split("/")[0] != "refute")
+        assert isinstance(got, dict)
+        no_dx = [e for e in got["per_x"] if e.get("dx_order") == []]
+        assert bool(no_dx) == (iid.split("/")[0] == "refute")
+        assert all(e["shelling_ok"] is False for e in no_dx)
+
+    @pytest.mark.parametrize("iid", ["pinch2", "pinch3", "pinch4", "grid3x3", "grid2x1x1"])
+    def test_empty_D_X_names_C_X(self, iid):
+        (inst,) = [i for i in _workload("refute", 1) if i.id == iid]
+        M = _affine(inst)
+        bc = M.bounded_complex()
+        seen = 0
+        for x in bc:
+            if not (x._pos | x._neg) & ~(1 << M.g_index):
+                continue
+            star = M.star(x)
+            if star.D_X or not star.c_size:
+                continue
+            ind = induced_shelling_of_CX(M, x)
+            assert ind.report is None and not ind.ok
+            assert ind.problems[0] == (
+                f"D_X is empty, and |C_X| = {star.c_size}"
+            )
+            assert ind == induced_shelling_by_vectors(M, x)
+            with pytest.raises(PreconditionError, match="D_X is empty"):
+                shelling_of_DX(M, x)
+            seen += 1
+        assert seen
 
     @pytest.mark.parametrize("n,d,seed", _D5)
     def test_d5_failing_lifts(self, n, d, seed):
@@ -313,6 +402,9 @@ DIGESTS = {
     "(5,3,1001)-1": "e69d7036b6956d0331bd20a0a2fc7e467874b77dd7ff49780bab7cf37cb6ceab",
     "(5,4,1002)-1": "8215093fe452e9ecfcbc9235205192295c513e7b59afa19edf904ced6e0d5e37",
 }
+# the pinch in R^5 (`_pinch(5)`) verified with source "pinch5", taken
+# before `homology` moved onto the cells of L++
+PINCH5_DIGEST = "8dc7b6ad4f80785ddf41c17e4a4670c8df65cef8758b9d4df4134be315007331"
 
 
 class TestReportDigests:
@@ -331,3 +423,8 @@ class TestReportDigests:
             got[inst.id] = _digest(rep)
         assert got == {k: v for k, v in DIGESTS.items() if k in got}
         assert len(got) == 8
+
+    def test_pinch5(self):
+        rep = verify_arrangement(_pinch(5), source="pinch5")
+        assert rep.verdict == "refuted"
+        assert _digest(rep) == PINCH5_DIGEST

@@ -16,15 +16,17 @@ from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet, atoms, topes
 from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
-from omtop.topology import _chain_counts, order_complex
+from omtop.topology import _chain_counts
 
 from oracles import (
+    down_set,
     heights_by_max,
     scan_atoms,
     scan_bounded_complex,
     scan_heights,
     scan_topes,
     scan_upper,
+    order_complex,
     transposed_up_sets,
 )
 
@@ -87,7 +89,7 @@ def check_order(L: CovectorSet) -> None:
     }
     for X in L:
         assert list(P.up_set(X)) == scan_upper(L, X)
-        assert list(P.down_set(X)) == [y for y in L if y.below(X)]
+        assert list(down_set(P, X)) == [y for y in L if y.below(X)]
     assert _outcome(lambda: _bounded_from_order(L)) == _outcome(
         lambda: _bounded_from_scans(L)
     )

@@ -216,7 +216,7 @@ class TestEnumerate:
     def test_pruning_does_not_change_results(
         self, line_arr, tri_arr, four_arr
     ):
-        from omtop.signvec import all_sign_vectors
+        from oracles import all_sign_vectors
 
         for A in (line_arr, tri_arr, four_arr):
             V = homogenize(A)
@@ -227,7 +227,7 @@ class TestEnumerate:
             }
 
     def test_membership_matches_fresh_feasibility(self, line_arr):
-        from omtop.signvec import all_sign_vectors
+        from oracles import all_sign_vectors
 
         V = homogenize(line_arr)
         L = enumerate_covectors(V)

@@ -9,7 +9,8 @@ import itertools
 import pytest
 
 from omtop.errors import DimensionError, DomainError
-from omtop.signvec import GroundSet, Sign, SignVector, all_sign_vectors
+from omtop.signvec import GroundSet, Sign, SignVector
+from oracles import all_sign_vectors
 
 
 def vecs(n):

@@ -17,15 +17,18 @@ from omtop.topology import (
     CollapseResult,
     classify_links,
     find_collapse,
-    order_complex,
     verify_collapse,
 )
 from omtop.verify import VERDICTS, verify_arrangement, verify_covectors
 
 from oracles import (
+    any_refuted,
+    find_collapse_by_state,
     link_facts,
     link_sweep,
+    order_complex,
     pairwise_witnesses,
+    verify_collapse_by_state,
     verify_on_the_order_complex,
 )
 
@@ -511,29 +514,34 @@ class TestLinksByUpperFactor:
         P = _cells(named(name))
         got = classify_links(P)
         assert link_facts(got) == link_facts(link_sweep(order_complex(P)))
-        assert got.any_refuted == name.startswith(("four-line", "pinch"))
+        assert any_refuted(got) == name.startswith(("four-line", "pinch"))
 
     @pytest.mark.parametrize("name", ["four-line", "(4,3,0)"])
     def test_verify_takes_no_link_of_the_order_complex(
         self, name, four_arr, monkeypatch
     ):
-        # the collapse runs on the cells, so once it replays no order
-        # complex of L++ is built; the links certify on their cells too,
-        # so the only order complex is the upper factor of a cell with
-        # no collapse, the refuted cell of four-line
+        # no order complex exists to build.  The collapse runs on the
+        # cells, so once it replays no homology of L++ is computed; the
+        # links certify on their cells too, so the only homology is that
+        # of the upper factor of a cell with no collapse, the refuted
+        # cell of four-line, on its window of L++'s cells, and only then
+        # are the incidence numbers built
         import omtop.topology as topology
         import omtop.verify as verify
 
+        assert not hasattr(topology, "order_complex")
+        assert not hasattr(verify, "order_complex")
         A = four_arr if name == "four-line" else generate_arrangement(4, 3, 0)
-        built = []
-        real_order_complex = topology.order_complex
+        windows = []
+        real_homology = topology.homology
 
-        def recording(P):
-            built.append(P)
-            return real_order_complex(P)
+        def recording(P, window=None):
+            windows.append(window)
+            return real_homology(P, window)
 
-        monkeypatch.setattr(verify, "order_complex", recording)
-        monkeypatch.setattr(topology, "order_complex", recording)
+        monkeypatch.setattr(verify, "homology", recording)
+        monkeypatch.setattr(topology, "homology", recording)
+        signs = _counting(monkeypatch, topology, "_incidences")
         rep = verify_arrangement(A)
         assert rep.verdict == (
             "refuted" if name == "four-line" else "ball-certified"
@@ -545,13 +553,21 @@ class TestLinksByUpperFactor:
         ]
         assert len(refuted) == (name == "four-line")
         P = _cells(A)
-        above = [P.strictly_above(x) for x in P if str(x) in refuted]
-        assert [Q.elements for Q in built] == [Q.elements for Q in above]
+        above = [
+            P._up[i] ^ (1 << i) for i, x in enumerate(P) if str(x) in refuted
+        ]
+        assert windows == above
+        assert len(signs) == len(windows)
 
 
-def _replays(X) -> bool:
-    res = find_collapse(X)
-    return res.collapsed and verify_collapse(X, res.certificate)
+def _replays(P) -> bool:
+    res = find_collapse(P)
+    return res.collapsed and verify_collapse(P, res.certificate)
+
+
+def _replays_on_K(K) -> bool:
+    res = find_collapse_by_state(K)
+    return res.collapsed and verify_collapse_by_state(K, res.certificate)
 
 
 class TestCellCollapse:
@@ -562,7 +578,7 @@ class TestCellCollapse:
     def test_matches_the_order_complex(self, name, named):
         A = named(name)
         P = _cells(A)
-        assert _replays(P) == _replays(order_complex(P))
+        assert _replays(P) == _replays_on_K(order_complex(P))
         new = verify_arrangement(A).to_json()
         old = verify_on_the_order_complex(A).to_json()
         assert new["verdict"] == old["verdict"]

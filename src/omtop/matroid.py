@@ -53,6 +53,55 @@ from .errors import (
 from .signvec import GroundSet, SignVector, _bits
 
 
+# _SPREAD[b]: the 8 bits of the byte b reversed and spread over 16,
+# bit j going to bit 14 - 2j
+_SPREAD = tuple(
+    sum(1 << 14 - 2 * j for j in range(8) if b >> j & 1) for b in range(256)
+)
+# _BIT_DIGITS[j]: maps a byte to "1" where its bit j is set, else "0"
+_BIT_DIGITS = tuple(
+    bytes(0x31 if b >> j & 1 else 0x30 for b in range(256)) for j in range(8)
+)
+
+
+def _sign_string_key(n: int):
+    """A sort key for sign vectors of length n that orders them as their
+    sign strings: an int of two bits per coordinate, coordinate 0
+    highest, the digit neg + 2 * zero.  Each byte of the neg and zero
+    masks is reversed and spread by one `_SPREAD` lookup; the low bits
+    that pad n to whole bytes are 0 in every key."""
+    full = (1 << n) - 1
+    if n <= 8:
+        def key(x: SignVector) -> int:
+            neg = x._neg
+            return _SPREAD[neg] | _SPREAD[full & ~(x._pos | neg)] << 1
+        return key
+    shifts = range(0, n, 8)
+
+    def key(x: SignVector) -> int:
+        neg = x._neg
+        zero = full & ~(x._pos | neg)
+        k = 0
+        for s in shifts:
+            k = (k << 16 | _SPREAD[neg >> s & 255]
+                 | _SPREAD[zero >> s & 255] << 1)
+        return k
+    return key
+
+
+def _bit_columns(masks: list[int], n: int) -> list[int]:
+    """For each bit f < n, the int whose bit i is bit f of
+    masks[len(masks) - 1 - i]: one byte plane per byte of the masks,
+    one `bytes.translate` and one base-2 parse per column."""
+    columns = []
+    for s in range(0, n, 8):
+        plane = bytes([m >> s & 255 for m in masks])
+        columns.extend(
+            int(plane.translate(t), 2) for t in _BIT_DIGITS[:n - s]
+        )
+    return columns
+
+
 class CovectorSet:
     """A set of sign vectors over a shared ground set (set semantics)."""
 
@@ -102,8 +151,15 @@ class CovectorSet:
         return f"CovectorSet({len(self.covectors)} covectors on {list(self.ground.labels)!r})"
 
     def sorted_covectors(self) -> tuple[SignVector, ...]:
+        """The covectors in sign-string order: lexicographic over
+        coordinates 0..n-1 with + < - < 0.  The key is an int of two
+        bits per coordinate, coordinate 0 highest, each digit neg +
+        2 * zero (+ is 0, - is 1, 0 is 2), built from the masks with one
+        `_SPREAD` lookup per byte; no sign string is formed."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.covectors, key=str))
+            self._sorted = tuple(
+                sorted(self.covectors, key=_sign_string_key(len(self.ground)))
+            )
         return self._sorted
 
     @property
@@ -124,22 +180,24 @@ class CovectorSet:
     def _sign_columns(self) -> tuple[tuple[int, int, int], ...]:
         """For each coordinate f, the masks (plus, minus, zero) of the
         covectors with +, - and 0 at f; bit i is covector i of
-        :meth:`sorted_covectors`."""
+        :meth:`sorted_covectors`.  Built by byte planes: for each byte k
+        of the sign masks, the bytes of (mask >> 8k) & 255 over the
+        covectors, last covector first, so that each bit j of that byte
+        translated to "1" or "0" (`_BIT_DIGITS`) is the binary numeral
+        of column 8k + j.  The empty set has zero columns."""
         if self._columns is None:
             covs = self.sorted_covectors()
             n = len(self.ground)
-            plus = [0] * n
-            minus = [0] * n
-            for i, x in enumerate(covs):
-                bit = 1 << i
-                for f in _bits(x._pos):
-                    plus[f] |= bit
-                for f in _bits(x._neg):
-                    minus[f] |= bit
-            full = (1 << len(covs)) - 1
-            self._columns = tuple(
-                (p, m, full & ~(p | m)) for p, m in zip(plus, minus)
-            )
+            if not covs:
+                self._columns = ((0, 0, 0),) * n
+            else:
+                rev = covs[::-1]
+                plus = _bit_columns([x._pos for x in rev], n)
+                minus = _bit_columns([x._neg for x in rev], n)
+                full = (1 << len(covs)) - 1
+                self._columns = tuple(
+                    (p, m, full & ~(p | m)) for p, m in zip(plus, minus)
+                )
         return self._columns
 
     def order(self):
@@ -470,15 +528,18 @@ def _cocircuit_decline(S: CovectorSet) -> str | None:
         if same.bit_count() != 2:
             return "incomparable"
 
+    # opposite[i]: the index of -covs[i], for each atom i
+    opposite = {i: index[-covs[i]] for i in atom}
+    # by L2 the supports above x are the supports of S containing supp(x)
+    supports = sorted(set(support), key=int.bit_count)
     within: dict[int, int] = {}  # a support -> the atoms inside it
     partners = {}
     for i in atom:
-        above = {support[k] for k in _bits(up[i])}
-        above.discard(support[i])
+        s = support[i]
         minimal: list[int] = []
         mask = 0
-        for u in sorted(above, key=int.bit_count):
-            if any(v & u == v for v in minimal):
+        for u in supports:
+            if u & s != s or u == s or any(v & u == v for v in minimal):
                 continue
             minimal.append(u)
             if u not in within:
@@ -487,7 +548,7 @@ def _cocircuit_decline(S: CovectorSet) -> str | None:
                     inside &= zeros[f]
                 within[u] = inside
             mask |= within[u]
-        partners[i] = mask & ~(1 << i) & ~(1 << index[-covs[i]])
+        partners[i] = mask & ~(1 << i) & ~(1 << opposite[i])
     # the sign columns of A: bit a stands for the atom covs[atom[a]]
     plus, minus, zero = [0] * n, [0] * n, [0] * n
     for a, i in enumerate(atom):
@@ -503,10 +564,10 @@ def _cocircuit_decline(S: CovectorSet) -> str | None:
     for i in atom:
         x = covs[i]
         # a pair x, y (i < j) is checked only when -x and -y come after x
-        if index[-x] < i:
+        if opposite[i] < i:
             continue
         for j in _bits(partners[i] >> (i + 1) << (i + 1)):
-            if not partners[j] >> i & 1 or index[-covs[j]] < i:
+            if not partners[j] >> i & 1 or opposite[j] < i:
                 continue
             y = covs[j]
             sep = (x._pos & y._neg) | (x._neg & y._pos)

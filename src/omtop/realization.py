@@ -16,8 +16,9 @@ lines of rank-deficient subsets of forms, spanned by signed minors.  One
 depth-first walk over the subsets computes the minors as exterior
 products, each prefix's shared by every subset that extends it; the
 rank comes from fraction-free (Bareiss) elimination.  Every covector is
-a composition of cocircuits, so the closure of the cocircuits under
-composition, plus 0, is the whole set.
+a composition of cocircuits, so the covectors reached from the
+cocircuits by walking up covers, plus 0, are the whole set; the covers
+of a covector are read off the cocircuits restricted to its zero set.
 
 The affine faces are the covectors that are + at g, with g deleted.
 The geometric boundedness oracle decides a face by its recession cone,
@@ -50,7 +51,7 @@ from .errors import (
     ResourceExhausted,
 )
 from .matroid import CovectorSet
-from .signvec import GroundSet, SignVector, _bits
+from .signvec import GroundSet, SignVector
 
 # the most covectors `enumerate_covectors` lists by default
 _CAP = 20_000
@@ -326,19 +327,43 @@ def _uniform_covector_count(n: int, r: int) -> int:
     )
 
 
+def _restriction_atoms(cocircuits: list[int], zero: int) -> list[int]:
+    """The atoms of L|Z, for Z the zero set packed as `zero` = Z | Z << n:
+    the minimal nonzero restrictions c|Z = c & zero of the cocircuits in
+    the conformal order, which on packed ints is the subset order."""
+    atoms: list[int] = []
+    for w in sorted({c & zero for c in cocircuits} - {0}, key=int.bit_count):
+        outside = ~w
+        for a in atoms:
+            if not a & outside:  # a <= w
+                break
+        else:
+            atoms.append(w)
+    return atoms
+
+
 def enumerate_covectors(
     V: VectorConfiguration, cap: int = _CAP
 ) -> CovectorSet:
     """All sign patterns of the configuration's forms: 0 plus the
-    closure of the cocircuits under conformal composition.  Every
-    nonzero covector Y of an oriented matroid is a composition
-    C_1 o ... o C_k of cocircuits C_i <= Y (Bjorner, Las Vergnas,
-    Sturmfels, White & Ziegler, Oriented Matroids, ch. 3), so each
-    prefix is <= Y and is conformal to the next C_i.  The closure is
-    computed frontier by frontier: each new covector x o c, for x on the
-    last frontier and c a cocircuit conformal to x (no element where
-    they carry opposite signs), joins the next one.  The cocircuits
-    conformal to x are an AND of per-sign columns over the support of x.
+    covectors reached from the cocircuits by walking up covers.
+
+    *Cover lemma.*  Let x be a covector of an oriented matroid, with
+    zero set Z.  Then y -> y|Z is an order isomorphism from L>=x onto
+    L|Z: it is injective on L>=x (the L2 lemma of
+    `verify_covector_axioms`), onto since x o y lies above x and
+    restricts to y|Z, and two members of L>=x, both equal to x off Z,
+    compare as their restrictions do.  Every covector is a composition
+    of the cocircuits below it (Bjorner, Las Vergnas, Sturmfels, White
+    & Ziegler, Oriented Matroids, 3.7), and restriction commutes with
+    composition, so the atoms of L|Z are the minimal nonzero members of
+    {c|Z : c a cocircuit} (`_restriction_atoms`).  Hence the covers of
+    x are exactly the x o w, that is x | w on the packed ints, for w an
+    atom of L|Z.  Every nonzero covector lies above a cocircuit, so a
+    breadth-first search over covers that starts from the cocircuits
+    reaches all of L - {0}.  Forms always give an oriented matroid.
+    The atoms are computed once per distinct zero set, in a dict that
+    lives for one call.
 
     Raises ResourceExhausted as soon as there are more than `cap`
     covectors.  A configuration of rank r is uniform exactly when it
@@ -358,27 +383,21 @@ def enumerate_covectors(
         and _uniform_covector_count(n, r) > cap
     ):
         raise _over_cap(cap)
-    # conformal[e]: the cocircuits not + at element e - n (for e >= n)
-    # or not - at element e (for e < n), one bit per cocircuit
-    conformal = [(1 << len(cocircuits)) - 1] * (2 * n)
-    for i, c in enumerate(cocircuits):
-        for e in _bits(c):
-            conformal[(e + n) % (2 * n)] &= ~(1 << i)
     seen = set(cocircuits)
     full = (1 << n) - 1
+    atoms_at: dict[int, list[int]] = {}  # a zero set Z -> the atoms of L|Z
     frontier = cocircuits
     while frontier:
         nxt = []
         for x in frontier:
-            s = (x | x >> n) & full
-            if s == full:
-                continue
-            free = ~(s | s << n)
-            ok = -1
-            for e in _bits(x):
-                ok &= conformal[e]
-            for i in _bits(ok):
-                y = x | (cocircuits[i] & free)
+            z = full & ~(x | x >> n)
+            atoms = atoms_at.get(z)
+            if atoms is None:
+                atoms = atoms_at[z] = _restriction_atoms(
+                    cocircuits, z | z << n
+                )
+            for w in atoms:
+                y = x | w
                 if y not in seen:
                     if len(seen) + 1 >= cap:
                         raise _over_cap(cap)

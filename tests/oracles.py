@@ -95,6 +95,14 @@ and the [C_X] face poset cut out of L by `Poset.subposet`.  They
 cross-check `Poset.is_pure`, `verify_shelling`, `Star`, `shelling_of_DX`
 and `induced_shelling_of_CX`, reports and exception texts included.
 
+`close_by_conformal_frontier` is the closure of `enumerate_covectors` as
+it ran before it walked covers: each new covector composed with every
+cocircuit conformal to it, so it cross-checks the cover walk as a whole
+set, cap included.  `sorted_by_sign_string` sorts a covector set by its
+sign strings and `sign_columns_by_bits` sets its sign columns one bit
+per sign, as `CovectorSet` did before its integer sort key and byte
+planes; they cross-check `sorted_covectors` and `_sign_columns`.
+
 `cocircuits_by_dets` lists the cocircuits as `realization._cocircuits`
 did before the wedge walk: each (r-1)-subset of the non-loop forms on
 its own, its cofactor vector from r separate determinants `det` by
@@ -135,7 +143,7 @@ import heapq
 import itertools
 from collections import defaultdict, deque
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Hashable, Iterable
 from unittest import mock
 
@@ -163,9 +171,12 @@ from omtop.matroid import (
     topes,
 )
 from omtop.realization import (
+    _CAP,
+    _cocircuits,
     _eliminate,
     _over_cap,
     _rank,
+    _uniform_covector_count,
     homogenize,
     is_essential,
 )
@@ -402,6 +413,76 @@ def cocircuits_by_dets(forms, cap: int) -> list[int]:
         if len(found) >= cap:
             raise _over_cap(cap)
     return sorted(found)
+
+
+def close_by_conformal_frontier(V, cap: int = _CAP) -> CovectorSet:
+    """`enumerate_covectors(V, cap)` as it ran before it walked covers:
+    0 plus the closure of the cocircuits under conformal composition,
+    frontier by frontier, each new covector x composed with every
+    cocircuit conformal to x, with the same uniform early exit and the
+    same cap test."""
+    n = V.n_forms
+    cocircuits = _cocircuits(V.forms, cap)
+    r = _rank(V.forms)
+    if (
+        r
+        and len(cocircuits) == 2 * comb(n, r - 1)
+        and _uniform_covector_count(n, r) > cap
+    ):
+        raise _over_cap(cap)
+    # conformal[e]: the cocircuits not + at element e - n (for e >= n)
+    # or not - at element e (for e < n), one bit per cocircuit
+    conformal = [(1 << len(cocircuits)) - 1] * (2 * n)
+    for i, c in enumerate(cocircuits):
+        for e in _bits(c):
+            conformal[(e + n) % (2 * n)] &= ~(1 << i)
+    seen = set(cocircuits)
+    full = (1 << n) - 1
+    frontier = cocircuits
+    while frontier:
+        nxt = []
+        for x in frontier:
+            s = (x | x >> n) & full
+            if s == full:
+                continue
+            free = ~(s | s << n)
+            ok = -1
+            for e in _bits(x):
+                ok &= conformal[e]
+            for i in _bits(ok):
+                y = x | (cocircuits[i] & free)
+                if y not in seen:
+                    if len(seen) + 1 >= cap:
+                        raise _over_cap(cap)
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    vecs = [SignVector(n, k & full, k >> n) for k in seen]
+    vecs.append(SignVector.zero(n))
+    return CovectorSet(V.ground, vecs)
+
+
+def sorted_by_sign_string(S) -> tuple:
+    """`S.sorted_covectors()` as it ran before its integer key: sorted
+    by the sign strings themselves."""
+    return tuple(sorted(S.covectors, key=str))
+
+
+def sign_columns_by_bits(S) -> tuple:
+    """`S._sign_columns()` as it ran before the byte planes: one bit set
+    per sign of each covector, over `sorted_by_sign_string(S)`."""
+    covs = sorted_by_sign_string(S)
+    n = len(S.ground)
+    plus = [0] * n
+    minus = [0] * n
+    for i, x in enumerate(covs):
+        bit = 1 << i
+        for f in _bits(x._pos):
+            plus[f] |= bit
+        for f in _bits(x._neg):
+            minus[f] |= bit
+    full = (1 << len(covs)) - 1
+    return tuple((p, m, full & ~(p | m)) for p, m in zip(plus, minus))
 
 
 def every_subset_a_basis_by_ranks(forms, k: int) -> bool:
@@ -1704,6 +1785,19 @@ def induced_shelling_by_scan(M, X, dx_order=None) -> InducedShelling:
 
     if dx_order is not None:
         return lift_and_check(list(dx_order))
+    if not star.D_X:
+        problems = [f"D_X is empty, and |C_X| = {len(cx)}"]
+        size = len(order.up_set(star.X))
+        zeros = len(star.X.zero_set())
+        if size != 3 ** zeros:
+            problems.append(
+                f"L_>=X is not the sign cube on z(X): |L_>=X| = {size}, "
+                f"expected 3^{zeros} = {3 ** zeros}"
+            )
+        return InducedShelling(
+            X=star.X, dx_order=(), order=(), report=None,
+            problems=tuple(problems),
+        )
     first = None
     for B in sorted(star.D_X, key=str):
         cand = lift_and_check(shelling_of_DX_by_scan(M, X, B))
@@ -1711,8 +1805,6 @@ def induced_shelling_by_scan(M, X, dx_order=None) -> InducedShelling:
             return cand
         if first is None:
             first = cand
-    if first is None:
-        raise PreconditionError(f"D_X is empty for X = {star.X}")
     return first
 
 

@@ -43,6 +43,7 @@ from oracles import (
     any_refuted,
     check_bijection_by_vectors,
     classify_links_by_subposets,
+    induced_shelling_by_scan,
     induced_shelling_by_vectors,
     link_certificate_replays,
     order_complex,
@@ -241,10 +242,28 @@ class TestStarChecksOnMasks:
                 f"D_X is empty, and |C_X| = {star.c_size}"
             )
             assert ind == induced_shelling_by_vectors(M, x)
+            assert ind == induced_shelling_by_scan(M, x)
             with pytest.raises(PreconditionError, match="D_X is empty"):
                 shelling_of_DX(M, x)
             seen += 1
         assert seen
+
+    def test_empty_D_X_in_all_three(self):
+        # a cell of the pinch with one tope of C_X and no D_X: the
+        # library and both oracles report it, none raises
+        (inst,) = [i for i in _workload("refute", 1) if i.id == "pinch2"]
+        M = _affine(inst)
+        x = S("+-+0+")
+        assert x in M.bounded_complex()
+        star = M.star(x)
+        assert not star.D_X and star.c_size == 1
+        want = ("D_X is empty, and |C_X| = 1",)
+        for f in (induced_shelling_of_CX, induced_shelling_by_vectors,
+                  induced_shelling_by_scan):
+            ind = f(M, x)
+            assert ind.problems == want
+            assert ind.report is None and not ind.ok
+            assert ind.dx_order == ind.order == ()
 
     @pytest.mark.parametrize("n,d,seed", _D5)
     def test_d5_failing_lifts(self, n, d, seed):

@@ -47,6 +47,8 @@ from oracles import (
     pairwise_witnesses,
     restriction_l2_witnesses,
     scan_axioms,
+    sign_columns_by_bits,
+    sorted_by_sign_string,
     tope_poset,
 )
 
@@ -78,6 +80,49 @@ class TestCovectorSet:
         assert L.loops() == frozenset({1})
         M = cs(["a"], ["0", "+", "-"])
         assert M.loops() == frozenset()
+
+
+def _random_sets(n: int, seed: int) -> list[CovectorSet]:
+    """Seeded sets of sign vectors of length n, of 1 to 300 members,
+    plus the empty set."""
+    rng = random.Random(seed)
+    ground = GroundSet([f"e{i}" for i in range(n)])
+    out = [CovectorSet(ground, [])]
+    for size in (1, 2, 5, 40, 300):
+        vecs = []
+        for _ in range(size):
+            pos = rng.getrandbits(n) if n else 0
+            neg = rng.getrandbits(n) & ~pos if n else 0
+            # some vectors mostly zero, so every digit leads somewhere
+            if rng.random() < 0.3:
+                keep = rng.getrandbits(n) if n else 0
+                pos, neg = pos & keep, neg & keep
+            vecs.append(SignVector(n, pos, neg))
+        out.append(CovectorSet(ground, vecs))
+    return out
+
+
+class TestSortAndColumns:
+    """The integer sort key of `sorted_covectors` against sorting by
+    sign strings, and the byte-plane `_sign_columns` against setting
+    one bit per sign, at the byte boundaries of n."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17])
+    def test_against_sign_strings_and_bits(self, n):
+        for L in _random_sets(n, seed=n):
+            assert L.sorted_covectors() == sorted_by_sign_string(L)
+            assert L._sign_columns() == sign_columns_by_bits(L)
+
+    def test_empty_set(self):
+        L = CovectorSet(GroundSet(["a", "b", "c"]), [])
+        assert L.sorted_covectors() == ()
+        assert L._sign_columns() == ((0, 0, 0),) * 3
+
+    @pytest.mark.parametrize("n,d,seed", [(6, 4, 0), (11, 2, 0)])
+    def test_generated(self, n, d, seed):
+        L = enumerate_covectors(homogenize(generate_arrangement(n, d, seed)))
+        assert L.sorted_covectors() == sorted_by_sign_string(L)
+        assert L._sign_columns() == sign_columns_by_bits(L)
 
 
 class TestAxioms:

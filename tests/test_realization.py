@@ -33,6 +33,7 @@ from oracles import (
     _GT,
     _rank_over_q,
     affine_pattern_feasible,
+    close_by_conformal_frontier,
     cocircuits_by_dets,
     det,
     face_bounded_by_directions,
@@ -49,13 +50,14 @@ from omtop.errors import (
     PreconditionError,
     ResourceExhausted,
 )
-from omtop.matroid import verify_covector_axioms
+from omtop.matroid import atoms, verify_covector_axioms
 from omtop.generate import generate_arrangement
 from omtop.realization import (
     Arrangement,
     VectorConfiguration,
     _cocircuits,
     _rank,
+    _restriction_atoms,
     _uniform_covector_count,
     affine_face_dim,
     bounded_face_census,
@@ -453,7 +455,7 @@ class TestCocircuitWalk:
         assert len(enumerate_covectors(V, cap=size)) == size
         assert len(enumerate_covectors(V, cap=size + 1)) == size
         # one past the cap raises before the closure reads a cocircuit
-        monkeypatch.setattr(realization, "_bits", None)
+        monkeypatch.setattr(realization, "_restriction_atoms", None)
         with pytest.raises(ResourceExhausted, match="cap"):
             enumerate_covectors(V, cap=size - 1)
 
@@ -469,6 +471,84 @@ class TestCocircuitWalk:
         assert len(enumerate_covectors(V, cap=size)) == size
         with pytest.raises(ResourceExhausted, match="cap"):
             enumerate_covectors(V, cap=size - 1)
+
+
+def _same_closure(V):
+    """Both closures give the same set, return it at cap = |L|, and,
+    when L has a nonzero covector, raise the same error one below."""
+    L = enumerate_covectors(V)
+    assert L.covectors == close_by_conformal_frontier(V).covectors
+    size = len(L)
+    assert enumerate_covectors(V, cap=size) == L
+    assert close_by_conformal_frontier(V, cap=size) == L
+    if size > 1:
+        errors = []
+        for f in (enumerate_covectors, close_by_conformal_frontier):
+            with pytest.raises(ResourceExhausted, match="cap") as exc:
+                f(V, cap=size - 1)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+    return L
+
+
+class TestCoverWalk:
+    """The closure over covers of `enumerate_covectors` against the
+    conformal-frontier closure it replaced, set for set and cap for
+    cap."""
+
+    @pytest.mark.parametrize("n,d,seed", _UNIFORM)
+    def test_pinned_instances(self, n, d, seed):
+        _same_closure(homogenize(generate_arrangement(n, d, seed)))
+
+    @pytest.mark.parametrize("A", _workload_arrangements(),
+                             ids=["pinch2", "pinch3", "pinch4", "grid3x3",
+                                  "grid2x1x1"])
+    def test_refute_workload_arrangements(self, A):
+        _same_closure(homogenize(A))
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(integer_forms())
+    def test_degenerate_configurations(self, forms):
+        # zero, repeated and parallel rows, concurrent and non-essential
+        # configurations of any rank
+        n = len(forms)
+        ground = GroundSet([f"e{i}" for i in range(n)], g=f"e{n - 1}")
+        _same_closure(VectorConfiguration(
+            nvars=len(forms[0]), forms=forms, ground=ground
+        ))
+
+    def test_rank_0_and_1(self):
+        ground = GroundSet(["a", "b", "g"], g="g")
+        loops = VectorConfiguration(
+            nvars=2, forms=((0, 0), (0, 0), (0, 0)), ground=ground
+        )
+        assert _same_closure(loops).covectors == {S("000")}
+        # no cocircuit, so neither closure meets even a cap of 0
+        assert enumerate_covectors(loops, cap=0).covectors == {S("000")}
+        assert close_by_conformal_frontier(loops, cap=0).covectors == {
+            S("000")
+        }
+        line = VectorConfiguration(
+            nvars=2, forms=((1, 0), (0, 0), (-3, 0)), ground=ground
+        )
+        assert _same_closure(line).covectors == {
+            S("000"), S("+0-"), S("-0+")
+        }
+
+    def test_covers_are_the_compositions_with_restriction_atoms(
+        self, four_om
+    ):
+        # x | w over the atoms w of L|z(x) are exactly x's covers in L
+        n = len(four_om.ground)
+        cocircuits = [c._pos | c._neg << n for c in atoms(four_om)]
+        for x in four_om:
+            ups = [y for y in four_om if y != x and x.below(y)]
+            covers = {y._pos | y._neg << n for y in ups
+                      if not any(z != y and z.below(y) for z in ups)}
+            z = ((1 << n) - 1) & ~(x._pos | x._neg)
+            got = {x._pos | x._neg << n | w
+                   for w in _restriction_atoms(cocircuits, z | z << n)}
+            assert got == covers
 
 
 class TestBoundednessOracle:

@@ -22,19 +22,25 @@ The star checks run on indices, not on sign vectors.  Once per
 conformal order (`CovectorSet.order`) in sign-string order, with their
 sign columns, and maps each g-positive unbounded tope of L (an index of
 L's order) to the tope of L/g it restricts to: r is a shift past g on
-packed ints.  A star then holds C_X as a mask over L's order
-(X's up-set met with the unbounded topes) and D_X as a mask over the
-topes of L/g (an AND of sign columns).  The bijection is a mask
-equality, the lift h is the inverse of r, [D_X] is sorted by an int
-key on separation masks, and the lifted shelling of [C_X] is decided
-by single flips on those masks: no face poset of [C_X] is built.  Sign
-vectors, their pairs and their names are built only when a report is
-read, and the per-X problems are listed only when a check fails.
+packed ints.  Then one pass over L++ (`_cell_table`) gives each bounded
+covector X a record (`_Cell`), read at X's index in L's order:
+|L_{>=X}| (the popcount of X's up-set), the link case (from X's up-set
+popcounts in L++ and in L), C_X as a mask over L's order (X's up-set
+met with the unbounded topes), D_X as a mask over the topes of L/g (an
+AND of sign columns) and r(C_X) as a mask.  `check_bijection`,
+`link_decomposition` and `induced_shelling_of_CX` read that record with
+one dict lookup, and `cube_isomorphism`, given L alone, reads X's index
+and up-set off L's order the same way.  The bijection is a mask
+equality, the lift h is the inverse of r, [D_X] is sorted by an int key
+on separation masks, and the lifted shelling of [C_X] is decided by
+single flips on those masks: no face poset of [C_X] is built.  A `Star`
+is a view of the record.  Sign vectors, their pairs, zero sets,
+sub-posets, tope tuples and lifted vectors are built only when a report
+is read, and the per-X problems are listed only when a check fails.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -47,7 +53,7 @@ from .matroid import (
     contract,
     delete_minor,
 )
-from .signvec import Sign, SignVector, _bits
+from .signvec import SignVector, _bits
 from .topology import Poset, ShellingReport, _popcount
 
 
@@ -60,7 +66,7 @@ class AffineOM:
     """
 
     __slots__ = (
-        "om", "_bc", "_contraction", "_stars", "_restriction",
+        "om", "_bc", "_contraction", "_cells", "_restriction",
         "_unbounded", "_topes",
     )
 
@@ -84,10 +90,7 @@ class AffineOM:
         self._restriction = None
         self._unbounded = None
         self._topes = None
-        # weak: a Star refers back to its AffineOM, and a strong cache
-        # would make every star and the covector set a reference cycle
-        # that lives until the garbage collector's next full pass
-        self._stars = weakref.WeakValueDictionary()
+        self._cells = None
 
     @property
     def ground(self):
@@ -130,12 +133,29 @@ class AffineOM:
         return self._topes
 
     def star(self, X: SignVector) -> "Star":
-        """Star(self, X), built once per bounded covector and shared for
-        as long as some caller holds it."""
-        star = self._stars.get(X)
-        if star is None:
-            star = self._stars[X] = Star(self, X)
-        return star
+        """Star(self, X), a view of X's cell record: every star of X
+        reads, and a C_X or D_X set by hand on one writes, that record."""
+        return Star(self, X)
+
+    def _cell(self, X: SignVector, star: bool = True) -> "_Cell":
+        """X's cell record, the records of every bounded covector built
+        in one pass on the first request.  With star set, an X that has
+        no star (support {g}, or a failed support restriction) raises."""
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = _cell_table(self)
+        cell = cells.get(X)
+        if cell is None:
+            raise MembershipError(f"{X} is not in the bounded complex")
+        if star and cell.bad is not None:
+            raise cell.bad[0](cell.bad[1])
+        return cell
+
+    def _star_om(self) -> "AffineOM":
+        """The AffineOM the stars of self live in: self, or its
+        restriction to the support E1 once `_cell_table` built it."""
+        r = self._restriction
+        return self if r is None or r[0] is None else r[0]
 
     def __repr__(self) -> str:
         return f"AffineOM({len(self.om)} covectors, g={self.g!r})"
@@ -148,7 +168,7 @@ class BoundedComplex:
     common support E1 of the maximal covectors, or None if they
     disagree (which would refute the common-support theorem for the
     input at hand).  All of these are read from the order, L's order
-    restricted to the bounded covectors.
+    restricted to the bounded covectors, and from L's heights by index.
     """
 
     __slots__ = (
@@ -158,7 +178,6 @@ class BoundedComplex:
         "pure",
         "support",
         "f_vector",
-        "_set",
         "_ranks",
         "_poset",
         "_names",
@@ -171,21 +190,23 @@ class BoundedComplex:
         # the ground set, not om: om caches this complex
         self.ground = om.ground
         self.covectors = covectors
-        self._set = frozenset(covectors)
-        heights = om.om.heights()
-        self._ranks = {x: heights[x] for x in covectors}
+        order = om.om.order()
+        heights = order._height_list()
+        # the covector ranks, in the order of covectors
+        self._ranks = [heights[i] for i in _bits(mask)]
         # the covectors as a mask over L's order, in the same order
         self._mask = mask
-        self._poset = om.om.order()._induced(mask)
-        maximal = self.maximal()
-        max_ranks = {self._ranks[x] for x in maximal}
+        self._poset = order._induced(mask)
+        up = self._poset._up
+        maximal = [j for j in range(len(up)) if up[j] == 1 << j]
+        max_ranks = {self._ranks[j] for j in maximal}
         self.dim = max(max_ranks) - 1
         self.pure = len(max_ranks) == 1
-        supports = {x.support() for x in maximal}
+        supports = {covectors[j].support() for j in maximal}
         self.support = supports.pop() if len(supports) == 1 else None
         f = [0] * (self.dim + 1)
-        for x in covectors:
-            f[self._ranks[x] - 1] += 1
+        for r in self._ranks:
+            f[r - 1] += 1
         self.f_vector = tuple(f)
         self._names = None
 
@@ -193,7 +214,7 @@ class BoundedComplex:
         return len(self.covectors)
 
     def __contains__(self, x) -> bool:
-        return x in self._set
+        return x in self._poset._index
 
     def __iter__(self):
         return iter(self.covectors)
@@ -206,9 +227,10 @@ class BoundedComplex:
 
     def face_dim(self, x: SignVector) -> int:
         """Dimension of a bounded face: its covector rank minus one."""
-        if x not in self._set:
+        j = self._poset._index.get(x)
+        if j is None:
             raise MembershipError(f"{x} is not in the bounded complex")
-        return self._ranks[x] - 1
+        return self._ranks[j] - 1
 
     def names(self) -> tuple[str, ...]:
         """The covectors as strings, in order, computed once."""
@@ -238,16 +260,20 @@ class BoundedComplex:
 
 def _compute_bounded_complex(M: AffineOM) -> BoundedComplex:
     """L++: the x with x_g = + whose down-set in L's order meets no
-    nonzero covector of another g-sign."""
+    nonzero covector of another g-sign.  Both sets are read off g's sign
+    columns: the candidates are the plus column, and the other g-signs
+    are the minus and zero columns without the zero vector, which a set
+    handed to `AffineOM` directly need not hold."""
     P = M.om.order()
-    gi = M.g_index
-    bad = 0
-    for i, y in enumerate(P.elements):
-        if not y.is_zero and y.sign(gi) is not Sign.PLUS:
-            bad |= 1 << i
+    plus, minus, at_zero = M.om._sign_columns()[M.g_index]
+    bad = minus | at_zero
+    z = P._index.get(M.om.zero)
+    if z is not None:
+        bad &= ~(1 << z)
+    down = P._down
     mask = 0
-    for i, x in enumerate(P.elements):
-        if x.sign(gi) is Sign.PLUS and not P._down[i] & bad:
+    for i in _bits(plus):
+        if not down[i] & bad:
             mask |= 1 << i
     if not mask:
         raise OmtopError(
@@ -361,10 +387,11 @@ class _OnFirstRead:
 @dataclass(frozen=True)
 class CubeReport:
     """Verification that L_{>=X} is the full sign cube on z(X) under
-    deletion of supp(X).  pairs is built on its first read."""
+    deletion of supp(X).  zero_set and pairs are built on their first
+    read."""
 
     X: SignVector
-    zero_set: tuple[int, ...]
+    zero_set: tuple[int, ...] = _OnFirstRead()
     expected_size: int
     actual_size: int
     pairs: tuple[tuple[SignVector, SignVector], ...] = _OnFirstRead()
@@ -378,27 +405,33 @@ def cube_isomorphism(L: CovectorSet, X: SignVector) -> CubeReport:
     report simply records how it fails.  Each Y >= X equals X on
     supp(X), so the deletion is an order embedding of L_{>=X} into the
     cube, and onto it exactly when |L_{>=X}| = 3^|z(X)|: the popcount
-    of X's up-set mask decides it, and the pairs are built on first
-    read."""
-    if X not in L:
-        raise MembershipError(f"{X} is not a covector of this set")
-    if X.is_zero:
-        raise PreconditionError("the zero covector is excluded")
+    of X's up-set mask, found by one lookup of X's index in L's order,
+    decides it.  The zero set and the pairs are built on first read."""
     order = L.order()
-    size = _popcount(order._up[order.index(X)])
-    zset = tuple(sorted(X.zero_set()))
-    supp = X.support()
+    i = order._index.get(X)
+    if i is None:
+        raise MembershipError(f"{X} is not a covector of this set")
+    support = X._pos | X._neg
+    if not support:
+        raise PreconditionError("the zero covector is excluded")
+    up = order._up[i]
+    size = up.bit_count()
+    zeros = X.n - support.bit_count()
+
+    def zero_set():
+        return tuple(_bits((1 << X.n) - 1 & ~support))
 
     def pairs():
+        supp = X.support()
         return tuple((y, y.delete(supp)) for y in order.up_set(X))
 
-    expected = 3 ** len(zset)
+    expected = 3 ** zeros
     if size != expected:
         return CubeReport(
-            X, zset, expected, size, pairs, False,
-            f"|L_>=X| = {size}, expected 3^{len(zset)} = {expected}",
+            X, zero_set, expected, size, pairs, False,
+            f"|L_>=X| = {size}, expected 3^{zeros} = {expected}",
         )
-    return CubeReport(X, zset, expected, size, pairs, True)
+    return CubeReport(X, zero_set, expected, size, pairs, True)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +477,7 @@ class _TopeTable:
 
     __slots__ = (
         "topes", "width", "plus", "minus", "zero", "ranked", "rbit",
-        "past", "lift", "_key", "_names", "_lnames", "_elements",
+        "past", "lift", "_key", "_names", "_lift_names", "_elements",
     )
 
     def __init__(self, M: AffineOM):
@@ -489,8 +522,7 @@ class _TopeTable:
             if j is not None:
                 self.rbit[k] = 1 << j
                 self.lift[j] = k
-        self._names = [None] * len(at_inf)
-        self._lnames = {}
+        self._names = self._lift_names = None
 
     @property
     def full(self) -> int:
@@ -512,19 +544,24 @@ class _TopeTable:
             out |= 1 << j
         return out
 
-    def name(self, j: int) -> str:
-        """str of tope j of L/g, computed once."""
-        s = self._names[j]
-        if s is None:
-            s = self._names[j] = str(self.topes[j])
-        return s
+    def names(self) -> list[str]:
+        """str of each tope of L/g, computed once."""
+        if self._names is None:
+            self._names = list(map(str, self.topes))
+        return self._names
 
-    def lname(self, k: int) -> str:
-        """str of element k of L's order, computed once."""
-        s = self._lnames.get(k)
-        if s is None:
-            s = self._lnames[k] = str(self._elements[k])
-        return s
+    def name(self, j: int) -> str:
+        return self.names()[j]
+
+    def lift_names(self) -> list[str | None]:
+        """str of each tope's lift (`lift`), None where it has none,
+        computed once."""
+        if self._lift_names is None:
+            self._lift_names = [
+                None if k is None else str(self._elements[k])
+                for k in self.lift
+            ]
+        return self._lift_names
 
 
 def _separation_key(sep: int, width: int) -> int:
@@ -539,91 +576,218 @@ def _separation_key(sep: int, width: int) -> int:
     return sep.bit_count() << width | ((1 << width) - 1) ^ sep
 
 
+class _Cell:
+    """The star facts of one bounded covector X, on indices, built by
+    `_cell_table`.
+
+    case is the link case of X in its own AffineOM M.  The rest is read
+    in the AffineOM N the star lives in (M, or M restricted to its
+    support E1), X there being the star's X, at X's index in N's order:
+    size = |N_{>=X}|, xg the (+, -) masks of X minus g, cx the mask of
+    C_X over N's order, dx the mask of D_X over the topes of N/g
+    (`_TopeTable`), or None when a D_X set by hand holds a vector that
+    is no tope, and image the mask of r(C_X), with `_TopeTable.past`
+    set when some tope of C_X restricts to no tope of N/g.  C_X and D_X are
+    the tuples, None until read or set (`Star`).  bad is None, or the
+    (exception, message) that asking for X's star raises: X has support
+    {g}, or X has no image under the support restriction."""
+
+    __slots__ = (
+        "case", "X", "size", "xg", "cx", "dx", "image", "C_X", "D_X",
+        "bad",
+    )
+
+    def __init__(self, case, X, size, xg, cx, dx, image, bad=None):
+        self.case = case
+        self.X = X
+        self.size = size
+        self.xg = xg
+        self.cx = cx
+        self.dx = dx
+        self.image = image
+        self.C_X = self.D_X = None
+        self.bad = bad
+
+    @property
+    def c_size(self) -> int:
+        """|C_X|, the popcount of its mask."""
+        return _popcount(self.cx)
+
+
+_DEGENERATE = (
+    PreconditionError,
+    "X has support {g}; the degenerate case X minus g = 0 is excluded",
+)
+
+
+def _link_case(size: int, bounded_up: int) -> str:
+    """The link case of a bounded X with |L_{>=X}| = size whose up-set
+    in L++ is the mask bounded_up: no cell above X, all of L_{>X}
+    bounded, or neither."""
+    above = bounded_up.bit_count() - 1
+    if not above:
+        return "upper_empty"
+    return "upper_full" if above == size - 1 else "proper"
+
+
+def _cell_table(M: AffineOM) -> dict:
+    """X -> `_Cell` for every bounded covector X of M, in one pass over
+    L++ on L's order indices.  When M's bounded complex does not span
+    E, the star facts are those of the image of X in M restricted to
+    E1 (`restrict_to_support`), as `Star` reads them, and the link case
+    stays M's own."""
+    bc = M.bounded_complex()
+    if bc.support is not None and len(bc.support) == len(M.ground):
+        return _star_pass(M)
+    order = M.om.order()
+    up, elements = order._up, order.elements
+    bup = bc.as_poset()._up
+    others = ~(1 << M.g_index)
+    unsupported = None
+    try:
+        res = restrict_to_support(M)
+    except PreconditionError as exc:
+        unsupported = PreconditionError, str(exc)
+    else:
+        restricted = _star_pass(res.restricted)
+    cells = {}
+    for j, i in enumerate(_bits(bc._mask)):
+        x = elements[i]
+        case = _link_case(up[i].bit_count(), bup[j])
+        if not (x._pos | x._neg) & others:
+            bad = _DEGENERATE
+        elif unsupported is not None:
+            bad = unsupported
+        else:
+            y = res.map(x)
+            c = restricted.get(y)
+            if c is not None:
+                cells[x] = _Cell(
+                    case, y, c.size, c.xg, c.cx, c.dx, c.image
+                )
+                continue
+            bad = (
+                MembershipError,
+                f"the support restriction maps a bounded covector to "
+                f"{y}, which is not bounded",
+            )
+        cells[x] = _Cell(case, x, 0, None, 0, 0, 0, bad)
+    return cells
+
+
+def _star_pass(N: AffineOM) -> dict:
+    """`_cell_table` of N with every star read in N itself."""
+    bc = N.bounded_complex()
+    order = N.om.order()
+    up, elements = order._up, order.elements
+    bup = bc.as_poset()._up
+    gi = N.g_index
+    unbounded = N._unbounded_topes()
+    table = N._tope_table()
+    plus, minus, full = table.plus, table.minus, table.full
+    cells = {}
+    for j, i in enumerate(_bits(bc._mask)):
+        x = elements[i]
+        u = up[i]
+        size = u.bit_count()
+        case = _link_case(size, bup[j])
+        xp, xn = _without(x._pos, gi), _without(x._neg, gi)
+        if not xp | xn:
+            cells[x] = _Cell(case, x, size, None, 0, 0, 0, _DEGENERATE)
+            continue
+        dx = full
+        for e in _bits(xp):
+            dx &= plus[e]
+        for e in _bits(xn):
+            dx &= minus[e]
+        cx = u & unbounded
+        cells[x] = _Cell(
+            case, x, size, (xp, xn), cx, dx, _image(table, cx)
+        )
+    return cells
+
+
+def _image(table: _TopeTable, cx: int) -> int:
+    """r(C_X) as a mask over the topes of L/g: the OR of `rbit` over
+    C_X, with `past` for a tope of C_X that restricts to no tope."""
+    rbit, past = table.rbit, table.past
+    image = 0
+    while cx:
+        bit = cx & -cx
+        image |= rbit.get(bit.bit_length() - 1, past)
+        cx ^= bit
+    return image
+
+
+def _lift(X: SignVector, gi: int, T: SignVector) -> SignVector:
+    """h(T) = i(T) o X: re-insert g as zero, then compose with X."""
+    low = (1 << gi) - 1
+    inserted = SignVector(
+        T.n + 1,
+        (T._pos & low) | (T._pos & ~low) << 1,
+        (T._neg & low) | (T._neg & ~low) << 1,
+    )
+    return inserted.compose(X)
+
+
 class Star:
     """Everything star-local to one bounded covector X: the ambient
     full-dimensional affine OM (restricting to E1 first if needed), the
     tope sets C_X and D_X, and the contraction they live over.
 
-    Both tope sets are held as masks: C_X over L's order, the up-set of
-    X met with the topes outside L++, and D_X over the topes of L/g
-    (`_TopeTable`), those that conform to X minus g.  The tuples C_X and
-    D_X, in sign-string order, are built on their first read.  A tuple
-    set by hand replaces the mask, or leaves it None when the tuple
-    holds a vector that is no tope, and the checks then read the tuple.
+    A star is a view of X's cell record (`_Cell`), which holds both tope
+    sets as masks: C_X over L's order, the up-set of X met with the
+    topes outside L++, and D_X over the topes of L/g (`_TopeTable`),
+    those that conform to X minus g.  The tuples C_X and D_X, in
+    sign-string order, are built on their first read.  A tuple set by
+    hand replaces the mask in the record, or leaves it None when the
+    tuple holds a vector that is no tope, and every check on X then
+    reads the tuple.
     """
 
-    __slots__ = (
-        "om", "X", "restriction", "_xi", "_xg", "_cx", "_dx", "_C_X",
-        "_D_X", "__weakref__",
-    )
+    __slots__ = ("om", "X", "restriction", "_cell")
 
     def __init__(self, M: AffineOM, X: SignVector):
-        bc = M.bounded_complex()
-        if X not in bc:
-            raise MembershipError(
-                f"{X} is not in the bounded complex"
-            )
-        if not (X._pos | X._neg) & ~(1 << M.g_index):
-            raise PreconditionError(
-                "X has support {g}; the degenerate case X minus g = 0 "
-                "is excluded"
-            )
-        restriction = None
-        if bc.support is None or len(bc.support) != len(M.ground):
-            restriction = restrict_to_support(M)
-            X = restriction.map(X)
-            M = restriction.restricted
-            if X not in M.bounded_complex():
-                raise MembershipError(
-                    f"the support restriction maps a bounded covector to "
-                    f"{X}, which is not bounded"
-                )
-        self.om = M
-        self.X = X
-        self.restriction = restriction
-        order = M.om.order()
-        self._xi = order.index(X)
-        # C_X as a mask over L's order; X is bounded, so not in it
-        self._cx = order._up[self._xi] & M._unbounded_topes()
-        table = M._tope_table()
-        gi = M.g_index
-        self._xg = (_without(X._pos, gi), _without(X._neg, gi))
-        dx = table.full
-        for e in _bits(self._xg[0]):
-            dx &= table.plus[e]
-        for e in _bits(self._xg[1]):
-            dx &= table.minus[e]
-        self._dx = dx
-        self._C_X = self._D_X = None
+        self._cell = M._cell(X)
+        N = M._star_om()
+        self.restriction = None if N is M else restrict_to_support(M)
+        self.om = N
+        self.X = self._cell.X
 
     @property
     def C_X(self) -> tuple[SignVector, ...]:
-        if self._C_X is None:
+        cell = self._cell
+        if cell.C_X is None:
             elements = self.om.om.order().elements
-            self._C_X = tuple(elements[k] for k in _bits(self._cx))
-        return self._C_X
+            cell.C_X = tuple(elements[k] for k in _bits(cell.cx))
+        return cell.C_X
 
     @C_X.setter
     def C_X(self, topes) -> None:
+        topes = tuple(topes)
         index = self.om.om.order()._index
-        self._C_X = tuple(topes)
-        self._cx = 0
-        for t in self._C_X:
+        cx = 0
+        for t in topes:
             if t not in index:
                 raise MembershipError(f"{t} is not a covector of this set")
-            self._cx |= 1 << index[t]
+            cx |= 1 << index[t]
+        cell = self._cell
+        cell.C_X, cell.cx = topes, cx
+        cell.image = _image(self.om._tope_table(), cx)
 
     @property
     def D_X(self) -> tuple[SignVector, ...]:
-        if self._D_X is None:
+        cell = self._cell
+        if cell.D_X is None:
             topes = self.om._tope_table().topes
-            self._D_X = tuple(topes[j] for j in _bits(self._dx))
-        return self._D_X
+            cell.D_X = tuple(topes[j] for j in _bits(cell.dx))
+        return cell.D_X
 
     @D_X.setter
     def D_X(self, topes) -> None:
-        self._D_X = tuple(topes)
-        self._dx = self.om._tope_table().mask(self._D_X)
+        cell = self._cell
+        cell.D_X = tuple(topes)
+        cell.dx = self.om._tope_table().mask(cell.D_X)
 
     @property
     def contraction(self) -> CovectorSet:
@@ -632,7 +796,7 @@ class Star:
     @property
     def c_size(self) -> int:
         """|C_X|, the popcount of its mask."""
-        return _popcount(self._cx)
+        return self._cell.c_size
 
     def restrict(self, T: SignVector) -> SignVector:
         """r(T) = T minus g."""
@@ -640,20 +804,15 @@ class Star:
 
     def lift(self, T: SignVector) -> SignVector:
         """h(T) = i(T) o X: re-insert g as zero, then compose with X."""
-        low = (1 << self.om.g_index) - 1
-        inserted = SignVector(
-            T.n + 1,
-            (T._pos & low) | (T._pos & ~low) << 1,
-            (T._neg & low) | (T._neg & ~low) << 1,
-        )
-        return inserted.compose(self.X)
+        return _lift(self.X, self.om.g_index, T)
 
-    def _masked_dx(self) -> int:
-        if self._dx is None:
-            raise PreconditionError(
-                f"D_X at {self.X} holds a vector that is no tope of L/g"
-            )
-        return self._dx
+
+def _masked_dx(cell: _Cell) -> int:
+    if cell.dx is None:
+        raise PreconditionError(
+            f"D_X at {cell.X} holds a vector that is no tope of L/g"
+        )
+    return cell.dx
 
 
 @dataclass(frozen=True)
@@ -678,23 +837,18 @@ def check_bijection(M: AffineOM, X: SignVector) -> BijectionReport:
     """Check that r and h are inverse bijections between C_X and D_X.
     Each t in C_X is >= X, so it is + at g and h(r(t)) = t: r is
     injective and h inverts it, and only r(C_X) = D_X can fail.  That
-    is one mask equality: the OR of `_TopeTable.rbit` over C_X against
-    D_X.  The problems are listed, tope by tope, only when it fails."""
-    star = M.star(X)
-    if star._cx is not None and star._dx is not None:
-        table = star.om._tope_table()
-        image = 0
-        for k in _bits(star._cx):
-            image |= table.rbit.get(k, table.past)
-        if image == star._dx:
-            return BijectionReport(
-                star.X,
-                lambda: tuple((t, star.restrict(t)) for t in star.C_X),
-                (),
-            )
+    is one mask equality on X's cell record: r(C_X), the OR of
+    `_TopeTable.rbit` over C_X, against D_X.  The problems are listed,
+    tope by tope, only when it fails."""
+    cell = M._cell(X)
+    if cell.image == cell.dx:
+        return BijectionReport(
+            cell.X, lambda: _restriction_pairs(Star(M, X)), ()
+        )
+    star = Star(M, X)
     problems = []
     dset = set(star.D_X)
-    pairs = tuple((t, star.restrict(t)) for t in star.C_X)
+    pairs = _restriction_pairs(star)
     for t, rt in pairs:
         if rt not in dset:
             problems.append(f"r({t}) = {rt} is not in D_X")
@@ -704,6 +858,11 @@ def check_bijection(M: AffineOM, X: SignVector) -> BijectionReport:
         if h not in star.om.om:
             problems.append(f"h({d}) = {h} is not even a covector")
     return BijectionReport(X=star.X, pairs=pairs, problems=tuple(problems))
+
+
+def _restriction_pairs(star: Star) -> tuple:
+    """(t, r(t)) for t in C_X."""
+    return tuple((t, star.restrict(t)) for t in star.C_X)
 
 
 # ---------------------------------------------------------------------------
@@ -728,27 +887,27 @@ def shelling_of_DX(
     S therefore agrees with X minus g there and lies in D_X; the scan
     runs only over the topes that are zero somewhere on S.
     """
-    star = M.star(X)
-    table = star.om._tope_table()
-    dx = star._masked_dx()
+    cell = M._cell(X)
+    table = M._star_om()._tope_table()
+    dx = _masked_dx(cell)
     if not dx:
-        raise PreconditionError(f"D_X is empty for X = {star.X}")
+        raise PreconditionError(f"D_X is empty for X = {cell.X}")
     if B is None:
         b = (dx & -dx).bit_length() - 1  # the least sign string
     else:
         b = table.index(B)
         if b is None or not dx >> b & 1:
             raise MembershipError(f"base tope {B} is not in D_X")
-    return [table.topes[j] for j in _dx_order(star, table, b)]
+    return [table.topes[j] for j in _dx_order(cell, table, b)]
 
 
-def _dx_order(star: Star, table: _TopeTable, b: int) -> list[int]:
+def _dx_order(cell: _Cell, table: _TopeTable, b: int) -> list[int]:
     """`shelling_of_DX` from base tope b, on tope indices."""
-    dx = star._dx
+    dx = cell.dx
     ranked = table.ranked
     bp, bn = ranked[b]
     partial = 0
-    for e in _bits(star._xg[0] | star._xg[1]):
+    for e in _bits(cell.xg[0] | cell.xg[1]):
         partial |= table.zero[e]
     if partial:
         for t in _bits(dx):
@@ -847,62 +1006,70 @@ def induced_shelling_of_CX(
     holds at every X by theorem.  An explicit dx_order runs through the
     same lift, on its tope indices.
     """
-    star = M.star(X)
-    order = star.om.om.order()
-    size = _popcount(order._up[star._xi])
-    zeros = len(star.X) - _popcount(star.X._pos | star.X._neg)
+    cell = M._cell(X)
+    N = M._star_om()
+    zeros = len(cell.X) - _popcount(cell.X._pos | cell.X._neg)
     cube = None
-    if size != 3 ** zeros:
+    if cell.size != 3 ** zeros:
         cube = (
-            f"L_>=X is not the sign cube on z(X): |L_>=X| = {size}, "
+            f"L_>=X is not the sign cube on z(X): |L_>=X| = {cell.size}, "
             f"expected 3^{zeros} = {3 ** zeros}"
         )
-    table = star.om._tope_table()
+    table = N._tope_table()
     if dx_order is not None:
         dx_order = tuple(dx_order)
+        D_X = Star(M, X).D_X
         # D_X has no repeated tope, so equal lengths and equal sets make
         # a permutation
-        if len(dx_order) != len(star.D_X) or set(dx_order) != set(star.D_X):
+        if len(dx_order) != len(D_X) or set(dx_order) != set(D_X):
             raise PreconditionError("dx_order must be a permutation of D_X")
         dx = [table.index(d) for d in dx_order]
         return _indexed_shelling(
-            star, table, *_lift_indices(star, table, cube, dx, dx_order)
+            cell, N, table, *_lift_indices(cell, N, table, cube, dx, dx_order)
         )
-    dx = star._masked_dx()
+    dx = _masked_dx(cell)
     if not dx:
         # an X with C_X but no D_X is possible only off uniform input
-        problems = [f"D_X is empty, and |C_X| = {star.c_size}"]
+        problems = [f"D_X is empty, and |C_X| = {cell.c_size}"]
         if cube is not None:
             problems.append(cube)
-        return _indexed_shelling(star, table, [], (), problems, None)
-    first = None
+        return _indexed_shelling(cell, N, table, [], (), problems, None)
     # in the order of D_X: sign-string order, unless set by hand
-    bases = _bits(dx) if star._D_X is None else map(table.index, star.D_X)
+    bases = _bits(dx) if cell.D_X is None else map(table.index, cell.D_X)
+    first = None
     for b in bases:
-        cand = _lift_indices(star, table, cube, _dx_order(star, table, b))
+        cand = _lift_indices(cell, N, table, cube, _dx_order(cell, table, b))
         if cand[3] is not None and not cand[3]:
-            return _indexed_shelling(star, table, *cand)
+            return _indexed_shelling(cell, N, table, *cand)
         if first is None:
             first = cand
-    return _indexed_shelling(star, table, *first)
+    return _indexed_shelling(cell, N, table, *first)
 
 
 def _lift_indices(
-    star: Star, table: _TopeTable, cube: str | None, dx: list, topes=None
+    cell: _Cell, N: AffineOM, table: _TopeTable, cube: str | None, dx: list,
+    topes=None,
 ):
     """(dx, topes, problems, failures) of the lift of dx, tope indices
     of L/g in a [D_X] order, with topes their vectors; failures is None
     when a problem stops the flip decision.  An explicit order gives its
     vectors: one that is no tope of L/g (a D_X set by hand can hold one)
-    has index None and is reported as a lift outside C_X."""
+    has index None and is reported as a lift outside C_X.  Else, when
+    r(C_X) = D_X and the cube holds, the lift is decided on masks and
+    topes is None: every lift is in C_X and the lifts cover it (the
+    lift lemma of `_TopeTable`), so the flips alone decide."""
     if topes is None:
+        if cube is None and cell.image == cell.dx:
+            return dx, None, (), _flip_failures([table.ranked[j] for j in dx])
         topes = tuple(table.topes[j] for j in dx)
     problems = []
-    lift, cx = table.lift, star._cx
+    lift, cx = table.lift, cell.cx
     for d, j in zip(topes, dx):
         k = None if j is None else lift[j]
         if k is None or not cx >> k & 1:
-            problems.append(f"h({d}) = {star.lift(d)} is not in C_X")
+            problems.append(
+                f"h({d}) = {_lift(cell.X, N.g_index, d)} is not in C_X"
+            )
     if not problems and len(dx) != _popcount(cx):
         # |C_X| > |D_X|, which a non-uniform input allows
         problems.append(
@@ -916,29 +1083,46 @@ def _lift_indices(
 
 
 def _indexed_shelling(
-    star, table, dx, topes, problems, failures
+    cell, N, table, dx, topes, problems, failures
 ) -> InducedShelling:
+    """The report of the lift of dx, tope indices of L/g, with topes
+    their vectors; topes None means every index lifts into C_X, and the
+    tope and lifted tuples are built on first read."""
     report = None
     if failures is not None:
         report = ShellingReport(
             ok=not failures, mode="simplicial", failures=tuple(failures)
         )
-    lift = [None if j is None else table.lift[j] for j in dx]
-    elements = star.om.om.order().elements
+    elements = N.om.order().elements
+    lift, names, lift_names = table.lift, table.names(), table.lift_names()
+    if topes is None:
+        return InducedShelling(
+            X=cell.X,
+            dx_order=lambda: tuple(table.topes[j] for j in dx),
+            order=lambda: tuple(elements[lift[j]] for j in dx),
+            report=report,
+            problems=tuple(problems),
+            names=(
+                tuple([names[j] for j in dx]),
+                tuple([lift_names[j] for j in dx]),
+            ),
+        )
+    X, gi = cell.X, N.g_index
+    ks = [None if j is None else lift[j] for j in dx]
     return InducedShelling(
-        X=star.X,
+        X=X,
         dx_order=topes,
         order=lambda: tuple(
-            star.lift(d) if k is None else elements[k]
-            for d, k in zip(topes, lift)
+            _lift(X, gi, d) if k is None else elements[k]
+            for d, k in zip(topes, ks)
         ),
         report=report,
         problems=tuple(problems),
         names=(
-            tuple(str(d) if j is None else table.name(j)
+            tuple(str(d) if j is None else names[j]
                   for d, j in zip(topes, dx)),
-            tuple(str(star.lift(d)) if k is None else table.lname(k)
-                  for d, k in zip(topes, lift)),
+            tuple(str(_lift(X, gi, d)) if k is None else lift_names[j]
+                  for d, j, k in zip(topes, dx, ks)),
         ),
     )
 
@@ -1024,17 +1208,10 @@ class LinkDecomposition:
 
 
 def link_decomposition(M: AffineOM, X: SignVector) -> LinkDecomposition:
-    bc = M.bounded_complex()
-    if X not in bc:
-        raise MembershipError(f"{X} is not in the bounded complex")
-    P = bc.as_poset()
-    above = _popcount(P._up[P.index(X)]) - 1
-    if above == 0:
-        case = "upper_empty"
-    else:
-        order = M.om.order()
-        all_above = _popcount(order._up[order.index(X)]) - 1
-        case = "upper_full" if all_above == above else "proper"
+    """X's link halves, with the case read off X's cell record: X's
+    up-set popcounts in L++ and in L."""
+    case = M._cell(X, star=False).case
+    P = M.bounded_complex().as_poset()
     return LinkDecomposition(
         X,
         lambda: P.strictly_below(X),

@@ -260,7 +260,9 @@ class SignVector:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._pos, self._neg))
+        # the packed masks, no tuple: vectors of different lengths may
+        # collide, and __eq__ tells them apart
+        return hash(self._pos | self._neg << self.n)
 
     def __str__(self) -> str:
         out = []

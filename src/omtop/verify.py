@@ -293,6 +293,9 @@ def _star_checks(M: AffineOM, bc) -> dict:
     that shells [C_X] exists only for suitable bases.  Its failure is
     reported as `shelling_ok: false` and a line in `notes` (a key present
     only when there is one), never as a failure.
+
+    The per-cell checks read each X's cell record, built for every cell
+    of M by the first of them (`AffineOM._cell`); |C_X| is read off it.
     """
     gbit = 1 << M.g_index
     per_x = []
@@ -314,15 +317,15 @@ def _star_checks(M: AffineOM, bc) -> dict:
             entry["star"] = "degenerate"
             per_x.append(entry)
             continue
-        star = M.star(x)  # held, so the checks below share it
         bij = check_bijection(M, x)
-        entry["c_size"] = star.c_size
+        c_size = M._cell(x).c_size
+        entry["c_size"] = c_size
         entry["bijection_ok"] = bij.ok
         if not bij.ok:
             failures.append(f"restriction bijection fails at {name}")
         ld = link_decomposition(M, x)
         entry["case"] = ld.case
-        if ld.case == "proper" and star.c_size:
+        if ld.case == "proper" and c_size:
             ind = induced_shelling_of_CX(M, x)
             dx_names, cx_names = ind.order_names()
             entry["dx_order"] = list(dx_names)

@@ -28,7 +28,9 @@ from omtop.bounded import (
     AffineOM,
     bounded_complex,
     check_bijection,
+    cube_isomorphism,
     induced_shelling_of_CX,
+    link_decomposition,
     restrict_to_support,
     shelling_of_DX,
 )
@@ -43,6 +45,7 @@ from oracles import (
     any_refuted,
     check_bijection_by_vectors,
     classify_links_by_subposets,
+    cube_isomorphism_by_scan,
     induced_shelling_by_scan,
     induced_shelling_by_vectors,
     link_certificate_replays,
@@ -282,20 +285,89 @@ class TestStarChecksOnMasks:
         assert got == _outcome(star_checks_by_vectors, M, bc)
 
 
+class TestCellRecords:
+    """The four per-cell entry points read one record per cell, built
+    for every cell of an AffineOM on the first request.  Asked about
+    each cell of a fresh AffineOM, last cell first and before any
+    `_star_checks` pass, they give the reports read after a full pass
+    and the oracles' reports; with the support restriction applied
+    too.  A C_X set by hand on a star is what every check reads."""
+
+    @staticmethod
+    def reports(M, x) -> list:
+        ld = link_decomposition(M, x)
+        out = [
+            cube_isomorphism(M.om, x),
+            (ld.case, ld.lower.elements, ld.upper.elements),
+        ]
+        if (x._pos | x._neg) & ~(1 << M.g_index):
+            ind = induced_shelling_of_CX(M, x)
+            out += [check_bijection(M, x), ind, ind.order_names()]
+        return out
+
+    @pytest.mark.parametrize("build", [
+        lambda: _generated(6, 4, 0), _three,
+    ], ids=["(6,4,0)", "three"])
+    def test_cold_requests_match_a_full_pass(self, build):
+        cold = build()
+        cells = list(cold.bounded_complex())[::-1]
+        got = [self.reports(cold, x) for x in cells]
+        warm = build()
+        bc = warm.bounded_complex()
+        _star_checks(warm, bc)
+        assert got == [self.reports(warm, x) for x in cells]
+        stars = 0
+        for x, reports in zip(cells, got):
+            assert reports[0] == cube_isomorphism_by_scan(cold.om, x)
+            if len(reports) > 2:
+                stars += 1
+                assert reports[2] == check_bijection_by_vectors(cold, x)
+                assert reports[3] == induced_shelling_by_vectors(cold, x)
+        assert stars
+
+    def test_a_star_set_by_hand_drives_the_checks(self, monkeypatch):
+        M = _generated(6, 4, 0)
+        bc = M.bounded_complex()
+        x = next(
+            x for x in bc
+            if link_decomposition(M, x).case == "proper"
+            and M.star(x).c_size > 1
+        )
+        star = M.star(x)
+        monkeypatch.setattr(star, "C_X", star.C_X[1:])
+        # a second star of x is a view of the same record
+        assert M.star(x).C_X == star.C_X
+        rep = check_bijection(M, x)
+        assert not rep.ok
+        assert rep == check_bijection_by_vectors(M, x)
+        ind = induced_shelling_of_CX(M, x)
+        assert not ind.ok
+        assert ind == induced_shelling_by_vectors(M, x)
+        got = _star_checks(M, bc)
+        assert got == star_checks_by_vectors(M, bc)
+        assert got["failures"] == [f"restriction bijection fails at {x}"]
+        monkeypatch.undo()
+        assert check_bijection(M, x).ok
+        assert not _star_checks(M, bc)["failures"]
+
+
 class TestStarCheckFailures:
     """A corrupted bijection or support restriction gives the oracle's
     problems and failures and a `refuted` verdict."""
 
     @staticmethod
     def corrupt_star(monkeypatch, target: S, how):
-        real = bounded.Star.__init__
+        # the checks read each cell's record, built once per AffineOM;
+        # a star is a view of it, so corrupting one corrupts the record
+        real = bounded._cell_table
 
-        def corrupted(self, M, X):
-            real(self, M, X)
-            if self.X == target:
-                how(self)
+        def corrupted(M):
+            cells = M._cells = real(M)
+            if target in cells:
+                how(bounded.Star(M, target))
+            return cells
 
-        monkeypatch.setattr(bounded.Star, "__init__", corrupted)
+        monkeypatch.setattr(bounded, "_cell_table", corrupted)
 
     def check_bijection_corruption(self, monkeypatch, tri_om, how, texts):
         X = S("00-+")

@@ -290,17 +290,23 @@ class TestEachFactOnce:
             assert len(calls) <= 2
         assert bounded > 0
 
-    def test_one_star_per_bounded_cell(self, tri_om, monkeypatch):
+    def test_one_cell_table_per_affine_om(self, tri_om, monkeypatch):
         import omtop.bounded as bounded
         from omtop.verify import _star_checks
 
         M = AffineOM(tri_om)
         bc = M.bounded_complex()
         assert len(bc) == 7
-        calls = _counting(monkeypatch, bounded.Star, "__init__")
+        tables = _counting(monkeypatch, bounded, "_cell_table")
+        stars = _counting(monkeypatch, bounded.Star, "__init__")
         rep = _star_checks(M, bc)
         assert not rep["failures"]
-        assert 0 < len(calls) <= len(bc)
+        # every per-cell fact comes from one pass over L++, and the
+        # checks build no star
+        assert len(tables) == 1
+        assert stars == []
+        assert _star_checks(M, bc) == rep
+        assert len(tables) == 1
 
     def test_link_decomposition_reads_the_order(self, tri_om, monkeypatch):
         from omtop.bounded import link_decomposition

@@ -12,21 +12,23 @@ product is shared by the subsets that extend it, and every later form
 must have a nonzero determinant with each d-subset.  The form at
 infinity goes first, and the walk stops at the first dependent subset,
 so a rejected draw usually costs a few wedges, and only the accepted
-draw becomes an `Arrangement`.  The draw is deterministic in the seed,
-so a (seed, n, d) triple names a reproducible test instance.
+draw becomes an `Arrangement`.  Most draws of many hyperplanes in low
+dimension hold two parallel normals; those are rejected before the
+walk, by a set of primitive rows.  The draw is deterministic in the
+seed, so a (seed, n, d) triple names a reproducible test instance: the
+coefficients are read off the generator's words exactly as
+`random.randint` reads them (`_randints`), without its per-call cost.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import DomainError, ResourceExhausted
 from .realization import Arrangement, _cofactor_walk
-
-_COEFF = 5  # normals are drawn from {-5..5}^d, zero vector redrawn
-_OFFSET_NUM = 6  # offsets are num/den with |num| <= 6, den in {1,2,3}
 
 
 def _every_subset_a_basis(forms, k: int) -> bool:
@@ -50,6 +52,54 @@ def _general_position(A: Arrangement) -> bool:
     return _every_subset_a_basis((t,) + A.rows, A.dim + 1)
 
 
+def _draw_spec(lo: int, hi: int) -> tuple[int, int, int]:
+    """(lo, width, k) for the draws of randint(lo, hi): k bits of the
+    generator, redrawn while not below the width hi - lo + 1."""
+    width = hi - lo + 1
+    return lo, width, width.bit_length()
+
+
+# normals are drawn from {-5..5}^d, zero vector redrawn; offsets are
+# num/den with |num| <= 6, den in {1,2,3}, drawn num first
+_COEFF = _draw_spec(-5, 5)
+_OFFSET = (_draw_spec(-6, 6), _draw_spec(1, 3))
+
+
+def _randints(rng: random.Random, specs) -> list[int]:
+    """One value per (lo, width, k) of `_draw_spec`, in order, equal to
+    what rng.randint(lo, hi) would draw in its place, value for value
+    and word for word.  CPython's randint(lo, hi) is lo plus
+    r = rng.getrandbits(k), with r redrawn while it is not below the
+    width; each draw of k <= 32 bits takes one word of the generator.
+    Drawing the same way, in one loop, skips randint's argument checks
+    and calls, so a seed names the same arrangement at a fraction of
+    the cost."""
+    getrandbits = rng.getrandbits
+    out = []
+    for lo, width, k in specs:
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        out.append(lo + r)
+    return out
+
+
+def _parallel_pair(normals) -> bool:
+    """Are two of the integer normals parallel?  Each is scaled to its
+    primitive row with its first nonzero entry positive, so parallel
+    normals scale to the same row."""
+    seen = set()
+    for v in normals:
+        g = gcd(*v)
+        if next(filter(None, v)) < 0:
+            g = -g
+        v = tuple([c // g for c in v])
+        if v in seen:
+            return True
+        seen.add(v)
+    return False
+
+
 def generate_arrangement(
     n: int, d: int, seed: int = 0, max_tries: int = 200
 ) -> Arrangement:
@@ -59,6 +109,15 @@ def generate_arrangement(
     Requires n >= d + 1 so that the bounded complex is nonempty.  Raises
     ResourceExhausted if max_tries draws all land in special position
     (essentially impossible for the default coefficient ranges).
+
+    For d >= 2 a draw with two parallel normals a_i, a_j is rejected
+    before the wedge walk: the forms t, f_i and f_j are then dependent
+    (f_i minus a multiple of f_j is a multiple of t), and they lie in
+    some (d+1)-subset, so the walk would reject the draw too.  In
+    dimension 1 every two normals are parallel, and only the walk
+    decides.  Either way the draw consumes the same words of the
+    generator, so the test changes the cost of a draw, never its
+    outcome.
     """
     if d < 1:
         raise DomainError(f"dimension must be at least 1, got {d}")
@@ -70,16 +129,17 @@ def generate_arrangement(
     rng = random.Random(seed)
     t = (0,) * d + (1,)
     for _ in range(max_tries):
+        # d coefficients per normal, a zero normal redrawn: each round
+        # draws as many normals as are still missing, so no word is
+        # drawn that one draw at a time would not draw
         normals = []
-        for _ in range(n):
-            v = tuple(rng.randint(-_COEFF, _COEFF) for _ in range(d))
-            while not any(v):
-                v = tuple(rng.randint(-_COEFF, _COEFF) for _ in range(d))
-            normals.append(v)
-        offsets = [
-            (rng.randint(-_OFFSET_NUM, _OFFSET_NUM), rng.randint(1, 3))
-            for _ in range(n)
-        ]
+        while len(normals) < n:
+            c = _randints(rng, [_COEFF] * ((n - len(normals)) * d))
+            normals.extend(v for v in zip(*[iter(c)] * d) if any(v))
+        drawn = _randints(rng, _OFFSET * n)
+        offsets = list(zip(drawn[::2], drawn[1::2]))
+        if d > 1 and _parallel_pair(normals):
+            continue
         # a . x = num/den homogenizes to (den * a, -num), up to scale
         forms = [t] + [
             tuple(den * c for c in a) + (-num,)

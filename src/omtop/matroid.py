@@ -39,7 +39,6 @@ oracle.
 from __future__ import annotations
 
 import itertools
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -50,7 +49,13 @@ from .errors import (
     MembershipError,
     OmtopError,
 )
-from .signvec import GroundSet, SignVector, _bits
+from .signvec import (
+    _MINUS_DIGITS,
+    _PLUS_DIGITS,
+    GroundSet,
+    SignVector,
+    _bits,
+)
 
 
 # _SPREAD[b]: the 8 bits of the byte b reversed and spread over 16,
@@ -533,55 +538,81 @@ def _cocircuit_decline(S: CovectorSet) -> str | None:
     # by L2 the supports above x are the supports of S containing supp(x)
     supports = sorted(set(support), key=int.bit_count)
     within: dict[int, int] = {}  # a support -> the atoms inside it
+    # an atom support -> the atoms inside the minimal supports above
+    # it, computed once for x and -x
+    around: dict[int, int] = {}
     partners = {}
     for i in atom:
         s = support[i]
-        minimal: list[int] = []
-        mask = 0
-        for u in supports:
-            if u & s != s or u == s or any(v & u == v for v in minimal):
-                continue
-            minimal.append(u)
-            if u not in within:
-                inside = atom_mask
-                for f in _bits(full & ~u):
-                    inside &= zeros[f]
-                within[u] = inside
-            mask |= within[u]
+        mask = around.get(s)
+        if mask is None:
+            minimal: list[int] = []
+            mask = 0
+            for u in supports:
+                if u & s != s or u == s or any(v & u == v for v in minimal):
+                    continue
+                minimal.append(u)
+                if u not in within:
+                    inside = atom_mask
+                    for f in _bits(full & ~u):
+                        inside &= zeros[f]
+                    within[u] = inside
+                mask |= within[u]
+            around[s] = mask
         partners[i] = mask & ~(1 << i) & ~(1 << opposite[i])
-    # the sign columns of A: bit a stands for the atom covs[atom[a]]
-    plus, minus, zero = [0] * n, [0] * n, [0] * n
+    # the sign columns of A, read off the atoms' set bits: bit a stands
+    # for the atom covs[atom[a]]
+    plus, minus = [0] * n, [0] * n
     for a, i in enumerate(atom):
-        x = covs[i]
-        for f in range(n):
-            if x._pos >> f & 1:
-                plus[f] |= 1 << a
-            elif x._neg >> f & 1:
-                minus[f] |= 1 << a
-            else:
-                zero[f] |= 1 << a
-    below = [(z, z | p, z | m) for p, m, z in zip(plus, minus, zero)]
+        bit = 1 << a
+        for f in _bits(covs[i]._pos):
+            plus[f] |= bit
+        for f in _bits(covs[i]._neg):
+            minus[f] |= bit
+    every = (1 << len(atom)) - 1
+    zero = [every & ~(p | m) for p, m in zip(plus, minus)]
+    # an atom is below x o y at f iff it is 0 there or has its sign
+    zplus = [z | p for z, p in zip(zero, plus)]
+    zminus = [z | m for z, m in zip(zero, minus)]
     for i in atom:
         x = covs[i]
         # a pair x, y (i < j) is checked only when -x and -y come after x
         if opposite[i] < i:
             continue
+        xp, xn, xs = x._pos, x._neg, support[i]
+        xz = full & ~xs
         for j in _bits(partners[i] >> (i + 1) << (i + 1)):
             if not partners[j] >> i & 1 or opposite[j] < i:
                 continue
             y = covs[j]
-            sep = (x._pos & y._neg) | (x._neg & y._pos)
+            yp, yn = y._pos, y._neg
+            sep = (xp & yn) | (xn & yp)
             if not sep:
                 continue
-            # x o y
-            wp = x._pos | (y._pos & ~support[i])
-            wn = x._neg | (y._neg & ~support[i])
+            # x o y is x's sign on supp(x) and y's on z(x); below it off
+            # the separation set
             agree = -1
-            for f, (z, zp, zm) in enumerate(below):
-                if not sep >> f & 1:
-                    agree &= zp if wp >> f & 1 else zm if wn >> f & 1 else z
-            if not all(agree & zero[e] for e in _bits(sep)):
-                return "modular"
+            m = xs & ~sep
+            while m:
+                low = m & -m
+                f = low.bit_length() - 1
+                agree &= zplus[f] if xp & low else zminus[f]
+                m ^= low
+            m = xz
+            while m:
+                low = m & -m
+                f = low.bit_length() - 1
+                agree &= (
+                    zplus[f] if yp & low else zminus[f] if yn & low
+                    else zero[f]
+                )
+                m ^= low
+            m = sep
+            while m:
+                low = m & -m
+                if not agree & zero[low.bit_length() - 1]:
+                    return "modular"
+                m ^= low
 
     covered = [0] * n
     for i in atom:
@@ -850,18 +881,19 @@ def contract(L: CovectorSet, labels) -> CovectorSet:
 # covector file format
 # ---------------------------------------------------------------------------
 
-_SIGN_RE = re.compile(r"^[+\-0]+$")
-
-
 def parse_covector_file(text: str, source: str = "<string>") -> CovectorSet:
     """Covector file: first content line lists the element labels, an
     optional `g <label>` line follows, then one sign string per line.
-    `#` starts a comment; duplicate sign lines are rejected."""
-    labels = None
-    g = None
-    vecs: list[SignVector] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    `#` starts a comment; duplicate sign lines are rejected.
+
+    The header is read line by line; the sign lines are checked and
+    parsed in bulk (`_sign_rows`), first as they stand and, if that
+    fails, with comments, blanks and padding removed.  Only when that
+    fails too are they walked one by one, to name the first bad line."""
+    lines = text.splitlines()
+    labels = g = None
+    body = len(lines)  # the index of the first sign line
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -869,7 +901,8 @@ def parse_covector_file(text: str, source: str = "<string>") -> CovectorSet:
             labels = line.split()
             continue
         tokens = line.split()
-        if tokens[0] == "g" and g is None and not vecs:
+        body = lineno - 1
+        if tokens[0] == "g":
             if len(tokens) != 2:
                 raise InputFormatError(
                     "g line must be `g <label>`", source=source, line=lineno
@@ -881,33 +914,82 @@ def parse_covector_file(text: str, source: str = "<string>") -> CovectorSet:
                     source=source,
                     line=lineno,
                 )
-            continue
-        if len(tokens) != 1 or not _SIGN_RE.match(tokens[0]):
-            raise InputFormatError(
-                f"expected a sign string over +-0, got {line!r}",
-                source=source,
-                line=lineno,
-            )
-        s = tokens[0]
-        if len(s) != len(labels):
-            raise InputFormatError(
-                f"sign string has length {len(s)}, expected {len(labels)}",
-                source=source,
-                line=lineno,
-            )
-        if s in seen:
-            raise InputFormatError(
-                f"duplicate covector {s!r}", source=source, line=lineno
-            )
-        seen.add(s)
-        vecs.append(SignVector.from_string(s))
+            body = lineno
+        break
     if labels is None:
         raise InputFormatError("no element labels found", source=source)
+    n = len(labels)
+    rows = lines[body:]
+    vecs = _sign_rows(rows, n)
+    if vecs is None:
+        numbered = [
+            (lineno, line)
+            for lineno, line in enumerate(
+                (raw.split("#", 1)[0].strip() for raw in rows), body + 1
+            )
+            if line
+        ]
+        vecs = _sign_rows([line for _, line in numbered], n)
+        if vecs is None:
+            _raise_first_bad_row(numbered, n, source)
     try:
         ground = GroundSet(labels, g=g)
     except DomainError as exc:
         raise InputFormatError(str(exc), source=source) from None
     return CovectorSet(ground, vecs)
+
+
+def _sign_rows(rows: list[str], n: int) -> list[SignVector] | None:
+    """The vectors of the rows, if every row is a sign string of length
+    n over +-0 and no two are equal, else None.  All rows are checked
+    at once (their lengths, the characters of their concatenation, the
+    size of their set), and the concatenation, reversed and translated
+    to base-2 digits as in `SignVector.from_string`, gives each row's
+    two masks by one parse of a slice."""
+    if not rows:
+        return []
+    joined = "".join(rows)
+    if (
+        joined.strip("+-0")
+        or set(map(len, rows)) != {n}
+        or len(set(rows)) != len(rows)
+    ):
+        return None
+    r = joined[::-1]
+    plus = r.translate(_PLUS_DIGITS)
+    minus = r.translate(_MINUS_DIGITS)
+    # row k of m is the slice [(m - 1 - k) * n, (m - k) * n) of r
+    return [
+        SignVector(n, int(plus[i:i + n], 2), int(minus[i:i + n], 2))
+        for i in range(len(r) - n, -1, -n)
+    ]
+
+
+def _raise_first_bad_row(numbered, n: int, source: str) -> None:
+    """Raise the InputFormatError of the first bad sign line among
+    (line number, line) pairs, comments and padding removed: not a
+    single sign string, the wrong length, or a repeat.  Called only on
+    lines that `_sign_rows` refused, so one of them is bad."""
+    seen: set[str] = set()
+    for lineno, line in numbered:
+        tokens = line.split()
+        if len(tokens) != 1 or tokens[0].strip("+-0"):
+            raise InputFormatError(
+                f"expected a sign string over +-0, got {line!r}",
+                source=source,
+                line=lineno,
+            )
+        if len(line) != n:
+            raise InputFormatError(
+                f"sign string has length {len(line)}, expected {n}",
+                source=source,
+                line=lineno,
+            )
+        if line in seen:
+            raise InputFormatError(
+                f"duplicate covector {line!r}", source=source, line=lineno
+            )
+        seen.add(line)
 
 
 def format_covector_file(S: CovectorSet) -> str:

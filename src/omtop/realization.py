@@ -61,10 +61,9 @@ _CAP = 20_000
 # ---------------------------------------------------------------------------
 
 
-def _primitive_row(entries) -> tuple[int, ...]:
+def _primitive_row(fracs) -> tuple[int, ...]:
     """The primitive integer row that is a positive multiple of the
-    given rationals (a zero row stays zero)."""
-    fracs = [Fraction(c) for c in entries]
+    given rationals, ints or Fractions (a zero row stays zero)."""
     mult = lcm(*(f.denominator for f in fracs))
     ints = [f.numerator * (mult // f.denominator) for f in fracs]
     g = gcd(*ints)
@@ -167,7 +166,11 @@ class VectorConfiguration:
                     f"form {f} has length {len(f)}, expected {self.nvars}"
                 )
         object.__setattr__(
-            self, "forms", tuple(_primitive_row(f) for f in self.forms)
+            self,
+            "forms",
+            tuple(
+                _primitive_row([Fraction(c) for c in f]) for f in self.forms
+            ),
         )
 
     @property
@@ -366,14 +369,18 @@ def enumerate_covectors(
     lives for one call.
 
     Raises ResourceExhausted as soon as there are more than `cap`
-    covectors.  A configuration of rank r is uniform exactly when it
-    has 2 * C(n, r-1) cocircuits, one line per (r-1)-subset of forms;
-    then |L| is known in closed form (`_uniform_covector_count`), so
-    past the cap it raises before the closure.  The default cap,
-    20,000, bounds what comes next: `CovectorSet.order()` keeps a
-    down-set and an up-set mask of up to N bits for each of N
-    covectors, up to N**2 / 4 bytes: 100 MB at N = 20,000 (25 MB for
-    the 11,003 covectors of `generate_arrangement(10, 4, seed=0)`)."""
+    covectors, the zero vector included: a cap below 1 raises on every
+    configuration, rank 0 too.  A configuration of rank r is uniform
+    exactly when it has 2 * C(n, r-1) cocircuits, one line per
+    (r-1)-subset of forms; then |L| is known in closed form
+    (`_uniform_covector_count`), so past the cap it raises before the
+    closure.  The default cap, 20,000, bounds what comes next:
+    `CovectorSet.order()` keeps a down-set and an up-set mask of up to
+    N bits for each of N covectors, up to N**2 / 4 bytes: 100 MB at
+    N = 20,000 (25 MB for the 11,003 covectors of
+    `generate_arrangement(10, 4, seed=0)`)."""
+    if cap < 1:  # the zero vector alone is more than cap covectors
+        raise _over_cap(cap)
     n = V.n_forms
     cocircuits = _cocircuits(V.forms, cap)
     r = _rank(V.forms)

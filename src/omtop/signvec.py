@@ -105,6 +105,18 @@ class GroundSet:
         return GroundSet(keep, g=g)
 
 
+# the digit strings whose base-2 parse, reversed, is the + (-) mask
+_PLUS_DIGITS = str.maketrans("+-0", "100")
+_MINUS_DIGITS = str.maketrans("+-0", "010")
+# _NIBBLES[p | m << 4]: the signs of four coordinates whose + bits are p
+# and - bits are m, coordinate 0 first (p & m is 0 in every vector)
+_NIBBLES = tuple(
+    "".join("+" if p >> j & 1 else "-" if m >> j & 1 else "0"
+            for j in range(4))
+    for m in range(16) for p in range(16)
+)
+
+
 class SignVector:
     """An immutable element of {+, -, 0}^E, E ordered, |E| = ``n``.
 
@@ -132,15 +144,19 @@ class SignVector:
 
     @classmethod
     def from_string(cls, s: str) -> "SignVector":
-        pos = neg = 0
-        for i, ch in enumerate(s):
-            if ch == "+":
-                pos |= 1 << i
-            elif ch == "-":
-                neg |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"not a sign string: {s!r}")
-        return cls(len(s), pos, neg)
+        """The vector of a sign string over +-0, coordinate 0 first.
+        Each mask is one base-2 parse of the reversed string with its
+        signs translated to digits (`_PLUS_DIGITS`, `_MINUS_DIGITS`)."""
+        if s.strip("+-0"):
+            raise ValueError(f"not a sign string: {s!r}")
+        if not s:
+            return cls(0, 0, 0)
+        r = s[::-1]
+        return cls(
+            len(s),
+            int(r.translate(_PLUS_DIGITS), 2),
+            int(r.translate(_MINUS_DIGITS), 2),
+        )
 
     @classmethod
     def from_signs(cls, signs: Iterable[Sign]) -> "SignVector":
@@ -265,11 +281,14 @@ class SignVector:
         return hash(self._pos | self._neg << self.n)
 
     def __str__(self) -> str:
-        out = []
-        for i in range(self.n):
-            bit = 1 << i
-            out.append("+" if self._pos & bit else "-" if self._neg & bit else "0")
-        return "".join(out)
+        # four coordinates per `_NIBBLES` lookup, cut to length
+        pos, neg, n = self._pos, self._neg, self.n
+        out = _NIBBLES[pos & 15 | (neg & 15) << 4]
+        s = 4
+        while s < n:
+            out += _NIBBLES[pos >> s & 15 | (neg >> s & 15) << 4]
+            s += 4
+        return out[:n]
 
     def __repr__(self) -> str:
         return f"SignVector({str(self)!r})"

@@ -71,11 +71,15 @@ class Poset:
         its up-set masks (bit j of up[i] is set iff element j >= element
         i), checking that it is a partial order."""
         self.elements = elements
-        self._index = {}
-        for i, x in enumerate(elements):
-            if x in self._index:
-                raise DomainError(f"duplicate poset element {x!r}")
-            self._index[x] = i
+        # one hash per element; the duplicate is looked for only to
+        # name it
+        self._index = {x: i for i, x in enumerate(elements)}
+        if len(self._index) != len(elements):
+            seen = set()
+            for x in elements:
+                if x in seen:
+                    raise DomainError(f"duplicate poset element {x!r}")
+                seen.add(x)
         n = len(down)
         for i in range(n):
             if not (down[i] >> i) & 1:

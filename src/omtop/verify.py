@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from . import __version__
 from .bounded import (
     AffineOM,
-    _without,
     bounded_complex,
     check_bijection,
     boundary_equivalence,
@@ -191,12 +190,19 @@ def verify_covectors(
             gi = M.g_index
             elements = L.order().elements
             width = len(L.ground) - 1
+            low = (1 << gi) - 1  # the coordinates below g keep their bits
             faces = {}
             mismatches = []
-            # the covectors + at g, in sign-string order (L's order)
+            # the covectors + at g, in sign-string order (L's order),
+            # with g deleted
             for i in _bits(L._sign_columns()[gi][0]):
                 x = elements[i]
-                P = SignVector(width, _without(x._pos, gi), _without(x._neg, gi))
+                xp, xn = x._pos, x._neg
+                P = SignVector(
+                    width,
+                    (xp & low) | (xp >> 1 & ~low),
+                    (xn & low) | (xn >> 1 & ~low),
+                )
                 bounded = face_bounded(arrangement, P)
                 if bounded:
                     faces[P] = affine_face_dim(arrangement, P)

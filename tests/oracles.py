@@ -112,6 +112,17 @@ generator's uniformity test as it ran before that walk, one rank per
 They cross-check `_cocircuits`, the uniform early exit of
 `enumerate_covectors` and `generate._general_position`.
 
+`generate_by_randint` is the generator as it drew before it read the
+generator's words itself: one `random.randint` per coefficient, every
+draw decided by the wedge walk, so it cross-checks
+`generate_arrangement` draw for draw.  `sign_string_by_coordinates`,
+`from_string_by_coordinates`, `parse_covector_file_by_lines` and
+`format_covector_file_by_coordinates` are the sign strings and the
+covector file as they ran before the nibble table and the bulk parse:
+one coordinate, one character and one line at a time, so they
+cross-check `str`, `SignVector.from_string`, `parse_covector_file`
+(error messages and line numbers included) and `format_covector_file`.
+
 `verify_on_the_order_complex` runs the pipeline with its collapse found
 and replayed, and its homology computed, on the order complex
 K = Delta(L++) and K's f-vector read from K, so it cross-checks
@@ -141,6 +152,8 @@ dict for dict.
 
 import heapq
 import itertools
+import random
+import re
 from collections import defaultdict, deque
 from fractions import Fraction
 from math import comb, gcd
@@ -159,10 +172,13 @@ from omtop.bounded import (
 from omtop.errors import (
     DimensionError,
     DomainError,
+    InputFormatError,
     MembershipError,
     OmtopError,
     PreconditionError,
+    ResourceExhausted,
 )
+from omtop.generate import _every_subset_a_basis
 from omtop.matroid import (
     AxiomReport,
     CovectorSet,
@@ -172,6 +188,7 @@ from omtop.matroid import (
 )
 from omtop.realization import (
     _CAP,
+    Arrangement,
     _cocircuits,
     _eliminate,
     _over_cap,
@@ -180,7 +197,7 @@ from omtop.realization import (
     homogenize,
     is_essential,
 )
-from omtop.signvec import Sign, SignVector, _bits
+from omtop.signvec import GroundSet, Sign, SignVector, _bits
 from omtop.topology import (
     CollapseCertificate,
     CollapseResult,
@@ -420,7 +437,9 @@ def close_by_conformal_frontier(V, cap: int = _CAP) -> CovectorSet:
     0 plus the closure of the cocircuits under conformal composition,
     frontier by frontier, each new covector x composed with every
     cocircuit conformal to x, with the same uniform early exit and the
-    same cap test."""
+    same cap test, the zero vector counted."""
+    if cap < 1:
+        raise _over_cap(cap)
     n = V.n_forms
     cocircuits = _cocircuits(V.forms, cap)
     r = _rank(V.forms)
@@ -495,6 +514,138 @@ def every_subset_a_basis_by_ranks(forms, k: int) -> bool:
 def general_position_by_ranks(A) -> bool:
     """Every d+1 homogenized forms of A independent."""
     return every_subset_a_basis_by_ranks(homogenize(A).forms, A.dim + 1)
+
+
+def generate_by_randint(
+    n: int, d: int, seed: int = 0, max_tries: int = 200
+) -> Arrangement:
+    """`generate_arrangement(n, d, seed, max_tries)` as it drew before
+    it read the generator's words itself: one `random.randint` per
+    coefficient, and every draw decided by the wedge walk, with no test
+    for parallel normals."""
+    if d < 1:
+        raise DomainError(f"dimension must be at least 1, got {d}")
+    if n < d + 1:
+        raise DomainError(f"need at least d+1 = {d + 1} hyperplanes")
+    rng = random.Random(seed)
+    t = (0,) * d + (1,)
+    for _ in range(max_tries):
+        normals = []
+        for _ in range(n):
+            v = tuple(rng.randint(-5, 5) for _ in range(d))
+            while not any(v):
+                v = tuple(rng.randint(-5, 5) for _ in range(d))
+            normals.append(v)
+        offsets = [(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+        forms = [t] + [
+            tuple(den * c for c in a) + (-num,)
+            for a, (num, den) in zip(normals, offsets)
+        ]
+        if _every_subset_a_basis(forms, d + 1):
+            return Arrangement(
+                dim=d,
+                labels=tuple(f"h{i + 1}" for i in range(n)),
+                normals=tuple(normals),
+                offsets=tuple(Fraction(num, den) for num, den in offsets),
+            )
+    raise ResourceExhausted(f"no uniform arrangement in {max_tries} draws")
+
+
+def sign_string_by_coordinates(x: SignVector) -> str:
+    """`str(x)` as it ran before its nibble table: one sign per
+    coordinate."""
+    out = []
+    for i in range(x.n):
+        bit = 1 << i
+        out.append("+" if x._pos & bit else "-" if x._neg & bit else "0")
+    return "".join(out)
+
+
+def from_string_by_coordinates(s: str) -> SignVector:
+    """`SignVector.from_string(s)` as it ran before its base-2 parse:
+    one bit per character."""
+    pos = neg = 0
+    for i, ch in enumerate(s):
+        if ch == "+":
+            pos |= 1 << i
+        elif ch == "-":
+            neg |= 1 << i
+        elif ch != "0":
+            raise ValueError(f"not a sign string: {s!r}")
+    return SignVector(len(s), pos, neg)
+
+
+_SIGN_RE = re.compile(r"^[+\-0]+$")
+
+
+def parse_covector_file_by_lines(
+    text: str, source: str = "<string>"
+) -> CovectorSet:
+    """`parse_covector_file` as it ran before it read the sign lines in
+    bulk: each line checked by a regular expression, for its length and
+    against the lines before it, then parsed one character at a time,
+    raising at the first bad line."""
+    labels = None
+    g = None
+    vecs: list[SignVector] = []
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if labels is None:
+            labels = line.split()
+            continue
+        tokens = line.split()
+        if tokens[0] == "g" and g is None and not vecs:
+            if len(tokens) != 2:
+                raise InputFormatError(
+                    "g line must be `g <label>`", source=source, line=lineno
+                )
+            g = tokens[1]
+            if g not in labels:
+                raise InputFormatError(
+                    f"g element {g!r} is not among the labels",
+                    source=source,
+                    line=lineno,
+                )
+            continue
+        if len(tokens) != 1 or not _SIGN_RE.match(tokens[0]):
+            raise InputFormatError(
+                f"expected a sign string over +-0, got {line!r}",
+                source=source,
+                line=lineno,
+            )
+        s = tokens[0]
+        if len(s) != len(labels):
+            raise InputFormatError(
+                f"sign string has length {len(s)}, expected {len(labels)}",
+                source=source,
+                line=lineno,
+            )
+        if s in seen:
+            raise InputFormatError(
+                f"duplicate covector {s!r}", source=source, line=lineno
+            )
+        seen.add(s)
+        vecs.append(from_string_by_coordinates(s))
+    if labels is None:
+        raise InputFormatError("no element labels found", source=source)
+    try:
+        ground = GroundSet(labels, g=g)
+    except DomainError as exc:
+        raise InputFormatError(str(exc), source=source) from None
+    return CovectorSet(ground, vecs)
+
+
+def format_covector_file_by_coordinates(S: CovectorSet) -> str:
+    """`format_covector_file(S)` with each sign string formed one
+    coordinate at a time."""
+    lines = [" ".join(S.ground.labels)]
+    if S.ground.g is not None:
+        lines.append(f"g {S.ground.g}")
+    lines.extend(sign_string_by_coordinates(x) for x in S.sorted_covectors())
+    return "\n".join(lines) + "\n"
 
 
 def _enumerate_patterns(rows_by_sign, n: int, nvars: int):

@@ -44,7 +44,9 @@ from omtop.signvec import GroundSet, SignVector, _bits
 from conftest import FOURLINE_ROWS, TRIANGLE_ROWS, mk_arrangement
 from oracles import (
     equal_support_elimination,
+    format_covector_file_by_coordinates,
     pairwise_witnesses,
+    parse_covector_file_by_lines,
     restriction_l2_witnesses,
     scan_axioms,
     sign_columns_by_bits,
@@ -287,17 +289,41 @@ def _oracle_report(L: CovectorSet) -> AxiomReport:
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _refute_non_oms(seed: int) -> list:
-    """The dropped-covector sets of the benchmark's `refute` workload."""
-    import omtop
-
+def _workloads():
     sys.path.insert(0, str(_PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(_PERFBENCH))
+    return workloads
+
+
+def _refute_non_oms(seed: int) -> list:
+    """The dropped-covector sets of the benchmark's `refute` workload."""
+    import omtop
+
+    workloads = _workloads()
     return [inst.covectors for inst in workloads.build("refute", omtop, seed)
             if inst.expected == workloads.NOT_OM]
+
+
+def _refute_files(seed: int) -> list[tuple[CovectorSet, str]]:
+    """The covector sets of the benchmark's `refute` workload and the
+    files that set-up writes for them."""
+    import types
+
+    import omtop
+
+    files = []
+
+    def record(L):
+        files.append((L, omtop.format_covector_file(L)))
+        return files[-1][1]
+
+    api = types.SimpleNamespace(**vars(omtop))
+    api.format_covector_file = record
+    _workloads().build("refute", api, seed)
+    return files
 
 
 class TestAxiomsAgainstScan:
@@ -812,3 +838,85 @@ class TestCovectorFile:
     def test_empty_file(self):
         with pytest.raises(InputFormatError):
             parse_covector_file("# nothing\n")
+
+
+def _parsed(parse, text: str):
+    """What parse makes of text: the set, or the error's text and line."""
+    try:
+        L = parse(text, source="f.cov")
+    except InputFormatError as exc:
+        return str(exc), exc.line
+    return L.ground, L.covectors
+
+
+class TestBulkCovectorFile:
+    """`parse_covector_file` and `format_covector_file` against the
+    parser and the writer as they ran one line and one coordinate at a
+    time."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_refute_files(self, seed):
+        files = _refute_files(seed)
+        assert len(files) == 8
+        for L, text in files:
+            assert text == format_covector_file_by_coordinates(L)
+            assert _parsed(parse_covector_file, text) == (
+                _parsed(parse_covector_file_by_lines, text)
+            )
+            assert parse_covector_file(text) == L
+
+    def test_realize_output(self, tmp_path, capsys):
+        from omtop.cli import main
+        from omtop.realization import format_arrangement
+
+        for n, d, seed in [(6, 4, 0), (11, 2, 0), (5, 1, 3)]:
+            arr = tmp_path / "a.arr"
+            arr.write_text(format_arrangement(generate_arrangement(n, d, seed)))
+            assert main(["realize", str(arr)]) == 0
+            text = capsys.readouterr().out
+            assert _parsed(parse_covector_file, text) == (
+                _parsed(parse_covector_file_by_lines, text)
+            )
+
+    # each bad file, and the line its error names (None: no line)
+    BAD = [
+        ("a b\n00\n+x\n", 3),
+        ("a b\n00\n+0 -0\n", 3),
+        ("a b\n00\n+\n", 3),
+        ("a b\n00\n+00\n", 3),
+        ("a b\n00\n+-\n00\n", 4),
+        ("a b\n00\n+-  # again\n  +-\n", 4),
+        ("a b\ng c\n00\n", 2),
+        ("a b\ng a b\n00\n", 2),
+        ("a b\ng\n", 2),
+        ("a b\n00\ng a\n", 3),
+        ("a b\ng a\ng b\n", 3),
+        ("a a\n00\n", None),
+        ("# nothing\n\n", None),
+        ("", None),
+        ("# labels\r\na b\r\n\r\n00\r\n+x\r\n", 5),
+        ("a b # c\n# c\n\n+-\n-+\n0\n", 6),
+        ("a b\n+-\n+\u00b1\n", 3),
+    ]
+
+    @pytest.mark.parametrize("text,line", BAD)
+    def test_errors_keep_message_and_line(self, text, line):
+        got = _parsed(parse_covector_file, text)
+        assert got == _parsed(parse_covector_file_by_lines, text)
+        assert got[1] == line and got[0].startswith("f.cov:")
+
+    GOOD = [
+        "a b\n",
+        "a b\ng b\n",
+        "a b\r\ng b\r\n00\r\n+-\r\n",
+        "# head\n\n  a   b  # labels\n\n g  a # g\n00\n\t+- \n# end",
+        "a b\n00\n+-\n#\n",
+        "a\n+\n-\n0",
+        "g a\ng g\n00\n",
+    ]
+
+    @pytest.mark.parametrize("text", GOOD)
+    def test_comments_blanks_and_crlf(self, text):
+        got = _parsed(parse_covector_file, text)
+        assert got == _parsed(parse_covector_file_by_lines, text)
+        assert isinstance(got[0], GroundSet)

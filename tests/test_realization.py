@@ -523,11 +523,12 @@ class TestCoverWalk:
             nvars=2, forms=((0, 0), (0, 0), (0, 0)), ground=ground
         )
         assert _same_closure(loops).covectors == {S("000")}
-        # no cocircuit, so neither closure meets even a cap of 0
-        assert enumerate_covectors(loops, cap=0).covectors == {S("000")}
-        assert close_by_conformal_frontier(loops, cap=0).covectors == {
-            S("000")
-        }
+        # no cocircuit, but the zero vector alone is past a cap of 0,
+        # and within a cap of 1, in both closures
+        for close in (enumerate_covectors, close_by_conformal_frontier):
+            with pytest.raises(ResourceExhausted, match="cap of 0 "):
+                close(loops, cap=0)
+            assert close(loops, cap=1).covectors == {S("000")}
         line = VectorConfiguration(
             nvars=2, forms=((1, 0), (0, 0), (-3, 0)), ground=ground
         )

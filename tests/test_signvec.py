@@ -5,12 +5,17 @@ proof of the identity on those lengths, not a sample.
 """
 
 import itertools
+import random
 
 import pytest
 
 from omtop.errors import DimensionError, DomainError
 from omtop.signvec import GroundSet, Sign, SignVector
-from oracles import all_sign_vectors
+from oracles import (
+    all_sign_vectors,
+    from_string_by_coordinates,
+    sign_string_by_coordinates,
+)
 
 
 def vecs(n):
@@ -32,6 +37,30 @@ class TestParsing:
     def test_bad_character(self):
         with pytest.raises(ValueError):
             SignVector.from_string("+x-")
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 8, 12, 17])
+    def test_strings_match_the_oracles(self, n):
+        # every vector up to length 8, 3,000 seeded ones beyond
+        if n <= 8:
+            xs = vecs(n)
+        else:
+            rng = random.Random(n)
+            xs = [SignVector.from_signs(rng.choice(list(Sign))
+                                        for _ in range(n))
+                  for _ in range(3000)]
+        for x in xs:
+            s = str(x)
+            assert s == sign_string_by_coordinates(x)
+            assert SignVector.from_string(s) == from_string_by_coordinates(s)
+            assert SignVector.from_string(s) == x
+
+    @pytest.mark.parametrize("s", ["+x-", " +", "+-0 ", "1", "_0", "+\n", "0b1"])
+    def test_bad_strings_match_the_oracle(self, s):
+        with pytest.raises(ValueError) as got:
+            SignVector.from_string(s)
+        with pytest.raises(ValueError) as want:
+            from_string_by_coordinates(s)
+        assert str(got.value) == str(want.value)
 
     def test_from_signs_roundtrip(self):
         for x in vecs(3):

@@ -154,6 +154,10 @@ class TestPoset:
         with pytest.raises(DomainError):
             Poset([1, 1], lambda a, b: a <= b)
 
+    def test_duplicate_element_named(self):
+        with pytest.raises(DomainError, match="duplicate poset element 3"):
+            Poset([1, 3, 2, 3], lambda a, b: a <= b)
+
     def test_not_antisymmetric(self):
         with pytest.raises(DomainError):
             Poset([1, 2], lambda a, b: True)

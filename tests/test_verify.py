@@ -234,6 +234,20 @@ class TestEachFactOnce:
         assert len(calls) == 19
         assert rep.stages["boundedness_oracle"]["matches_f_vector"]
 
+    def test_oracle_faces_are_covectors_minus_g(self, monkeypatch):
+        import omtop.verify as verify
+
+        # g is deleted in place: verify imports no bit helper of
+        # `bounded` for a traced run to book as a layer call
+        assert not hasattr(verify, "_without")
+        calls = _counting(monkeypatch, verify, "face_bounded")
+        A = generate_arrangement(5, 3, seed=1)
+        verify_arrangement(A)
+        L = enumerate_covectors(homogenize(A))
+        gi = L.ground.g_index
+        want = [x.delete({gi}) for x in L if x._pos >> gi & 1]
+        assert [P for _, P in calls] == want
+
     def test_normal_cocircuits_once_per_arrangement(self, monkeypatch):
         import omtop.realization as realization
 

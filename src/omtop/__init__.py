@@ -35,14 +35,10 @@ from .matroid import (  # noqa: E402
     AxiomReport,
     CovectorSet,
     UniformityReport,
-    atoms,
-    contract,
-    covector_rank,
     delete_minor,
     format_covector_file,
     is_uniform,
     parse_covector_file,
-    topes,
     verify_covector_axioms,
 )
 from .realization import (  # noqa: E402
@@ -63,7 +59,6 @@ from .topology import (  # noqa: E402
     find_collapse,
     homology,
     verify_collapse,
-    verify_shelling,
 )
 from .verify import VerificationReport, verify_arrangement, verify_covectors  # noqa: E402
 from .generate import generate_arrangement  # noqa: E402

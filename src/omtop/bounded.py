@@ -48,11 +48,7 @@ from .errors import (
     OmtopError,
     PreconditionError,
 )
-from .matroid import (
-    CovectorSet,
-    contract,
-    delete_minor,
-)
+from .matroid import CovectorSet, delete_minor
 from .signvec import SignVector, _bits
 from .topology import Poset, ShellingReport, _popcount
 
@@ -66,8 +62,7 @@ class AffineOM:
     """
 
     __slots__ = (
-        "om", "_bc", "_contraction", "_cells", "_restriction",
-        "_unbounded", "_topes",
+        "om", "_bc", "_cells", "_restriction", "_unbounded", "_topes",
     )
 
     def __init__(self, om: CovectorSet):
@@ -86,7 +81,6 @@ class AffineOM:
             )
         self.om = om
         self._bc = None
-        self._contraction = None
         self._restriction = None
         self._unbounded = None
         self._topes = None
@@ -109,12 +103,6 @@ class AffineOM:
             self._bc = _compute_bounded_complex(self)
         return self._bc
 
-    def contraction(self) -> CovectorSet:
-        """L/g, the oriented matroid at infinity."""
-        if self._contraction is None:
-            self._contraction = contract(self.om, [self.g])
-        return self._contraction
-
     def _unbounded_topes(self) -> int:
         """The topes outside L++, as a mask over L's order: C_X is the
         part of it above X."""
@@ -133,8 +121,7 @@ class AffineOM:
         return self._topes
 
     def star(self, X: SignVector) -> "Star":
-        """Star(self, X), a view of X's cell record: every star of X
-        reads, and a C_X or D_X set by hand on one writes, that record."""
+        """Star(self, X), a view of X's cell record."""
         return Star(self, X)
 
     def _cell(self, X: SignVector, star: bool = True) -> "_Cell":
@@ -323,7 +310,7 @@ def restrict_to_support(M: AffineOM) -> SupportRestriction:
     deletion is an order embedding of L++: only the image can fail.
 
     The restricted set is built once per AffineOM, so every star of M
-    shares it, with its order, bounded complex and contraction."""
+    shares it, with its order, bounded complex and tope table."""
     bc = M.bounded_complex()
     if bc.support is None:
         raise PreconditionError(
@@ -534,16 +521,6 @@ class _TopeTable:
             return None
         return self._key.get(T._pos | T._neg << self.width)
 
-    def mask(self, topes) -> int | None:
-        """The mask of a set of topes of L/g, or None when one is not."""
-        out = 0
-        for t in topes:
-            j = self.index(t)
-            if j is None:
-                return None
-            out |= 1 << j
-        return out
-
     def names(self) -> list[str]:
         """str of each tope of L/g, computed once."""
         if self._names is None:
@@ -585,10 +562,9 @@ class _Cell:
     support E1), X there being the star's X, at X's index in N's order:
     size = |N_{>=X}|, xg the (+, -) masks of X minus g, cx the mask of
     C_X over N's order, dx the mask of D_X over the topes of N/g
-    (`_TopeTable`), or None when a D_X set by hand holds a vector that
-    is no tope, and image the mask of r(C_X), with `_TopeTable.past`
-    set when some tope of C_X restricts to no tope of N/g.  C_X and D_X are
-    the tuples, None until read or set (`Star`).  bad is None, or the
+    (`_TopeTable`), and image the mask of r(C_X), with `_TopeTable.past`
+    set when some tope of C_X restricts to no tope of N/g.  C_X and D_X
+    are the tuples, None until read (`Star`).  bad is None, or the
     (exception, message) that asking for X's star raises: X has support
     {g}, or X has no image under the support restriction."""
 
@@ -732,17 +708,15 @@ def _lift(X: SignVector, gi: int, T: SignVector) -> SignVector:
 
 class Star:
     """Everything star-local to one bounded covector X: the ambient
-    full-dimensional affine OM (restricting to E1 first if needed), the
-    tope sets C_X and D_X, and the contraction they live over.
+    full-dimensional affine OM (restricting to E1 first if needed) and
+    the tope sets C_X and D_X.
 
     A star is a view of X's cell record (`_Cell`), which holds both tope
     sets as masks: C_X over L's order, the up-set of X met with the
     topes outside L++, and D_X over the topes of L/g (`_TopeTable`),
     those that conform to X minus g.  The tuples C_X and D_X, in
-    sign-string order, are built on their first read.  A tuple set by
-    hand replaces the mask in the record, or leaves it None when the
-    tuple holds a vector that is no tope, and every check on X then
-    reads the tuple.
+    sign-string order, are built on their first read; every check on X
+    reads the masks.
     """
 
     __slots__ = ("om", "X", "restriction", "_cell")
@@ -762,19 +736,6 @@ class Star:
             cell.C_X = tuple(elements[k] for k in _bits(cell.cx))
         return cell.C_X
 
-    @C_X.setter
-    def C_X(self, topes) -> None:
-        topes = tuple(topes)
-        index = self.om.om.order()._index
-        cx = 0
-        for t in topes:
-            if t not in index:
-                raise MembershipError(f"{t} is not a covector of this set")
-            cx |= 1 << index[t]
-        cell = self._cell
-        cell.C_X, cell.cx = topes, cx
-        cell.image = _image(self.om._tope_table(), cx)
-
     @property
     def D_X(self) -> tuple[SignVector, ...]:
         cell = self._cell
@@ -782,16 +743,6 @@ class Star:
             topes = self.om._tope_table().topes
             cell.D_X = tuple(topes[j] for j in _bits(cell.dx))
         return cell.D_X
-
-    @D_X.setter
-    def D_X(self, topes) -> None:
-        cell = self._cell
-        cell.D_X = tuple(topes)
-        cell.dx = self.om._tope_table().mask(cell.D_X)
-
-    @property
-    def contraction(self) -> CovectorSet:
-        return self.om.contraction()
 
     @property
     def c_size(self) -> int:
@@ -805,14 +756,6 @@ class Star:
     def lift(self, T: SignVector) -> SignVector:
         """h(T) = i(T) o X: re-insert g as zero, then compose with X."""
         return _lift(self.X, self.om.g_index, T)
-
-
-def _masked_dx(cell: _Cell) -> int:
-    if cell.dx is None:
-        raise PreconditionError(
-            f"D_X at {cell.X} holds a vector that is no tope of L/g"
-        )
-    return cell.dx
 
 
 @dataclass(frozen=True)
@@ -889,7 +832,7 @@ def shelling_of_DX(
     """
     cell = M._cell(X)
     table = M._star_om()._tope_table()
-    dx = _masked_dx(cell)
+    dx = cell.dx
     if not dx:
         raise PreconditionError(f"D_X is empty for X = {cell.X}")
     if B is None:
@@ -964,19 +907,16 @@ class InducedShelling:
         return tuple(map(str, self.dx_order)), tuple(map(str, self.order))
 
 
-def induced_shelling_of_CX(
-    M: AffineOM, X: SignVector, dx_order=None
-) -> InducedShelling:
+def induced_shelling_of_CX(M: AffineOM, X: SignVector) -> InducedShelling:
     """Lift a [D_X] shelling through h and verify it shells [C_X]: for
     every i < j some k < j has c_i ^ c_j <= c_k ^ c_j covered by c_j.
 
     The base tope matters: a linear extension of T(L/g, B) always shells
     [D_X], but its lift shells [C_X] only for suitable B (the interval
     [d_i, d_j] seen from d_i can order two of its topes opposite to how
-    T(L/g, B) does when d_i and d_j are incomparable from B).  With
-    dx_order unset, bases are tried in sorted order and the first lift
-    that shells [C_X] is returned; a failing result is only reported
-    when every base fails.  An explicit dx_order is checked as given.
+    T(L/g, B) does when d_i and d_j are incomparable from B).  Bases are
+    tried in sorted order and the first lift that shells [C_X] is
+    returned; a failing result is only reported when every base fails.
 
     The condition is decided in the sign cube above X.  When
     |L_>=X| = 3^|z(X)| (the popcount of X's up-set, as in
@@ -1003,70 +943,57 @@ def induced_shelling_of_CX(
     C_X is not), is no order of the facets of [C_X], and an X whose
     L_>=X is not the cube has no flip decision: each is reported in
     `problems` with no shelling report.  On a uniform input the cube
-    holds at every X by theorem.  An explicit dx_order runs through the
-    same lift, on its tope indices.
+    holds at every X by theorem.
     """
     cell = M._cell(X)
     N = M._star_om()
-    zeros = len(cell.X) - _popcount(cell.X._pos | cell.X._neg)
-    cube = None
-    if cell.size != 3 ** zeros:
-        cube = (
-            f"L_>=X is not the sign cube on z(X): |L_>=X| = {cell.size}, "
-            f"expected 3^{zeros} = {3 ** zeros}"
-        )
-    table = N._tope_table()
-    if dx_order is not None:
-        dx_order = tuple(dx_order)
-        D_X = Star(M, X).D_X
-        # D_X has no repeated tope, so equal lengths and equal sets make
-        # a permutation
-        if len(dx_order) != len(D_X) or set(dx_order) != set(D_X):
-            raise PreconditionError("dx_order must be a permutation of D_X")
-        dx = [table.index(d) for d in dx_order]
-        return _indexed_shelling(
-            cell, N, table, *_lift_indices(cell, N, table, cube, dx, dx_order)
-        )
-    dx = _masked_dx(cell)
+    dx = cell.dx
     if not dx:
         # an X with C_X but no D_X is possible only off uniform input
         problems = [f"D_X is empty, and |C_X| = {cell.c_size}"]
+        cube = _cube_problem(cell)
         if cube is not None:
             problems.append(cube)
-        return _indexed_shelling(cell, N, table, [], (), problems, None)
-    # in the order of D_X: sign-string order, unless set by hand
-    bases = _bits(dx) if cell.D_X is None else map(table.index, cell.D_X)
+        return _indexed_shelling(cell, N, [], problems, None)
+    table = N._tope_table()
     first = None
-    for b in bases:
-        cand = _lift_indices(cell, N, table, cube, _dx_order(cell, table, b))
-        if cand[3] is not None and not cand[3]:
-            return _indexed_shelling(cell, N, table, *cand)
+    for b in _bits(dx):
+        order = _dx_order(cell, table, b)
+        problems, failures = _lift_indices(cell, N, order)
+        if failures is not None and not failures:
+            return _indexed_shelling(cell, N, order, problems, failures)
         if first is None:
-            first = cand
-    return _indexed_shelling(cell, N, table, *first)
+            first = order, problems, failures
+    return _indexed_shelling(cell, N, *first)
 
 
-def _lift_indices(
-    cell: _Cell, N: AffineOM, table: _TopeTable, cube: str | None, dx: list,
-    topes=None,
-):
-    """(dx, topes, problems, failures) of the lift of dx, tope indices
-    of L/g in a [D_X] order, with topes their vectors; failures is None
-    when a problem stops the flip decision.  An explicit order gives its
-    vectors: one that is no tope of L/g (a D_X set by hand can hold one)
-    has index None and is reported as a lift outside C_X.  Else, when
-    r(C_X) = D_X and the cube holds, the lift is decided on masks and
-    topes is None: every lift is in C_X and the lifts cover it (the
-    lift lemma of `_TopeTable`), so the flips alone decide."""
-    if topes is None:
-        if cube is None and cell.image == cell.dx:
-            return dx, None, (), _flip_failures([table.ranked[j] for j in dx])
-        topes = tuple(table.topes[j] for j in dx)
+def _cube_problem(cell: _Cell) -> str | None:
+    """Why L_>=X is not the sign cube on z(X), or None when it is."""
+    zeros = len(cell.X) - _popcount(cell.X._pos | cell.X._neg)
+    if cell.size == 3 ** zeros:
+        return None
+    return (
+        f"L_>=X is not the sign cube on z(X): |L_>=X| = {cell.size}, "
+        f"expected 3^{zeros} = {3 ** zeros}"
+    )
+
+
+def _lift_indices(cell: _Cell, N: AffineOM, dx: list[int]):
+    """(problems, failures) of the lift of dx, tope indices of N/g in a
+    [D_X] order; failures is None when a problem stops the flip
+    decision.  When r(C_X) = D_X and the cube holds, every lift is in
+    C_X and the lifts cover it (the lift lemma of `_TopeTable`), so the
+    flips alone decide."""
+    table = N._tope_table()
+    cube = _cube_problem(cell)
+    if cube is None and cell.image == cell.dx:
+        return [], _flip_failures([table.ranked[j] for j in dx])
     problems = []
     lift, cx = table.lift, cell.cx
-    for d, j in zip(topes, dx):
-        k = None if j is None else lift[j]
+    for j in dx:
+        k = lift[j]
         if k is None or not cx >> k & 1:
+            d = table.topes[j]
             problems.append(
                 f"h({d}) = {_lift(cell.X, N.g_index, d)} is not in C_X"
             )
@@ -1078,52 +1005,42 @@ def _lift_indices(
     if cube is not None:
         problems.append(cube)
     if problems:
-        return dx, topes, problems, None
-    return dx, topes, problems, _flip_failures([table.ranked[j] for j in dx])
+        return problems, None
+    return problems, _flip_failures([table.ranked[j] for j in dx])
 
 
 def _indexed_shelling(
-    cell, N, table, dx, topes, problems, failures
+    cell: _Cell, N: AffineOM, dx: list[int], problems, failures
 ) -> InducedShelling:
-    """The report of the lift of dx, tope indices of L/g, with topes
-    their vectors; topes None means every index lifts into C_X, and the
-    tope and lifted tuples are built on first read."""
+    """The report of the lift of dx, tope indices of N/g, with its
+    (problems, failures) from `_lift_indices`; the tope and lifted
+    tuples are built on first read.  A tope whose lift h(d) is no
+    g-positive unbounded tope of N (`_TopeTable.lift`) is lifted by
+    composition, on a problem report only."""
     report = None
     if failures is not None:
         report = ShellingReport(
             ok=not failures, mode="simplicial", failures=tuple(failures)
         )
-    elements = N.om.order().elements
-    lift, names, lift_names = table.lift, table.names(), table.lift_names()
-    if topes is None:
-        return InducedShelling(
-            X=cell.X,
-            dx_order=lambda: tuple(table.topes[j] for j in dx),
-            order=lambda: tuple(elements[lift[j]] for j in dx),
-            report=report,
-            problems=tuple(problems),
-            names=(
-                tuple([names[j] for j in dx]),
-                tuple([lift_names[j] for j in dx]),
-            ),
-        )
+    table = N._tope_table()
+    elements, topes, lift = N.om.order().elements, table.topes, table.lift
     X, gi = cell.X, N.g_index
-    ks = [None if j is None else lift[j] for j in dx]
+
+    def lifted(j: int) -> SignVector:
+        k = lift[j]
+        return _lift(X, gi, topes[j]) if k is None else elements[k]
+
+    names, lift_names = table.names(), table.lift_names()
+    cx_names = [lift_names[j] for j in dx]
+    if None in cx_names:
+        cx_names = [str(lifted(j)) for j in dx]
     return InducedShelling(
         X=X,
-        dx_order=topes,
-        order=lambda: tuple(
-            _lift(X, gi, d) if k is None else elements[k]
-            for d, k in zip(topes, ks)
-        ),
+        dx_order=lambda: tuple(topes[j] for j in dx),
+        order=lambda: tuple(map(lifted, dx)),
         report=report,
         problems=tuple(problems),
-        names=(
-            tuple(str(d) if j is None else names[j]
-                  for d, j in zip(topes, dx)),
-            tuple(str(_lift(X, gi, d)) if k is None else lift_names[j]
-                  for d, j, k in zip(topes, dx, ks)),
-        ),
+        names=(tuple([names[j] for j in dx]), tuple(cx_names)),
     )
 
 

@@ -6,18 +6,20 @@ independent.  That is exactly uniformity of the realized oriented
 matroid: a realizable oriented matroid is uniform iff every rank-sized
 subset of its vectors is a basis (Bjorner, Las Vergnas, Sturmfels,
 White & Ziegler, *Oriented Matroids*).  So no covector is enumerated
-here.  The test walks the d-subsets of the forms depth first, as the
-cocircuits do (`realization._cofactor_walk`): each prefix's exterior
-product is shared by the subsets that extend it, and every later form
-must have a nonzero determinant with each d-subset.  The form at
-infinity goes first, and the walk stops at the first dependent subset,
-so a rejected draw usually costs a few wedges, and only the accepted
-draw becomes an `Arrangement`.  Most draws of many hyperplanes in low
-dimension hold two parallel normals; those are rejected before the
-walk, by a set of primitive rows.  The draw is deterministic in the
-seed, so a (seed, n, d) triple names a reproducible test instance: the
-coefficients are read off the generator's words exactly as
-`random.randint` reads them (`_randints`), without its per-call cost.
+here.  The test walks subsets depth first, as the cocircuits do
+(`realization._cofactor_walk`): each prefix's exterior product is shared
+by the subsets that extend it, and every later row must have a nonzero
+determinant with each prefix of full length.  The subsets that hold the
+form at infinity are walked as subsets of the normals, one dimension
+lower (`_in_general_position`), and each walk stops at the first
+dependent subset, so a rejected draw usually costs a few wedges, and
+only the accepted draw becomes an `Arrangement`.  Most draws of many
+hyperplanes in low dimension hold two parallel normals; those are
+rejected before the walks, by a set of primitive rows.  The draw is
+deterministic in the seed, so a (seed, n, d) triple names a
+reproducible test instance: the coefficients are read off the
+generator's words exactly as `random.randint` reads them
+(`_randints`), without its per-call cost.
 """
 
 from __future__ import annotations
@@ -43,13 +45,17 @@ def _every_subset_a_basis(forms, k: int) -> bool:
     return True
 
 
-def _general_position(A: Arrangement) -> bool:
-    """Every d+1 homogenized forms independent, i.e. every rank-sized
-    subset is a basis; for a realized oriented matroid this holds iff
-    it is uniform, so the test decides uniformity without enumerating
-    covectors."""
-    t = (0,) * A.dim + (1,)
-    return _every_subset_a_basis((t,) + A.rows, A.dim + 1)
+def _in_general_position(forms, d: int) -> bool:
+    """Is every (d+1)-subset of t = (0, ..., 0, 1) and the homogenized
+    forms (rows of d+1 integers, at least d+1 of them) a basis?  For a
+    realized oriented matroid this holds iff it is uniform.  Two walks
+    decide it.  A subset with t has det(t, S) = +-det of the normal
+    parts of S, the first d entries of each form, so the first walk
+    covers every d-subset of the normal parts.  The second covers every
+    (d+1)-subset of the forms without t."""
+    return _every_subset_a_basis([f[:d] for f in forms], d) and (
+        _every_subset_a_basis(forms, d + 1)
+    )
 
 
 def _draw_spec(lo: int, hi: int) -> tuple[int, int, int]:
@@ -111,9 +117,8 @@ def generate_arrangement(
     (essentially impossible for the default coefficient ranges).
 
     For d >= 2 a draw with two parallel normals a_i, a_j is rejected
-    before the wedge walk: the forms t, f_i and f_j are then dependent
-    (f_i minus a multiple of f_j is a multiple of t), and they lie in
-    some (d+1)-subset, so the walk would reject the draw too.  In
+    before the wedge walks: a_i and a_j lie in some d-subset of the
+    normals, so the walk over those would reject the draw too.  In
     dimension 1 every two normals are parallel, and only the walk
     decides.  Either way the draw consumes the same words of the
     generator, so the test changes the cost of a draw, never its
@@ -127,7 +132,6 @@ def generate_arrangement(
             f"bounded complex, got n = {n}"
         )
     rng = random.Random(seed)
-    t = (0,) * d + (1,)
     for _ in range(max_tries):
         # d coefficients per normal, a zero normal redrawn: each round
         # draws as many normals as are still missing, so no word is
@@ -141,11 +145,11 @@ def generate_arrangement(
         if d > 1 and _parallel_pair(normals):
             continue
         # a . x = num/den homogenizes to (den * a, -num), up to scale
-        forms = [t] + [
+        forms = [
             tuple(den * c for c in a) + (-num,)
             for a, (num, den) in zip(normals, offsets)
         ]
-        if _every_subset_a_basis(forms, d + 1):
+        if _in_general_position(forms, d):
             return Arrangement(
                 dim=d,
                 labels=tuple(f"h{i + 1}" for i in range(n)),

@@ -46,7 +46,6 @@ from .errors import (
     DimensionError,
     DomainError,
     InputFormatError,
-    MembershipError,
     OmtopError,
 )
 from .signvec import (
@@ -111,8 +110,7 @@ class CovectorSet:
     """A set of sign vectors over a shared ground set (set semantics)."""
 
     __slots__ = (
-        "ground", "covectors", "_sorted", "_columns", "_order", "_heights",
-        "_topes", "_atoms",
+        "ground", "covectors", "_sorted", "_columns", "_order",
     )
 
     def __init__(self, ground: GroundSet, covectors):
@@ -129,9 +127,6 @@ class CovectorSet:
         self._sorted = None
         self._columns = None
         self._order = None
-        self._heights = None
-        self._topes = None
-        self._atoms = None
 
     def __len__(self) -> int:
         return len(self.covectors)
@@ -245,23 +240,8 @@ class CovectorSet:
             self._order = order
         return self._order
 
-    def heights(self) -> dict[SignVector, int]:
-        """Length of a longest chain below each covector in the order
-        Y <= X, read from :meth:`order`."""
-        if self._heights is None:
-            P = self.order()
-            self._heights = dict(zip(P.elements, P._height_list()))
-        return self._heights
-
     def rank(self) -> int:
         return max(self.order()._height_list(), default=0)
-
-
-def covector_rank(L: CovectorSet, X: SignVector) -> int:
-    """Length of a longest chain below X within L (0 for the zero vector)."""
-    if X not in L:
-        raise MembershipError(f"{X} is not a covector of this set")
-    return L.heights()[X]
 
 
 # ---------------------------------------------------------------------------
@@ -835,26 +815,8 @@ def is_uniform(L: CovectorSet) -> UniformityReport:
 
 
 # ---------------------------------------------------------------------------
-# topes, atoms, minors
+# minors
 # ---------------------------------------------------------------------------
-
-
-def topes(L: CovectorSet) -> frozenset[SignVector]:
-    """Maximal covectors, read from the order.  Cached: star
-    computations ask for the topes of the same set many times over."""
-    if L._topes is None:
-        L._topes = frozenset(L.order().maximal_elements())
-    return L._topes
-
-
-def atoms(L: CovectorSet) -> frozenset[SignVector]:
-    """Minimal nonzero covectors: the covers of the zero vector, or the
-    minimal elements when the set lacks it."""
-    if L._atoms is None:
-        P = L.order()
-        out = P.upper_covers(L.zero) if L.zero in L else P.minimal_elements()
-        L._atoms = frozenset(out)
-    return L._atoms
 
 
 def delete_minor(L: CovectorSet, labels) -> CovectorSet:
@@ -862,19 +824,6 @@ def delete_minor(L: CovectorSet, labels) -> CovectorSet:
     idx = L.ground.indices(labels)
     ground = L.ground.without(L.ground.labels[i] for i in idx)
     return CovectorSet(ground, {x.delete(idx) for x in L.covectors})
-
-
-def contract(L: CovectorSet, labels) -> CovectorSet:
-    """Contraction: keep covectors vanishing on the elements, restricted."""
-    idx = L.ground.indices(labels)
-    mask = 0
-    for i in idx:
-        mask |= 1 << i
-    ground = L.ground.without(L.ground.labels[i] for i in idx)
-    return CovectorSet(
-        ground,
-        {x.delete(idx) for x in L.covectors if not ((x._pos | x._neg) & mask)},
-    )
 
 
 # ---------------------------------------------------------------------------

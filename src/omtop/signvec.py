@@ -24,10 +24,6 @@ class Sign(enum.Enum):
     MINUS = "-"
     ZERO = "0"
 
-    @property
-    def char(self) -> str:
-        return self.value
-
     @classmethod
     def of_number(cls, x) -> "Sign":
         """Sign of an exact number (int or Fraction)."""

@@ -1,6 +1,6 @@
 """Finite posets read as the face posets of regular cell complexes,
-with exact integral homology, collapsibility search, shelling
-verification, and link certification by induction on a cell poset.
+with exact integral homology, collapsibility search, and link
+certification by induction on a cell poset.
 
 One cell table (`_Cells`: the cover relation as masks, with heights,
 built once per poset) serves every computation on a complex: the
@@ -45,7 +45,7 @@ class Poset:
     and a reflexive `less_equal` predicate.
 
     The full relation is materialized as per-element bitmasks, so
-    comparisons, covers, intervals and meets are cheap afterwards.
+    comparisons, heights and intervals are cheap afterwards.
     """
 
     __slots__ = ("elements", "_index", "_down", "_up", "_heights", "_cells")
@@ -113,9 +113,6 @@ class Poset:
     def less_equal(self, x, y) -> bool:
         return bool(self._down[self.index(y)] >> self.index(x) & 1)
 
-    def less(self, x, y) -> bool:
-        return x != y and self.less_equal(x, y)
-
     def up_set(self, x) -> tuple:
         """The elements y >= x, in element order."""
         mask = self._up[self.index(x)]
@@ -123,34 +120,8 @@ class Poset:
 
     # -- structure ------------------------------------------------------
 
-    def minimal_elements(self) -> list:
-        return [
-            x for i, x in enumerate(self.elements) if self._down[i] == 1 << i
-        ]
-
     def maximal_elements(self) -> list:
         return [x for i, x in enumerate(self.elements) if self._up[i] == 1 << i]
-
-    def _is_cover_idx(self, i: int, j: int) -> bool:
-        # does element j cover element i?
-        bits = (1 << i) | (1 << j)
-        return i != j and (self._down[j] & self._up[i]) == bits
-
-    def lower_covers(self, x) -> list:
-        j = self.index(x)
-        return [
-            self.elements[i]
-            for i in _bits(self._down[j] & ~(1 << j))
-            if self._is_cover_idx(i, j)
-        ]
-
-    def upper_covers(self, x) -> list:
-        i = self.index(x)
-        return [
-            self.elements[j]
-            for j in _bits(self._up[i] & ~(1 << i))
-            if self._is_cover_idx(i, j)
-        ]
 
     def _height_list(self) -> list[int]:
         """The height of each element, by levels.
@@ -193,49 +164,7 @@ class Poset:
             return max(hs, default=0)
         return hs[self.index(x)]
 
-    def is_pure(self) -> bool:
-        """True iff every maximal chain has the same length.
-
-        That is, the maximal elements share one height and every cover
-        raises the height by one.  The second half is read off the
-        masks: the lower covers of x all have height h(x) - 1 exactly
-        when the elements of that height below x have x's strict
-        down-set as the union of their down-sets (an element below x
-        lies under a lower cover of x, and a lower cover lies under no
-        other element below x)."""
-        hs = self._height_list()
-        n = len(self.elements)
-        heights_of_max = {
-            hs[i] for i in range(n) if self._up[i] == 1 << i
-        }
-        if len(heights_of_max) > 1:
-            return False
-        level = {}
-        for i, h in enumerate(hs):
-            level[h] = level.get(h, 0) | 1 << i
-        for j in range(n):
-            below = self._down[j] & ~(1 << j)
-            if not below:
-                continue
-            reached = 0
-            for i in _bits(below & level[hs[j] - 1]):
-                reached |= self._down[i]
-            if reached != below:
-                return False
-        return True
-
     # -- derived posets ---------------------------------------------------
-
-    def subposet(self, elements: Iterable) -> "Poset":
-        """The induced order on the given elements, in this poset's
-        element order, read off the masks (no predicate calls)."""
-        keep = [self.index(x) for x in elements]
-        mask = 0
-        for i in keep:
-            mask |= 1 << i
-        if _popcount(mask) != len(keep):
-            raise DomainError("duplicate elements in subposet")
-        return self._induced(mask)
 
     def _induced(self, mask: int) -> "Poset":
         """The induced order on the elements whose bits mask sets.  An
@@ -269,63 +198,6 @@ class Poset:
     def strictly_above(self, x) -> "Poset":
         i = self.index(x)
         return self._induced(self._up[i] & ~(1 << i))
-
-    def linear_extension(self, key: Callable) -> list:
-        """Topological sort; among available elements the one with the
-        least `key` comes first."""
-        n = len(self.elements)
-        placed = 0
-        out = []
-        remaining = set(range(n))
-        while remaining:
-            ready = [
-                i
-                for i in remaining
-                if (self._down[i] & ~placed & ~(1 << i)) == 0
-            ]
-            i = min(ready, key=lambda k: key(self.elements[k]))
-            out.append(self.elements[i])
-            placed |= 1 << i
-            remaining.discard(i)
-        return out
-
-    def random_linear_extension(self, rng) -> list:
-        """A random topological sort driven by `rng.randrange`."""
-        n = len(self.elements)
-        placed = 0
-        out = []
-        remaining = set(range(n))
-        while remaining:
-            ready = sorted(
-                i
-                for i in remaining
-                if (self._down[i] & ~placed & ~(1 << i)) == 0
-            )
-            i = ready[rng.randrange(len(ready))]
-            out.append(self.elements[i])
-            placed |= 1 << i
-            remaining.discard(i)
-        return out
-
-    # -- meets ---------------------------------------------------------
-
-    def meet_or_bottom(self, x, y):
-        """Meet of x and y in the poset augmented with a bottom element.
-
-        Returns the meet element, or None when the meet is the added
-        bottom.  Raises when the common lower bounds have no unique
-        maximum (the augmented poset is not a meet-semilattice there).
-        """
-        mask = self._down[self.index(x)] & self._down[self.index(y)]
-        if not mask:
-            return None
-        tops = [k for k in _bits(mask) if self._up[k] & mask == 1 << k]
-        if len(tops) != 1:
-            raise PreconditionError(
-                f"no unique meet for {x!r} and {y!r}: "
-                f"{[self.elements[k] for k in tops]!r} are all maximal lower bounds"
-            )
-        return self.elements[tops[0]]
 
     def __repr__(self) -> str:
         return f"Poset({len(self.elements)} elements)"
@@ -739,21 +611,32 @@ class _Cells:
         self.uc = uc
         self.hs = hs
         self.levels = levels
-        self.pure = pure  # see `Poset.is_pure`
+        self.pure = pure  # see `_cell_table`
         self.index = index  # element -> cell
         self.neg = None
 
 
 def _cell_table(P: Poset) -> _Cells:
     """The cells of P, kept on P, so every collapse, every link and
-    every homology of one poset reads the same masks."""
+    every homology of one poset reads the same masks.
+
+    *Graded lemma.*  P is pure (every maximal chain has the same
+    length) iff its maximal elements share one height and every cover
+    raises the height by one.  The second half is read off the masks:
+    the lower covers of x all have height h(x) - 1 exactly when the
+    elements of that height below x have x's strict down-set as the
+    union of their down-sets (an element below x lies under a lower
+    cover of x, and a lower cover lies under no other element below
+    x).  Where that holds for every x, the lower covers are those
+    elements and the upper covers the up-set one level higher; `pure`
+    records the lemma's answer."""
     if P._cells is None:
         hs = P._height_list()
         down, up = P._down, P._up
         n = len(down)
         level = _levels(hs)
-        # graded lemma of `Poset.is_pure`: the elements one height below
-        # j are its lower covers exactly when their down-sets fill j's
+        # the graded lemma: the elements one height below j are its
+        # lower covers exactly when their down-sets fill j's
         lc = [0] * n
         graded = True
         for j in range(n):
@@ -1011,83 +894,6 @@ class ShellingReport:
             "mode": self.mode,
             "failures": [list(p) for p in self.failures],
         }
-
-
-def _poset_is_simplicial(P: Poset) -> bool:
-    """Is P the face poset of a simplicial complex (every principal
-    down-set a boolean lattice of the atoms below)?"""
-    n = len(P.elements)
-    minimal_mask = 0
-    for i in range(n):
-        if P._down[i] == 1 << i:
-            minimal_mask |= 1 << i
-    seen = set()
-    for i in range(n):
-        atoms = P._down[i] & minimal_mask
-        a = _popcount(atoms)
-        if _popcount(P._down[i]) != (1 << a) - 1:
-            return False
-        if atoms in seen:
-            return False
-        seen.add(atoms)
-    return True
-
-
-def verify_shelling(P: Poset, order: Sequence) -> ShellingReport:
-    """Check the coatom shelling condition on a pure face poset.
-
-    order must list the maximal elements of P exactly once each.  The
-    condition: for all i < j there is a k < j with
-    c_i meet c_j <= c_k meet c_j, and c_k meet c_j covered by c_j, meets
-    taken in P augmented with a bottom element.
-
-    On simplicial face posets this is the definition of a shelling; on
-    other posets it is necessary but not sufficient, and the report says
-    so via mode="necessary-condition".
-
-    Each meet c_i ^ c_j is taken as the mask down(c_i) & down(c_j): the
-    common lower bounds have a greatest element exactly when they are
-    the down-set of an element, so a lookup in a map from down-set mask
-    to element finds the meet, a zero mask is the added bottom, and a
-    miss on a nonzero mask means no unique meet.  Once P is pure,
-    c_k ^ c_j is covered by c_j when its height is one less than c_j's
-    (the bottom's height is -1), and c_i ^ c_j <= c_k ^ c_j is
-    containment of their masks.
-    """
-    if not P.is_pure():
-        raise PreconditionError("shelling verification needs a pure poset")
-    coatoms = {i for i, u in enumerate(P._up) if u == 1 << i}
-    mode = "simplicial" if _poset_is_simplicial(P) else "necessary-condition"
-    order_idx = [P.index(c) for c in order]
-    if len(set(order_idx)) != len(order_idx) or set(order_idx) != coatoms:
-        raise DomainError("order is not a permutation of the maximal elements")
-    heights = P._height_list()
-    by_down = {d: i for i, d in enumerate(P._down)}
-    downs = [P._down[i] for i in order_idx]
-    failures = []
-    for j in range(1, len(order_idx)):
-        dj = downs[j]
-        # the height of an element c_j covers; -1 is the bottom's
-        cover_height = heights[order_idx[j]] - 1
-        meets = []
-        # the valid "horizon" masks c_k ^ c_j covered by c_j
-        horizon = set()
-        for k in range(j):
-            m = downs[k] & dj
-            if not m:
-                h = -1
-            elif m in by_down:
-                h = heights[by_down[m]]
-            else:
-                # no unique meet: meet_or_bottom raises its error
-                h = heights[P.index(P.meet_or_bottom(order[k], order[j]))]
-            meets.append(m)
-            if h == cover_height:
-                horizon.add(m)
-        for i, m in enumerate(meets):
-            if not any(not m & ~hz for hz in horizon):
-                failures.append((i, j))
-    return ShellingReport(ok=not failures, mode=mode, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,24 @@ from omtop.matroid import CovectorSet
 from omtop.realization import Arrangement, enumerate_covectors, homogenize
 
 
+def corrupt_cell(M, X, cx=None, dx=None, put=setattr):
+    """Corrupt X's cell record in the AffineOM M: its C_X mask, with
+    r(C_X) read again, and its D_X mask, each when given.  The C_X and
+    D_X tuples are cleared, so every check and every oracle reads the
+    corrupted masks; `put` is `monkeypatch.setattr` to undo it all."""
+    from omtop.bounded import _image
+
+    cell = M._cell(X)
+    put(cell, "C_X", None)
+    put(cell, "D_X", None)
+    if cx is not None:
+        put(cell, "cx", cx)
+        put(cell, "image", _image(M._star_om()._tope_table(), cx))
+    if dx is not None:
+        put(cell, "dx", dx)
+    return cell
+
+
 def mk_arrangement(dim, rows) -> Arrangement:
     """rows: (label, normal tuple, offset) with int/Fraction entries."""
     labels = tuple(r[0] for r in rows)
@@ -107,15 +125,15 @@ def declining_sets(four_om) -> dict:
     """One set for each check of the cocircuit decision, keyed by the
     name `_cocircuit_decline` returns, with that check the first to
     decline.  Each satisfies L0, L1 and L2 and fails L3."""
-    from omtop.matroid import atoms
     from omtop.signvec import GroundSet, SignVector
+    from oracles import scan_atoms
 
     def closed(labels, strings):
         return CovectorSet(
             GroundSet(labels), [SignVector.from_string(s) for s in strings]
         )
 
-    v = min(atoms(four_om), key=str)
+    v = min(scan_atoms(four_om), key=str)
     return {
         # the atoms are +-(+-0) and +-(+++): one support inside the other
         "incomparable": closed(

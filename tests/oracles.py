@@ -13,9 +13,12 @@ against `simplicial_homology(order_complex(P))`, window by window, and a
 simplicial complex K reaches the library as `face_poset(K)`.
 `cw_defect` names an element whose lower interval is no homology
 sphere, the reason the cell engine may refuse a poset.  `down_set`,
-`open_interval`, `is_lower_cover`, `any_refuted`, `positive_part` and
-`all_sign_vectors` are helpers the library exported and no longer
-calls.
+`open_interval`, `is_lower_cover`, `any_refuted`, `positive_part`,
+`all_sign_vectors`, `minimal_elements`, `lower_covers`,
+`upper_covers`, `subposet`, `meet_or_bottom`, `linear_extension`,
+`random_linear_extension`, `poset_is_simplicial`, `topes`, `contract`
+and `contraction` (L/g of an `AffineOM`) are helpers the library
+exported and no longer calls.
 
 The covector-order oracles (`scan_heights`, `scan_topes`, `scan_atoms`,
 `scan_upper`, `scan_bounded_complex`) answer each order question by
@@ -89,11 +92,14 @@ they ran before, so they cross-check the reports of `cube_isomorphism`,
 `shelling_of_DX_by_scan` and `induced_shelling_by_scan` are the star
 shellings as they ran before they moved onto the masks of L's order:
 purity by a height test on every cover, each meet c_i ^ c_j found as an
-element by `Poset.meet_or_bottom`, C_X and D_X by sign tests on every
-tope, [D_X] sorted on a `TopePoset` after a pairwise order-ideal scan,
-and the [C_X] face poset cut out of L by `Poset.subposet`.  They
-cross-check `Poset.is_pure`, `verify_shelling`, `Star`, `shelling_of_DX`
-and `induced_shelling_of_CX`, reports and exception texts included.
+element by `meet_or_bottom`, C_X and D_X by sign tests on every tope,
+[D_X] sorted on a `TopePoset` after a pairwise order-ideal scan, and
+the [C_X] face poset cut out of L by `subposet`.  They cross-check the
+purity of `topology._cell_table`, `Star`, `shelling_of_DX` and
+`induced_shelling_of_CX`, reports and exception texts included.
+`verify_shelling_by_meets` checks the coatom condition of any facet
+order on any pure poset, so it is also the shelling checker of the
+tests that shell a complex.
 
 `close_by_conformal_frontier` is the closure of `enumerate_covectors` as
 it ran before it walked covers: each new covector composed with every
@@ -110,7 +116,7 @@ fraction-free elimination.  `general_position_by_ranks` is the
 generator's uniformity test as it ran before that walk, one rank per
 (d+1)-subset of the homogenized forms (`every_subset_a_basis_by_ranks`).
 They cross-check `_cocircuits`, the uniform early exit of
-`enumerate_covectors` and `generate._general_position`.
+`enumerate_covectors` and `generate._in_general_position`.
 
 `generate_by_randint` is the generator as it drew before it read the
 generator's words itself: one `random.randint` per coefficient, every
@@ -184,7 +190,6 @@ from omtop.matroid import (
     CovectorSet,
     _pairs_below,
     _unmet_eliminations,
-    topes,
 )
 from omtop.realization import (
     _CAP,
@@ -206,7 +211,6 @@ from omtop.topology import (
     LinkVerdict,
     Poset,
     ShellingReport,
-    _poset_is_simplicial,
     _vkey,
     smith_normal_form,
 )
@@ -979,7 +983,7 @@ def maximal_chains(P: Poset) -> list[tuple]:
     """The maximal chains of P, each from a minimal element up."""
     n = len(P.elements)
     ups = [
-        [j for j in _bits(P._up[i] & ~(1 << i)) if P._is_cover_idx(i, j)]
+        [j for j in _bits(P._up[i]) if _covers(P, i, j)]
         for i in range(n)
     ]
     out: list[tuple] = []
@@ -1096,7 +1100,128 @@ def is_lower_cover(P: Poset, y, x) -> bool:
     j = P.index(x)
     if y is None:
         return P._down[j] == 1 << j
-    return P._is_cover_idx(P.index(y), j)
+    return _covers(P, P.index(y), j)
+
+
+def _covers(P: Poset, i: int, j: int) -> bool:
+    """Does element j cover element i?"""
+    return i != j and P._down[j] & P._up[i] == (1 << i) | (1 << j)
+
+
+def minimal_elements(P: Poset) -> list:
+    return [x for i, x in enumerate(P.elements) if P._down[i] == 1 << i]
+
+
+def lower_covers(P: Poset, x) -> list:
+    j = P.index(x)
+    return [P.elements[i] for i in _bits(P._down[j]) if _covers(P, i, j)]
+
+
+def upper_covers(P: Poset, x) -> list:
+    i = P.index(x)
+    return [P.elements[j] for j in _bits(P._up[i]) if _covers(P, i, j)]
+
+
+def subposet(P: Poset, elements: Iterable) -> Poset:
+    """The induced order on the given elements, in P's element order."""
+    keep = [P.index(x) for x in elements]
+    mask = 0
+    for i in keep:
+        mask |= 1 << i
+    if mask.bit_count() != len(keep):
+        raise DomainError("duplicate elements in subposet")
+    return P._induced(mask)
+
+
+def meet_or_bottom(P: Poset, x, y):
+    """Meet of x and y in P augmented with a bottom element: the meet
+    element, or None when the meet is the added bottom.  Raises when the
+    common lower bounds have no unique maximum."""
+    mask = P._down[P.index(x)] & P._down[P.index(y)]
+    if not mask:
+        return None
+    tops = [k for k in _bits(mask) if P._up[k] & mask == 1 << k]
+    if len(tops) != 1:
+        raise PreconditionError(
+            f"no unique meet for {x!r} and {y!r}: "
+            f"{[P.elements[k] for k in tops]!r} are all maximal lower bounds"
+        )
+    return P.elements[tops[0]]
+
+
+def linear_extension(P: Poset, key) -> list:
+    """Topological sort; among available elements the one with the
+    least `key` comes first."""
+    return _extension(P, lambda ready: min(
+        ready, key=lambda k: key(P.elements[k])
+    ))
+
+
+def random_linear_extension(P: Poset, rng) -> list:
+    """A random topological sort driven by `rng.randrange`."""
+    return _extension(
+        P, lambda ready: sorted(ready)[rng.randrange(len(ready))]
+    )
+
+
+def _extension(P: Poset, pick) -> list:
+    placed = 0
+    out = []
+    remaining = set(range(len(P)))
+    while remaining:
+        i = pick([
+            i for i in remaining if not P._down[i] & ~placed & ~(1 << i)
+        ])
+        out.append(P.elements[i])
+        placed |= 1 << i
+        remaining.discard(i)
+    return out
+
+
+def poset_is_simplicial(P: Poset) -> bool:
+    """Is P the face poset of a simplicial complex (every principal
+    down-set a boolean lattice of the atoms below)?"""
+    minimal = 0
+    for i, d in enumerate(P._down):
+        if d == 1 << i:
+            minimal |= 1 << i
+    seen = set()
+    for d in P._down:
+        atoms = d & minimal
+        if d.bit_count() != (1 << atoms.bit_count()) - 1 or atoms in seen:
+            return False
+        seen.add(atoms)
+    return True
+
+
+def topes(L: CovectorSet) -> frozenset:
+    """The maximal covectors, read from the order."""
+    return frozenset(L.order().maximal_elements())
+
+
+def contract(L: CovectorSet, labels) -> CovectorSet:
+    """Contraction: keep covectors vanishing on the elements, restricted."""
+    idx = L.ground.indices(labels)
+    mask = 0
+    for i in idx:
+        mask |= 1 << i
+    ground = L.ground.without(L.ground.labels[i] for i in idx)
+    return CovectorSet(
+        ground,
+        {x.delete(idx) for x in L.covectors if not ((x._pos | x._neg) & mask)},
+    )
+
+
+_LAST_CONTRACTION: list = [None, None]
+
+
+def contraction(M) -> CovectorSet:
+    """L/g, the oriented matroid at infinity of an AffineOM M, kept for
+    the last covector set asked about: the star oracles ask at every
+    cell of one M."""
+    if _LAST_CONTRACTION[0] is not M.om:
+        _LAST_CONTRACTION[:] = M.om, contract(M.om, [M.g])
+    return _LAST_CONTRACTION[1]
 
 
 def any_refuted(res: LinkClassification) -> bool:
@@ -1803,13 +1928,19 @@ def pure_by_covers(P) -> bool:
         hs[j] == hs[i] + 1
         for j in range(n)
         for i in range(n)
-        if P._is_cover_idx(i, j)
+        if _covers(P, i, j)
     )
 
 
 def verify_shelling_by_meets(P, order) -> ShellingReport:
-    """`verify_shelling(P, order)` with each meet found as an element of
-    P by `meet_or_bottom` and each comparison made by `less_equal`."""
+    """The coatom shelling condition on a pure face poset: order lists
+    the maximal elements of P once each, and for all i < j some k < j
+    has c_i ^ c_j <= c_k ^ c_j, with c_k ^ c_j covered by c_j, meets
+    taken in P augmented with a bottom.  On a simplicial face poset this
+    is the definition of a shelling; on others it is necessary but not
+    sufficient, and the report says so by mode="necessary-condition".
+    Each meet is found as an element of P by `meet_or_bottom` and each
+    comparison made by `less_equal`."""
     if not pure_by_covers(P):
         raise PreconditionError("shelling verification needs a pure poset")
     coatoms = P.maximal_elements()
@@ -1818,13 +1949,13 @@ def verify_shelling_by_meets(P, order) -> ShellingReport:
         P.index(c) for c in coatoms
     }:
         raise DomainError("order is not a permutation of the maximal elements")
-    mode = "simplicial" if _poset_is_simplicial(P) else "necessary-condition"
+    mode = "simplicial" if poset_is_simplicial(P) else "necessary-condition"
     meets = {}
 
     def meet(i: int, j: int):
         k = (i, j) if i <= j else (j, i)
         if k not in meets:
-            meets[k] = P.meet_or_bottom(order[k[0]], order[k[1]])
+            meets[k] = meet_or_bottom(P, order[k[0]], order[k[1]])
         return meets[k]
 
     def leq_aug(a, b) -> bool:
@@ -1862,7 +1993,7 @@ def star_topes_by_scan(M, X) -> tuple[tuple, tuple]:
     xg = X.delete([gi])
     need = sorted(xg.support())
     dx = tuple(sorted(
-        (t for t in topes(N.contraction())
+        (t for t in topes(contraction(N))
          if all(t.sign(e) is xg.sign(e) for e in need)),
         key=str,
     ))
@@ -1879,7 +2010,7 @@ def shelling_of_DX_by_scan(M, X, B=None) -> list:
         B = min(star.D_X, key=str)
     if B not in star.D_X:
         raise MembershipError(f"base tope {B} is not in D_X")
-    P = tope_poset(star.contraction, B)
+    P = tope_poset(contraction(star.om), B)
     dset = set(star.D_X)
     for t in star.D_X:
         for s in P.topes:
@@ -1893,17 +2024,18 @@ def shelling_of_DX_by_scan(M, X, B=None) -> list:
 
 
 def induced_shelling_by_scan(M, X, dx_order=None) -> InducedShelling:
-    """`induced_shelling_of_CX(M, X, dx_order)` on the oracles above: the
-    [C_X] face poset cut out of L by `subposet`, each base's lift checked
-    from scratch by `verify_shelling_by_meets`."""
+    """`induced_shelling_of_CX(M, X)` on the oracles above: the [C_X]
+    face poset cut out of L by `subposet`, each base's lift checked from
+    scratch by `verify_shelling_by_meets`.  An explicit dx_order, a
+    permutation of D_X, is lifted and checked as given."""
     star = M.star(X)
     order = star.om.om.order()
     cx = set(star.C_X)
-    faces = order.subposet(
+    faces = subposet(order, (
         y
         for y in order.up_set(star.X)
         if y != star.X and not cx.isdisjoint(order.up_set(y))
-    )
+    ))
 
     def lift_and_check(dx):
         if sorted(dx, key=str) != sorted(star.D_X, key=str):
@@ -2015,7 +2147,7 @@ class TopePoset:
         return sorted(self.topes, key=self.sort_key)
 
     def random_linear_extension(self, rng) -> list[SignVector]:
-        return self.as_poset().random_linear_extension(rng)
+        return random_linear_extension(self.as_poset(), rng)
 
     def order_ideal(self, members) -> bool:
         """Is the given tope subset downward closed?"""
@@ -2239,7 +2371,7 @@ def classify_links_by_subposets(P, budget: int = 10**6) -> LinkClassification:
     `CollapseState`; its collapse is not replayed."""
     if len(P) == 0:
         raise PreconditionError("link classification needs vertices")
-    if not P.is_pure():
+    if not pure_by_covers(P):
         raise PreconditionError("link classification is defined for pure posets")
     d = P.height()
     hs = P._height_list()
@@ -2273,13 +2405,13 @@ def _upper_factor_by_subposet(Q, m: int, budget: int):
         closed = len(Q) == 2
     else:
         closed = all(
-            len(Q.upper_covers(y)) == 2
+            len(upper_covers(Q, y)) == 2
             for i, y in enumerate(Q.elements)
             if hs[i] == m - 1
         )
     if closed:
         top = Q.maximal_elements()[0]
-        res = _collapse_or_none(Q.subposet(y for y in Q if y != top), budget)
+        res = _collapse_or_none(subposet(Q, (y for y in Q if y != top)), budget)
         if res is not None:
             steps = len(res.certificate.steps)
             note = f"closed; collapsed in {steps} steps without {top}"
@@ -2338,7 +2470,7 @@ def boundary_equivalence_by_deletion(M) -> BoundaryEquivalenceReport:
     L+ and looking the result up in L/g."""
     gi = M.g_index
     bc = M.bounded_complex()
-    cg = M.contraction()
+    cg = contraction(M)
     checked = 0
     witnesses = []
     for x in M.om:
@@ -2384,7 +2516,7 @@ def shelling_of_DX_by_vectors(M, X, B=None) -> list:
     S = xg._pos | xg._neg
     partial = [
         (_separation(B, s), s)
-        for s in sorted(topes(star.contraction), key=str)
+        for s in sorted(topes(contraction(star.om)), key=str)
         if (s._pos | s._neg) & S != S
     ]
     dset = set(star.D_X)
@@ -2397,7 +2529,7 @@ def shelling_of_DX_by_vectors(M, X, B=None) -> list:
                     f"{s} <= {t} but {s} is missing; the input is "
                     "not an affine oriented matroid"
                 )
-    ground = star.contraction.ground
+    ground = contraction(star.om).ground
     return sorted(
         star.D_X,
         key=lambda t: separation_key_by_labels(ground, _separation(B, t)),

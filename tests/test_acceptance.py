@@ -15,8 +15,6 @@ from omtop.bounded import AffineOM, bounded_complex, cube_isomorphism
 from omtop.generate import generate_arrangement
 from omtop.matroid import (
     CovectorSet,
-    atoms,
-    topes,
     verify_covector_axioms,
 )
 from omtop.realization import (
@@ -31,10 +29,16 @@ from omtop.topology import (
     find_collapse,
     homology,
     verify_collapse,
-    verify_shelling,
 )
 from omtop.verify import verify_arrangement
-from oracles import SimplicialComplex, face_poset, tope_poset
+from oracles import (
+    SimplicialComplex,
+    face_poset,
+    scan_atoms,
+    tope_poset,
+    topes,
+    verify_shelling_by_meets,
+)
 
 # -- the seeded corpus (criteria 2, 3, 5) -----------------------------------
 
@@ -177,7 +181,7 @@ def test_criterion_4_linear_extensions_shell_the_sphere(line_om, tri_om):
         T = tope_poset(L, base)
         for _ in range(10):
             order = T.random_linear_extension(rng)
-            assert verify_shelling(P, order).ok
+            assert verify_shelling_by_meets(P, order).ok
 
 
 def test_criterion_5_oracle_agrees_with_bounded_complex(
@@ -283,7 +287,7 @@ def test_criterion_7_axiom_verifier_and_mutations(line_om, tri_om, four_om):
 
     zero_t = SignVector.zero(len(tri_om.ground))
     tope_t = first(topes(tri_om))
-    atom_t = first(atoms(tri_om))
+    atom_t = first(scan_atoms(tri_om))
     edge_t = first(x for x in tri_om if len(x.zero_set()) == 1)
     alien_vertex = _flip_first_nonzero(atom_t)
     alien_ray = SignVector.from_signs(
@@ -293,7 +297,7 @@ def test_criterion_7_axiom_verifier_and_mutations(line_om, tri_om, four_om):
     assert alien_ray not in tri_om.covectors
     zero_l = SignVector.zero(len(line_om.ground))
     tope_l = first(topes(line_om))
-    vertex_f = first(atoms(four_om))
+    vertex_f = first(scan_atoms(four_om))
 
     mutations = [
         (_drop(tri_om, [zero_t]), "l0"),

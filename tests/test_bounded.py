@@ -13,28 +13,36 @@ import gc
 
 import pytest
 
-from conftest import mk_arrangement
+from conftest import corrupt_cell, mk_arrangement
 from oracles import (
     bijection_scans,
     check_bijection_by_scan,
+    contraction,
     cube_isomorphism_by_scan,
     cube_scans,
     SimplicialComplex,
     face_poset,
     find_shelling,
     induced_shelling_by_scan,
+    meet_or_bottom,
+    minimal_elements,
     restriction_ok_by_scan,
     positive_part,
     restriction_scans,
     shelling_of_DX_by_scan,
     star_topes_by_scan,
+    subposet,
     tope_poset,
+    verify_shelling_by_meets,
 )
 from omtop.bounded import (
     AffineOM,
     BijectionReport,
     InducedShelling,
     Star,
+    _dx_order,
+    _indexed_shelling,
+    _lift_indices,
     bounded_complex,
     check_bijection,
     boundary_equivalence,
@@ -52,10 +60,27 @@ from omtop.errors import (
 from omtop.generate import generate_arrangement
 from omtop.matroid import CovectorSet
 from omtop.realization import enumerate_covectors, homogenize
-from omtop.signvec import GroundSet, SignVector
-from omtop.topology import verify_shelling
+from omtop.signvec import GroundSet, Sign, SignVector, _bits
 
 S = SignVector.from_string
+
+
+def lift_indices(M: AffineOM, X: SignVector, dx: list[int]) -> InducedShelling:
+    """The report of the lift of dx, tope indices of L/g at X's star, as
+    `induced_shelling_of_CX` lifts the order of each base."""
+    cell, N = M._cell(X), M._star_om()
+    return _indexed_shelling(cell, N, dx, *_lift_indices(cell, N, dx))
+
+
+def every_base(M: AffineOM, X: SignVector):
+    """(order, report) for the [D_X] order of every base tope of X's
+    star, in sign-string order: order the order's topes and report the
+    lift of the order (`lift_indices`)."""
+    cell = M._cell(X)
+    table = M._star_om()._tope_table()
+    for b in _bits(cell.dx):
+        dx = _dx_order(cell, table, b)
+        yield [table.topes[j] for j in dx], lift_indices(M, X, dx)
 
 
 def om_of(dim, rows) -> AffineOM:
@@ -137,7 +162,7 @@ class TestPositivePart:
 
     def test_all_positive_at_g(self, tri):
         gi = tri.g_index
-        assert all(x.sign(gi).char == "+" for x in positive_part(tri))
+        assert all(x.sign(gi) is Sign.PLUS for x in positive_part(tri))
 
 
 class TestBoundedComplex:
@@ -241,13 +266,17 @@ class TestSupportRestriction:
         assert induced_shelling_of_CX(three, S("00-+")).ok
 
     def test_bijection_reads_the_restricted_star(self, three, monkeypatch):
-        # +- lifts to +-+, a covector of the star's restricted set on
-        # (b, c, g) but of no set on the original ground set
-        star = three.star(S("00-+"))
-        assert S("+-+") in star.om.om and S("+-") not in star.D_X
-        monkeypatch.setattr(star, "D_X", star.D_X + (S("+-"),))
-        rep = check_bijection(three, S("00-+"))
-        assert rep.problems == ("+- in D_X has no preimage under r",)
+        # -- lifts to --+, a covector of the star's restricted set on
+        # (b, c, g) but of no set on the original ground set; with --+
+        # dropped from the record's C_X, -- has no preimage, and h(--)
+        # is still a covector
+        X = S("00-+")
+        star = three.star(X)
+        assert star.om.om.order().index(S("--+")) is not None
+        corrupt_cell(three, X, cx=0, put=monkeypatch.setattr)
+        assert star.C_X == () and star.D_X == (S("--"),)
+        rep = check_bijection(three, X)
+        assert rep.problems == ("-- in D_X has no preimage under r",)
 
 
 class TestSharedRestriction:
@@ -458,7 +487,7 @@ class TestShellingOfDX:
         X = S("00-+")
         order = shelling_of_DX(tri, X)
         B = order[0]
-        P = tope_poset(AffineOM(tri.om).contraction(), B)
+        P = tope_poset(contraction(AffineOM(tri.om)), B)
         dset = set(order)
         for k in range(1, len(order) + 1):
             prefix = set(order[:k])
@@ -517,11 +546,11 @@ class TestInducedShellingOfCX:
         star = M.star(X)
         order = star.om.om.order()
         cx = set(star.C_X)
-        faces = order.subposet(
+        faces = subposet(order, (
             y for y in order.up_set(X)
             if y != X and not cx.isdisjoint(order.up_set(y))
-        )
-        atoms = faces.minimal_elements()
+        ))
+        atoms = minimal_elements(faces)
         K = SimplicialComplex(
             [a for a in atoms if faces.less_equal(a, t)] for t in star.C_X
         )
@@ -529,18 +558,18 @@ class TestInducedShellingOfCX:
         assert sum(K.f_vector()) == len(faces)
         shelling = find_shelling(K)
         assert shelling is not None
-        assert verify_shelling(face_poset(K), shelling).ok
+        assert verify_shelling_by_meets(face_poset(K), shelling).ok
 
     def test_explicit_dx_order(self, tri):
+        # the [D_X] order from each base lifts as the base loop lifts it
         X = S("00-+")
-        order = shelling_of_DX(tri, X, B=S("-+-"))
-        ind = induced_shelling_of_CX(tri, X, order)
+        lifts = {order[0]: ind for order, ind in every_base(tri, X)}
+        assert sorted(map(str, lifts)) == ["+--", "-+-", "---"]
+        ind = lifts[S("-+-")]
+        assert list(ind.dx_order) == shelling_of_DX(tri, X, B=S("-+-"))
         assert ind.ok
         assert ind.order[0] == S("-+-+")
-
-    def test_bad_dx_order_rejected(self, tri):
-        with pytest.raises(PreconditionError):
-            induced_shelling_of_CX(tri, S("00-+"), [S("+--")])
+        assert lifts[S("+--")] == induced_shelling_of_CX(tri, X)
 
     def test_all_uniform_stars_shell(self, line, tri):
         for M in (line, tri):
@@ -567,7 +596,7 @@ class TestInducedShellingOfCX:
         P = Poset(faces, lambda a, b: a.below(b))
         for a in star.C_X:
             for b in star.C_X:
-                m = P.meet_or_bottom(a, b)
+                m = meet_or_bottom(P, a, b)
                 sm = a.meet(b)
                 if m is None:
                     assert sm == X or sm not in P
@@ -638,35 +667,33 @@ class TestShellingOracles:
         ]
 
     def test_lift_outside_CX(self, three, monkeypatch):
-        # +- lifts to +-+, a covector of the restricted set but no tope
-        # of C_X: the lift is refused before any shelling check
+        # -- lifts to --+, a covector of the restricted set; with --+
+        # dropped from the record's C_X, the lift is refused before any
+        # shelling check
         X = S("00-+")
-        star = three.star(X)
-        monkeypatch.setattr(star, "D_X", star.D_X + (S("+-"),))
-        dx = [S("+-"), S("--")]
-        ind = induced_shelling_of_CX(three, X, dx)
-        assert ind == induced_shelling_by_scan(three, X, dx)
+        corrupt_cell(three, X, cx=0, put=monkeypatch.setattr)
+        ind = induced_shelling_of_CX(three, X)
+        assert ind == induced_shelling_by_scan(three, X)
         assert ind.report is None
-        assert "h(+-) = +-+ is not in C_X" in ind.problems
+        assert ind.problems == ("h(--) = --+ is not in C_X",)
 
     def test_every_base_at_a_failing_cell(self, om751):
         X = S("0000+0-+")
-        star = om751.star(X)
-        assert len(star.D_X) > 1
-        for B in star.D_X:
-            order = shelling_of_DX(om751, X, B)
-            assert order == shelling_of_DX_by_scan(om751, X, B)
-            ind = induced_shelling_of_CX(om751, X, order)
+        bases = 0
+        for order, ind in every_base(om751, X):
+            assert order == shelling_of_DX_by_scan(om751, X, order[0])
             assert not ind.ok and ind.report.failures
             assert ind == induced_shelling_by_scan(om751, X, order)
+            bases += 1
+        assert bases == len(om751.star(X).D_X) > 1
         ind = induced_shelling_of_CX(om751, X)
         assert not ind.ok
         assert ind == induced_shelling_by_scan(om751, X)
 
 
 class TestShellingMutations:
-    """A corrupted lift fails its check with the oracle's failure pairs;
-    a dx_order that is no permutation of D_X is refused."""
+    """A corrupted lift fails its check with the oracle's failure
+    pairs."""
 
     @pytest.fixture(scope="class")
     def cell(self):
@@ -681,30 +708,22 @@ class TestShellingMutations:
         ind = induced_shelling_of_CX(M, X)
         assert ind.ok
         star = M.star(X)
+        table = star.om._tope_table()
         # two facets of [C_X] whose meet is the bottom X, put first: the
         # bottom is covered by no facet, so pair (0, 1) has no k
-        dx = list(ind.dx_order)
+        dx = [table.index(d) for d in ind.dx_order]
         a, b = next(
             (a, b) for a in dx for b in dx
-            if star.lift(a).meet(star.lift(b)) == star.X
+            if star.lift(table.topes[a]).meet(star.lift(table.topes[b]))
+            == star.X
         )
         bad = [a, b] + [d for d in dx if d not in (a, b)]
-        broken = induced_shelling_of_CX(M, X, bad)
+        broken = lift_indices(M, X, bad)
         assert not broken.ok
         assert (0, 1) in broken.report.failures
-        oracle = induced_shelling_by_scan(M, X, bad)
+        oracle = induced_shelling_by_scan(M, X, [table.topes[j] for j in bad])
         assert broken.report.failures == oracle.report.failures
         assert broken == oracle
-
-    def test_repeated_or_missing_tope_rejected(self, cell):
-        M, X = cell
-        dx = list(induced_shelling_of_CX(M, X).dx_order)
-        assert len(dx) > 2
-        for bad in (dx[:-1], dx[:-1] + [dx[0]], dx + [dx[0]]):
-            with pytest.raises(
-                PreconditionError, match="dx_order must be a permutation of D_X"
-            ):
-                induced_shelling_of_CX(M, X, bad)
 
 
 class TestFlipDecision:
@@ -721,9 +740,7 @@ class TestFlipDecision:
         )))
         pairs = failing = 0
         for x in _proper_cells(M):
-            for B in M.star(x).D_X:
-                order = shelling_of_DX(M, x, B)
-                ind = induced_shelling_of_CX(M, x, order)
+            for order, ind in every_base(M, x):
                 assert ind == induced_shelling_by_scan(M, x, order)
                 pairs += 1
                 failing += not ind.ok
@@ -793,7 +810,7 @@ class TestBoundaryEquivalence:
         w = rep.witnesses[0]
         # every witness is unbounded yet has no contraction image
         bc = bounded_complex(four)
-        cg = four.contraction()
+        cg = contraction(four)
         for w in rep.witnesses:
             assert w not in bc
             assert w.delete([four.g_index]) not in cg

@@ -23,7 +23,7 @@ import pytest
 import omtop
 import omtop.bounded as bounded
 import omtop.topology as topology
-from conftest import mk_arrangement
+from conftest import corrupt_cell, mk_arrangement
 from omtop.bounded import (
     AffineOM,
     bounded_complex,
@@ -291,7 +291,8 @@ class TestCellRecords:
     each cell of a fresh AffineOM, last cell first and before any
     `_star_checks` pass, they give the reports read after a full pass
     and the oracles' reports; with the support restriction applied
-    too.  A C_X set by hand on a star is what every check reads."""
+    too.  A record corrupted by hand is what every check and every star
+    reads."""
 
     @staticmethod
     def reports(M, x) -> list:
@@ -334,9 +335,12 @@ class TestCellRecords:
             and M.star(x).c_size > 1
         )
         star = M.star(x)
-        monkeypatch.setattr(star, "C_X", star.C_X[1:])
-        # a second star of x is a view of the same record
+        cx = M._cell(x).cx
+        # drop the first tope of C_X from the record
+        corrupt_cell(M, x, cx=cx & (cx - 1), put=monkeypatch.setattr)
+        # every star of x is a view of the same record
         assert M.star(x).C_X == star.C_X
+        assert len(star.C_X) == star.c_size == cx.bit_count() - 1
         rep = check_bijection(M, x)
         assert not rep.ok
         assert rep == check_bijection_by_vectors(M, x)
@@ -357,14 +361,14 @@ class TestStarCheckFailures:
 
     @staticmethod
     def corrupt_star(monkeypatch, target: S, how):
-        # the checks read each cell's record, built once per AffineOM;
-        # a star is a view of it, so corrupting one corrupts the record
+        # the checks read each cell's record, built once per AffineOM,
+        # so the record is corrupted as soon as it is built
         real = bounded._cell_table
 
         def corrupted(M):
             cells = M._cells = real(M)
             if target in cells:
-                how(bounded.Star(M, target))
+                how(M, target, cells[target])
             return cells
 
         monkeypatch.setattr(bounded, "_cell_table", corrupted)
@@ -389,18 +393,21 @@ class TestStarCheckFailures:
         )
 
     def test_a_tope_added_to_DX(self, monkeypatch, tri_om):
-        extra = S("+++")  # a tope of L/g outside D_X
+        def add(M, x, cell):
+            # +++, a tope of L/g outside D_X
+            j = M._tope_table().index(S("+++"))
+            corrupt_cell(M, x, dx=cell.dx | 1 << j)
+
         self.check_bijection_corruption(
-            monkeypatch, tri_om,
-            lambda star: setattr(star, "D_X", star.D_X + (extra,)),
-            ("+++ in D_X has no preimage under r",),
+            monkeypatch, tri_om, add, ("+++ in D_X has no preimage under r",),
         )
 
     def test_a_tope_dropped_from_CX(self, monkeypatch, tri_om):
+        def drop(M, x, cell):
+            corrupt_cell(M, x, cx=cell.cx & (cell.cx - 1))
+
         self.check_bijection_corruption(
-            monkeypatch, tri_om,
-            lambda star: setattr(star, "C_X", star.C_X[1:]),
-            ("+-- in D_X has no preimage under r",),
+            monkeypatch, tri_om, drop, ("+-- in D_X has no preimage under r",),
         )
 
     def test_a_corrupted_support_restriction(self, monkeypatch):

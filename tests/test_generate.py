@@ -1,8 +1,9 @@
 """Seeded arrangement generation: determinism, uniformity, pinned shapes.
 
-The uniformity test walks the d-subsets of the forms with shared
-exterior products; it is checked against one rank per subset, the test
-it replaced, and every pinned (n, d, seed) must still name the
+The uniformity test walks the d-subsets of the normals and the
+(d+1)-subsets of the forms with shared exterior products; it is checked
+against one rank per (d+1)-subset of the forms and t, the test it
+replaced, and every pinned (n, d, seed) must still name the
 arrangement it named under that test, down to the last byte.  The draws
 read the generator's words directly; they are checked against
 `random.randint` value for value, and the arrangements against the
@@ -27,7 +28,7 @@ from omtop.generate import (
     _OFFSET,
     _draw_spec,
     _every_subset_a_basis,
-    _general_position,
+    _in_general_position,
     _parallel_pair,
     _randints,
     generate_arrangement,
@@ -61,7 +62,7 @@ class TestGeneratedAreUniform:
         a = generate_arrangement(n, d, seed=seed)
         assert a.dim == d and a.n == n
         assert is_essential(a)
-        assert _general_position(a)
+        assert _in_general_position(a.rows, a.dim)
         assert is_uniform(enumerate_covectors(homogenize(a))).uniform
 
 
@@ -92,7 +93,7 @@ class TestBeyondTheEnumerationCap:
         from omtop.cli import main
 
         a = generate_arrangement(12, 2, seed=0)
-        assert a.n == 12 and _general_position(a)
+        assert a.n == 12 and _in_general_position(a.rows, a.dim)
         p = tmp_path / "twelve.arr"
         p.write_text(format_arrangement(a))
         assert main(["verify", str(p)]) == 0
@@ -158,7 +159,8 @@ class TestSameDrawsAsTheRankTest:
         A = generate_arrangement(n, d, seed=seed)
         text = format_arrangement(A)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED[n, d, seed]
-        assert _general_position(A) and general_position_by_ranks(A)
+        assert _in_general_position(A.rows, A.dim)
+        assert general_position_by_ranks(A)
 
     @pytest.mark.parametrize("n,d", [(14, 3), (15, 2)])
     def test_no_uniform_draw_in_the_box(self, n, d):
@@ -196,7 +198,9 @@ class TestWedgeWalkAgainstRanks:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(_arrangements())
     def test_general_position(self, A):
-        assert _general_position(A) == general_position_by_ranks(A)
+        assert _in_general_position(A.rows, A.dim) == (
+            general_position_by_ranks(A)
+        )
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(integer_forms())

@@ -28,30 +28,29 @@ from omtop.matroid import (
     AxiomReport,
     CovectorSet,
     _cocircuit_decline,
-    atoms,
-    contract,
-    covector_rank,
     delete_minor,
     format_covector_file,
     is_uniform,
     parse_covector_file,
-    topes,
     verify_covector_axioms,
 )
 from omtop.realization import enumerate_covectors, homogenize
-from omtop.signvec import GroundSet, SignVector, _bits
+from omtop.signvec import GroundSet, Sign, SignVector, _bits
 
 from conftest import FOURLINE_ROWS, TRIANGLE_ROWS, mk_arrangement
 from oracles import (
+    contract,
     equal_support_elimination,
     format_covector_file_by_coordinates,
     pairwise_witnesses,
     parse_covector_file_by_lines,
     restriction_l2_witnesses,
+    scan_atoms,
     scan_axioms,
     sign_columns_by_bits,
     sorted_by_sign_string,
     tope_poset,
+    topes,
 )
 
 S = SignVector.from_string
@@ -254,12 +253,13 @@ def witness_sets(draw) -> CovectorSet:
     )
     kind = draw(st.sampled_from(["drop", "atom-pair", "add"]))
     if kind == "drop":
+        atoms = scan_atoms(L)
         above = [x for x in L.sorted_covectors()
-                 if not x.is_zero and x not in atoms(L)]
+                 if not x.is_zero and x not in atoms]
         x = draw(st.sampled_from(above))
         return CovectorSet(L.ground, L.covectors - {x})
     if kind == "atom-pair":
-        v = draw(st.sampled_from(sorted(atoms(L), key=str)))
+        v = draw(st.sampled_from(sorted(scan_atoms(L), key=str)))
         return CovectorSet(L.ground, L.covectors - {v, -v})
     n = len(L.ground)
     added = draw(st.sets(
@@ -342,7 +342,7 @@ class TestAxiomsAgainstScan:
         assert verify_covector_axioms(L) == scan_axioms(L)
 
     def test_four_line_vertex_pair_fails_only_elimination(self, four_om):
-        v = min(atoms(four_om), key=str)
+        v = min(scan_atoms(four_om), key=str)
         L = CovectorSet(four_om.ground, four_om.covectors - {v, -v})
         rep = verify_covector_axioms(L)
         assert rep.l0_ok and rep.l1_ok and rep.l2_ok and not rep.l3_ok
@@ -620,14 +620,15 @@ class TestEliminationByWalls:
 class TestRank:
     def test_line_heights(self, line_om):
         assert line_om.rank() == 2
-        assert covector_rank(line_om, S("000")) == 0
-        assert covector_rank(line_om, S("0-+")) == 1
-        assert covector_rank(line_om, S("+-+")) == 2
-        assert covector_rank(line_om, S("++0")) == 1
+        P = line_om.order()
+        assert P.height(S("000")) == 0
+        assert P.height(S("0-+")) == 1
+        assert P.height(S("+-+")) == 2
+        assert P.height(S("++0")) == 1
 
     def test_membership_error(self, line_om):
         with pytest.raises(MembershipError):
-            covector_rank(line_om, S("0-0"))
+            line_om.order().height(S("0-0"))
 
     def test_triangle_rank(self, tri_om, four_om):
         assert tri_om.rank() == 3
@@ -655,7 +656,7 @@ class TestUniformity:
         assert rep.rank_witness is not None
         x = rep.rank_witness
         r = four_om.rank()
-        assert covector_rank(four_om, x) != r - len(x.zero_set())
+        assert four_om.order().height(x) != r - len(x.zero_set())
 
     def test_witness_json_labels(self, four_om):
         js = is_uniform(four_om).to_json(four_om.ground)
@@ -667,7 +668,7 @@ class TestTopesAtoms:
         ts = topes(line_om)
         assert len(ts) == 6
         assert all(len(t.zero_set()) == 0 for t in ts)
-        ats = atoms(line_om)
+        ats = scan_atoms(line_om)
         assert len(ats) == 6
         assert S("0-+") in ats and S("++0") in ats
         # 13 = zero + atoms + topes for this rank-2 set
@@ -677,7 +678,7 @@ class TestTopesAtoms:
         ts = topes(tri_om)
         # 7 affine regions, doubled by central symmetry
         assert len(ts) == 14
-        assert sum(1 for t in ts if t.sign(3).char == "+") == 7
+        assert sum(1 for t in ts if t.sign(3) is Sign.PLUS) == 7
 
 
 class TestMinors:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from omtop.bounded import AffineOM, Star, cube_isomorphism, link_decomposition
 from omtop.errors import PreconditionError
 from omtop.generate import generate_arrangement
-from omtop.matroid import CovectorSet, atoms, topes
+from omtop.matroid import CovectorSet
 from omtop.realization import enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector
 from omtop.topology import _chain_counts
@@ -75,10 +75,17 @@ def _bounded_from_scans(L):
 
 
 def check_order(L: CovectorSet) -> None:
-    assert L.heights() == scan_heights(L)
-    assert topes(L) == scan_topes(L)
-    assert atoms(L) == scan_atoms(L)
     P = L.order()
+    assert dict(zip(P.elements, P._height_list())) == scan_heights(L)
+    assert frozenset(P.maximal_elements()) == scan_topes(L)
+    # the atoms: the elements whose down-set, less the zero vector, is
+    # the element alone
+    z = P._index.get(L.zero)
+    nonzero = ~(0 if z is None else 1 << z)
+    assert frozenset(
+        x for i, x in enumerate(P.elements)
+        if i != z and P._down[i] & nonzero == 1 << i
+    ) == scan_atoms(L)
     assert P.elements == L.sorted_covectors()
     # the up-sets built from sign columns are the down-sets transposed
     assert P._up == transposed_up_sets(P._down)

@@ -42,6 +42,7 @@ from oracles import (
     fm_affine_faces,
     fm_covectors,
     pattern_feasible,
+    scan_atoms,
 )
 from omtop.errors import (
     DimensionError,
@@ -50,7 +51,7 @@ from omtop.errors import (
     PreconditionError,
     ResourceExhausted,
 )
-from omtop.matroid import atoms, verify_covector_axioms
+from omtop.matroid import verify_covector_axioms
 from omtop.generate import generate_arrangement
 from omtop.realization import (
     Arrangement,
@@ -541,7 +542,7 @@ class TestCoverWalk:
     ):
         # x | w over the atoms w of L|z(x) are exactly x's covers in L
         n = len(four_om.ground)
-        cocircuits = [c._pos | c._neg << n for c in atoms(four_om)]
+        cocircuits = [c._pos | c._neg << n for c in scan_atoms(four_om)]
         for x in four_om:
             ups = [y for y in four_om if y != x and x.below(y)]
             covers = {y._pos | y._neg << n for y in ups

@@ -7,7 +7,7 @@ import pytest
 from conftest import TRIANGLE_ROWS, mk_arrangement
 from omtop.bounded import AffineOM, bounded_complex
 from omtop.generate import generate_arrangement
-from omtop.matroid import CovectorSet, atoms, verify_covector_axioms
+from omtop.matroid import CovectorSet, verify_covector_axioms
 from omtop.realization import Arrangement, enumerate_covectors, homogenize
 from omtop.signvec import GroundSet, SignVector as S
 from omtop.svgfig import render_arrangement_svg
@@ -26,8 +26,12 @@ from oracles import (
     find_collapse_by_state,
     link_facts,
     link_sweep,
+    lower_covers,
+    minimal_elements,
     order_complex,
     pairwise_witnesses,
+    scan_atoms,
+    upper_covers,
     verify_collapse_by_state,
     verify_on_the_order_complex,
 )
@@ -391,7 +395,7 @@ class TestEachFactOnce:
         missed = _counting(monkeypatch, matroid, "_missed_compositions")
         lifts = _counting(monkeypatch, matroid, "_pairs_below")
         direct = _counting(monkeypatch, matroid, "_unmet_eliminations")
-        v = min(atoms(four_om), key=str)
+        v = min(scan_atoms(four_om), key=str)
         L = CovectorSet(four_om.ground, four_om.covectors - {v, -v})
         rep = verify_covector_axioms(L)
         assert rep.l2_ok and not rep.l3_ok
@@ -629,13 +633,15 @@ class TestCorruptedCellCertificate:
         P, cert = cells
         steps = list(cert.steps)
         sigma, tau = steps[0]
-        steps[0] = (P.lower_covers(sigma)[0], tau)
+        steps[0] = (lower_covers(P, sigma)[0], tau)
         self.replay(P, steps, cert.terminal, "collapse step 0: .* not a facet")
 
     def test_sigma_with_a_second_live_coface(self, cells):
         P, cert = cells
         tau = cert.steps[0][1]
-        shared = [s for s in P.lower_covers(tau) if len(P.upper_covers(s)) == 2]
+        shared = [
+            s for s in lower_covers(P, tau) if len(upper_covers(P, s)) == 2
+        ]
         assert shared
         steps = [(shared[0], tau)] + list(cert.steps[1:])
         self.replay(P, steps, cert.terminal, "collapse step 0: .* not free")
@@ -643,7 +649,7 @@ class TestCorruptedCellCertificate:
     def test_tau_that_is_not_maximal(self, cells):
         P, cert = cells
         sigma = cert.steps[0][0]
-        steps = [(P.lower_covers(sigma)[0], sigma)] + list(cert.steps[1:])
+        steps = [(lower_covers(P, sigma)[0], sigma)] + list(cert.steps[1:])
         self.replay(P, steps, cert.terminal, "collapse step 0: .* not maximal")
 
     def test_repeated_cell(self, cells):
@@ -661,7 +667,7 @@ class TestCorruptedCellCertificate:
 
     def test_wrong_terminal(self, cells):
         P, cert = cells
-        other = next(x for x in P.minimal_elements() if x != cert.terminal)
+        other = next(x for x in minimal_elements(P) if x != cert.terminal)
         n = len(cert.steps)
         self.replay(
             P, cert.steps, other,

@@ -37,6 +37,11 @@ single flips on those masks: no face poset of [C_X] is built.  A `Star`
 is a view of the record.  Sign vectors, their pairs, zero sets,
 sub-posets, tope tuples and lifted vectors are built only when a report
 is read, and the per-X problems are listed only when a check fails.
+
+The star lemmas are stated for a full-dimensional affine OM, one whose
+L++ spans E.  On any other the records hold the link cases alone, and
+the star entry points raise: their input is
+`restrict_to_support(M).restricted`, the set `verify` hands them.
 """
 
 from __future__ import annotations
@@ -61,9 +66,7 @@ class AffineOM:
     named on the ground set, |E| > 1, and g is not a loop.
     """
 
-    __slots__ = (
-        "om", "_bc", "_cells", "_restriction", "_unbounded", "_topes",
-    )
+    __slots__ = ("om", "_bc", "_cells", "_unbounded", "_topes")
 
     def __init__(self, om: CovectorSet):
         if om.ground.g is None:
@@ -81,7 +84,6 @@ class AffineOM:
             )
         self.om = om
         self._bc = None
-        self._restriction = None
         self._unbounded = None
         self._topes = None
         self._cells = None
@@ -127,7 +129,7 @@ class AffineOM:
     def _cell(self, X: SignVector, star: bool = True) -> "_Cell":
         """X's cell record, the records of every bounded covector built
         in one pass on the first request.  With star set, an X that has
-        no star (support {g}, or a failed support restriction) raises."""
+        no star here (support {g}, or L++ does not span E) raises."""
         cells = self._cells
         if cells is None:
             cells = self._cells = _cell_table(self)
@@ -135,14 +137,8 @@ class AffineOM:
         if cell is None:
             raise MembershipError(f"{X} is not in the bounded complex")
         if star and cell.bad is not None:
-            raise cell.bad[0](cell.bad[1])
+            raise PreconditionError(cell.bad)
         return cell
-
-    def _star_om(self) -> "AffineOM":
-        """The AffineOM the stars of self live in: self, or its
-        restriction to the support E1 once `_cell_table` built it."""
-        r = self._restriction
-        return self if r is None or r[0] is None else r[0]
 
     def __repr__(self) -> str:
         return f"AffineOM({len(self.om)} covectors, g={self.g!r})"
@@ -289,18 +285,6 @@ class SupportRestriction:
     dropped: tuple[str, ...]
     pairs: tuple[tuple[SignVector, SignVector], ...]
     ok: bool
-    # pairs as a dict; shared by every restriction of one AffineOM
-    _image: dict | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self._image is None:
-            object.__setattr__(self, "_image", dict(self.pairs))
-
-    def map(self, x: SignVector) -> SignVector:
-        try:
-            return self._image[x]
-        except KeyError:
-            raise MembershipError(f"{x} is not a bounded covector") from None
 
 
 def restrict_to_support(M: AffineOM) -> SupportRestriction:
@@ -309,41 +293,21 @@ def restrict_to_support(M: AffineOM) -> SupportRestriction:
     bounded covector is below a maximal one, so it is zero off E1 and
     deletion is an order embedding of L++: only the image can fail.
 
-    The restricted set is built once per AffineOM, so every star of M
-    shares it, with its order, bounded complex and tope table."""
+    The star checks need a full-dimensional M (`_cell_table`): they run
+    on the restricted set, an AffineOM of its own."""
     bc = M.bounded_complex()
     if bc.support is None:
         raise PreconditionError(
             "maximal bounded covectors do not share a support; "
             "no canonical restriction exists"
         )
-    if M._restriction is None:
-        M._restriction = _restriction(M, bc)
-    restricted, dropped, pairs, ok, image = M._restriction
-    return SupportRestriction(
-        M, M if restricted is None else restricted, dropped, pairs, ok, image
-    )
-
-
-def _restriction(M: AffineOM, bc: BoundedComplex) -> tuple:
-    """What restrict_to_support reports, with None for an unrestricted
-    M: the cache on M must not refer back to M."""
     ground = M.ground
-    drop = [
-        ground.labels[i]
-        for i in range(len(ground))
-        if i not in bc.support
-    ]
-    if not drop:
-        pairs = tuple((x, x) for x in bc.covectors)
-        return None, (), pairs, True, dict(pairs)
+    drop = [lab for i, lab in enumerate(ground.labels) if i not in bc.support]
+    M2 = AffineOM(delete_minor(M.om, drop)) if drop else M
     drop_idx = ground.indices(drop)
-    M2 = AffineOM(delete_minor(M.om, drop))
-    bc2 = M2.bounded_complex()
     pairs = tuple((x, x.delete(drop_idx)) for x in bc.covectors)
-    image = dict(pairs)
-    ok = set(image.values()) == set(bc2.covectors)
-    return M2, tuple(drop), pairs, ok, image
+    ok = {y for _, y in pairs} == set(M2.bounded_complex().covectors)
+    return SupportRestriction(M, M2, tuple(drop), pairs, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -554,19 +518,17 @@ def _separation_key(sep: int, width: int) -> int:
 
 
 class _Cell:
-    """The star facts of one bounded covector X, on indices, built by
-    `_cell_table`.
+    """The star facts of one bounded covector X of an AffineOM M, on
+    indices, built by `_cell_table`.
 
-    case is the link case of X in its own AffineOM M.  The rest is read
-    in the AffineOM N the star lives in (M, or M restricted to its
-    support E1), X there being the star's X, at X's index in N's order:
-    size = |N_{>=X}|, xg the (+, -) masks of X minus g, cx the mask of
-    C_X over N's order, dx the mask of D_X over the topes of N/g
-    (`_TopeTable`), and image the mask of r(C_X), with `_TopeTable.past`
-    set when some tope of C_X restricts to no tope of N/g.  C_X and D_X
-    are the tuples, None until read (`Star`).  bad is None, or the
-    (exception, message) that asking for X's star raises: X has support
-    {g}, or X has no image under the support restriction."""
+    case is the link case of X.  The rest is read at X's index in L's
+    order: size = |L_{>=X}|, xg the (+, -) masks of X minus g, cx the
+    mask of C_X over L's order, dx the mask of D_X over the topes of
+    L/g (`_TopeTable`), and image the mask of r(C_X), with
+    `_TopeTable.past` set when some tope of C_X restricts to no tope of
+    L/g.  C_X and D_X are the tuples, None until read (`Star`).  bad is
+    None, or why asking for X's star raises `PreconditionError`: X has
+    support {g} (`_DEGENERATE`), or L++ does not span E (`_UNSPANNED`)."""
 
     __slots__ = (
         "case", "X", "size", "xg", "cx", "dx", "image", "C_X", "D_X",
@@ -584,15 +546,13 @@ class _Cell:
         self.C_X = self.D_X = None
         self.bad = bad
 
-    @property
-    def c_size(self) -> int:
-        """|C_X|, the popcount of its mask."""
-        return _popcount(self.cx)
-
 
 _DEGENERATE = (
-    PreconditionError,
-    "X has support {g}; the degenerate case X minus g = 0 is excluded",
+    "X has support {g}; the degenerate case X minus g = 0 is excluded"
+)
+_UNSPANNED = (
+    "L++ does not span E, and the star lemmas hold on a full-dimensional "
+    "affine OM: ask restrict_to_support(M).restricted for X's star"
 )
 
 
@@ -608,59 +568,19 @@ def _link_case(size: int, bounded_up: int) -> str:
 
 def _cell_table(M: AffineOM) -> dict:
     """X -> `_Cell` for every bounded covector X of M, in one pass over
-    L++ on L's order indices.  When M's bounded complex does not span
-    E, the star facts are those of the image of X in M restricted to
-    E1 (`restrict_to_support`), as `Star` reads them, and the link case
-    stays M's own."""
+    L++ on L's order indices.  The star lemmas are stated for a
+    full-dimensional M, so when L++ does not span E only the link case
+    is read and every star is refused (`_UNSPANNED`)."""
     bc = M.bounded_complex()
-    if bc.support is not None and len(bc.support) == len(M.ground):
-        return _star_pass(M)
     order = M.om.order()
     up, elements = order._up, order.elements
     bup = bc.as_poset()._up
-    others = ~(1 << M.g_index)
-    unsupported = None
-    try:
-        res = restrict_to_support(M)
-    except PreconditionError as exc:
-        unsupported = PreconditionError, str(exc)
-    else:
-        restricted = _star_pass(res.restricted)
-    cells = {}
-    for j, i in enumerate(_bits(bc._mask)):
-        x = elements[i]
-        case = _link_case(up[i].bit_count(), bup[j])
-        if not (x._pos | x._neg) & others:
-            bad = _DEGENERATE
-        elif unsupported is not None:
-            bad = unsupported
-        else:
-            y = res.map(x)
-            c = restricted.get(y)
-            if c is not None:
-                cells[x] = _Cell(
-                    case, y, c.size, c.xg, c.cx, c.dx, c.image
-                )
-                continue
-            bad = (
-                MembershipError,
-                f"the support restriction maps a bounded covector to "
-                f"{y}, which is not bounded",
-            )
-        cells[x] = _Cell(case, x, 0, None, 0, 0, 0, bad)
-    return cells
-
-
-def _star_pass(N: AffineOM) -> dict:
-    """`_cell_table` of N with every star read in N itself."""
-    bc = N.bounded_complex()
-    order = N.om.order()
-    up, elements = order._up, order.elements
-    bup = bc.as_poset()._up
-    gi = N.g_index
-    unbounded = N._unbounded_topes()
-    table = N._tope_table()
-    plus, minus, full = table.plus, table.minus, table.full
+    gi = M.g_index
+    spans = bc.support is not None and len(bc.support) == len(M.ground)
+    if spans:
+        unbounded = M._unbounded_topes()
+        table = M._tope_table()
+        plus, minus, full = table.plus, table.minus, table.full
     cells = {}
     for j, i in enumerate(_bits(bc._mask)):
         x = elements[i]
@@ -670,16 +590,18 @@ def _star_pass(N: AffineOM) -> dict:
         xp, xn = _without(x._pos, gi), _without(x._neg, gi)
         if not xp | xn:
             cells[x] = _Cell(case, x, size, None, 0, 0, 0, _DEGENERATE)
-            continue
-        dx = full
-        for e in _bits(xp):
-            dx &= plus[e]
-        for e in _bits(xn):
-            dx &= minus[e]
-        cx = u & unbounded
-        cells[x] = _Cell(
-            case, x, size, (xp, xn), cx, dx, _image(table, cx)
-        )
+        elif not spans:
+            cells[x] = _Cell(case, x, size, None, 0, 0, 0, _UNSPANNED)
+        else:
+            dx = full
+            for e in _bits(xp):
+                dx &= plus[e]
+            for e in _bits(xn):
+                dx &= minus[e]
+            cx = u & unbounded
+            cells[x] = _Cell(
+                case, x, size, (xp, xn), cx, dx, _image(table, cx)
+            )
     return cells
 
 
@@ -707,9 +629,9 @@ def _lift(X: SignVector, gi: int, T: SignVector) -> SignVector:
 
 
 class Star:
-    """Everything star-local to one bounded covector X: the ambient
-    full-dimensional affine OM (restricting to E1 first if needed) and
-    the tope sets C_X and D_X.
+    """Everything star-local to one bounded covector X of an affine OM
+    M whose L++ spans E (restrict to E1 first, `restrict_to_support`):
+    M and the tope sets C_X and D_X.
 
     A star is a view of X's cell record (`_Cell`), which holds both tope
     sets as masks: C_X over L's order, the up-set of X met with the
@@ -719,14 +641,12 @@ class Star:
     reads the masks.
     """
 
-    __slots__ = ("om", "X", "restriction", "_cell")
+    __slots__ = ("om", "X", "_cell")
 
     def __init__(self, M: AffineOM, X: SignVector):
         self._cell = M._cell(X)
-        N = M._star_om()
-        self.restriction = None if N is M else restrict_to_support(M)
-        self.om = N
-        self.X = self._cell.X
+        self.om = M
+        self.X = X
 
     @property
     def C_X(self) -> tuple[SignVector, ...]:
@@ -743,11 +663,6 @@ class Star:
             topes = self.om._tope_table().topes
             cell.D_X = tuple(topes[j] for j in _bits(cell.dx))
         return cell.D_X
-
-    @property
-    def c_size(self) -> int:
-        """|C_X|, the popcount of its mask."""
-        return self._cell.c_size
 
     def restrict(self, T: SignVector) -> SignVector:
         """r(T) = T minus g."""
@@ -831,7 +746,7 @@ def shelling_of_DX(
     runs only over the topes that are zero somewhere on S.
     """
     cell = M._cell(X)
-    table = M._star_om()._tope_table()
+    table = M._tope_table()
     dx = cell.dx
     if not dx:
         raise PreconditionError(f"D_X is empty for X = {cell.X}")
@@ -902,9 +817,7 @@ class InducedShelling:
 
     def order_names(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """(dx_order, order) as strings."""
-        if self.names is not None:
-            return self.names
-        return tuple(map(str, self.dx_order)), tuple(map(str, self.order))
+        return self.names
 
 
 def induced_shelling_of_CX(M: AffineOM, X: SignVector) -> InducedShelling:
@@ -946,25 +859,24 @@ def induced_shelling_of_CX(M: AffineOM, X: SignVector) -> InducedShelling:
     holds at every X by theorem.
     """
     cell = M._cell(X)
-    N = M._star_om()
     dx = cell.dx
     if not dx:
         # an X with C_X but no D_X is possible only off uniform input
-        problems = [f"D_X is empty, and |C_X| = {cell.c_size}"]
+        problems = [f"D_X is empty, and |C_X| = {_popcount(cell.cx)}"]
         cube = _cube_problem(cell)
         if cube is not None:
             problems.append(cube)
-        return _indexed_shelling(cell, N, [], problems, None)
-    table = N._tope_table()
+        return _indexed_shelling(cell, M, [], problems, None)
+    table = M._tope_table()
     first = None
     for b in _bits(dx):
         order = _dx_order(cell, table, b)
-        problems, failures = _lift_indices(cell, N, order)
+        problems, failures = _lift_indices(cell, M, order)
         if failures is not None and not failures:
-            return _indexed_shelling(cell, N, order, problems, failures)
+            return _indexed_shelling(cell, M, order, problems, failures)
         if first is None:
             first = order, problems, failures
-    return _indexed_shelling(cell, N, *first)
+    return _indexed_shelling(cell, M, *first)
 
 
 def _cube_problem(cell: _Cell) -> str | None:
@@ -978,13 +890,13 @@ def _cube_problem(cell: _Cell) -> str | None:
     )
 
 
-def _lift_indices(cell: _Cell, N: AffineOM, dx: list[int]):
-    """(problems, failures) of the lift of dx, tope indices of N/g in a
-    [D_X] order; failures is None when a problem stops the flip
-    decision.  When r(C_X) = D_X and the cube holds, every lift is in
-    C_X and the lifts cover it (the lift lemma of `_TopeTable`), so the
-    flips alone decide."""
-    table = N._tope_table()
+def _lift_indices(cell: _Cell, M: AffineOM, dx: list[int]):
+    """(problems, failures) of the lift of dx, tope indices of L/g in a
+    [D_X] order, at X's cell of M; failures is None when a problem stops
+    the flip decision.  When r(C_X) = D_X and the cube holds, every lift
+    is in C_X and the lifts cover it (the lift lemma of `_TopeTable`),
+    so the flips alone decide."""
+    table = M._tope_table()
     cube = _cube_problem(cell)
     if cube is None and cell.image == cell.dx:
         return [], _flip_failures([table.ranked[j] for j in dx])
@@ -995,7 +907,7 @@ def _lift_indices(cell: _Cell, N: AffineOM, dx: list[int]):
         if k is None or not cx >> k & 1:
             d = table.topes[j]
             problems.append(
-                f"h({d}) = {_lift(cell.X, N.g_index, d)} is not in C_X"
+                f"h({d}) = {_lift(cell.X, M.g_index, d)} is not in C_X"
             )
     if not problems and len(dx) != _popcount(cx):
         # |C_X| > |D_X|, which a non-uniform input allows
@@ -1010,21 +922,21 @@ def _lift_indices(cell: _Cell, N: AffineOM, dx: list[int]):
 
 
 def _indexed_shelling(
-    cell: _Cell, N: AffineOM, dx: list[int], problems, failures
+    cell: _Cell, M: AffineOM, dx: list[int], problems, failures
 ) -> InducedShelling:
-    """The report of the lift of dx, tope indices of N/g, with its
+    """The report of the lift of dx, tope indices of L/g, with its
     (problems, failures) from `_lift_indices`; the tope and lifted
     tuples are built on first read.  A tope whose lift h(d) is no
-    g-positive unbounded tope of N (`_TopeTable.lift`) is lifted by
+    g-positive unbounded tope of L (`_TopeTable.lift`) is lifted by
     composition, on a problem report only."""
     report = None
     if failures is not None:
         report = ShellingReport(
             ok=not failures, mode="simplicial", failures=tuple(failures)
         )
-    table = N._tope_table()
-    elements, topes, lift = N.om.order().elements, table.topes, table.lift
-    X, gi = cell.X, N.g_index
+    table = M._tope_table()
+    elements, topes, lift = M.om.order().elements, table.topes, table.lift
+    X, gi = cell.X, M.g_index
 
     def lifted(j: int) -> SignVector:
         k = lift[j]

@@ -60,7 +60,8 @@ def _read(path: str) -> str:
 
 def _load(path: str, g: str | None):
     """Parse an input file as an arrangement (`dim` header) or a
-    covector file, applying --g to covector inputs."""
+    covector file, applying --g to covector inputs; an arrangement
+    brings its own g, and --g on one is refused."""
     text = _read(path)
     first = next(
         (
@@ -71,6 +72,11 @@ def _load(path: str, g: str | None):
         "",
     )
     if first.startswith("dim"):
+        if g is not None:
+            raise InputFormatError(
+                f"--g applies to covector files; {path} is an arrangement, "
+                "whose g is the hyperplane at infinity"
+            )
         return parse_arrangement_file(text, source=path), None
     L = parse_covector_file(text, source=path)
     if g is not None:
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--g",
                 help="element playing the hyperplane at infinity "
-                "(covector inputs without a g line)",
+                "(covector inputs only; overrides a g line)",
             )
 
     sp = sub.add_parser("axioms", help="check the covector axioms")

@@ -324,7 +324,7 @@ def _star_checks(M: AffineOM, bc) -> dict:
             per_x.append(entry)
             continue
         bij = check_bijection(M, x)
-        c_size = M._cell(x).c_size
+        c_size = M._cell(x).cx.bit_count()
         entry["c_size"] = c_size
         entry["bijection_ok"] = bij.ok
         if not bij.ok:

@@ -22,7 +22,7 @@ def corrupt_cell(M, X, cx=None, dx=None, put=setattr):
     put(cell, "D_X", None)
     if cx is not None:
         put(cell, "cx", cx)
-        put(cell, "image", _image(M._star_om()._tope_table(), cx))
+        put(cell, "image", _image(M._tope_table(), cx))
     if dx is not None:
         put(cell, "dx", dx)
     return cell

@@ -68,8 +68,8 @@ S = SignVector.from_string
 def lift_indices(M: AffineOM, X: SignVector, dx: list[int]) -> InducedShelling:
     """The report of the lift of dx, tope indices of L/g at X's star, as
     `induced_shelling_of_CX` lifts the order of each base."""
-    cell, N = M._cell(X), M._star_om()
-    return _indexed_shelling(cell, N, dx, *_lift_indices(cell, N, dx))
+    cell = M._cell(X)
+    return _indexed_shelling(cell, M, dx, *_lift_indices(cell, M, dx))
 
 
 def every_base(M: AffineOM, X: SignVector):
@@ -77,7 +77,7 @@ def every_base(M: AffineOM, X: SignVector):
     star, in sign-string order: order the order's topes and report the
     lift of the order (`lift_indices`)."""
     cell = M._cell(X)
-    table = M._star_om()._tope_table()
+    table = M._tope_table()
     for b in _bits(cell.dx):
         dx = _dx_order(cell, table, b)
         yield [table.topes[j] for j in dx], lift_indices(M, X, dx)
@@ -106,6 +106,12 @@ def four(four_om):
 def three():
     # bounded part is a segment inside the line x = 0: E1 excludes a
     return om_of(2, [("a", (1, 0), 0), ("b", (0, 1), 0), ("c", (0, 1), 1)])
+
+
+@pytest.fixture(scope="module")
+def three_e1(three):
+    """three restricted to E1 = (b, c, g), where its stars live."""
+    return restrict_to_support(three).restricted
 
 
 @pytest.fixture(scope="module")
@@ -254,63 +260,56 @@ class TestSupportRestriction:
         assert res.dropped == ("a",)
         bc2 = bounded_complex(res.restricted)
         assert bc2.f_vector == (2, 1)
-        assert res.map(S("0+-+")) == S("+-+")
+        assert dict(res.pairs)[S("0+-+")] == S("+-+")
 
-    def test_star_auto_restricts(self, three):
-        star = Star(three, S("00-+"))
-        assert star.restriction is not None
-        assert star.X == S("0-+")
+    def test_star_on_the_restricted_set(self, three_e1):
+        X = S("0-+")
+        star = Star(three_e1, X)
+        assert star.om is three_e1 and star.X == X
         assert [str(t) for t in star.C_X] == ["--+"]
         assert [str(t) for t in star.D_X] == ["--"]
-        assert check_bijection(three, S("00-+")).ok
-        assert induced_shelling_of_CX(three, S("00-+")).ok
+        assert check_bijection(three_e1, X).ok
+        assert induced_shelling_of_CX(three_e1, X).ok
 
-    def test_bijection_reads_the_restricted_star(self, three, monkeypatch):
-        # -- lifts to --+, a covector of the star's restricted set on
-        # (b, c, g) but of no set on the original ground set; with --+
-        # dropped from the record's C_X, -- has no preimage, and h(--)
-        # is still a covector
+    def test_stars_need_a_spanning_L(self, three):
+        # L++ of three misses a: every star request is refused and names
+        # the restricted set, while the link case and the cube, which
+        # need no star, are still read in three itself
         X = S("00-+")
-        star = three.star(X)
-        assert star.om.om.order().index(S("--+")) is not None
-        corrupt_cell(three, X, cx=0, put=monkeypatch.setattr)
-        assert star.C_X == () and star.D_X == (S("--"),)
-        rep = check_bijection(three, X)
-        assert rep.problems == ("-- in D_X has no preimage under r",)
-
-
-class TestSharedRestriction:
-    """Stars on a set whose bounded complex misses an element share one
-    restricted set, built once."""
-
-    def test_stars_share_the_restricted_set(self, three, monkeypatch):
-        import omtop.bounded as bounded
-
-        calls = []
-        real = bounded.delete_minor
-        monkeypatch.setattr(
-            bounded, "delete_minor",
-            lambda *a: calls.append(a) or real(*a),
+        named = r"restrict_to_support\(M\)\.restricted"
+        for ask in (Star, AffineOM.star, check_bijection,
+                    induced_shelling_of_CX, shelling_of_DX):
+            with pytest.raises(PreconditionError, match=named):
+                ask(three, X)
+        ld = link_decomposition(three, X)
+        assert (ld.case, ld.lower.elements, ld.upper.elements) == (
+            "proper", (), (S("0+-+"),)
         )
-        M = AffineOM(three.om)
-        cells = [
-            x for x in bounded_complex(M)
-            if not x.delete([M.g_index]).is_zero
+        cube = cube_isomorphism(three.om, X)
+        assert (cube.ok, cube.expected_size, cube.actual_size) == (True, 9, 9)
+        assert cube.zero_set == (0, 1)
+        assert [(str(a), str(b)) for a, b in cube.pairs] == [
+            ("++-+", "++"), ("+--+", "+-"), ("+0-+", "+0"),
+            ("-+-+", "-+"), ("---+", "--"), ("-0-+", "-0"),
+            ("0+-+", "0+"), ("0--+", "0-"), ("00-+", "00"),
         ]
-        assert len(cells) == 3
-        stars = [M.star(x) for x in cells]
-        assert all(star.om is stars[0].om for star in stars)
-        assert stars[0].om is restrict_to_support(M).restricted
-        assert len(calls) == 1
-        assert [str(star.X) for star in stars] == ["+-+", "+0+", "0-+"]
+        cases = [
+            link_decomposition(three, x).case for x in bounded_complex(three)
+        ]
+        assert cases == ["upper_empty", "proper", "proper"]
 
-    def test_map_rejects_an_unbounded_covector(self, three):
-        res = three.star(S("00-+")).restriction
-        assert res.map(S("0+-+")) == S("+-+")
-        with pytest.raises(MembershipError):
-            res.map(S("+---"))
-        with pytest.raises(MembershipError):
-            restrict_to_support(three).map(S("0000"))
+    def test_bijection_reads_the_restricted_star(self, three_e1, monkeypatch):
+        # -- lifts to --+, a covector of the restricted set on (b, c, g)
+        # but of no set on the original ground set; with --+ dropped
+        # from the record's C_X, -- has no preimage, and h(--) is still
+        # a covector
+        X = S("0-+")
+        star = three_e1.star(X)
+        assert three_e1.om.order().index(S("--+")) is not None
+        corrupt_cell(three_e1, X, cx=0, put=monkeypatch.setattr)
+        assert star.C_X == () and star.D_X == (S("--"),)
+        rep = check_bijection(three_e1, X)
+        assert rep.problems == ("-- in D_X has no preimage under r",)
 
 
 class TestCubeIsomorphism:
@@ -436,17 +435,23 @@ class TestStarLemmas:
     scans gives the same reports."""
 
     @staticmethod
-    def scan(M: AffineOM) -> tuple[int, int]:
-        """Cube at every nonzero covector, bijection at every bounded
-        cell with a star; the numbers of failing cubes and bijections."""
-        cube_fails = bij_fails = 0
-        for x in M.om:
+    def cube_fails(L: CovectorSet) -> int:
+        """Cube at every nonzero covector; the number that fail."""
+        fails = 0
+        for x in L:
             if x.is_zero:
                 continue
-            assert cube_scans(M.om, x) == []
-            rep = cube_isomorphism(M.om, x)
-            assert cube_isomorphism_by_scan(M.om, x) == rep
-            cube_fails += not rep.ok
+            assert cube_scans(L, x) == []
+            rep = cube_isomorphism(L, x)
+            assert cube_isomorphism_by_scan(L, x) == rep
+            fails += not rep.ok
+        return fails
+
+    def scan(self, M: AffineOM) -> tuple[int, int]:
+        """Cube at every nonzero covector, bijection at every bounded
+        cell with a star; the numbers of failing cubes and bijections."""
+        cube_fails = self.cube_fails(M.om)
+        bij_fails = 0
         for x in bounded_complex(M):
             if x.delete([M.g_index]).is_zero:
                 continue
@@ -456,10 +461,13 @@ class TestStarLemmas:
             bij_fails += not rep.ok
         return cube_fails, bij_fails
 
-    def test_fixtures(self, line, tri, three, four):
-        # three and four are not uniform: two parallel lines each
-        fails = [self.scan(M) for M in (line, tri, three, four)]
-        assert fails == [(0, 0), (0, 0), (2, 0), (2, 9)]
+    def test_fixtures(self, line, tri, three, three_e1, four):
+        # three and four are not uniform: two parallel lines each; the
+        # stars of three are read in three_e1, where a, the line that
+        # crosses them, is deleted
+        fails = [self.scan(M) for M in (line, tri, three_e1, four)]
+        assert fails == [(0, 0), (0, 0), (0, 0), (2, 9)]
+        assert self.cube_fails(three.om) == 2
 
     @pytest.mark.parametrize(
         "n,d,seed", [(4, 2, 0), (5, 2, 1), (4, 3, 0), (5, 3, 0)]
@@ -641,7 +649,7 @@ class TestShellingOracles:
             cells += 1
         assert cells > 0
 
-    def test_off_uniform_fixtures(self, three, four):
+    def test_off_uniform_fixtures(self, three_e1, four):
         # on four, C_X outnumbers D_X at some cells: the lifted order is
         # no permutation of the facets, and both report it as a problem
         def outcome(f, M, x):
@@ -651,7 +659,7 @@ class TestShellingOracles:
                 return type(exc), str(exc)
 
         short = []
-        for M in (three, four):
+        for M in (three_e1, four):
             for x in bounded_complex(M):
                 if x.delete([M.g_index]).is_zero or not M.star(x).D_X:
                     continue
@@ -666,14 +674,14 @@ class TestShellingOracles:
             for x in ("+00++", "-0-0+", "0+0++", "0--0+")
         ]
 
-    def test_lift_outside_CX(self, three, monkeypatch):
+    def test_lift_outside_CX(self, three_e1, monkeypatch):
         # -- lifts to --+, a covector of the restricted set; with --+
         # dropped from the record's C_X, the lift is refused before any
         # shelling check
-        X = S("00-+")
-        corrupt_cell(three, X, cx=0, put=monkeypatch.setattr)
-        ind = induced_shelling_of_CX(three, X)
-        assert ind == induced_shelling_by_scan(three, X)
+        X = S("0-+")
+        corrupt_cell(three_e1, X, cx=0, put=monkeypatch.setattr)
+        ind = induced_shelling_of_CX(three_e1, X)
+        assert ind == induced_shelling_by_scan(three_e1, X)
         assert ind.report is None
         assert ind.problems == ("h(--) = --+ is not in C_X",)
 

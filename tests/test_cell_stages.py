@@ -13,6 +13,7 @@ and support restrictions fail as the oracles do.  The digests pin whole
 `verify` reports, so a change that moves a byte of one shows here.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -23,6 +24,7 @@ import pytest
 import omtop
 import omtop.bounded as bounded
 import omtop.topology as topology
+import omtop.verify as verify_module
 from conftest import corrupt_cell, mk_arrangement
 from omtop.bounded import (
     AffineOM,
@@ -211,10 +213,10 @@ def _outcome(f, *args):
 
 class TestStarChecksOnMasks:
     """_star_checks on tope masks against the per-X checks on sign
-    vectors: equal dicts, or the same exception with the same text,
-    full support or not.  Off uniform input a proper cell can have C_X
-    but no D_X: its inherited shelling reports that, and the checks
-    run on."""
+    vectors: equal dicts, or the same exception with the same text, on
+    the set `verify` hands them.  Off uniform input a proper cell can
+    have C_X but no D_X: its inherited shelling reports that, and the
+    checks run on."""
 
     @pytest.mark.parametrize("iid,inst", _OMS, ids=[i for i, _ in _OMS])
     def test_workload_instances(self, iid, inst):
@@ -237,12 +239,12 @@ class TestStarChecksOnMasks:
             if not (x._pos | x._neg) & ~(1 << M.g_index):
                 continue
             star = M.star(x)
-            if star.D_X or not star.c_size:
+            if star.D_X or not star.C_X:
                 continue
             ind = induced_shelling_of_CX(M, x)
             assert ind.report is None and not ind.ok
             assert ind.problems[0] == (
-                f"D_X is empty, and |C_X| = {star.c_size}"
+                f"D_X is empty, and |C_X| = {len(star.C_X)}"
             )
             assert ind == induced_shelling_by_vectors(M, x)
             assert ind == induced_shelling_by_scan(M, x)
@@ -259,7 +261,7 @@ class TestStarChecksOnMasks:
         x = S("+-+0+")
         assert x in M.bounded_complex()
         star = M.star(x)
-        assert not star.D_X and star.c_size == 1
+        assert not star.D_X and len(star.C_X) == 1
         want = ("D_X is empty, and |C_X| = 1",)
         for f in (induced_shelling_of_CX, induced_shelling_by_vectors,
                   induced_shelling_by_scan):
@@ -279,10 +281,11 @@ class TestStarChecksOnMasks:
 
     @pytest.mark.parametrize("name", ["three", "four", "five"])
     def test_fixtures(self, name):
-        M = _star_fixtures()[name]
+        M = restrict_to_support(_star_fixtures()[name]).restricted
         bc = M.bounded_complex()
         got = _outcome(_star_checks, M, bc)
         assert got == _outcome(star_checks_by_vectors, M, bc)
+        assert isinstance(got, dict)
 
 
 class TestCellRecords:
@@ -307,7 +310,8 @@ class TestCellRecords:
         return out
 
     @pytest.mark.parametrize("build", [
-        lambda: _generated(6, 4, 0), _three,
+        lambda: _generated(6, 4, 0),
+        lambda: restrict_to_support(_three()).restricted,
     ], ids=["(6,4,0)", "three"])
     def test_cold_requests_match_a_full_pass(self, build):
         cold = build()
@@ -332,7 +336,7 @@ class TestCellRecords:
         x = next(
             x for x in bc
             if link_decomposition(M, x).case == "proper"
-            and M.star(x).c_size > 1
+            and len(M.star(x).C_X) > 1
         )
         star = M.star(x)
         cx = M._cell(x).cx
@@ -340,7 +344,7 @@ class TestCellRecords:
         corrupt_cell(M, x, cx=cx & (cx - 1), put=monkeypatch.setattr)
         # every star of x is a view of the same record
         assert M.star(x).C_X == star.C_X
-        assert len(star.C_X) == star.c_size == cx.bit_count() - 1
+        assert len(star.C_X) == cx.bit_count() - 1
         rep = check_bijection(M, x)
         assert not rep.ok
         assert rep == check_bijection_by_vectors(M, x)
@@ -411,30 +415,24 @@ class TestStarCheckFailures:
         )
 
     def test_a_corrupted_support_restriction(self, monkeypatch):
-        real = bounded._restriction
-
-        def corrupted(M, bc):
-            restricted, dropped, pairs, ok, image = real(M, bc)
-            (x, y), *rest = pairs
+        def corrupted(M):
+            res = restrict_to_support(M)
+            (x, y), *rest = res.pairs
             pairs = ((x, -y), *rest)
-            image = dict(pairs)
-            bc2 = restricted.bounded_complex()
-            ok = set(image.values()) == set(bc2.covectors)
-            return restricted, dropped, pairs, ok, image
+            bc2 = res.restricted.bounded_complex()
+            ok = {b for _, b in pairs} == set(bc2.covectors)
+            return dataclasses.replace(res, pairs=pairs, ok=ok)
 
-        monkeypatch.setattr(bounded, "_restriction", corrupted)
+        monkeypatch.setattr(verify_module, "restrict_to_support", corrupted)
         M = _three()
-        res = restrict_to_support(M)
+        res = corrupted(M)
         assert res.ok is False
         assert restriction_ok_by_scan(res) is False
         # the star checks run on the restricted set, which the pairs do
-        # not touch; a star through the corrupted pair is refused
+        # not touch
         bc2 = res.restricted.bounded_complex()
         got = _star_checks(res.restricted, bc2)
         assert got == star_checks_by_vectors(res.restricted, bc2)
-        x = res.pairs[0][0]
-        with pytest.raises(omtop.MembershipError, match="not bounded"):
-            M.star(x)
         out = verify_covectors(CovectorSet(M.om.ground, M.om.covectors))
         assert out.verdict == "refuted"
         assert out.stages["restriction"]["isomorphic"] is False

@@ -325,6 +325,14 @@ class TestInputErrors:
         assert main(["bounded", files.tri_cov, "--g", "zz"]) == 2
         assert "not an element label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["axioms", "bounded", "verify"])
+    def test_g_on_an_arrangement_exit2(self, files, capsys, command):
+        # an arrangement's g is the element homogenizing adds
+        assert main([command, files.tri, "--g", "x"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: --g applies to covector files")
+
     def test_decimal_coefficient_exit2(self, tmp_path, capsys):
         p = tmp_path / "dec.arr"
         p.write_text("dim 2\na 0.5 1 0\n")

@@ -1,5 +1,5 @@
 """Metamorphic tests: a relabeled and reoriented covector set verifies
-as the original does.
+as the original does, and a uniform OM verifies with every element as g.
 
 Every kernel reads sign-string order and label ranks (the sort key, the
 sign columns, `bounded._separation_key`), and the oracles run in that
@@ -11,8 +11,15 @@ changes the affine oriented matroid up to isomorphism, nor, with it,
 any count `verify` reports.  Each relabeling maps a cell X of L++ to
 its image, and every cell a reason or a note names must be the image of
 the cell the original report names.
+
+In a uniform oriented matroid of rank r on N elements every element can
+be g, and each of the N affine OMs has a bounded complex that is a PL
+ball of dimension r - 1 whose top cells, the bounded topes, number
+beta = C(N - 2, r - 1), the beta invariant of the uniform matroid: the
+count does not depend on g (Zaslavsky 1975).
 """
 
+import math
 import random
 import re
 import sys
@@ -138,3 +145,33 @@ def test_relabeled_and_reoriented(iid, source):
         assert got_cells == sorted(
             str(image(SignVector.from_string(c))) for c in cells
         ), seed
+
+
+def _choices_of_g() -> list:
+    """(id, (d, L, g)) for every element g of the uniform (5,4,0),
+    (6,4,0), (8,3,0) and (11,2,0): 34 affine OMs."""
+    out = []
+    for n, d in ((5, 4), (6, 4), (8, 3), (11, 2)):
+        L = _covectors(omtop.generate_arrangement(n, d, 0))
+        for g in L.ground.labels:
+            out.append((f"({n},{d},0)-{g}", (d, L, g)))
+    return out
+
+
+_CHOICES_OF_G = _choices_of_g()
+
+
+@pytest.mark.parametrize(
+    "iid,choice", _CHOICES_OF_G, ids=[i for i, _ in _CHOICES_OF_G]
+)
+def test_every_element_as_g(iid, choice):
+    d, L, g = choice
+    got = verify_covectors(
+        CovectorSet(GroundSet(L.ground.labels, g=g), L.covectors)
+    ).to_json()
+    stages = got["stages"]
+    assert got["verdict"] == "ball-certified"
+    assert stages["restriction"] == {"applied": False}
+    assert stages["bounded"]["dim"] == d
+    N, r = len(L.ground), d + 1
+    assert stages["bounded"]["f_vector"][-1] == math.comb(N - 2, r - 1)
